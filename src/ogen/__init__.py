@@ -22,7 +22,6 @@ from .generator import (
     extrapolate_per_class,
     init_params,
     load_checkpoint,
-    mhca,
     save_checkpoint,
 )
 from .distillation import (
@@ -83,7 +82,6 @@ __all__ = [
     "load_checkpoint",
     "load_embeddings",
     "make_synthetic",
-    "mhca",
     "prob_joint_scheme",
     "prob_per_class_scheme",
     "push_checkpoint",

@@ -146,8 +146,9 @@ def cmd_train(
         raise ConfigError("--window is only meaningful with --distill fixed")
 
     if resume:
-        if not state_path.exists():
-            raise DataError(f"cannot resume: {state_path} does not exist")
+        for path in (state_path, config_path, metrics_path):
+            if not path.exists():
+                raise DataError(f"cannot resume: {path} does not exist")
         state, cfg = load_state(state_path)
         stored = json.loads(config_path.read_text())
         data = stored.get("data", data)

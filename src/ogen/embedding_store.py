@@ -214,28 +214,30 @@ def make_synthetic(cfg: SynthConfig) -> EmbeddingSet:
 
 
 def class_probabilities(feature, class_embeddings, tau: float) -> np.ndarray:
-    """Softmax over cosine similarities between one feature and C classes.
+    """Softmax over cosine similarities between a feature and C classes.
 
-    feature is a length-d vector; class_embeddings is (d, C) with classes
-    as columns. Both sides are normalized internally, so the result is
-    invariant to positive rescaling of either. Computed in float64 with
-    max-subtraction.
+    feature is a length-d vector, or a (d, U) matrix whose U columns are
+    scored independently; class_embeddings is (d, C) with classes as
+    columns. Returns (C,) or (C, U). Both sides are normalized
+    internally, so the result is invariant to positive rescaling of
+    either. Computed in float64 with max-subtraction.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    f = np.asarray(feature, dtype=np.float64).reshape(-1)
+    f = np.asarray(feature, dtype=np.float64)
+    f = f if f.ndim == 2 else f.reshape(-1)
     w = np.asarray(class_embeddings, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != f.shape[0]:
         raise ValueError(f"class matrix shape {w.shape} incompatible with feature of dim {f.shape[0]}")
-    fn = np.linalg.norm(f)
+    fn = np.linalg.norm(f, axis=0) if f.ndim == 2 else np.linalg.norm(f)
     wn = np.linalg.norm(w, axis=0)
-    if fn < ZERO_NORM_EPS or (wn < ZERO_NORM_EPS).any():
+    if np.any(fn < ZERO_NORM_EPS) or (wn < ZERO_NORM_EPS).any():
         raise ValueError("cannot score zero-norm vectors")
     scores = (w / wn).T @ (f / fn)
     logits = scores / tau
-    logits -= logits.max()
+    logits -= logits.max(axis=0)
     e = np.exp(logits)
-    return e / e.sum()
+    return e / e.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,13 @@ Two synthesis schemes share the attention core:
              feature attending over all neighbors, anchored at a learned
              text-to-image projection of w.
 
+Both take one conditioning class, or U at once: (d, U) columns of w and
+a (U, d, K) NeighborContext give (d, U) joint or (U, d, K) outputs.
+
 Gradients are derived by hand for exactly this architecture (no general
 autodiff): each forward returns a tape consumed once by backward(), which
-yields gradients for every parameter and for the inputs, including the
-conditioning embedding.
+yields gradients for every parameter (summed over the batch) and for the
+inputs, including the conditioning embeddings.
 """
 
 from __future__ import annotations
@@ -106,23 +109,15 @@ class GeneratorGrads:
     def tensor_dict(self) -> dict:
         return {name: getattr(self, name) for name in _TENSOR_FIELDS}
 
-    def add_(self, other: "GeneratorGrads") -> None:
-        for name in _TENSOR_FIELDS:
-            getattr(self, name).__iadd__(getattr(other, name))
-
-    def scale_(self, factor: float) -> None:
-        for name in _TENSOR_FIELDS:
-            getattr(self, name).__imul__(factor)
-
 
 @dataclass
 class InputGrads:
-    """Gradients w.r.t. the non-parameter inputs of a forward call."""
+    """Gradients w.r.t. the non-parameter inputs of a forward call, shaped
+    like those inputs."""
 
-    w_n: "np.ndarray | None" = None
-    neighbor_embeddings: "np.ndarray | None" = None
-    support_features: "np.ndarray | None" = None
-    query: "np.ndarray | None" = None
+    w_n: np.ndarray
+    neighbor_embeddings: np.ndarray
+    support_features: np.ndarray
 
 
 @dataclass
@@ -166,38 +161,44 @@ def init_params(heads: int, dim: int, d_ff: int, seed: int) -> GeneratorParams:
 # ---------------------------------------------------------------------------
 
 
+def _sum_outer(a, b):
+    """Sum of a @ b.T over any leading batch axes: (..., m, n) and
+    (..., p, n) -> (m, p), the weight gradient of a shared linear map."""
+    axes = [i for i in range(a.ndim) if i != a.ndim - 2]
+    return np.tensordot(a, b, (axes, axes))
+
+
 def _mhca_forward(params: GeneratorParams, query, keys, values):
     """Scaled dot-product cross-attention, heads as row blocks.
 
-    query (d, Q), keys/values (d, K). Per-head projections come from the
-    column blocks of wq/wk/wv (applied transposed); softmax runs over the
-    K key positions; concatenated heads go through the output projection.
+    query (..., d, Q), keys/values (..., d, K), with the same leading
+    batch axes (none, or U). Per-head projections come from the column
+    blocks of wq/wk/wv (applied transposed); softmax runs over the K key
+    positions; concatenated heads go through the output projection.
     """
     h, d = params.heads, params.dim
     dh = d // h
     q = np.asarray(query, dtype=np.float64)
     k = np.asarray(keys, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DataError("attention inputs must be 2-D column matrices")
-    if q.shape[0] != d or k.shape[0] != d or v.shape[0] != d:
+    if q.ndim not in (2, 3) or k.ndim != q.ndim or k.shape != v.shape or k.shape[:-2] != q.shape[:-2]:
+        raise DataError("attention inputs must be column matrices with one shared batch shape, keys like values")
+    if q.shape[-2] != d or k.shape[-2] != d:
         raise DataError(f"attention inputs must have {d} rows")
-    if k.shape[1] != v.shape[1]:
-        raise DataError("keys and values must have the same number of columns")
-    if k.shape[1] < 1:
+    if k.shape[-1] < 1:
         raise DataError("attention needs at least one key/value column")
 
-    nq, nk = q.shape[1], k.shape[1]
-    pq = (params.wq.T @ q).reshape(h, dh, nq)
-    pk = (params.wk.T @ k).reshape(h, dh, nk)
-    pv = (params.wv.T @ v).reshape(h, dh, nk)
+    batch, nq, nk = q.shape[:-2], q.shape[-1], k.shape[-1]
+    pq = (params.wq.T @ q).reshape(batch + (h, dh, nq))
+    pk = (params.wk.T @ k).reshape(batch + (h, dh, nk))
+    pv = (params.wv.T @ v).reshape(batch + (h, dh, nk))
     scale = 1.0 / math.sqrt(dh)
-    logits = scale * np.einsum("hdk,hdq->hkq", pk, pq)
-    logits -= logits.max(axis=1, keepdims=True)
+    logits = scale * np.einsum("...hdk,...hdq->...hkq", pk, pq)
+    logits -= logits.max(axis=-2, keepdims=True)
     attn = np.exp(logits)
-    attn /= attn.sum(axis=1, keepdims=True)
-    heads_out = np.einsum("hdk,hkq->hdq", pv, attn)
-    concat = heads_out.reshape(d, nq)
+    attn /= attn.sum(axis=-2, keepdims=True)
+    heads_out = np.einsum("...hdk,...hkq->...hdq", pv, attn)
+    concat = heads_out.reshape(batch + (d, nq))
     out = params.wo @ concat
     cache = {
         "query": q, "keys": k, "values": v,
@@ -208,27 +209,24 @@ def _mhca_forward(params: GeneratorParams, query, keys, values):
 
 
 def _mhca_backward(params: GeneratorParams, cache, d_out, grads: GeneratorGrads):
-    h, d = params.heads, params.dim
-    dh = d // h
     attn, scale = cache["attn"], cache["scale"]
-    nq = cache["query"].shape[1]
 
-    grads.wo += d_out @ cache["concat"].T
-    d_heads = (params.wo.T @ d_out).reshape(h, dh, nq)
+    grads.wo += _sum_outer(d_out, cache["concat"])
+    d_heads = (params.wo.T @ d_out).reshape(cache["pq"].shape)
 
-    d_pv = np.einsum("hdq,hkq->hdk", d_heads, attn)
-    d_attn = np.einsum("hdk,hdq->hkq", cache["pv"], d_heads)
+    d_pv = np.einsum("...hdq,...hkq->...hdk", d_heads, attn)
+    d_attn = np.einsum("...hdk,...hdq->...hkq", cache["pv"], d_heads)
     # softmax over the key axis: dS = A * (dA - sum_k A*dA)
-    d_logits = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
-    d_pq = scale * np.einsum("hdk,hkq->hdq", cache["pk"], d_logits)
-    d_pk = scale * np.einsum("hdq,hkq->hdk", cache["pq"], d_logits)
+    d_logits = attn * (d_attn - (attn * d_attn).sum(axis=-2, keepdims=True))
+    d_pq = scale * np.einsum("...hdk,...hkq->...hdq", cache["pk"], d_logits)
+    d_pk = scale * np.einsum("...hdq,...hkq->...hdk", cache["pq"], d_logits)
 
-    d_pq = d_pq.reshape(d, nq)
-    d_pk = d_pk.reshape(d, -1)
-    d_pv = d_pv.reshape(d, -1)
-    grads.wq += cache["query"] @ d_pq.T
-    grads.wk += cache["keys"] @ d_pk.T
-    grads.wv += cache["values"] @ d_pv.T
+    d_pq = d_pq.reshape(cache["query"].shape)
+    d_pk = d_pk.reshape(cache["keys"].shape)
+    d_pv = d_pv.reshape(cache["values"].shape)
+    grads.wq += _sum_outer(cache["query"], d_pq)
+    grads.wk += _sum_outer(cache["keys"], d_pk)
+    grads.wv += _sum_outer(cache["values"], d_pv)
     d_query = params.wq @ d_pq
     d_keys = params.wk @ d_pk
     d_values = params.wv @ d_pv
@@ -241,9 +239,10 @@ def _mhca_backward(params: GeneratorParams, cache, d_out, grads: GeneratorGrads)
 
 
 def _ln_forward(params: GeneratorParams, x):
-    mu = x.mean(axis=0, keepdims=True)
+    """x is (..., d, n); every column is normalized on its own."""
+    mu = x.mean(axis=-2, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=0, keepdims=True)
+    var = (xc * xc).mean(axis=-2, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     y = params.ln_gain[:, None] * xhat + params.ln_bias[:, None]
@@ -252,30 +251,31 @@ def _ln_forward(params: GeneratorParams, x):
 
 def _ln_backward(params: GeneratorParams, cache, dy, grads: GeneratorGrads):
     xhat, inv = cache["xhat"], cache["inv"]
-    grads.ln_gain += (dy * xhat).sum(axis=1)
-    grads.ln_bias += dy.sum(axis=1)
+    column_axes = tuple(i for i in range(dy.ndim) if i != dy.ndim - 2)
+    grads.ln_gain += (dy * xhat).sum(axis=column_axes)
+    grads.ln_bias += dy.sum(axis=column_axes)
     dxhat = dy * params.ln_gain[:, None]
     return inv * (
         dxhat
-        - dxhat.mean(axis=0, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=0, keepdims=True)
+        - dxhat.mean(axis=-2, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-2, keepdims=True)
     )
 
 
 def _ffn_forward(params: GeneratorParams, x):
-    a1 = params.ffn_w1 @ x + params.ffn_b1
+    a1 = params.ffn_w1 @ x + params.ffn_b1[:, None]
     hidden = np.maximum(a1, 0.0)
-    y = params.ffn_w2 @ hidden + params.ffn_b2
+    y = params.ffn_w2 @ hidden + params.ffn_b2[:, None]
     return y, {"x": x, "a1": a1, "hidden": hidden}
 
 
 def _ffn_backward(params: GeneratorParams, cache, dy, grads: GeneratorGrads):
-    grads.ffn_w2 += np.outer(dy, cache["hidden"])
-    grads.ffn_b2 += dy
+    grads.ffn_w2 += dy @ cache["hidden"].T
+    grads.ffn_b2 += dy.sum(axis=1)
     d_hidden = params.ffn_w2.T @ dy
     d_a1 = d_hidden * (cache["a1"] > 0.0)
-    grads.ffn_w1 += np.outer(d_a1, cache["x"])
-    grads.ffn_b1 += d_a1
+    grads.ffn_w1 += d_a1 @ cache["x"].T
+    grads.ffn_b1 += d_a1.sum(axis=1)
     return params.ffn_w1.T @ d_a1
 
 
@@ -284,85 +284,74 @@ def _ffn_backward(params: GeneratorParams, cache, dy, grads: GeneratorGrads):
 # ---------------------------------------------------------------------------
 
 
-def mhca(query, keys, values, params: GeneratorParams):
-    """Bare cross-attention: (d, Q) output and a tape for backward()."""
-    out, cache = _mhca_forward(params, query, keys, values)
-    return out, ForwardTape(kind="mhca", params=params, cache=cache)
+def _batched_inputs(ctx: NeighborContext, w_n, params: GeneratorParams):
+    """(d, U) conditioning columns, the (U, d, K) neighbor and support
+    stacks, and whether the call is unbatched (a (d,) conditioning vector
+    with a (d, K) context, handled as a batch of one)."""
+    w = np.asarray(w_n, dtype=np.float64)
+    single = ctx.neighbor_embeddings.ndim == 2
+    keys = ctx.neighbor_embeddings.reshape((-1,) + ctx.neighbor_embeddings.shape[-2:])
+    values = ctx.support_features.reshape(keys.shape)
+    if w.shape != ((params.dim,) if single else (params.dim, keys.shape[0])):
+        raise DataError(f"conditioning embedding shape {w.shape} does not fit a context of shape {keys.shape}")
+    return w.reshape(params.dim, -1), keys, values, single
 
 
 def extrapolate_per_class(ctx: NeighborContext, w_n, params: GeneratorParams):
     """One synthesized feature per neighbor: layer-normalized supports plus
-    an attention residual driven by the conditioning embedding."""
-    w = np.asarray(w_n, dtype=np.float64).reshape(-1)
-    if w.shape[0] != params.dim:
-        raise DataError(f"conditioning embedding dim {w.shape[0]} != {params.dim}")
-    query = np.repeat(w[:, None], ctx.k, axis=1)
-    resid, mc = _mhca_forward(params, query, ctx.neighbor_embeddings, ctx.support_features)
-    pre = ctx.support_features + resid
-    out, lc = _ln_forward(params, pre)
-    tape = ForwardTape(kind="per_class", params=params, cache={"mhca": mc, "ln": lc, "k": ctx.k})
-    return out, tape
+    an attention residual driven by the conditioning embedding. Output is
+    (d, K), or (U, d, K) for a batched context."""
+    w, keys, values, single = _batched_inputs(ctx, w_n, params)
+    query = np.broadcast_to(w.T[:, :, None], values.shape)
+    resid, mc = _mhca_forward(params, query, keys, values)
+    out, lc = _ln_forward(params, values + resid)
+    tape = ForwardTape(kind="per_class", params=params, cache={"mhca": mc, "ln": lc, "single": single})
+    return (out[0] if single else out), tape
 
 
 def extrapolate_jointly(ctx: NeighborContext, w_n, params: GeneratorParams):
-    """A single synthesized feature: layer-normalized sum of the projected
-    conditioning embedding and a one-query attention readout."""
-    w = np.asarray(w_n, dtype=np.float64).reshape(-1)
-    if w.shape[0] != params.dim:
-        raise DataError(f"conditioning embedding dim {w.shape[0]} != {params.dim}")
-    resid, mc = _mhca_forward(params, w[:, None], ctx.neighbor_embeddings, ctx.support_features)
+    """A single synthesized feature per conditioning class: layer-normalized
+    sum of the projected conditioning embedding and a one-query attention
+    readout. Output is (d,), or (d, U) for a batched context."""
+    w, keys, values, single = _batched_inputs(ctx, w_n, params)
+    resid, mc = _mhca_forward(params, w.T[:, :, None], keys, values)
     anchor, fc = _ffn_forward(params, w)
-    pre = anchor + resid[:, 0]
-    out2d, lc = _ln_forward(params, pre[:, None])
-    tape = ForwardTape(kind="joint", params=params, cache={"mhca": mc, "ffn": fc, "ln": lc})
-    return out2d[:, 0], tape
+    out, lc = _ln_forward(params, anchor + resid[:, :, 0].T)
+    tape = ForwardTape(kind="joint", params=params, cache={"mhca": mc, "ffn": fc, "ln": lc, "single": single})
+    return (out[:, 0] if single else out), tape
 
 
 def backward(tape: ForwardTape, upstream):
     """Exact reverse pass for the forward call that produced the tape.
 
     upstream matches the forward output shape. Returns (GeneratorGrads,
-    InputGrads); for the extrapolation schemes InputGrads carries w_n,
-    neighbor_embeddings and support_features, for bare mhca it carries
-    query/keys/values (keys/values aliases are filled either way).
+    InputGrads): parameter gradients summed over the batch, and the
+    gradients w.r.t. w_n, neighbor_embeddings and support_features in the
+    shapes the forward call took them.
     """
     if tape.consumed:
         raise DataError("forward tape already consumed by a backward call")
     tape.consumed = True
-    params = tape.params
+    params, cache = tape.params, tape.cache
     grads = GeneratorGrads.zeros_like(params)
     up = np.asarray(upstream, dtype=np.float64)
-
-    if tape.kind == "mhca":
-        d_query, d_keys, d_values = _mhca_backward(params, tape.cache, up, grads)
-        inputs = InputGrads(
-            query=d_query, neighbor_embeddings=d_keys, support_features=d_values
-        )
-        return grads, inputs
+    mc = cache["mhca"]
 
     if tape.kind == "per_class":
-        d_pre = _ln_backward(params, tape.cache["ln"], up, grads)
-        d_query, d_keys, d_values = _mhca_backward(params, tape.cache["mhca"], d_pre, grads)
+        d_pre = _ln_backward(params, cache["ln"], up.reshape(mc["values"].shape), grads)
+        d_query, d_keys, d_values = _mhca_backward(params, mc, d_pre, grads)
+        d_w = d_query.sum(axis=2).T
         d_values = d_values + d_pre  # residual connection to the supports
-        return grads, InputGrads(
-            w_n=d_query.sum(axis=1),
-            neighbor_embeddings=d_keys,
-            support_features=d_values,
-        )
+    elif tape.kind == "joint":
+        d_pre = _ln_backward(params, cache["ln"], up.reshape(params.dim, -1), grads)
+        d_query, d_keys, d_values = _mhca_backward(params, mc, d_pre.T[:, :, None], grads)
+        d_w = _ffn_backward(params, cache["ffn"], d_pre, grads) + d_query[:, :, 0].T
+    else:
+        raise DataError(f"unknown tape kind {tape.kind!r}")
 
-    if tape.kind == "joint":
-        d_pre = _ln_backward(params, tape.cache["ln"], up.reshape(-1, 1), grads)[:, 0]
-        d_w = _ffn_backward(params, tape.cache["ffn"], d_pre, grads)
-        d_query, d_keys, d_values = _mhca_backward(
-            params, tape.cache["mhca"], d_pre[:, None], grads
-        )
-        return grads, InputGrads(
-            w_n=d_w + d_query[:, 0],
-            neighbor_embeddings=d_keys,
-            support_features=d_values,
-        )
-
-    raise DataError(f"unknown tape kind {tape.kind!r}")
+    if cache["single"]:
+        return grads, InputGrads(w_n=d_w[:, 0], neighbor_embeddings=d_keys[0], support_features=d_values[0])
+    return grads, InputGrads(w_n=d_w, neighbor_embeddings=d_keys, support_features=d_values)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ the raw feature and raw class matrix, which is what training needs
 
 Two heads exist for synthesized features: the joint scheme scores one
 feature; the multi-column scheme averages the per-column softmax vectors
-(score-level aggregation over the K synthesized features).
+(score-level aggregation over the K synthesized features). Each head also
+takes U classes at once, (d, U) or (U, d, K) features: losses add up over
+U, the class-matrix gradient too, and probabilities come back as (C, U).
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ class LossBreakdown:
 
 
 def _unit_columns(mat):
+    """Columns of a (..., d, n) array scaled to unit norm, and the norms."""
     m = np.asarray(mat, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=0)
+    norms = np.linalg.norm(m, axis=-2, keepdims=True)
     if np.any(norms == 0.0):
         raise DataError("zero-norm column in cosine input")
     return m / norms, norms
@@ -61,15 +64,16 @@ def _unit_columns(mat):
 
 def _unit_columns_vjp(unit, norms, d_unit):
     # w -> w/|w| per column: J^T g = (g - u (u . g)) / |w|
-    return (d_unit - unit * (unit * d_unit).sum(axis=0)) / norms
+    return (d_unit - unit * (unit * d_unit).sum(axis=-2, keepdims=True)) / norms
 
 
 class CosineGraph:
     """Cosine scores of feature columns against class columns.
 
-    features: (d,) or (d, K) raw vectors; classes: (d, C) raw columns.
-    scores has shape (C,) or (C, K). backward(d_scores) returns gradients
-    w.r.t. the raw features and the raw class matrix.
+    features: (d,), (d, K) or (U, d, K) raw vectors; classes: (d, C) raw
+    columns. scores has shape (C,), (C, K) or (U, C, K). backward(d_scores)
+    returns gradients w.r.t. the raw features and the raw class matrix,
+    the latter summed over U.
     """
 
     def __init__(self, features, classes):
@@ -79,18 +83,21 @@ class CosineGraph:
             feats = feats[:, None]
         self.fu, self.fnorms = _unit_columns(feats)
         self.wu, self.wnorms = _unit_columns(classes)
-        if self.fu.shape[0] != self.wu.shape[0]:
+        if self.fu.shape[-2] != self.wu.shape[0]:
             raise DataError(
-                f"feature dim {self.fu.shape[0]} != class dim {self.wu.shape[0]}"
+                f"feature dim {self.fu.shape[-2]} != class dim {self.wu.shape[0]}"
             )
-        self.scores = self.wu.T @ self.fu  # (C, K)
+        scores = self.wu.T @ self.fu
+        self.scores = scores[:, 0] if self._single else scores
 
     def backward(self, d_scores):
         ds = np.asarray(d_scores, dtype=np.float64)
-        if ds.ndim == 1:
+        if self._single:
             ds = ds[:, None]
-        d_fu = self.wu @ ds                      # (d, K)
-        d_wu = self.fu @ ds.T                    # (d, C)
+        d_fu = self.wu @ ds                      # (..., d, K)
+        d_wu = self.fu @ np.swapaxes(ds, -1, -2)  # (..., d, C)
+        if d_wu.ndim == 3:
+            d_wu = d_wu.sum(axis=0)
         d_feat = _unit_columns_vjp(self.fu, self.fnorms, d_fu)
         d_classes = _unit_columns_vjp(self.wu, self.wnorms, d_wu)
         if self._single:
@@ -109,9 +116,10 @@ def _log_softmax(logits, axis=0):
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def softmax_vjp(probs, d_probs, tau: float):
-    """Pull a gradient on softmax outputs back to the score inputs."""
-    inner = (probs * d_probs).sum(axis=0, keepdims=probs.ndim > 1)
+def softmax_vjp(probs, d_probs, tau: float, axis: int = 0):
+    """Pull a gradient on softmax outputs (normalized along axis) back to
+    the score inputs."""
+    inner = (probs * d_probs).sum(axis=axis, keepdims=True)
     return probs * (d_probs - inner) / tau
 
 
@@ -120,21 +128,23 @@ def softmax_vjp(probs, d_probs, tau: float):
 # ---------------------------------------------------------------------------
 
 
-def prob_joint_scheme(feature, class_matrix, tau: float) -> np.ndarray:
-    """Single-feature softmax over the union class set."""
-    return class_probabilities(feature, class_matrix, tau)
+def prob_joint_scheme(features, class_matrix, tau: float) -> np.ndarray:
+    """Softmax over the union class set of one (d,) feature, or of each
+    column of (d, U) features."""
+    return class_probabilities(features, class_matrix, tau)
 
 
 def prob_per_class_scheme(features, class_matrix, tau: float) -> np.ndarray:
-    """Average of the per-column softmax vectors of a (d, K) feature bank."""
+    """Average of the per-column softmax vectors of a (d, K) feature bank,
+    (C,); or of each bank of a (U, d, K) stack, (C, U)."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise DataError(f"expected a (d, K) feature matrix, got shape {feats.shape}")
+    if feats.ndim not in (2, 3):
+        raise DataError(f"expected a (d, K) or (U, d, K) feature bank, got shape {feats.shape}")
     graph = CosineGraph(feats, class_matrix)
-    probs = _stable_softmax(graph.scores / tau, axis=0)
-    return probs.mean(axis=1)
+    probs = _stable_softmax(graph.scores / tau, axis=-2)
+    return probs.mean(axis=-1).T
 
 
 def cross_entropy(probs, target: int):
@@ -153,17 +163,18 @@ def cross_entropy(probs, target: int):
 
 
 def distill_mse(p_teacher, p_student):
-    """Mean squared error between probability vectors.
+    """Mean squared error between probability vectors (C,), or summed over
+    the columns of (C, U) probability matrices.
 
     The teacher is a constant target: the returned gradient is w.r.t. the
-    student vector only.
+    student only.
     """
     pt = np.asarray(p_teacher, dtype=np.float64)
     ps = np.asarray(p_student, dtype=np.float64)
     if pt.shape != ps.shape:
         raise DataError(f"probability shapes differ: {pt.shape} vs {ps.shape}")
     diff = ps - pt
-    loss = float((diff * diff).mean())
+    loss = float((diff * diff).sum() / ps.shape[0])
     return loss, 2.0 * diff / ps.shape[0]
 
 
@@ -192,23 +203,27 @@ def known_batch_ce(features, class_matrix, tau: float, targets):
     return loss, d_classes
 
 
-def synth_ce_joint(feature, class_matrix, tau: float, target: int):
-    """Cross-entropy of one synthesized feature toward its conditioning
-    class; returns (loss, d feature, d class_matrix). Log-space loss,
-    fused softmax gradient."""
-    graph = CosineGraph(feature, class_matrix)
-    logits = graph.scores[:, 0] / tau
-    loss = float(-_log_softmax(logits)[target])
+def synth_ce_joint(features, class_matrix, tau: float, targets):
+    """Cross-entropy of synthesized features toward their conditioning
+    classes: one (d,) feature and target, or (d, U) feature columns and U
+    targets. Returns (summed loss, d features, d class_matrix). Log-space
+    loss, fused softmax gradient."""
+    graph = CosineGraph(features, class_matrix)
+    logits = graph.scores.reshape(len(graph.scores), -1) / tau
+    t = np.reshape(targets, -1)
+    cols = np.arange(t.size)
+    loss = float(-_log_softmax(logits)[t, cols].sum())
     d_scores = _stable_softmax(logits)
-    d_scores[target] -= 1.0
+    d_scores[t, cols] -= 1.0
     d_scores /= tau
-    d_feat, d_classes = graph.backward(d_scores)
+    d_feat, d_classes = graph.backward(d_scores.reshape(graph.scores.shape))
     return loss, d_feat, d_classes
 
 
-def synth_ce_per_class(features, class_matrix, tau: float, target: int):
+def synth_ce_per_class(features, class_matrix, tau: float, targets):
     """Cross-entropy of the score-level average over K synthesized
-    columns; returns (loss, d features, d class_matrix).
+    columns: one (d, K) bank and target, or (U, d, K) banks and U targets.
+    Returns (summed loss, d features, d class_matrix).
 
     The average enters in log space: -log mean_k p_k[target]. The
     gradient for column k is weight_k * (p_k - onehot) / tau with
@@ -216,26 +231,28 @@ def synth_ce_per_class(features, class_matrix, tau: float, target: int):
     bounded when the per-column target probabilities underflow.
     """
     graph = CosineGraph(features, class_matrix)
-    logits = graph.scores / tau
-    K = logits.shape[1]
-    log_probs = _log_softmax(logits, axis=0)
-    log_target = log_probs[target]  # (K,)
-    shift = log_target.max()
-    loss = float(-(shift + np.log(np.exp(log_target - shift).sum())) + np.log(K))
-    weights = _stable_softmax(log_target)  # p_k[target] / sum_j p_j[target]
-    probs = _stable_softmax(logits, axis=0)
-    d_scores = probs.copy()
-    d_scores[target] -= 1.0
-    d_scores *= weights[None, :] / tau
-    d_feats, d_classes = graph.backward(d_scores)
+    logits = graph.scores.reshape((-1,) + graph.scores.shape[-2:]) / tau  # (U, C, K)
+    K = logits.shape[2]
+    t = np.reshape(targets, -1)
+    rows = np.arange(t.size)
+    log_target = _log_softmax(logits, axis=1)[rows, t]  # (U, K)
+    shift = log_target.max(axis=1, keepdims=True)
+    log_mean = shift[:, 0] + np.log(np.exp(log_target - shift).sum(axis=1))
+    loss = float((-log_mean + np.log(K)).sum())
+    weights = _stable_softmax(log_target, axis=1)  # p_k[target] / sum_j p_j[target]
+    d_scores = _stable_softmax(logits, axis=1)
+    d_scores[rows, t] -= 1.0
+    d_scores *= weights[:, None, :] / tau
+    d_feats, d_classes = graph.backward(d_scores.reshape(graph.scores.shape))
     return loss, d_feats, d_classes
 
 
-def distill_grad_joint(p_teacher, feature, class_matrix, tau: float):
-    """Consistency loss for one student feature against fixed teacher
-    probabilities; returns (loss, d feature, d class_matrix)."""
-    graph = CosineGraph(feature, class_matrix)
-    probs = _stable_softmax(graph.scores[:, 0] / tau)
+def distill_grad_joint(p_teacher, features, class_matrix, tau: float):
+    """Consistency loss of student features, (d,) or (d, U), against fixed
+    teacher probabilities of the same layout; returns (summed loss,
+    d features, d class_matrix)."""
+    graph = CosineGraph(features, class_matrix)
+    probs = _stable_softmax(graph.scores / tau)
     loss, d_probs = distill_mse(p_teacher, probs)
     d_scores = softmax_vjp(probs, d_probs, tau)
     d_feat, d_classes = graph.backward(d_scores)
@@ -243,14 +260,14 @@ def distill_grad_joint(p_teacher, feature, class_matrix, tau: float):
 
 
 def distill_grad_per_class(p_teacher, features, class_matrix, tau: float):
-    """Consistency loss for a K-column student bank (score-level average)
-    against fixed teacher probabilities."""
+    """Consistency loss of K-column student banks, (d, K) or (U, d, K)
+    (score-level average), against fixed teacher probabilities, (C,) or
+    (C, U); returns (summed loss, d features, d class_matrix)."""
     graph = CosineGraph(features, class_matrix)
-    probs = _stable_softmax(graph.scores / tau, axis=0)
-    K = probs.shape[1]
-    pbar = probs.mean(axis=1)
-    loss, d_pbar = distill_mse(p_teacher, pbar)
-    d_probs = np.repeat(d_pbar[:, None], K, axis=1) / K
-    d_scores = softmax_vjp(probs, d_probs, tau)
+    probs = _stable_softmax(graph.scores / tau, axis=-2)
+    K = probs.shape[-1]
+    loss, d_pbar = distill_mse(p_teacher, probs.mean(axis=-1).T)
+    d_probs = np.broadcast_to(d_pbar.T[..., None], probs.shape) / K
+    d_scores = softmax_vjp(probs, d_probs, tau, axis=-2)
     d_feats, d_classes = graph.backward(d_scores)
     return loss, d_feats, d_classes

@@ -7,9 +7,10 @@ new-class embeddings stay frozen. Each epoch the base classes are
 reshuffled into pseudo-known/pseudo-unknown roles: pseudo-known image
 features drive a cosine-softmax cross-entropy over the union of base
 columns, pseudo-unknown classes get features synthesized from their
-nearest pseudo-known neighbors, optionally held consistent with an EMA
-teacher of the generator. Optimization is SGD with momentum and cosine
-learning-rate decay. Runs are deterministic per seed.
+nearest pseudo-known neighbors (all classes in one batched pass),
+optionally held consistent with an EMA teacher of the generator.
+Optimization is SGD with momentum and cosine learning-rate decay. Runs
+are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -232,12 +233,6 @@ def evaluate(params, embeddings, dataset: EmbeddingSet, tau: float = 0.01):
     return base_acc, new_acc, harmonic_mean(base_acc, new_acc)
 
 
-def _unit_vector_vjp(raw: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(raw)
-    unit = raw / norm
-    return (d_unit - unit * (unit @ d_unit)) / norm
-
-
 def _sgd_step(value: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float):
     velocity *= momentum
     velocity += grad
@@ -306,6 +301,63 @@ def _mt_update(state: TrainState, cfg: TrainConfig) -> None:
         t += (1.0 - alpha) * student[name]
 
 
+def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_cols, unknown_cols, feats_by_col):
+    """Synthesized-unknown losses and gradients in one batched pass over
+    the U pseudo-unknown classes: one retrieval, one context, one student
+    forward, one teacher forward and one backward.
+
+    Returns (generator grads, embedding grad, synth_ce, distill_mse,
+    context), each averaged over the U classes. Draws from state.rng in
+    the order of one class at a time: class u's neighbors (random mode),
+    then its k support rows.
+    """
+    rng, emb = state.rng, state.embeddings
+    c_b, n_unk = emb.shape[1], unknown_cols.size
+    counts = np.array([f.shape[0] for f in feats_by_col])
+    k_eff = min(cfg.k, known_cols.size)
+    if cfg.random_neighbors:
+        neighbor_cols = np.empty((n_unk, k_eff), dtype=int)
+        sample_ids = np.empty_like(neighbor_cols)
+        for i in range(n_unk):
+            neighbor_cols[i] = known_cols[rng.choice(known_cols.size, size=k_eff, replace=False)]
+            sample_ids[i] = rng.integers(counts[neighbor_cols[i]])
+    else:
+        neighbor_cols = known_cols[retrieve_knn(emb[:, unknown_cols], emb[:, known_cols], k_eff)]
+        sample_ids = rng.integers(counts[neighbor_cols])
+    raw_neighbors = np.swapaxes(emb.T[neighbor_cols], 1, 2)  # (U, d, k)
+    ctx = build_context(neighbor_cols, raw_neighbors, feats_by_col, sample_ids, conditioning=unknown_cols)
+    w_unit, w_norms = objective._unit_columns(emb[:, unknown_cols])
+
+    extrapolate = extrapolate_jointly if cfg.scheme == "joint" else extrapolate_per_class
+    if cfg.scheme == "joint":
+        ce_fn, mse_fn, prob_fn = objective.synth_ce_joint, objective.distill_grad_joint, objective.prob_joint_scheme
+    else:
+        ce_fn, mse_fn, prob_fn = objective.synth_ce_per_class, objective.distill_grad_per_class, objective.prob_per_class_scheme
+    union = np.concatenate([emb, frozen_new], axis=1)
+    # the heads sum over the U classes; these weights make the step's
+    # gradients those of the mean loss
+    w_syn, w_distill = cfg.lambda_syn / n_unk, cfg.lambda_distill / n_unk
+    features, tape = extrapolate(ctx, w_unit, state.params)
+    synth_ce, d_feat, d_union = ce_fn(features, union, cfg.tau, unknown_cols)
+    upstream = w_syn * d_feat
+    emb_grad = w_syn * d_union[:, :c_b]
+    mse = 0.0
+    if teacher is not None:
+        t_features, _ = extrapolate(ctx, w_unit, teacher)
+        mse, dm_feat, dm_union = mse_fn(prob_fn(t_features, union, cfg.tau), features, union, cfg.tau)
+        upstream = upstream + w_distill * dm_feat
+        emb_grad += w_distill * dm_union[:, :c_b]
+    gen_grads, igrads = backward(tape, upstream)
+    # the input gradients go through the column normalization; neighbors
+    # repeat across classes, so theirs accumulate
+    emb_grad[:, unknown_cols] += objective._unit_columns_vjp(w_unit, w_norms, igrads.w_n)
+    d_neighbors = objective._unit_columns_vjp(
+        *objective._unit_columns(raw_neighbors), igrads.neighbor_embeddings
+    )
+    np.add.at(emb_grad.T, neighbor_cols, np.swapaxes(d_neighbors, 1, 2))
+    return gen_grads, emb_grad, synth_ce / n_unk, mse / n_unk, ctx
+
+
 def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = None, on_epoch=None) -> TrainResult:
     """Run (or continue) a finetuning run; returns the metric rows
     produced by this call along with the final parameters and state."""
@@ -316,7 +368,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     base = list(dataset.split.base)
     c_b = len(base)
     n_unk = math.ceil(cfg.pseudo_unknown_fraction * c_b)
-    feats_by_col = {j: dataset.image_features[c] for j, c in enumerate(base)}
+    feats_by_col = [dataset.image_features[c] for c in base]
     known_feats = np.concatenate(
         [dataset.image_features[c].astype(np.float64) for c in base], axis=0
     )
@@ -331,11 +383,6 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         else np.empty((dataset.dim, 0))
     )
     eval_cache = _EvalCache(dataset)
-    extrapolate = extrapolate_jointly if cfg.scheme == "joint" else extrapolate_per_class
-    synth_fns = {
-        "joint": (objective.synth_ce_joint, objective.distill_grad_joint, objective.prob_joint_scheme),
-        "per_class": (objective.synth_ce_per_class, objective.distill_grad_per_class, objective.prob_per_class_scheme),
-    }
     rng = state.rng
     rows = []
 
@@ -368,57 +415,14 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
             known_loss_sum += loss * batch.size
         known_ce = known_loss_sum / max(rows_known.size, 1)
 
-        # -- synthesized-unknown losses, one accumulated step --
-        synth_ce = 0.0
-        mse = 0.0
+        # -- synthesized-unknown losses, one batched step --
+        synth_ce = mse = 0.0
         teacher_range = None
         if cfg.scheme != "none":
-            ce_fn, mse_fn, prob_fn = synth_fns[cfg.scheme]
             teacher, teacher_range = _resolve_teacher(state, cfg, epoch)
-            gen_grads = GeneratorGrads.zeros_like(state.params)
-            emb_grad = np.zeros_like(state.embeddings)
-            k_eff = min(cfg.k, known_cols.size)
-            union = np.concatenate([state.embeddings, frozen_new], axis=1)
-            for u in unknown_cols:
-                w_raw = state.embeddings[:, u]
-                if cfg.random_neighbors:
-                    picks = rng.choice(known_cols.size, size=k_eff, replace=False)
-                    neighbor_cols = known_cols[picks]
-                else:
-                    local = retrieve_knn(w_raw, state.embeddings[:, known_cols], k_eff)
-                    neighbor_cols = known_cols[local]
-                ctx = build_context(
-                    neighbor_cols,
-                    state.embeddings[:, neighbor_cols],
-                    feats_by_col,
-                    rng,
-                    conditioning=int(u),
-                )
-                w_unit = w_raw / np.linalg.norm(w_raw)
-                feature, tape = extrapolate(ctx, w_unit, state.params)
-                ce, d_feat, d_union = ce_fn(feature, union, cfg.tau, int(u))
-                synth_ce += ce
-                upstream = cfg.lambda_syn * d_feat
-                emb_grad += cfg.lambda_syn * d_union[:, :c_b]
-                if teacher is not None:
-                    t_feature, _ = extrapolate(ctx, w_unit, teacher)
-                    p_teacher = prob_fn(t_feature, union, cfg.tau)
-                    m, dm_feat, dm_union = mse_fn(p_teacher, feature, union, cfg.tau)
-                    mse += m
-                    upstream = upstream + cfg.lambda_distill * dm_feat
-                    emb_grad += cfg.lambda_distill * dm_union[:, :c_b]
-                ggrads, igrads = backward(tape, upstream)
-                gen_grads.add_(ggrads)
-                emb_grad[:, u] += _unit_vector_vjp(w_raw, igrads.w_n)
-                for j, col in enumerate(ctx.neighbor_indices):
-                    emb_grad[:, col] += _unit_vector_vjp(
-                        state.embeddings[:, col], igrads.neighbor_embeddings[:, j]
-                    )
-            gen_grads.scale_(1.0 / unknown_cols.size)
-            emb_grad /= unknown_cols.size
-            synth_ce /= unknown_cols.size
-            if teacher is not None:
-                mse /= unknown_cols.size
+            gen_grads, emb_grad, synth_ce, mse, _ = _synthesize(
+                state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
+            )
             for name, tensor in state.params.tensor_dict().items():
                 _sgd_step(
                     tensor,
@@ -604,6 +608,8 @@ def _cell_stats(finals):
 
 def ablation_workers(requested: "int | None" = None) -> int:
     cap = os.environ.get("OGEN_THREADS")
+    if cap and not cap.strip().isdigit():
+        raise ConfigError(f"OGEN_THREADS must be an integer, got {cap!r}")
     limit = int(cap) if cap else (os.cpu_count() or 1)
     if limit < 1:
         raise ConfigError(f"OGEN_THREADS must be >= 1, got {limit}")

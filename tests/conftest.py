@@ -81,3 +81,35 @@ def screened_instances(count, heads=2, dim=8, d_ff=16, k=3, start_seed=0, kink_m
             continue
         out.append((params, ctx, w))
     return out
+
+
+def stack_contexts(contexts):
+    """One batched (U, d, K) NeighborContext from U single contexts."""
+    return NeighborContext(
+        conditioning=None,
+        neighbor_indices=[c.neighbor_indices for c in contexts],
+        neighbor_embeddings=np.stack([c.neighbor_embeddings for c in contexts]),
+        support_features=np.stack([c.support_features for c in contexts]),
+        sample_ids=[c.sample_ids for c in contexts],
+    )
+
+
+def screened_batches(count, batch=3, heads=2, dim=8, d_ff=16, k=3, start_seed=0, kink_margin=5e-3):
+    """Deterministic random (params, batched ctx, (d, U) w) triples: U =
+    batch conditioning classes sharing one parameter set, screened like
+    screened_instances so that no ReLU pre-activation of any column sits
+    near its kink."""
+    out = []
+    seed = start_seed
+    while len(out) < count:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        params = random_params(rng, heads=heads, dim=dim, d_ff=d_ff)
+        ctx = stack_contexts([random_context(rng, dim=dim, k=k) for _ in range(batch)])
+        w = rng.standard_normal((dim, batch))
+        w /= np.linalg.norm(w, axis=0)
+        a1 = params.ffn_w1 @ w + params.ffn_b1[:, None]
+        if np.abs(a1).min() <= kink_margin:
+            continue
+        out.append((params, ctx, w))
+    return out

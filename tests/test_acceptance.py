@@ -7,7 +7,14 @@ grid of 200-epoch benchmark runs (about a minute of compute).
 
 import numpy as np
 import pytest
-from conftest import central_diff, random_context, random_params, rel_err, screened_instances
+from conftest import (
+    central_diff,
+    random_context,
+    random_params,
+    rel_err,
+    screened_batches,
+    screened_instances,
+)
 from dataclasses import replace
 
 from ogen.distillation import (
@@ -36,7 +43,9 @@ from ogen.generator import (
 )
 from ogen.objective import (
     distill_grad_joint,
+    distill_grad_per_class,
     known_batch_ce,
+    prob_joint_scheme,
     prob_per_class_scheme,
     synth_ce_joint,
     synth_ce_per_class,
@@ -100,14 +109,17 @@ def test_criterion_2_schedule_endpoints():
 def test_criterion_3_gradient_suite():
     worst = 0.0
     # both extrapolation schemes: every parameter group plus all inputs,
-    # central differences with step 1e-3 on screened d=8 instances
-    for scheme, fn, start in (
-        ("joint", extrapolate_jointly, 0),
-        ("per_class", extrapolate_per_class, 1000),
+    # central differences with step 1e-3 on screened d=8 instances, one
+    # conditioning class per call and U=3 classes in one batched call
+    for scheme, fn, instances in (
+        ("joint", extrapolate_jointly, screened_instances(10, start_seed=0)),
+        ("per_class", extrapolate_per_class, screened_instances(10, start_seed=1000)),
+        ("joint", extrapolate_jointly, screened_batches(5, start_seed=2000)),
+        ("per_class", extrapolate_per_class, screened_batches(5, start_seed=3000)),
     ):
-        for params, ctx, w in screened_instances(10, start_seed=start):
+        for params, ctx, w in instances:
             rng = np.random.default_rng(42)
-            probe = rng.standard_normal(8 if scheme == "joint" else (8, ctx.k))
+            probe = rng.standard_normal(w.shape if scheme == "joint" else ctx.support_features.shape)
 
             def loss():
                 return float(np.sum(probe * fn(ctx, w, params)[0]))
@@ -143,7 +155,27 @@ def test_criterion_3_gradient_suite():
         _, dzm, dWm = distill_grad_joint(pt, z, W, tau)
         worst = max(worst, rel_err(central_diff(lambda: distill_grad_joint(pt, z, W, tau)[0], z, 1e-4), dzm))
         worst = max(worst, rel_err(central_diff(lambda: distill_grad_joint(pt, z, W, tau)[0], W, 1e-4), dWm))
-    report(3, worst < 1e-4, f"worst relative error {worst:.2e} over schemes, CE and MSE paths")
+
+    # the same heads over U=3 conditioning classes in one call: (d, U)
+    # joint features and (U, d, K) per-class banks, summed losses
+    for _ in range(5):
+        Zj = rng.standard_normal((8, 3)) * 1.5
+        Zp = rng.standard_normal((3, 8, 3)) * 1.5
+        W = rng.standard_normal((8, 6))
+        ts = rng.integers(0, 6, size=3)
+        tau = 0.1
+        ptj = prob_joint_scheme(rng.standard_normal((8, 3)), W, tau)
+        ptp = prob_per_class_scheme(rng.standard_normal((3, 8, 3)), W, tau)
+        for head, Z, args in (
+            (synth_ce_joint, Zj, lambda Z: (Z, W, tau, ts)),
+            (synth_ce_per_class, Zp, lambda Z: (Z, W, tau, ts)),
+            (distill_grad_joint, Zj, lambda Z: (ptj, Z, W, tau)),
+            (distill_grad_per_class, Zp, lambda Z: (ptp, Z, W, tau)),
+        ):
+            _, dZ, dW = head(*args(Z))
+            worst = max(worst, rel_err(central_diff(lambda: head(*args(Z))[0], Z, 1e-4), dZ))
+            worst = max(worst, rel_err(central_diff(lambda: head(*args(Z))[0], W, 1e-4), dW))
+    report(3, worst < 1e-4, f"worst relative error {worst:.2e} over schemes, CE and MSE paths, single and batched")
 
 
 def test_criterion_4_knn_oracle():

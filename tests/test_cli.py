@@ -160,6 +160,25 @@ class TestResume:
     def test_resume_without_state_fails(self, dataset_path, tmp_path):
         assert main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "nope"), "--resume"]) == 2
 
+    @pytest.mark.parametrize("lost", ["metrics.csv", "config.json"])
+    def test_resume_without_run_file_is_data_error(self, dataset_path, tmp_path, capsys, lost):
+        from ogen.trainer import TrainConfig, save_state, train
+
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, epochs=4)) == 0
+        cfg = TrainConfig(**json.loads((run / "config.json").read_text())["config"])
+
+        def keep(state, row):
+            if row.epoch == 1:
+                save_state(run / "state.bin", state, cfg)
+
+        # rewind the run to epoch 1, so that --resume has epochs left
+        train(load_embeddings(dataset_path), cfg, on_epoch=keep)
+        (run / lost).unlink()
+        capsys.readouterr()
+        assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume"]) == 2
+        assert lost in capsys.readouterr().err
+
     def test_resume_of_complete_run_is_noop(self, dataset_path, tmp_path, capsys):
         run = tmp_path / "run"
         assert main(train_args(dataset_path, run, epochs=2)) == 0
@@ -223,3 +242,12 @@ class TestAblateCommand:
             "knn k=1", "knn k=2", "knn k=3", "knn k=4", "random k=3",
         ]
         assert all(int(r["seeds"]) == 2 for r in rows)
+
+    def test_non_integer_thread_cap_is_config_error(self, dataset_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OGEN_THREADS", "two")
+        code = main([
+            "ablate", "--data", str(dataset_path), "--out", str(tmp_path / "reports"),
+            "--seeds", "1", "--epochs", "1", "--batch-size", "16",
+        ])
+        assert code == 2
+        assert "OGEN_THREADS" in capsys.readouterr().err

@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
-from conftest import central_diff, random_context, random_params, rel_err, screened_instances
+from conftest import (
+    central_diff,
+    random_context,
+    random_params,
+    rel_err,
+    screened_batches,
+    screened_instances,
+    stack_contexts,
+)
 
 from ogen.errors import ConfigError, DataError
 from ogen.generator import (
     _TENSOR_FIELDS,
     LN_EPS,
+    _mhca_forward,
     backward,
     extrapolate_jointly,
     extrapolate_per_class,
     init_params,
     load_checkpoint,
-    mhca,
     save_checkpoint,
 )
 from ogen.retrieval import NeighborContext
@@ -80,8 +88,8 @@ class TestMhca:
         q = rng.standard_normal((8, 2))
         k = rng.standard_normal((8, 1))
         v = rng.standard_normal((8, 1))
-        out, tape = mhca(q, k, v, p)
-        np.testing.assert_array_equal(tape.cache["attn"], np.ones_like(tape.cache["attn"]))
+        out, cache = _mhca_forward(p, q, k, v)
+        np.testing.assert_array_equal(cache["attn"], np.ones_like(cache["attn"]))
         # output reduces to wo @ (per-head value projection), independent of q
         expected = p.wo @ np.repeat(p.wv.T @ v, 2, axis=1)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
@@ -89,7 +97,7 @@ class TestMhca:
     def test_zero_output_projection_gives_zero(self):
         rng = np.random.default_rng(1)
         p = init_params(2, 8, 16, seed=3)  # wo == 0
-        out, _ = mhca(rng.standard_normal((8, 3)), rng.standard_normal((8, 4)), rng.standard_normal((8, 4)), p)
+        out, _ = _mhca_forward(p, rng.standard_normal((8, 3)), rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
         np.testing.assert_array_equal(out, np.zeros((8, 3)))
 
     def test_matches_naive_oracle(self):
@@ -99,15 +107,27 @@ class TestMhca:
             q = rng.standard_normal((8, 3))
             k = rng.standard_normal((8, 3))
             v = rng.standard_normal((8, 3))
-            out, _ = mhca(q, k, v, p)
+            out, _ = _mhca_forward(p, q, k, v)
             np.testing.assert_allclose(out, naive_mhca(p, q, k, v), rtol=1e-10, atol=1e-12)
+
+    def test_batch_axis_matches_separate_calls(self):
+        rng = np.random.default_rng(3)
+        p = random_params(rng, heads=2, dim=8, d_ff=16)
+        q = rng.standard_normal((4, 8, 2))
+        k = rng.standard_normal((4, 8, 3))
+        v = rng.standard_normal((4, 8, 3))
+        out, _ = _mhca_forward(p, q, k, v)
+        for u in range(4):
+            np.testing.assert_allclose(out[u], naive_mhca(p, q[u], k[u], v[u]), rtol=1e-10, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         p = init_params(2, 8, 16, seed=0)
         with pytest.raises(DataError):
-            mhca(np.ones((8, 2)), np.ones((8, 3)), np.ones((8, 4)), p)
+            _mhca_forward(p, np.ones((8, 2)), np.ones((8, 3)), np.ones((8, 4)))
         with pytest.raises(DataError):
-            mhca(np.ones((6, 2)), np.ones((8, 3)), np.ones((8, 3)), p)
+            _mhca_forward(p, np.ones((6, 2)), np.ones((8, 3)), np.ones((8, 3)))
+        with pytest.raises(DataError):
+            _mhca_forward(p, np.ones((2, 8, 2)), np.ones((3, 8, 3)), np.ones((3, 8, 3)))
 
 
 class TestPerClassScheme:
@@ -252,6 +272,63 @@ class TestBackward:
             assert rel_err(fd_keys, igrads.neighbor_embeddings) < 1e-4
             fd_vals = central_diff(loss, ctx.support_features, 1e-3)
             assert rel_err(fd_vals, igrads.support_features) < 1e-4
+
+
+class TestBatchedCalls:
+    """U conditioning classes in one call equal U separate calls."""
+
+    @pytest.mark.parametrize("scheme", ["joint", "per_class"])
+    def test_forward_and_backward_match_separate_calls(self, scheme):
+        fn = extrapolate_jointly if scheme == "joint" else extrapolate_per_class
+        rng = np.random.default_rng(21)
+        p = random_params(rng, heads=2, dim=8, d_ff=16)
+        singles = [random_context(rng, dim=8, k=3) for _ in range(4)]
+        w = rng.standard_normal((8, 4))
+        w /= np.linalg.norm(w, axis=0)
+        out, tape = fn(stack_contexts(singles), w, p)
+        probe = rng.standard_normal(out.shape)
+        grads, igrads = backward(tape, probe)
+        summed = {name: np.zeros_like(getattr(p, name)) for name in _TENSOR_FIELDS}
+        for u, ctx in enumerate(singles):
+            out_u, tape_u = fn(ctx, w[:, u], p)
+            probe_u = probe[:, u] if scheme == "joint" else probe[u]
+            np.testing.assert_allclose(out[:, u] if scheme == "joint" else out[u], out_u, rtol=1e-12, atol=1e-13)
+            grads_u, igrads_u = backward(tape_u, probe_u)
+            for name in _TENSOR_FIELDS:
+                summed[name] += getattr(grads_u, name)
+            np.testing.assert_allclose(igrads.w_n[:, u], igrads_u.w_n, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(igrads.neighbor_embeddings[u], igrads_u.neighbor_embeddings, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(igrads.support_features[u], igrads_u.support_features, rtol=1e-12, atol=1e-13)
+        for name in _TENSOR_FIELDS:
+            np.testing.assert_allclose(getattr(grads, name), summed[name], rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("scheme", ["joint", "per_class"])
+    def test_finite_difference_batched(self, scheme):
+        fn = extrapolate_jointly if scheme == "joint" else extrapolate_per_class
+        for params, ctx, w in screened_batches(5, start_seed=500 if scheme == "joint" else 1500):
+            rng = np.random.default_rng(98)
+            probe = rng.standard_normal(w.shape if scheme == "joint" else ctx.support_features.shape)
+
+            def loss():
+                return float(np.sum(probe * fn(ctx, w, params)[0]))
+
+            _, tape = fn(ctx, w, params)
+            grads, igrads = backward(tape, probe)
+            for name in _TENSOR_FIELDS:
+                fd = central_diff(loss, getattr(params, name), 1e-3)
+                assert rel_err(fd, getattr(grads, name)) < 1e-4, f"{scheme}/{name}"
+            assert rel_err(central_diff(loss, w, 1e-3), igrads.w_n) < 1e-4
+            assert rel_err(central_diff(loss, ctx.neighbor_embeddings, 1e-3), igrads.neighbor_embeddings) < 1e-4
+            assert rel_err(central_diff(loss, ctx.support_features, 1e-3), igrads.support_features) < 1e-4
+
+    def test_conditioning_must_match_batch(self):
+        rng = np.random.default_rng(22)
+        p = random_params(rng, heads=2, dim=8, d_ff=16)
+        ctx = stack_contexts([random_context(rng) for _ in range(3)])
+        with pytest.raises(DataError, match="conditioning"):
+            extrapolate_jointly(ctx, np.ones((8, 2)), p)
+        with pytest.raises(DataError, match="conditioning"):
+            extrapolate_per_class(ctx, np.ones(8), p)
 
 
 class TestCheckpoint:

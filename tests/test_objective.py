@@ -190,6 +190,48 @@ class TestGradientChains:
         assert rel_err(fd_W, dW) < 1e-4
 
 
+class TestBatchedHeads:
+    """U conditioning classes in one call: losses add up, feature
+    gradients stay per class, the class-matrix gradient sums over U."""
+
+    @staticmethod
+    def inputs(seed, joint):
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((8, 4) if joint else (4, 8, 3))
+        W = rng.standard_normal((8, 6))
+        targets = rng.integers(0, 6, size=4)
+        teacher = rng.standard_normal(Z.shape)
+        return Z, W, targets, teacher
+
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_heads_match_separate_calls(self, joint):
+        Z, W, targets, teacher = self.inputs(14, joint)
+        ce, prob, distill = (
+            (synth_ce_joint, prob_joint_scheme, distill_grad_joint)
+            if joint
+            else (synth_ce_per_class, prob_per_class_scheme, distill_grad_per_class)
+        )
+        column = (lambda a, u: a[:, u]) if joint else (lambda a, u: a[u])
+        pt = prob(teacher, W, 0.1)
+        assert pt.shape == (6, 4)
+        loss, dZ, dW = ce(Z, W, 0.1, targets)
+        mse, dmZ, dmW = distill(pt, Z, W, 0.1)
+        sums = np.zeros(2)
+        dW_sum, dmW_sum = np.zeros_like(W), np.zeros_like(W)
+        for u in range(4):
+            np.testing.assert_allclose(pt[:, u], prob(column(teacher, u), W, 0.1), rtol=1e-12)
+            l_u, dz_u, dw_u = ce(column(Z, u), W, 0.1, int(targets[u]))
+            m_u, dmz_u, dmw_u = distill(pt[:, u], column(Z, u), W, 0.1)
+            sums += (l_u, m_u)
+            dW_sum += dw_u
+            dmW_sum += dmw_u
+            np.testing.assert_allclose(column(dZ, u), dz_u, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(column(dmZ, u), dmz_u, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose((loss, mse), sums, rtol=1e-12)
+        np.testing.assert_allclose(dW, dW_sum, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(dmW, dmW_sum, rtol=1e-12, atol=1e-14)
+
+
 class TestExtremeTemperature:
     def test_losses_finite_down_to_tau_1e4(self):
         # at tau=1e-4 the target probability itself underflows float64;

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+import ogen.retrieval
 from ogen.embedding_store import SynthConfig, make_synthetic
 from ogen.errors import DataError
-from ogen.retrieval import CONTEXT_BUILDS, retrieve_knn, sample_support
+from ogen.retrieval import build_context, retrieve_knn, sample_support
 
 
 def brute_force_topk(query, emb, k):
@@ -124,9 +125,15 @@ class TestSampleSupport:
         sigma = np.sqrt(10_000 * (1 / 40) * (39 / 40))
         assert np.all(np.abs(counts - expected) <= 3.0 * sigma)
 
-    def test_counter_tracks_builds(self):
+    def test_counter_tracks_builds(self, monkeypatch):
         ds = self.dataset()
-        CONTEXT_BUILDS.reset()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return build_context(*args, **kwargs)
+
+        monkeypatch.setattr(ogen.retrieval, "build_context", spy)
         sample_support([0], ds, np.random.default_rng(0))
         sample_support([1, 2], ds, np.random.default_rng(0))
-        assert CONTEXT_BUILDS.value == 2
+        assert calls == [[0], [1, 2]]

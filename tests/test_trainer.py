@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import ogen.objective
+import ogen.trainer
 from ogen.embedding_store import SynthConfig, make_synthetic
 from ogen.errors import ConfigError, DataError, NumericalError
 from ogen.generator import _TENSOR_FIELDS, init_params, extrapolate_per_class
 from ogen.objective import prob_per_class_scheme
-from ogen.retrieval import CONTEXT_BUILDS, build_context, retrieve_knn
+from ogen.retrieval import build_context, retrieve_knn
 from ogen.trainer import (
     TrainConfig,
     ablate,
@@ -139,11 +140,19 @@ class TestTrainLoop:
         b = train(ds, cfg).metrics
         assert a == b  # dataclass equality is exact float equality
 
-    def test_baseline_never_builds_neighbor_context(self):
+    def test_baseline_never_builds_neighbor_context(self, monkeypatch):
         ds = tiny_dataset()
-        CONTEXT_BUILDS.reset()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build_context(*args, **kwargs)
+
+        monkeypatch.setattr(ogen.trainer, "build_context", spy)
         result = train(ds, tiny_config(scheme="none", distill="none"))
-        assert CONTEXT_BUILDS.value == 0
+        assert calls == []
+        train(ds, tiny_config(scheme="joint", distill="none", epochs=2))
+        assert len(calls) == 2  # one batched context per epoch once a generator trains
         assert all(m.synth_ce == 0.0 and m.distill_mse == 0.0 for m in result.metrics)
         assert result.params is None
 
@@ -257,8 +266,9 @@ class TestTrainedGeneratorImproves:
                 picks = retrieve_knn(w, base_emb[:, others], 3)
                 ocols = [others[i] for i in picks]
                 classes = [base[i] for i in ocols]
+                picks = rng.integers([ds.image_features[c].shape[0] for c in classes])
                 ctx = build_context(
-                    classes, base_emb[:, ocols], {c: ds.image_features[c] for c in classes}, rng
+                    classes, base_emb[:, ocols], {c: ds.image_features[c] for c in classes}, picks
                 )
                 wq = w / np.linalg.norm(w)
                 z_tr, _ = extrapolate_per_class(ctx, wq, result.params)
@@ -341,4 +351,7 @@ class TestAblate:
         assert ablation_workers(8) == 1
         monkeypatch.setenv("OGEN_THREADS", "0")
         with pytest.raises(ConfigError):
+            ablation_workers()
+        monkeypatch.setenv("OGEN_THREADS", "two")
+        with pytest.raises(ConfigError, match="integer"):
             ablation_workers()
