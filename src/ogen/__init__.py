@@ -7,7 +7,6 @@ from .embedding_store import (
     ClassSplit,
     EmbeddingSet,
     SynthConfig,
-    class_probabilities,
     load_embeddings,
     make_synthetic,
     save_embeddings,
@@ -15,7 +14,6 @@ from .embedding_store import (
 from .errors import ConfigError, DataError, NumericalError
 from .generator import (
     ForwardTape,
-    GeneratorGrads,
     GeneratorParams,
     backward,
     extrapolate_jointly,
@@ -33,8 +31,7 @@ from .distillation import (
     window_size,
 )
 from .objective import (
-    LossBreakdown,
-    cross_entropy,
+    class_probabilities,
     distill_mse,
     prob_joint_scheme,
     prob_per_class_scheme,
@@ -57,9 +54,7 @@ __all__ = [
     "EmbeddingSet",
     "EpochMetrics",
     "ForwardTape",
-    "GeneratorGrads",
     "GeneratorParams",
-    "LossBreakdown",
     "NeighborContext",
     "NumericalError",
     "ScheduleConfig",
@@ -71,7 +66,6 @@ __all__ = [
     "almt_teacher",
     "backward",
     "class_probabilities",
-    "cross_entropy",
     "distill_mse",
     "ema_mean_teacher",
     "evaluate",

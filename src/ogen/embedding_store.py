@@ -1,4 +1,4 @@
-"""Embedding datasets: validation, synthesis, persistence, cosine scoring.
+"""Embedding datasets: validation, synthesis, persistence.
 
 A dataset pairs one class ("text") embedding per class with a bag of
 image-feature vectors per class, plus a disjoint base/new class split.
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .objective import class_probabilities  # noqa: F401  (re-export; the scorer lives in objective)
 
 OEF_MAGIC = b"OGEN"
 OEF_VERSION = 1
@@ -117,9 +118,6 @@ class EmbeddingSet:
         """Class embeddings as float64 columns, shape (d, len(indices))."""
         idx = np.asarray(indices, dtype=int)
         return self.class_embeddings[idx].astype(np.float64).T
-
-    def features_of(self, class_index: int) -> np.ndarray:
-        return self.image_features[class_index]
 
 
 def _check_unit_rows(arr: np.ndarray, what: str) -> None:
@@ -211,33 +209,6 @@ def make_synthetic(cfg: SynthConfig) -> EmbeddingSet:
         image_features=tuple(feats),
         split=split,
     )
-
-
-def class_probabilities(feature, class_embeddings, tau: float) -> np.ndarray:
-    """Softmax over cosine similarities between a feature and C classes.
-
-    feature is a length-d vector, or a (d, U) matrix whose U columns are
-    scored independently; class_embeddings is (d, C) with classes as
-    columns. Returns (C,) or (C, U). Both sides are normalized
-    internally, so the result is invariant to positive rescaling of
-    either. Computed in float64 with max-subtraction.
-    """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    f = np.asarray(feature, dtype=np.float64)
-    f = f if f.ndim == 2 else f.reshape(-1)
-    w = np.asarray(class_embeddings, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != f.shape[0]:
-        raise ValueError(f"class matrix shape {w.shape} incompatible with feature of dim {f.shape[0]}")
-    fn = np.linalg.norm(f, axis=0) if f.ndim == 2 else np.linalg.norm(f)
-    wn = np.linalg.norm(w, axis=0)
-    if np.any(fn < ZERO_NORM_EPS) or (wn < ZERO_NORM_EPS).any():
-        raise ValueError("cannot score zero-norm vectors")
-    scores = (w / wn).T @ (f / fn)
-    logits = scores / tau
-    logits -= logits.max(axis=0)
-    e = np.exp(logits)
-    return e / e.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -64,11 +64,19 @@ class GeneratorParams:
     def tensor_dict(self) -> dict:
         return {name: getattr(self, name) for name in _TENSOR_FIELDS}
 
-    def copy(self) -> "GeneratorParams":
+    def _map(self, fn) -> "GeneratorParams":
         return GeneratorParams(
             heads=self.heads, dim=self.dim, d_ff=self.d_ff,
-            **{name: getattr(self, name).copy() for name in _TENSOR_FIELDS},
+            **{name: fn(getattr(self, name)) for name in _TENSOR_FIELDS},
         )
+
+    def copy(self) -> "GeneratorParams":
+        return self._map(np.ndarray.copy)
+
+    def zeros_like(self) -> "GeneratorParams":
+        """All-zero tensors of the same shapes: a gradient or momentum
+        accumulator."""
+        return self._map(np.zeros_like)
 
     def check_shapes(self) -> None:
         d, f = self.dim, self.d_ff
@@ -85,29 +93,6 @@ class GeneratorParams:
                 raise ConfigError(f"{name} contains non-finite values")
         if d % self.heads != 0:
             raise ConfigError(f"dim {d} not divisible by {self.heads} heads")
-
-
-@dataclass
-class GeneratorGrads:
-    """One gradient tensor per parameter tensor, same shapes."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ln_gain: np.ndarray
-    ln_bias: np.ndarray
-    ffn_w1: np.ndarray
-    ffn_b1: np.ndarray
-    ffn_w2: np.ndarray
-    ffn_b2: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: GeneratorParams) -> "GeneratorGrads":
-        return cls(**{name: np.zeros_like(getattr(params, name)) for name in _TENSOR_FIELDS})
-
-    def tensor_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _TENSOR_FIELDS}
 
 
 @dataclass
@@ -208,7 +193,7 @@ def _mhca_forward(params: GeneratorParams, query, keys, values):
     return out, cache
 
 
-def _mhca_backward(params: GeneratorParams, cache, d_out, grads: GeneratorGrads):
+def _mhca_backward(params: GeneratorParams, cache, d_out, grads: GeneratorParams):
     attn, scale = cache["attn"], cache["scale"]
 
     grads.wo += _sum_outer(d_out, cache["concat"])
@@ -249,7 +234,7 @@ def _ln_forward(params: GeneratorParams, x):
     return y, {"xhat": xhat, "inv": inv}
 
 
-def _ln_backward(params: GeneratorParams, cache, dy, grads: GeneratorGrads):
+def _ln_backward(params: GeneratorParams, cache, dy, grads: GeneratorParams):
     xhat, inv = cache["xhat"], cache["inv"]
     column_axes = tuple(i for i in range(dy.ndim) if i != dy.ndim - 2)
     grads.ln_gain += (dy * xhat).sum(axis=column_axes)
@@ -269,7 +254,7 @@ def _ffn_forward(params: GeneratorParams, x):
     return y, {"x": x, "a1": a1, "hidden": hidden}
 
 
-def _ffn_backward(params: GeneratorParams, cache, dy, grads: GeneratorGrads):
+def _ffn_backward(params: GeneratorParams, cache, dy, grads: GeneratorParams):
     grads.ffn_w2 += dy @ cache["hidden"].T
     grads.ffn_b2 += dy.sum(axis=1)
     d_hidden = params.ffn_w2.T @ dy
@@ -324,16 +309,17 @@ def extrapolate_jointly(ctx: NeighborContext, w_n, params: GeneratorParams):
 def backward(tape: ForwardTape, upstream):
     """Exact reverse pass for the forward call that produced the tape.
 
-    upstream matches the forward output shape. Returns (GeneratorGrads,
-    InputGrads): parameter gradients summed over the batch, and the
-    gradients w.r.t. w_n, neighbor_embeddings and support_features in the
-    shapes the forward call took them.
+    upstream matches the forward output shape. Returns (GeneratorParams,
+    InputGrads): a parameter bundle holding the gradient of each tensor,
+    summed over the batch, and the gradients w.r.t. w_n,
+    neighbor_embeddings and support_features in the shapes the forward
+    call took them.
     """
     if tape.consumed:
         raise DataError("forward tape already consumed by a backward call")
     tape.consumed = True
     params, cache = tape.params, tape.cache
-    grads = GeneratorGrads.zeros_like(params)
+    grads = params.zeros_like()
     up = np.asarray(upstream, dtype=np.float64)
     mc = cache["mhca"]
 
@@ -382,9 +368,12 @@ def load_checkpoint(path):
     missing = [name for name in _TENSOR_FIELDS if name not in tensors]
     if missing:
         raise DataError(f"{path}: checkpoint missing tensors {missing}")
+    try:
+        sizes = {key: int(meta[key]) for key in ("heads", "dim", "d_ff")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})") from exc
     params = GeneratorParams(
-        heads=int(meta["heads"]), dim=int(meta["dim"]), d_ff=int(meta["d_ff"]),
-        **{name: tensors[name].astype(np.float64) for name in _TENSOR_FIELDS},
+        **sizes, **{name: tensors[name].astype(np.float64) for name in _TENSOR_FIELDS}
     )
     params.check_shapes()
     return params, meta

@@ -1,11 +1,13 @@
 """Probabilities and losses for joint known/synthesized discrimination.
 
 All probability heads share one primitive: cosine similarity between a
-feature and a matrix of class-embedding columns, followed by a stable
-temperature softmax. Both sides of the cosine are normalized internally,
-and the backward helpers chain gradients through that normalization into
-the raw feature and raw class matrix, which is what training needs
-(class embeddings drift off the unit sphere while learning).
+feature and a matrix of class-embedding columns (CosineGraph), followed
+by a stable temperature softmax. class_probabilities is that primitive
+on its own, the scorer of the joint scheme. Both sides of the cosine are
+normalized internally, and the backward helpers chain gradients through
+that normalization into the raw feature and raw class matrix, which is
+what training needs (class embeddings drift off the unit sphere while
+learning).
 
 Two heads exist for synthesized features: the joint scheme scores one
 feature; the multi-column scheme averages the per-column softmax vectors
@@ -16,36 +18,9 @@ U, the class-matrix gradient too, and probabilities come back as (C, U).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .embedding_store import class_probabilities
 from .errors import DataError
-
-
-@dataclass
-class LossBreakdown:
-    """Per-step loss terms; total applies the configured weights."""
-
-    known_ce: float
-    synth_ce: float
-    distill_mse: float
-    lambda_syn: float = 1.0
-    lambda_distill: float = 1.0
-
-    @property
-    def total(self) -> float:
-        return self.known_ce + self.lambda_syn * self.synth_ce + self.lambda_distill * self.distill_mse
-
-    def validate(self) -> None:
-        terms = (self.known_ce, self.synth_ce, self.distill_mse, self.lambda_syn, self.lambda_distill)
-        if not all(np.isfinite(t) for t in terms):
-            raise DataError(f"non-finite loss terms: {self}")
-        if self.known_ce < 0 or self.synth_ce < 0 or self.distill_mse < 0:
-            raise DataError(f"negative loss terms: {self}")
-        if self.lambda_syn < 0 or self.lambda_distill < 0:
-            raise DataError("loss weights must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +103,17 @@ def softmax_vjp(probs, d_probs, tau: float, axis: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def prob_joint_scheme(features, class_matrix, tau: float) -> np.ndarray:
-    """Softmax over the union class set of one (d,) feature, or of each
-    column of (d, U) features."""
-    return class_probabilities(features, class_matrix, tau)
+def class_probabilities(features, class_matrix, tau: float) -> np.ndarray:
+    """Softmax over the cosine scores of one (d,) feature, or of each
+    column of (d, U) features, against the (d, C) class columns: (C,) or
+    (C, U). Invariant to positive rescaling of either side."""
+    if tau <= 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    return _stable_softmax(CosineGraph(features, class_matrix).scores / tau)
+
+
+# the joint scheme scores its one synthesized feature per class directly
+prob_joint_scheme = class_probabilities
 
 
 def prob_per_class_scheme(features, class_matrix, tau: float) -> np.ndarray:
@@ -145,21 +127,6 @@ def prob_per_class_scheme(features, class_matrix, tau: float) -> np.ndarray:
     graph = CosineGraph(feats, class_matrix)
     probs = _stable_softmax(graph.scores / tau, axis=-2)
     return probs.mean(axis=-1).T
-
-
-def cross_entropy(probs, target: int):
-    """Negative log-likelihood of the target class.
-
-    Returns (loss, gradient w.r.t. the probability vector); callers chain
-    the gradient through their softmax/cosine graph.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    if not 0 <= target < p.shape[0]:
-        raise DataError(f"target {target} out of range for {p.shape[0]} classes")
-    loss = -np.log(p[target])
-    grad = np.zeros_like(p)
-    grad[target] = -1.0 / p[target]
-    return float(loss), grad
 
 
 def distill_mse(p_teacher, p_student):

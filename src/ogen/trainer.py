@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .distillation import (
 from .embedding_store import EmbeddingSet
 from .errors import ConfigError, DataError, NumericalError
 from .generator import (
-    GeneratorGrads,
     GeneratorParams,
     backward,
     extrapolate_jointly,
@@ -151,7 +150,7 @@ class TrainState:
     embeddings: np.ndarray              # (d, C_b) float64, base-split order
     emb_velocity: np.ndarray
     params: "GeneratorParams | None"
-    gen_velocity: "GeneratorGrads | None"
+    gen_velocity: "GeneratorParams | None"
     rng: np.random.Generator
     queue: "TeacherQueue | None"
     mt_teacher: "GeneratorParams | None"
@@ -239,6 +238,14 @@ def _sgd_step(value: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: flo
     value -= lr * velocity
 
 
+def _teacher_queue(cfg: TrainConfig) -> TeacherQueue:
+    """An empty checkpoint queue deep enough for the configured window."""
+    schedule = ScheduleConfig(
+        t_max=cfg.epochs, m_min=cfg.m_min, m_max=cfg.m_max, ema_alpha=cfg.ema_alpha
+    )
+    return TeacherQueue(schedule=schedule, capacity=max(cfg.m_max, cfg.fixed_window or 0) + 1)
+
+
 def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
     init_ss, loop_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     base = list(dataset.split.base)
@@ -248,14 +255,8 @@ def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
     if cfg.scheme != "none":
         d_ff = cfg.d_ff if cfg.d_ff is not None else 2 * dataset.dim
         params = init_params(cfg.heads, dataset.dim, d_ff, seed=int(init_ss.generate_state(1)[0]))
-        gen_velocity = GeneratorGrads.zeros_like(params)
-    queue = None
-    if cfg.distill in ("almt", "fixed"):
-        schedule = ScheduleConfig(
-            t_max=cfg.epochs, m_min=cfg.m_min, m_max=cfg.m_max, ema_alpha=cfg.ema_alpha
-        )
-        capacity = max(cfg.m_max, cfg.fixed_window or 0) + 1
-        queue = TeacherQueue(schedule=schedule, capacity=capacity)
+        gen_velocity = params.zeros_like()
+    queue = _teacher_queue(cfg) if cfg.distill in ("almt", "fixed") else None
     return TrainState(
         next_epoch=0,
         embeddings=embeddings,
@@ -369,20 +370,12 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     c_b = len(base)
     n_unk = math.ceil(cfg.pseudo_unknown_fraction * c_b)
     feats_by_col = [dataset.image_features[c] for c in base]
-    known_feats = np.concatenate(
-        [dataset.image_features[c].astype(np.float64) for c in base], axis=0
-    )
-    feat_col = np.repeat(
-        np.arange(c_b), [dataset.image_features[c].shape[0] for c in base]
-    )
+    eval_cache = _EvalCache(dataset)
+    # every base image feature (row) and its column in base-split order
+    known_feats, feat_col = eval_cache.base_feats, eval_cache.base_labels
     # frozen new-class columns participate in every softmax denominator
     # (the union reading); they never receive updates
-    frozen_new = (
-        dataset.embedding_columns(dataset.split.new)
-        if dataset.split.new
-        else np.empty((dataset.dim, 0))
-    )
-    eval_cache = _EvalCache(dataset)
+    frozen_new = eval_cache.frozen_new
     rng = state.rng
     rows = []
 
@@ -446,15 +439,8 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         else:
             m_t = 0
 
-        breakdown = objective.LossBreakdown(
-            known_ce=known_ce,
-            synth_ce=synth_ce,
-            distill_mse=mse,
-            lambda_syn=cfg.lambda_syn,
-            lambda_distill=cfg.lambda_distill,
-        )
         if not (
-            np.isfinite(breakdown.total) and np.all(np.isfinite(state.embeddings))
+            np.all(np.isfinite((known_ce, synth_ce, mse))) and np.all(np.isfinite(state.embeddings))
         ):
             raise NumericalError(
                 f"non-finite state at epoch {epoch}: known_ce={known_ce!r} "
@@ -531,6 +517,13 @@ def load_state(path):
     tensors, meta = read_tensor_file(path)
     if meta.get("format") != "ogen-run-state":
         raise DataError(f"{path}: not a run-state file")
+    try:
+        return _state_from(tensors, meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed run state ({type(exc).__name__}: {exc})") from exc
+
+
+def _state_from(tensors: dict, meta: dict):
     cfg = TrainConfig(**meta["config"])
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]
@@ -541,15 +534,10 @@ def load_state(path):
     gen_meta = meta.get("gen_meta")
     if gen_meta is not None:
         params = _params_from(tensors, "params.", gen_meta)
-        velocity_fields = _params_from(tensors, "velocity.", gen_meta)
-        gen_velocity = GeneratorGrads(**velocity_fields.tensor_dict())
+        gen_velocity = _params_from(tensors, "velocity.", gen_meta)
         epochs = meta.get("queue_epochs")
         if epochs is not None:
-            schedule = ScheduleConfig(
-                t_max=cfg.epochs, m_min=cfg.m_min, m_max=cfg.m_max, ema_alpha=cfg.ema_alpha
-            )
-            capacity = max(cfg.m_max, cfg.fixed_window or 0) + 1
-            queue = TeacherQueue(schedule=schedule, capacity=capacity)
+            queue = _teacher_queue(cfg)
             queue.entries = [
                 (e, _params_from(tensors, f"queue{i}.", gen_meta)) for i, e in enumerate(epochs)
             ]
@@ -583,12 +571,7 @@ class AblationReport:
     distill: list = field(default_factory=list)
 
     def tables(self):
-        return {
-            "component": self.component,
-            "schemes": self.schemes,
-            "k_sweep": self.k_sweep,
-            "distill": self.distill,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _cell_stats(finals):

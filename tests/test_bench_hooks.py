@@ -1,0 +1,49 @@
+"""The names the benchmark's traced run wraps exist, and come back unwrapped.
+
+bench/run.py times the program by replacing module attributes such as
+ogen.trainer.almt_teacher with timing wrappers. Renaming or deleting one
+of those names breaks `bench/run.py --trace 1`; this test makes it break
+tier-1 as well.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import ogen
+import ogen.cli
+import ogen.distillation
+import ogen.embedding_store
+import ogen.generator
+import ogen.objective
+import ogen.trainer
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports its sibling probe.py
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look themselves up there
+    spec.loader.exec_module(run)
+    return run
+
+
+def test_trace_patches_wrap_existing_names_and_restore_them(monkeypatch):
+    run = load_bench(monkeypatch)
+    session = run.Session(ogen, "desk", 0, 1.0, True)
+    wrapped = []
+
+    class Recorded(run.probe.Patches):
+        def wrap(self, owner, name, make):
+            wrapped.append((owner, name, getattr(owner, name)))
+            super().wrap(owner, name, make)
+
+    with Recorded() as patches:
+        session.trace_patches(patches)
+        assert wrapped
+        for owner, name, original in wrapped:
+            assert getattr(owner, name) is not original, name
+    for owner, name, original in wrapped:
+        assert getattr(owner, name) is original, name

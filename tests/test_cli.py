@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.cli import main
 from ogen.embedding_store import load_embeddings
 from ogen.generator import load_checkpoint
@@ -210,6 +211,26 @@ class TestEval:
 
     def test_missing_run_is_data_error(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "ghost")]) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda meta: meta.pop("rng"),
+            lambda meta: meta["config"].update(bogus=1),
+            lambda meta: meta.update(rng={"garbage": 1}),
+            lambda meta: meta.update(config=[1, 2]),
+        ],
+        ids=["missing_rng", "unknown_config_key", "garbage_rng", "config_not_a_dict"],
+    )
+    def test_malformed_state_manifest_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, epochs=1)) == 0
+        tensors, meta = read_tensor_file(run / "state.bin")
+        corrupt(meta)
+        write_tensor_file(run / "state.bin", tensors, meta)
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run)]) == 2
+        assert "malformed run state" in capsys.readouterr().err
 
 
 class TestHmean:

@@ -12,6 +12,7 @@ from conftest import (
     stack_contexts,
 )
 
+from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.errors import ConfigError, DataError
 from ogen.generator import (
     _TENSOR_FIELDS,
@@ -357,4 +358,13 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"\x02\x00\x00\x00{}")
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_missing_size_is_data_error(self, tmp_path):
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(path, init_params(2, 8, 16, seed=0), scheme="joint", epoch=0)
+        tensors, meta = read_tensor_file(path)
+        del meta["heads"]
+        write_tensor_file(path, tensors, meta)
+        with pytest.raises(DataError, match="KeyError"):
             load_checkpoint(path)

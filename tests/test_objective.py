@@ -1,7 +1,5 @@
 """Probability heads, losses, and their gradients through the cosine chain."""
 
-import math
-
 import numpy as np
 import pytest
 from conftest import central_diff, rel_err
@@ -9,8 +7,6 @@ from conftest import central_diff, rel_err
 from ogen.embedding_store import class_probabilities
 from ogen.errors import DataError
 from ogen.objective import (
-    LossBreakdown,
-    cross_entropy,
     distill_grad_joint,
     distill_grad_per_class,
     distill_mse,
@@ -80,28 +76,6 @@ class TestProbabilityHeads:
             for p in (prob_per_class_scheme(Z, W, tau), prob_joint_scheme(Z[:, 0], W, tau)):
                 assert abs(p.sum() - 1.0) < 1e-9
                 assert np.all(p >= 0.0)
-
-
-class TestCrossEntropy:
-    def test_certain_prediction_zero_loss(self):
-        loss, _ = cross_entropy(np.array([0.0, 1.0, 0.0]) + 1e-300, 1)
-        assert loss < 1e-12
-
-    def test_uniform_gives_log_n(self):
-        for n in (2, 5, 17):
-            loss, _ = cross_entropy(np.full(n, 1.0 / n), 0)
-            np.testing.assert_allclose(loss, math.log(n), rtol=1e-12)
-
-    def test_target_out_of_range(self):
-        with pytest.raises(DataError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
-
-    def test_nonnegative_random(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(6))
-            loss, _ = cross_entropy(p, int(rng.integers(6)))
-            assert loss >= 0.0
 
 
 class TestDistillMse:
@@ -252,18 +226,3 @@ class TestExtremeTemperature:
                 targets = rng.integers(0, 10, size=4)
                 loss, dW = known_batch_ce(F, W, tau, targets)
                 assert np.isfinite(loss) and np.all(np.isfinite(dW))
-
-
-class TestLossBreakdown:
-    def test_total_identity(self):
-        b = LossBreakdown(known_ce=1.5, synth_ce=2.0, distill_mse=0.25, lambda_syn=2.0, lambda_distill=0.5)
-        assert b.total == 1.5 + 2.0 * 2.0 + 0.5 * 0.25
-        b.validate()
-
-    def test_rejects_negative_terms(self):
-        with pytest.raises(DataError):
-            LossBreakdown(known_ce=-0.1, synth_ce=0.0, distill_mse=0.0).validate()
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DataError):
-            LossBreakdown(known_ce=float("nan"), synth_ce=0.0, distill_mse=0.0).validate()

@@ -227,17 +227,27 @@ class TestTrainLoop:
         ).metrics
         assert union != restricted
 
-    def test_non_finite_loss_aborts_with_diagnostics(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "head, term, scheme, distill, epoch",
+        [
+            ("known_batch_ce", "known_ce", "none", "none", 0),
+            ("synth_ce_joint", "synth_ce", "joint", "none", 0),
+            # the first teacher exists once epoch 0 has pushed its checkpoint
+            ("distill_grad_joint", "distill_mse", "joint", "almt", 1),
+        ],
+        ids=["known_batch_ce", "synth_ce_joint", "distill_grad_joint"],
+    )
+    def test_non_finite_loss_aborts_with_diagnostics(self, monkeypatch, head, term, scheme, distill, epoch):
         ds = tiny_dataset()
-        real = ogen.objective.known_batch_ce
+        real = getattr(ogen.objective, head)
 
-        def poisoned(feats, classes, tau, targets):
-            loss, grad = real(feats, classes, tau, targets)
-            return float("nan"), grad
+        def poisoned(*args):
+            _, *grads = real(*args)
+            return (float("nan"), *grads)
 
-        monkeypatch.setattr(ogen.objective, "known_batch_ce", poisoned)
-        with pytest.raises(NumericalError, match="epoch 0"):
-            train(ds, tiny_config(scheme="none", distill="none"))
+        monkeypatch.setattr(ogen.objective, head, poisoned)
+        with pytest.raises(NumericalError, match=f"epoch {epoch}: .*{term}=nan"):
+            train(ds, tiny_config(scheme=scheme, distill=distill))
 
 
 class TestTrainedGeneratorImproves:
