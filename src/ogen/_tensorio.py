@@ -59,10 +59,17 @@ def read_tensor_file(path):
     tensors = {}
     pos = 4 + mlen
     for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+        ):
+            raise DataError(f"{p}: malformed tensor entry {entry!r}")
         shape = tuple(entry["shape"])
         dtype = _DTYPES.get(entry.get("dtype", "f4"))
         if dtype is None:
-            raise DataError(f"{p}: unknown dtype for tensor {entry.get('name')!r}")
+            raise DataError(f"{p}: unknown dtype for tensor {entry['name']!r}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * int(dtype[-1])
         if pos + nbytes > len(data):

@@ -239,7 +239,7 @@ def cmd_eval(run_dir, data, as_csv):
             raise DataError(f"{config_path} missing; pass --data explicitly")
         data = json.loads(config_path.read_text())["data"]
     dataset = load_embeddings(data)
-    base_acc, new_acc, h = evaluate(state.params, state.embeddings, dataset, cfg.tau)
+    base_acc, new_acc, h = evaluate(state.params, state.embeddings, dataset)
     if as_csv:
         click.echo("base_acc,new_acc,harmonic_mean")
         click.echo(f"{base_acc!r},{new_acc!r},{h!r}")

@@ -10,9 +10,7 @@ late (reaches back past the overfit recent ones).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, DataError
 from .generator import GeneratorParams
@@ -86,15 +84,13 @@ def ema_mean_teacher(checkpoints, alpha: float) -> GeneratorParams:
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     first = checkpoints[0]
-    acc = {name: t.astype(np.float64, copy=True) for name, t in first.tensor_dict().items()}
+    acc = first.flat.copy()
     for ckpt in checkpoints[1:]:
-        tensors = ckpt.tensor_dict()
-        for name, t in tensors.items():
-            if t.shape != acc[name].shape:
-                raise DataError(f"checkpoint tensor {name} changed shape: {t.shape}")
-            acc[name] *= alpha
-            acc[name] += (1.0 - alpha) * t
-    return GeneratorParams(heads=first.heads, dim=first.dim, d_ff=first.d_ff, **acc)
+        if (ckpt.heads, ckpt.dim, ckpt.d_ff) != (first.heads, first.dim, first.d_ff):
+            raise DataError(f"checkpoint changed shape: heads={ckpt.heads}, dim={ckpt.dim}, d_ff={ckpt.d_ff}")
+        acc *= alpha
+        acc += (1.0 - alpha) * ckpt.flat
+    return replace(first, flat=acc)
 
 
 def almt_teacher(queue: TeacherQueue, t: int) -> GeneratorParams:
@@ -103,7 +99,7 @@ def almt_teacher(queue: TeacherQueue, t: int) -> GeneratorParams:
     if len(queue) == 0:
         raise DataError("teacher queue is empty")
     m_t = window_size(t, queue.schedule)
-    window = [params for _, params in queue.last(min(m_t + 1, len(queue)))]
+    window = [params for _, params in queue.last(m_t + 1)]
     return ema_mean_teacher(window, queue.schedule.ema_alpha)
 
 
@@ -111,5 +107,5 @@ def teacher_epoch_range(queue: TeacherQueue, window: int):
     """(oldest, newest) epochs that a window of the given size would use."""
     if len(queue) == 0:
         return None
-    used = queue.last(min(window, len(queue)))
+    used = queue.last(window)
     return used[0][0], used[-1][0]

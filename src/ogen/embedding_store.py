@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,18 @@ class EmbeddingSet:
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
+
+    @cached_property
+    def _split_features(self) -> tuple:
+        """(base, new): each split's image features stacked in split order
+        as one read-only float64 (n, d) matrix, built once per dataset."""
+        out = []
+        for classes in (self.split.base, self.split.new):
+            feats = [self.image_features[c] for c in classes] or [np.empty((0, self.dim))]
+            stacked = np.concatenate(feats, axis=0, dtype=np.float64)
+            stacked.setflags(write=False)
+            out.append(stacked)
+        return tuple(out)
 
     def embedding_columns(self, indices) -> np.ndarray:
         """Class embeddings as float64 columns, shape (d, len(indices))."""
@@ -281,13 +294,21 @@ def load_embeddings(path) -> EmbeddingSet:
     C = r.u32("class count")
     if dim == 0 or C == 0:
         raise DataError(f"{p}: header declares dim={dim}, classes={C}")
+    # each class takes at least a name length, its embedding and a feature
+    # count; checked before the (C, dim) allocation
+    fit = (len(r.data) - r.pos) // (6 + 4 * dim)
+    if C > fit:
+        raise DataError(f"{p}: truncated file: header declares {C} classes of dim {dim}, no room for class {fit}")
 
     names = []
     embeddings = np.empty((C, dim), dtype=np.float32)
     feats = []
     for c in range(C):
         name_len = r.u16(f"name length of class {c}")
-        name = r.take(name_len, f"name of class {c}").decode("utf-8")
+        try:
+            name = r.take(name_len, f"name of class {c}").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{p}: name of class {c} is not UTF-8 ({exc})") from exc
         names.append(name)
         emb = r.f32_block(dim, f"embedding of class {c} ({name!r})")
         embeddings[c] = _normalize_block(emb[None, :], f"class {c} ({name!r}) embedding")[0]

@@ -26,7 +26,7 @@ inputs, including the conditioning embeddings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,63 +36,74 @@ from .retrieval import NeighborContext
 
 LN_EPS = 1e-5
 
-_TENSOR_FIELDS = (
-    "wq", "wk", "wv", "wo",
-    "ln_gain", "ln_bias",
-    "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-)
+
+def _layout(heads: int, dim: int, d_ff: int) -> dict:
+    """Name -> shape of every generator tensor, in storage order; rejects
+    an architecture the generator cannot have."""
+    if min(heads, dim, d_ff) < 1 or dim % heads != 0:
+        raise ConfigError(f"need heads dividing dim and d_ff >= 1, got heads={heads}, dim={dim}, d_ff={d_ff}")
+    d, f = dim, d_ff
+    return {
+        "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+        "ln_gain": (d,), "ln_bias": (d,),
+        "ffn_w1": (f, d), "ffn_b1": (f,), "ffn_w2": (d, f), "ffn_b2": (d,),
+    }
+
+
+_TENSOR_FIELDS = tuple(_layout(1, 1, 1))
 
 
 @dataclass
 class GeneratorParams:
-    """All learnable tensors of the feature generator (float64 in memory)."""
+    """All learnable tensors of the feature generator: one contiguous
+    float64 vector `flat`, with every tensor of the layout (wq ... ffn_b2)
+    an attribute holding a reshaped view of it."""
 
     heads: int
     dim: int
     d_ff: int
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ln_gain: np.ndarray
-    ln_bias: np.ndarray
-    ffn_w1: np.ndarray
-    ffn_b1: np.ndarray
-    ffn_w2: np.ndarray
-    ffn_b2: np.ndarray
+    flat: np.ndarray
+
+    def __post_init__(self):
+        layout = _layout(self.heads, self.dim, self.d_ff)
+        ends = np.cumsum([math.prod(shape) for shape in layout.values()])
+        flat = self.flat
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.ndim == 1
+                and flat.flags.c_contiguous and flat.size == ends[-1]):
+            raise ConfigError(f"generator parameters must be one contiguous float64 vector of {ends[-1]} values")
+        for (name, shape), chunk in zip(layout.items(), np.split(flat, ends[:-1])):
+            setattr(self, name, chunk.reshape(shape))
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views from the (copied) vector
+        return GeneratorParams, (self.heads, self.dim, self.d_ff, self.flat)
+
+    @classmethod
+    def from_tensors(cls, heads: int, dim: int, d_ff: int, tensors: dict) -> "GeneratorParams":
+        """Pack named tensors (any float dtype) into a new bundle."""
+        layout = _layout(heads, dim, d_ff)
+        for name, shape in layout.items():
+            if np.shape(tensors[name]) != shape:
+                raise ConfigError(f"{name} has shape {np.shape(tensors[name])}, expected {shape}")
+        flat = np.concatenate([np.ravel(tensors[name]).astype(np.float64) for name in layout])
+        return cls(heads=heads, dim=dim, d_ff=d_ff, flat=flat)
 
     def tensor_dict(self) -> dict:
         return {name: getattr(self, name) for name in _TENSOR_FIELDS}
 
-    def _map(self, fn) -> "GeneratorParams":
-        return GeneratorParams(
-            heads=self.heads, dim=self.dim, d_ff=self.d_ff,
-            **{name: fn(getattr(self, name)) for name in _TENSOR_FIELDS},
-        )
-
     def copy(self) -> "GeneratorParams":
-        return self._map(np.ndarray.copy)
+        return replace(self, flat=self.flat.copy())
 
     def zeros_like(self) -> "GeneratorParams":
         """All-zero tensors of the same shapes: a gradient or momentum
         accumulator."""
-        return self._map(np.zeros_like)
+        return replace(self, flat=np.zeros_like(self.flat))
 
     def check_shapes(self) -> None:
-        d, f = self.dim, self.d_ff
-        expected = {
-            "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
-            "ln_gain": (d,), "ln_bias": (d,),
-            "ffn_w1": (f, d), "ffn_b1": (f,), "ffn_w2": (d, f), "ffn_b2": (d,),
-        }
-        for name, shape in expected.items():
-            t = getattr(self, name)
-            if t.shape != shape:
-                raise ConfigError(f"{name} has shape {t.shape}, expected {shape}")
-            if not np.all(np.isfinite(t)):
-                raise ConfigError(f"{name} contains non-finite values")
-        if d % self.heads != 0:
-            raise ConfigError(f"dim {d} not divisible by {self.heads} heads")
+        """Every tensor finite; the sizes and shapes hold by construction."""
+        bad = [name for name, t in self.tensor_dict().items() if not np.all(np.isfinite(t))]
+        if bad:
+            raise ConfigError(f"{bad[0]} contains non-finite values")
 
 
 @dataclass
@@ -119,26 +130,15 @@ def init_params(heads: int, dim: int, d_ff: int, seed: int) -> GeneratorParams:
     """Uniform(+-1/sqrt(d)) projection and FFN weights, zero output
     projection (so the attention residual vanishes at step 0), identity
     layer norm. Deterministic per seed."""
-    if dim % heads != 0:
-        raise ConfigError(f"dim {dim} must be divisible by heads {heads}")
-    if d_ff < 1:
-        raise ConfigError(f"d_ff must be positive, got {d_ff}")
+    size = sum(map(math.prod, _layout(heads, dim, d_ff).values()))
+    params = GeneratorParams(heads=heads, dim=dim, d_ff=d_ff, flat=np.zeros(size))
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(dim)
-    draw = lambda shape: rng.uniform(-bound, bound, size=shape)
-    return GeneratorParams(
-        heads=heads, dim=dim, d_ff=d_ff,
-        wq=draw((dim, dim)),
-        wk=draw((dim, dim)),
-        wv=draw((dim, dim)),
-        wo=np.zeros((dim, dim)),
-        ln_gain=np.ones(dim),
-        ln_bias=np.zeros(dim),
-        ffn_w1=draw((d_ff, dim)),
-        ffn_b1=np.zeros(d_ff),
-        ffn_w2=draw((dim, d_ff)),
-        ffn_b2=np.zeros(dim),
-    )
+    for name in ("wq", "wk", "wv", "ffn_w1", "ffn_w2"):  # the draw order fixes the values
+        tensor = getattr(params, name)
+        tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
+    params.ln_gain[...] = 1.0
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +372,6 @@ def load_checkpoint(path):
         sizes = {key: int(meta[key]) for key in ("heads", "dim", "d_ff")}
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})") from exc
-    params = GeneratorParams(
-        **sizes, **{name: tensors[name].astype(np.float64) for name in _TENSOR_FIELDS}
-    )
+    params = GeneratorParams.from_tensors(**sizes, tensors=tensors)
     params.check_shapes()
     return params, meta

@@ -175,24 +175,20 @@ def harmonic_mean(a: float, b: float) -> float:
 
 
 class _EvalCache:
-    """Precomputed per-split feature matrices and union-column labels."""
+    """Per-split feature matrices, union-column labels, and one score
+    matrix that every accuracies() call fills in place."""
 
     def __init__(self, dataset: EmbeddingSet):
         self.dataset = dataset
         base, new = dataset.split.base, dataset.split.new
         self.frozen_new = dataset.embedding_columns(new) if new else np.empty((dataset.dim, 0))
-        self.base_feats = self._stack(dataset, base)
+        self.base_feats, self.new_feats = dataset._split_features
         self.base_labels = self._labels(dataset, base, offset=0)
-        self.new_feats = self._stack(dataset, new)
         self.new_labels = self._labels(dataset, new, offset=len(base))
-
-    @staticmethod
-    def _stack(dataset, classes):
-        if not classes:
-            return np.empty((0, dataset.dim))
-        return np.concatenate(
-            [dataset.image_features[c].astype(np.float64) for c in classes], axis=0
-        )
+        # a score matrix allocated per epoch is large enough that the C
+        # allocator may hand it back to the OS on free; every epoch would
+        # then fault it in again
+        self._scores = np.empty((max(len(self.base_feats), len(self.new_feats)), len(base) + len(new)))
 
     @staticmethod
     def _labels(dataset, classes, offset):
@@ -206,22 +202,20 @@ class _EvalCache:
         new_acc = self._acc(self.new_feats, self.new_labels, unit)
         return base_acc, new_acc
 
-    @staticmethod
-    def _acc(feats, labels, unit_union):
+    def _acc(self, feats, labels, unit_union):
         if feats.shape[0] == 0:
             return 0.0
-        pred = np.argmax(feats @ unit_union, axis=1)
+        pred = np.argmax(np.matmul(feats, unit_union, out=self._scores[: feats.shape[0]]), axis=1)
         return float(np.mean(pred == labels))
 
 
-def evaluate(params, embeddings, dataset: EmbeddingSet, tau: float = 0.01):
+def evaluate(params, embeddings, dataset: EmbeddingSet):
     """Score every image feature against the union of learnable base
     columns and frozen new-class embeddings; argmax accuracy per split
     plus the harmonic mean. The generator does not participate at
-    evaluation time (params is accepted for checkpoint-eval symmetry);
-    tau does not affect the argmax.
+    evaluation time (params is accepted for checkpoint-eval symmetry).
     """
-    del params, tau
+    del params
     cache = _EvalCache(dataset)
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.shape != (dataset.dim, len(dataset.split.base)):
@@ -270,36 +264,29 @@ def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
 
 
 def _resolve_teacher(state: TrainState, cfg: TrainConfig, epoch: int):
-    """Teacher params for this epoch plus the (lo, hi) checkpoint epochs
-    used, or (None, None) while no checkpoint exists yet."""
+    """(m_t, teacher params, (lo, hi) checkpoint epochs used) for this
+    epoch; the teacher and its range are None while there is no teacher.
+    almt and fixed average the last m_t + 1 checkpoints."""
     if cfg.distill == "mt":
-        if state.mt_teacher is None:
-            return None, None
-        return state.mt_teacher, (0, epoch - 1)
-    if cfg.distill in ("almt", "fixed"):
-        if state.queue is None or len(state.queue) == 0:
-            return None, None
-        if cfg.distill == "almt":
-            m = window_size(epoch, state.queue.schedule)
-            return almt_teacher(state.queue, epoch), teacher_epoch_range(state.queue, m + 1)
-        window = [p for _, p in state.queue.last(min(cfg.fixed_window + 1, len(state.queue)))]
-        return (
-            ema_mean_teacher(window, cfg.ema_alpha),
-            teacher_epoch_range(state.queue, cfg.fixed_window + 1),
-        )
-    return None, None
+        return 0, state.mt_teacher, None if state.mt_teacher is None else (0, epoch - 1)
+    if cfg.distill == "none":
+        return 0, None, None
+    m_t = window_size(epoch, state.queue.schedule) if cfg.distill == "almt" else cfg.fixed_window
+    if len(state.queue) == 0:
+        return m_t, None, None
+    if cfg.distill == "almt":
+        teacher = almt_teacher(state.queue, epoch)
+    else:
+        teacher = ema_mean_teacher([p for _, p in state.queue.last(m_t + 1)], cfg.ema_alpha)
+    return m_t, teacher, teacher_epoch_range(state.queue, m_t + 1)
 
 
 def _mt_update(state: TrainState, cfg: TrainConfig) -> None:
     if state.mt_teacher is None:
         state.mt_teacher = state.params.copy()
         return
-    alpha = cfg.ema_alpha
-    teacher = state.mt_teacher.tensor_dict()
-    student = state.params.tensor_dict()
-    for name, t in teacher.items():
-        t *= alpha
-        t += (1.0 - alpha) * student[name]
+    state.mt_teacher.flat *= cfg.ema_alpha
+    state.mt_teacher.flat += (1.0 - cfg.ema_alpha) * state.params.flat
 
 
 def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_cols, unknown_cols, feats_by_col):
@@ -410,20 +397,12 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
 
         # -- synthesized-unknown losses, one batched step --
         synth_ce = mse = 0.0
-        teacher_range = None
+        m_t, teacher, teacher_range = _resolve_teacher(state, cfg, epoch)
         if cfg.scheme != "none":
-            teacher, teacher_range = _resolve_teacher(state, cfg, epoch)
             gen_grads, emb_grad, synth_ce, mse, _ = _synthesize(
                 state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
             )
-            for name, tensor in state.params.tensor_dict().items():
-                _sgd_step(
-                    tensor,
-                    getattr(gen_grads, name),
-                    getattr(state.gen_velocity, name),
-                    lr_gen,
-                    cfg.momentum,
-                )
+            _sgd_step(state.params.flat, gen_grads.flat, state.gen_velocity.flat, lr_gen, cfg.momentum)
             _sgd_step(state.embeddings, emb_grad, state.emb_velocity, lr_emb, cfg.momentum)
 
         # -- teacher bookkeeping, evaluation, metrics --
@@ -431,13 +410,6 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
             push_checkpoint(state.queue, epoch, state.params)
         elif cfg.distill == "mt":
             _mt_update(state, cfg)
-
-        if cfg.distill == "almt":
-            m_t = window_size(epoch, state.queue.schedule)
-        elif cfg.distill == "fixed":
-            m_t = cfg.fixed_window
-        else:
-            m_t = 0
 
         if not (
             np.all(np.isfinite((known_ce, synth_ce, mse))) and np.all(np.isfinite(state.embeddings))
@@ -506,10 +478,8 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
 
 
 def _params_from(tensors: dict, prefix: str, gen_meta: dict) -> GeneratorParams:
-    fields = {k[len(prefix) :]: v for k, v in tensors.items() if k.startswith(prefix)}
-    return GeneratorParams(
-        heads=gen_meta["heads"], dim=gen_meta["dim"], d_ff=gen_meta["d_ff"], **fields
-    )
+    named = {k[len(prefix) :]: v for k, v in tensors.items() if k.startswith(prefix)}
+    return GeneratorParams.from_tensors(gen_meta["heads"], gen_meta["dim"], gen_meta["d_ff"], named)
 
 
 def load_state(path):

@@ -103,7 +103,7 @@ def mid_run(scheme, distill, random_neighbors):
     unknown_cols, known_cols = np.sort(perm[:n_unk]), np.sort(perm[n_unk:])
     feats_by_col = [ds.image_features[c] for c in base]
     frozen_new = ds.embedding_columns(ds.split.new)
-    teacher, _ = _resolve_teacher(state, cfg, state.next_epoch)
+    _, teacher, _ = _resolve_teacher(state, cfg, state.next_epoch)
     return state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
 
 

@@ -2,13 +2,15 @@
 
 import csv
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.cli import main
-from ogen.embedding_store import load_embeddings
+from ogen.embedding_store import OEF_MAGIC, OEF_VERSION, load_embeddings
 from ogen.generator import load_checkpoint
 
 
@@ -98,6 +100,29 @@ class TestTrain:
 
     def test_missing_data_file(self, tmp_path):
         assert main(train_args(tmp_path / "absent.oef", tmp_path / "run")) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw[:18] + b"\xff" + raw[19:],  # first byte of class 0's name
+            lambda raw: raw[:8] + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + raw[16:],
+            lambda raw: raw[:8] + struct.pack("<II", 256, 1 << 20) + raw[16:],
+        ],
+        ids=["name_not_utf8", "huge_header", "oversized_header"],
+    )
+    def test_hostile_dataset_is_data_error_without_allocating(self, dataset_path, tmp_path, capsys, corrupt):
+        raw = dataset_path.read_bytes()
+        assert raw[:4] == OEF_MAGIC and struct.unpack("<I", raw[4:8])[0] == OEF_VERSION
+        dataset_path.write_bytes(corrupt(raw))
+        tracemalloc.start()
+        try:
+            code = main(train_args(dataset_path, tmp_path / "run"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 16 * 2**20
+        assert "error:" in capsys.readouterr().err
 
     def test_identical_flags_identical_outputs(self, dataset_path, tmp_path):
         r1, r2 = tmp_path / "r1", tmp_path / "r2"
@@ -231,6 +256,34 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--run", str(run)]) == 2
         assert "malformed run state" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: "embeddings",
+            lambda entry: {k: v for k, v in entry.items() if k != "name"},
+            lambda entry: {**entry, "name": ["embeddings"]},
+            lambda entry: {k: v for k, v in entry.items() if k != "shape"},
+            lambda entry: {**entry, "shape": 16},
+            lambda entry: {**entry, "shape": [-1, 4]},
+            lambda entry: {**entry, "shape": [1.5, 4]},
+        ],
+        ids=["not_a_dict", "missing_name", "name_not_a_string", "missing_shape",
+             "shape_not_a_list", "negative_size", "non_integer_size"],
+    )
+    def test_malformed_tensor_entry_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, epochs=1)) == 0
+        raw = (run / "state.bin").read_bytes()
+        (mlen,) = struct.unpack("<I", raw[:4])
+        manifest = json.loads(raw[4 : 4 + mlen])
+        manifest["tensors"][0] = corrupt(manifest["tensors"][0])
+        mbytes = json.dumps(manifest).encode()
+        (run / "state.bin").write_bytes(struct.pack("<I", len(mbytes)) + mbytes + raw[4 + mlen :])
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run)]) == 2
+        assert "malformed tensor entry" in capsys.readouterr().err
 
 
 class TestHmean:

@@ -105,6 +105,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ds.class_embeddings[0, 0] = 5.0
 
+    def test_split_features_stack_each_split_once(self):
+        ds = make_synthetic(SynthConfig(num_classes=6, dim=8, per_class=3, seed=2))
+        base, new = ds._split_features
+        assert ds._split_features[0] is base
+        for stacked, classes in ((base, ds.split.base), (new, ds.split.new)):
+            assert stacked.dtype == np.float64 and not stacked.flags.writeable
+            expected = np.concatenate([ds.image_features[c].astype(np.float64) for c in classes])
+            np.testing.assert_array_equal(stacked, expected)
+
 
 class TestFileFormat:
     def test_round_trip_is_identity(self, tmp_path):

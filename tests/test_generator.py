@@ -1,5 +1,8 @@
 """Attention forward passes, both synthesis schemes, and exact gradients."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from conftest import (
@@ -17,6 +20,7 @@ from ogen.errors import ConfigError, DataError
 from ogen.generator import (
     _TENSOR_FIELDS,
     LN_EPS,
+    GeneratorParams,
     _mhca_forward,
     backward,
     extrapolate_jointly,
@@ -80,6 +84,57 @@ class TestInit:
     def test_heads_must_divide_dim(self):
         with pytest.raises(ConfigError):
             init_params(3, 8, 16, seed=0)
+
+
+class TestFlatStorage:
+    def test_tensors_are_views_of_flat(self):
+        p = init_params(2, 8, 16, seed=0)
+        assert p.flat.dtype == np.float64 and p.flat.ndim == 1 and p.flat.flags.c_contiguous
+        assert p.flat.size == sum(t.size for t in p.tensor_dict().values())
+        assert all(np.shares_memory(t, p.flat) for t in p.tensor_dict().values())
+        wq = p.wq.copy()
+        p.flat -= 0.5 * np.arange(p.flat.size)  # an in-place step on the vector
+        np.testing.assert_array_equal(p.wq, wq - 0.5 * np.arange(64).reshape(8, 8))
+        p.ffn_b2[...] = 7.0  # a write to a named tensor lands in the vector
+        np.testing.assert_array_equal(p.flat[-8:], 7.0)
+
+    @pytest.mark.parametrize("make", ["copy", "zeros_like"])
+    def test_copies_share_no_memory(self, make):
+        p = init_params(2, 8, 16, seed=0)
+        before = p.flat.copy()
+        q = getattr(p, make)()
+        assert (q.heads, q.dim, q.d_ff) == (p.heads, p.dim, p.d_ff)
+        assert not np.shares_memory(q.flat, p.flat)
+        assert all(np.shares_memory(t, q.flat) for t in q.tensor_dict().values())
+        q.flat += 1.0
+        q.wq[...] = 3.0
+        np.testing.assert_array_equal(p.flat, before)
+
+    def test_deepcopy_and_pickle_keep_the_views(self):
+        p = init_params(2, 8, 16, seed=0)
+        for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert not np.shares_memory(q.flat, p.flat)
+            np.testing.assert_array_equal(q.flat, p.flat)
+            q.flat += 1.0
+            np.testing.assert_array_equal(q.wq, p.wq + 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.zeros(n + 1),
+            lambda n: np.zeros(n - 1),
+            lambda n: np.zeros(2 * n)[::2],
+            lambda n: np.zeros(n, dtype=np.float32),
+            lambda n: np.zeros((1, n)),
+            lambda n: [0.0] * n,
+        ],
+        ids=["too_long", "too_short", "non_contiguous", "float32", "two_dimensional", "list"],
+    )
+    def test_rejects_all_but_a_contiguous_float64_vector(self, make):
+        n = init_params(2, 8, 16, seed=0).flat.size
+        GeneratorParams(heads=2, dim=8, d_ff=16, flat=np.zeros(n))
+        with pytest.raises(ConfigError):
+            GeneratorParams(heads=2, dim=8, d_ff=16, flat=make(n))
 
 
 class TestMhca:
@@ -367,4 +422,13 @@ class TestCheckpoint:
         del meta["heads"]
         write_tensor_file(path, tensors, meta)
         with pytest.raises(DataError, match="KeyError"):
+            load_checkpoint(path)
+
+    def test_misshapen_tensor_is_config_error(self, tmp_path):
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(path, init_params(2, 8, 16, seed=0), scheme="joint", epoch=0)
+        tensors, meta = read_tensor_file(path)
+        tensors["wq"] = tensors["wq"].reshape(4, 16)  # right size, wrong shape
+        write_tensor_file(path, tensors, meta)
+        with pytest.raises(ConfigError, match="wq has shape"):
             load_checkpoint(path)

@@ -292,10 +292,15 @@ class TestTrainedGeneratorImproves:
 
 
 class TestStatePersistence:
-    def test_resumed_run_matches_unbroken_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "scheme,distill,window",
+        [("joint", "almt", None), ("joint", "mt", None), ("joint", "fixed", 2), ("per_class", "almt", None)],
+        ids=["almt", "mt", "fixed2", "per_class_almt"],
+    )
+    def test_resumed_run_matches_unbroken_run(self, tmp_path, scheme, distill, window):
         ds = tiny_dataset()
-        cfg = tiny_config(scheme="joint", distill="almt", epochs=8)
-        full = train(ds, cfg).metrics
+        cfg = tiny_config(scheme=scheme, distill=distill, fixed_window=window, epochs=8)
+        full = train(ds, cfg)
 
         state_path = tmp_path / "state.bin"
 
@@ -306,8 +311,9 @@ class TestStatePersistence:
         train(ds, cfg, on_epoch=snapshot)
         state, cfg_loaded = load_state(state_path)
         assert cfg_loaded == cfg
-        resumed = train(ds, cfg, state=state).metrics
-        assert resumed == full[4:]
+        resumed = train(ds, cfg, state=state)
+        assert resumed.metrics == full.metrics[4:]
+        assert np.array_equal(resumed.params.flat, full.params.flat)
 
     def test_state_file_round_trip(self, tmp_path):
         ds = tiny_dataset()
