@@ -9,6 +9,7 @@ is serialized with sorted keys so identical content gives identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -31,11 +32,23 @@ def write_tensor_file(path, tensors: dict, meta: dict) -> None:
     manifest = dict(meta)
     manifest["tensors"] = entries
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(mbytes)))
-        fh.write(mbytes)
-        for blob in blobs:
-            fh.write(blob)
+    write_atomically(path, [struct.pack("<I", len(mbytes)), mbytes, *blobs])
+
+
+def write_atomically(path, chunks) -> None:
+    """Write the byte chunks to a temp file beside path, then rename it
+    over path: a killed process leaves the old file or the new one, never
+    a torn one. There is no fsync, so this does not survive a power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensor_file(path):

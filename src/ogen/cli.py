@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -99,6 +99,33 @@ def _truncate_metrics(path: Path, next_epoch: int) -> None:
     path.write_text("\n".join(kept) + "\n")
 
 
+# train options named apart from their TrainConfig field
+_CONFIG_FIELDS = {"window": "fixed_window", "lr": "learning_rate", "gen_lr": "generator_lr",
+                  "known_denominator": "known_loss_union"}
+
+
+def _train_config(ctx) -> TrainConfig:
+    """The configuration the training flags of a train command ask for."""
+    flags = {_CONFIG_FIELDS.get(name, name): value for name, value in ctx.params.items()}
+    flags["known_loss_union"] = flags["known_loss_union"] == "union"
+    return TrainConfig(**{f.name: flags[f.name] for f in fields(TrainConfig)})
+
+
+def _check_resume_flags(ctx, stored: TrainConfig) -> None:
+    """Reject training flags given on the command line of a resume whose
+    value differs from the stored run's configuration."""
+    requested = _train_config(ctx)
+    conflicts = [
+        f"{p.opts[0]} (run has {field}={getattr(stored, field)!r})"
+        for p in ctx.command.params
+        if hasattr(stored, field := _CONFIG_FIELDS.get(p.name, p.name))
+        and ctx.get_parameter_source(p.name) is click.core.ParameterSource.COMMANDLINE
+        and getattr(requested, field) != getattr(stored, field)
+    ]
+    if conflicts:
+        raise ConfigError("--resume continues the stored run; conflicting flags: " + ", ".join(conflicts))
+
+
 @cli.command("train")
 @click.option("--data", type=click.Path(exists=False), required=True, help="Dataset (.oef).")
 @click.option("--out", type=click.Path(file_okay=False), default="ogen-run", show_default=True)
@@ -131,57 +158,32 @@ def _truncate_metrics(path: Path, next_epoch: int) -> None:
 )
 @click.option("--resume", is_flag=True, help="Continue the run stored in --out.")
 @click.option("--plot", is_flag=True, help="Write an SVG of the learning curves.")
-def cmd_train(
-    data, out, epochs, batch_size, k, scheme, distill, window, tau, lr, gen_lr,
-    momentum, lambda_syn, lambda_distill, pseudo_unknown_fraction, seed, heads,
-    d_ff, m_min, m_max, ema_alpha, random_neighbors, known_denominator, resume, plot,
-):
+@click.pass_context
+def cmd_train(ctx, data, out, distill, window, resume, plot, **_):
     """Finetune on the base split of a dataset and log per-epoch metrics."""
     run_dir = Path(out)
     state_path = run_dir / "state.bin"
     metrics_path = run_dir / "metrics.csv"
     config_path = run_dir / "config.json"
 
-    if window is not None and distill != "fixed":
-        raise ConfigError("--window is only meaningful with --distill fixed")
-
     if resume:
         for path in (state_path, config_path, metrics_path):
             if not path.exists():
                 raise DataError(f"cannot resume: {path} does not exist")
         state, cfg = load_state(state_path)
-        stored = json.loads(config_path.read_text())
-        data = stored.get("data", data)
+        _check_resume_flags(ctx, cfg)
+        run_data = json.loads(config_path.read_text()).get("data", data)
+        if Path(data).resolve() != Path(run_data).resolve():
+            raise ConfigError(f"--data {data} is not the run's dataset {run_data}")
         if state.next_epoch >= cfg.epochs:
             click.echo(f"run already complete at epoch {cfg.epochs}; nothing to do")
             return
         _truncate_metrics(metrics_path, state.next_epoch)
         click.echo(f"resuming from epoch {state.next_epoch}")
     else:
-        cfg = TrainConfig(
-            epochs=epochs,
-            batch_size=batch_size,
-            k=k,
-            scheme=scheme,
-            distill=distill,
-            fixed_window=window,
-            tau=tau,
-            learning_rate=lr,
-            generator_lr=gen_lr,
-            momentum=momentum,
-            lambda_syn=lambda_syn,
-            lambda_distill=lambda_distill,
-            pseudo_unknown_fraction=pseudo_unknown_fraction,
-            seed=seed,
-            heads=heads,
-            d_ff=d_ff,
-            m_min=m_min,
-            m_max=m_max,
-            ema_alpha=ema_alpha,
-            random_neighbors=random_neighbors,
-            known_loss_union=known_denominator == "union",
-        )
-        state = None
+        if window is not None and distill != "fixed":
+            raise ConfigError("--window is only meaningful with --distill fixed")
+        state, cfg = None, _train_config(ctx)
 
     dataset = load_embeddings(data)
     cfg.validate(dataset)

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._tensorio import write_atomically
 from .errors import DataError
 from .objective import class_probabilities  # noqa: F401  (re-export; the scorer lives in objective)
 
@@ -126,6 +127,11 @@ class EmbeddingSet:
             stacked.setflags(write=False)
             out.append(stacked)
         return tuple(out)
+
+    @cached_property
+    def _score_scratch(self) -> dict:
+        """Thread id -> the score matrix trainer._EvalCache fills."""
+        return {}
 
     def embedding_columns(self, indices) -> np.ndarray:
         """Class embeddings as float64 columns, shape (d, len(indices))."""
@@ -247,7 +253,7 @@ def save_embeddings(dataset: EmbeddingSet, path) -> None:
         buf += struct.pack("<I", len(part))
         if part:
             buf += struct.pack(f"<{len(part)}I", *part)
-    Path(path).write_bytes(bytes(buf))
+    write_atomically(path, [buf])
 
 
 class _Reader:

@@ -365,13 +365,11 @@ def load_checkpoint(path):
     tensors, meta = read_tensor_file(path)
     if meta.get("format") != "ogen-generator":
         raise DataError(f"{path}: not a generator checkpoint")
-    missing = [name for name in _TENSOR_FIELDS if name not in tensors]
-    if missing:
-        raise DataError(f"{path}: checkpoint missing tensors {missing}")
+    # missing, misshapen or non-finite tensors and bad sizes are the file's fault
     try:
         sizes = {key: int(meta[key]) for key in ("heads", "dim", "d_ff")}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})") from exc
-    params = GeneratorParams.from_tensors(**sizes, tensors=tensors)
-    params.check_shapes()
+        params = GeneratorParams.from_tensors(**sizes, tensors=tensors)
+        params.check_shapes()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     return params, meta

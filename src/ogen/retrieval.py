@@ -17,6 +17,7 @@ import numpy as np
 
 from .embedding_store import EmbeddingSet
 from .errors import DataError
+from .objective import _unit_columns
 
 UNIT_ATOL = 1e-5
 
@@ -76,10 +77,14 @@ def retrieve_knn(query, base_embeddings, k: int):
         warnings.warn(f"k={k} exceeds the {cb} available classes; clamped", stacklevel=2)
         k = cb
     # a single query keeps the vector norm, the exact cosine of the oracle
-    wn = np.linalg.norm(w, axis=0) if w.ndim == 2 else np.linalg.norm(w)
-    if np.any(wn == 0.0):
-        raise DataError("query embedding has zero norm")
-    scores = (emb / np.linalg.norm(emb, axis=0)).T @ (w / wn)  # (C_b,) or (C_b, U)
+    if w.ndim == 1:
+        wn = np.linalg.norm(w)
+        if wn == 0.0:
+            raise DataError("query embedding has zero norm")
+        w = w / wn
+    else:
+        w, _ = _unit_columns(w)
+    scores = _unit_columns(emb)[0].T @ w  # (C_b,) or (C_b, U)
     # stable sort of the negated scores: descending score, and exact ties
     # keep ascending index order
     order = np.argsort(-scores, axis=0, kind="stable")[:k]
@@ -103,16 +108,13 @@ def build_context(
     """
     ids = np.asarray(neighbor_ids, dtype=int)
     picks = np.asarray(sample_ids, dtype=int)
-    emb = np.asarray(neighbor_embeddings, dtype=np.float64)
-    norms = np.linalg.norm(emb, axis=-2, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DataError("neighbor embedding with zero norm")
+    emb, _ = _unit_columns(neighbor_embeddings)
     rows = [features_by_class[c][p] for c, p in zip(ids.flat, picks.flat)]
     support = np.array(rows, dtype=np.float64).reshape(ids.shape + (emb.shape[-2],))
     return NeighborContext(
         conditioning=conditioning,
         neighbor_indices=ids.tolist(),
-        neighbor_embeddings=emb / norms,
+        neighbor_embeddings=emb,
         support_features=np.swapaxes(support, -1, -2),
         sample_ids=picks.tolist(),
     )

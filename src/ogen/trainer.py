@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -179,16 +180,18 @@ class _EvalCache:
     matrix that every accuracies() call fills in place."""
 
     def __init__(self, dataset: EmbeddingSet):
-        self.dataset = dataset
         base, new = dataset.split.base, dataset.split.new
         self.frozen_new = dataset.embedding_columns(new) if new else np.empty((dataset.dim, 0))
         self.base_feats, self.new_feats = dataset._split_features
         self.base_labels = self._labels(dataset, base, offset=0)
         self.new_labels = self._labels(dataset, new, offset=len(base))
-        # a score matrix allocated per epoch is large enough that the C
-        # allocator may hand it back to the OS on free; every epoch would
-        # then fault it in again
-        self._scores = np.empty((max(len(self.base_feats), len(self.new_feats)), len(base) + len(new)))
+        # the score matrix is large enough that the C allocator may hand it
+        # back to the OS on free, and a fresh one faults its pages in again;
+        # so every run and evaluate() of a dataset on one thread shares one
+        scratch, thread = dataset._score_scratch, threading.get_ident()
+        if thread not in scratch:
+            scratch[thread] = np.empty((max(len(self.base_feats), len(self.new_feats)), len(base) + len(new)))
+        self._scores = scratch[thread]
 
     @staticmethod
     def _labels(dataset, classes, offset):
@@ -196,8 +199,7 @@ class _EvalCache:
         return np.repeat(np.arange(offset, offset + len(classes)), counts)
 
     def accuracies(self, base_embeddings: np.ndarray):
-        union = np.concatenate([base_embeddings, self.frozen_new], axis=1)
-        unit = union / np.linalg.norm(union, axis=0)
+        unit, _ = objective._unit_columns(np.concatenate([base_embeddings, self.frozen_new], axis=1))
         base_acc = self._acc(self.base_feats, self.base_labels, unit)
         new_acc = self._acc(self.new_feats, self.new_labels, unit)
         return base_acc, new_acc
@@ -216,13 +218,12 @@ def evaluate(params, embeddings, dataset: EmbeddingSet):
     evaluation time (params is accepted for checkpoint-eval symmetry).
     """
     del params
-    cache = _EvalCache(dataset)
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.shape != (dataset.dim, len(dataset.split.base)):
         raise DataError(
             f"embeddings shape {emb.shape} != ({dataset.dim}, {len(dataset.split.base)})"
         )
-    base_acc, new_acc = cache.accuracies(emb)
+    base_acc, new_acc = _EvalCache(dataset).accuracies(emb)
     return base_acc, new_acc, harmonic_mean(base_acc, new_acc)
 
 
@@ -489,7 +490,7 @@ def load_state(path):
         raise DataError(f"{path}: not a run-state file")
     try:
         return _state_from(tensors, meta)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed run state ({type(exc).__name__}: {exc})") from exc
 
 
@@ -497,24 +498,30 @@ def _state_from(tensors: dict, meta: dict):
     cfg = TrainConfig(**meta["config"])
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]
-    params = None
-    gen_velocity = None
-    queue = None
-    mt_teacher = None
+    params = gen_velocity = queue = mt_teacher = None
+    next_epoch = int(meta["next_epoch"])
     gen_meta = meta.get("gen_meta")
+    if (gen_meta is None) != (cfg.scheme == "none"):
+        raise DataError(f"generator tensors do not match scheme {cfg.scheme!r}")
     if gen_meta is not None:
         params = _params_from(tensors, "params.", gen_meta)
         gen_velocity = _params_from(tensors, "velocity.", gen_meta)
-        epochs = meta.get("queue_epochs")
-        if epochs is not None:
+        if cfg.distill in ("almt", "fixed"):
             queue = _teacher_queue(cfg)
+            epochs = meta.get("queue_epochs")
+            # checkpoint epochs: strictly increasing, from 0, below next_epoch
+            if not (isinstance(epochs, list) and len(epochs) <= queue.capacity
+                    and all(type(e) is int for e in epochs)
+                    and all(0 <= a < b for a, b in zip(epochs, epochs[1:] + [next_epoch]))):
+                raise DataError(f"queue_epochs {epochs!r}: not {queue.capacity} or fewer "
+                                f"increasing epochs below {next_epoch}")
             queue.entries = [
                 (e, _params_from(tensors, f"queue{i}.", gen_meta)) for i, e in enumerate(epochs)
             ]
         if meta.get("has_mt"):
             mt_teacher = _params_from(tensors, "mt.", gen_meta)
     state = TrainState(
-        next_epoch=int(meta["next_epoch"]),
+        next_epoch=next_epoch,
         embeddings=tensors["embeddings"],
         emb_velocity=tensors["emb_velocity"],
         params=params,

@@ -47,3 +47,22 @@ def test_trace_patches_wrap_existing_names_and_restore_them(monkeypatch):
             assert getattr(owner, name) is not original, name
     for owner, name, original in wrapped:
         assert getattr(owner, name) is original, name
+
+
+def test_objective_spans_never_nest(monkeypatch):
+    # every objective head the benchmark wraps does its own arithmetic; a
+    # head calling another wrapped head would count that call twice
+    run = load_bench(monkeypatch)
+    session = run.Session(ogen, "desk", 0, 1.0, True)
+    dataset = ogen.embedding_store.make_synthetic(session.synth_config(0))
+    with session.tracing():
+        for scheme, distill in (("joint", "almt"), ("per_class", "none")):
+            cfg = ogen.trainer.TrainConfig(epochs=3, scheme=scheme, distill=distill)
+            ogen.trainer.train(dataset, cfg)
+    spans = [s for s in session.tracer.spans if s.name.startswith("objective.")]
+    assert {s.name for s in spans} >= {"objective.known_batch_ce", "objective.synth_ce", "objective.distill"}
+    for span in spans:
+        parent = span.parent
+        while parent is not None:
+            assert not parent.name.startswith("objective."), f"{span.name} inside {parent.name}"
+            parent = parent.parent

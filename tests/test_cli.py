@@ -157,6 +157,20 @@ class TestTrain:
 
 
 class TestResume:
+    @staticmethod
+    def rewound_run(dataset_path, run):
+        """A finished 4-epoch run whose state is rewound to epoch 1."""
+        from ogen.trainer import TrainConfig, save_state, train
+
+        assert main(train_args(dataset_path, run, epochs=4)) == 0
+        cfg = TrainConfig(**json.loads((run / "config.json").read_text())["config"])
+
+        def keep(state, row):
+            if row.epoch == 1:
+                save_state(run / "state.bin", state, cfg)
+
+        train(load_embeddings(dataset_path), cfg, on_epoch=keep)
+
     def test_resume_matches_unbroken_run(self, dataset_path, tmp_path, capsys):
         from ogen.trainer import TrainConfig, save_state, train
 
@@ -188,22 +202,91 @@ class TestResume:
 
     @pytest.mark.parametrize("lost", ["metrics.csv", "config.json"])
     def test_resume_without_run_file_is_data_error(self, dataset_path, tmp_path, capsys, lost):
-        from ogen.trainer import TrainConfig, save_state, train
-
         run = tmp_path / "run"
-        assert main(train_args(dataset_path, run, epochs=4)) == 0
-        cfg = TrainConfig(**json.loads((run / "config.json").read_text())["config"])
-
-        def keep(state, row):
-            if row.epoch == 1:
-                save_state(run / "state.bin", state, cfg)
-
-        # rewind the run to epoch 1, so that --resume has epochs left
-        train(load_embeddings(dataset_path), cfg, on_epoch=keep)
+        self.rewound_run(dataset_path, run)  # so that --resume has epochs left
         (run / lost).unlink()
         capsys.readouterr()
         assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume"]) == 2
         assert lost in capsys.readouterr().err
+
+    @pytest.mark.parametrize("distill", [["--distill", "almt"], ["--distill", "fixed", "--window", "2"]], ids=["almt", "fixed"])
+    @pytest.mark.parametrize(
+        "next_epoch, queue_epochs",
+        [
+            (2, "missing"),
+            (2, None),
+            (2, {"0": 0}),
+            (2, [0.0, 1.0]),
+            (2, [True]),
+            (2, [1, 0]),
+            (2, [1, 1]),
+            (2, [-1, 0]),
+            (2, [0, 2]),
+            (11, list(range(11))),  # one more than the queue holds
+        ],
+        ids=["missing", "null", "not_a_list", "floats", "bool", "decreasing", "repeated",
+             "negative", "not_below_next_epoch", "longer_than_capacity"],
+    )
+    def test_bad_queue_epochs_is_data_error(self, dataset_path, tmp_path, capsys, distill, next_epoch, queue_epochs):
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, epochs=12, extra=distill)) == 0
+        tensors, meta = read_tensor_file(run / "state.bin")
+        meta["next_epoch"] = next_epoch
+        if queue_epochs == "missing":
+            del meta["queue_epochs"]
+        else:
+            meta["queue_epochs"] = queue_epochs
+            # give every listed epoch its checkpoint tensors
+            queue0 = {k[len("queue0."):]: v for k, v in tensors.items() if k.startswith("queue0.")}
+            for i in range(len(queue_epochs) if isinstance(queue_epochs, list) else 0):
+                tensors.update({f"queue{i}.{k}": v for k, v in queue0.items()})
+        write_tensor_file(run / "state.bin", tensors, meta)
+        capsys.readouterr()
+        assert main(train_args(dataset_path, run, epochs=12, extra=[*distill, "--resume"])) == 2
+        assert "queue_epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epochs", "5"],
+            ["--tau", "0.02"],
+            ["--scheme", "per_class"],
+            ["--distill", "fixed", "--window", "2"],
+            ["--random-neighbors"],
+            ["--known-denominator", "known"],
+            ["--lr", "0.5"],
+        ],
+        ids=["epochs", "tau", "scheme", "window", "random_neighbors", "known_denominator", "lr"],
+    )
+    def test_conflicting_flag_is_config_error(self, dataset_path, tmp_path, capsys, flags):
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run)
+        before = {name: (run / name).read_bytes() for name in ("state.bin", "metrics.csv")}
+        capsys.readouterr()
+        assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume", *flags]) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert {name: (run / name).read_bytes() for name in before} == before
+
+    def test_other_dataset_is_config_error(self, dataset_path, tmp_path, capsys):
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run)
+        other = tmp_path / "other.oef"
+        other.write_bytes(dataset_path.read_bytes())
+        capsys.readouterr()
+        assert main(["train", "--data", str(other), "--out", str(run), "--resume"]) == 2
+        assert "--data" in capsys.readouterr().err
+
+    def test_flags_equal_to_the_stored_run_are_accepted(self, dataset_path, tmp_path, capsys):
+        run, full = tmp_path / "run", tmp_path / "full"
+        assert main(train_args(dataset_path, full, epochs=4)) == 0
+        self.rewound_run(dataset_path, run)
+        same_file = tmp_path / "sub" / ".." / dataset_path.name
+        (tmp_path / "sub").mkdir()
+        args = train_args(same_file, run, epochs=4, extra=["--tau", "0.01", "--distill", "almt", "--resume"])
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "resuming from epoch 2" in capsys.readouterr().out
+        assert (run / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
 
     def test_resume_of_complete_run_is_noop(self, dataset_path, tmp_path, capsys):
         run = tmp_path / "run"
@@ -244,8 +327,12 @@ class TestEval:
             lambda meta: meta["config"].update(bogus=1),
             lambda meta: meta.update(rng={"garbage": 1}),
             lambda meta: meta.update(config=[1, 2]),
+            lambda meta: meta["rng"].update(has_uint32=2**70),
+            lambda meta: meta["rng"].update(uinteger=2**40),
+            lambda meta: meta.update(gen_meta=None),
         ],
-        ids=["missing_rng", "unknown_config_key", "garbage_rng", "config_not_a_dict"],
+        ids=["missing_rng", "unknown_config_key", "garbage_rng", "config_not_a_dict",
+             "rng_flag_overflow", "rng_word_overflow", "generator_missing"],
     )
     def test_malformed_state_manifest_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"

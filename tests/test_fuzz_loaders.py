@@ -1,0 +1,80 @@
+"""Seeded byte-mutation fuzz of the three file loaders.
+
+Each loader reads about 200 mutations of a real file: random byte flips,
+truncations, flips inside the header or JSON manifest, and digit swaps
+inside the manifest (which keep the JSON readable and so reach the checks
+behind it). Whatever the bytes, a load either succeeds or raises
+DataError, which the CLI maps to exit code 2; nothing else may escape.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+from ogen.cli import main
+from ogen.embedding_store import OEF_MAGIC, load_embeddings
+from ogen.errors import DataError
+from ogen.generator import load_checkpoint
+from ogen.trainer import load_state
+
+CASES = 200
+LOADERS = {"oef": load_embeddings, "state": load_state, "checkpoint": load_checkpoint}
+
+
+@pytest.fixture(scope="module")
+def real_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data, run = root / "d.oef", root / "run"
+    assert main(["gen-data", "--classes", "8", "--dim", "16", "--per-class", "6", "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "3", "--batch-size", "16"]) == 0
+    return {"oef": data, "state": run / "state.bin", "checkpoint": run / "checkpoint.bin"}
+
+
+def header_span(kind, raw):
+    """Bytes of the file's header: the magic, version and sizes of a
+    dataset, or the length and JSON manifest of a tensor file."""
+    if kind == "oef":
+        return len(OEF_MAGIC) + 12
+    return 4 + struct.unpack("<I", raw[:4])[0]
+
+
+def mutate(raw, kind, rng):
+    """One seeded mutation of raw, and a label for it."""
+    data = bytearray(raw)
+    head = header_span(kind, raw)
+    how = int(rng.integers(4))
+    if how == 0:
+        for pos in rng.integers(len(data), size=int(rng.integers(1, 9))):
+            data[pos] ^= int(rng.integers(1, 256))
+        return bytes(data), "flip"
+    if how == 1:
+        return bytes(data[: int(rng.integers(len(data)))]), "truncate"
+    if how == 2 or kind == "oef":
+        for pos in rng.integers(head, size=int(rng.integers(1, 5))):
+            data[pos] ^= int(rng.integers(1, 256))
+        return bytes(data), "header flip"
+    digits = [i for i in range(4, head) if chr(data[i]).isdigit()]
+    for pos in rng.choice(digits, size=min(len(digits), int(rng.integers(1, 4))), replace=False):
+        data[pos] = ord(str(int(rng.integers(10))))
+    return bytes(data), "manifest digits"
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_mutated_file_loads_or_is_data_error(real_files, tmp_path, kind):
+    raw = real_files[kind].read_bytes()
+    rng = np.random.default_rng(["oef", "state", "checkpoint"].index(kind))
+    path = tmp_path / real_files[kind].name
+    outcomes = {"ok": 0, "DataError": 0}
+    for case in range(CASES):
+        data, how = mutate(raw, kind, rng)
+        path.write_bytes(data)
+        try:
+            LOADERS[kind](path)
+        except DataError:
+            outcomes["DataError"] += 1
+        except Exception as exc:  # noqa: BLE001 - anything else is the failure under test
+            pytest.fail(f"{kind} case {case} ({how}): {type(exc).__name__}: {exc}")
+        else:
+            outcomes["ok"] += 1
+    assert outcomes["DataError"] > 0

@@ -424,11 +424,20 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="KeyError"):
             load_checkpoint(path)
 
-    def test_misshapen_tensor_is_config_error(self, tmp_path):
+    def test_missing_tensor_is_data_error(self, tmp_path):
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(path, init_params(2, 8, 16, seed=0), scheme="joint", epoch=0)
+        tensors, meta = read_tensor_file(path)
+        del tensors["ffn_b2"]
+        write_tensor_file(path, tensors, meta)
+        with pytest.raises(DataError, match="ffn_b2"):
+            load_checkpoint(path)
+
+    def test_misshapen_tensor_is_data_error(self, tmp_path):
         path = tmp_path / "e.ckpt"
         save_checkpoint(path, init_params(2, 8, 16, seed=0), scheme="joint", epoch=0)
         tensors, meta = read_tensor_file(path)
         tensors["wq"] = tensors["wq"].reshape(4, 16)  # right size, wrong shape
         write_tensor_file(path, tensors, meta)
-        with pytest.raises(ConfigError, match="wq has shape"):
+        with pytest.raises(DataError, match="wq has shape"):
             load_checkpoint(path)

@@ -31,11 +31,49 @@ class TestProbabilityHeads:
         rng = np.random.default_rng(1)
         z = rng.standard_normal(8)
         W = rng.standard_normal((8, 5))
-        np.testing.assert_allclose(
-            prob_per_class_scheme(z[:, None], W, 0.07),
-            prob_joint_scheme(z, W, 0.07),
-            rtol=1e-14,
-        )
+        np.testing.assert_array_equal(prob_per_class_scheme(z[:, None], W, 0.07), prob_joint_scheme(z, W, 0.07))
+
+    @pytest.mark.parametrize(
+        "head, batched",
+        [("probabilities", True), ("ce", False), ("ce", True), ("distill", False), ("distill", True)],
+    )
+    def test_one_column_banks_equal_the_joint_heads(self, head, batched):
+        # a joint feature is a bank of one column: (d,) is (d, 1) and
+        # (d, U) is (U, d, 1), and the results agree bit for bit
+        rng = np.random.default_rng(1)
+        W = rng.standard_normal((8, 5))
+        if batched:
+            z, t, teacher = rng.standard_normal((8, 3)), rng.integers(0, 5, size=3), rng.standard_normal((8, 3))
+            bank, unbank = (lambda a: a.T[:, :, None]), (lambda g: g[:, :, 0].T)
+        else:
+            z, t, teacher = rng.standard_normal(8), 2, rng.standard_normal(8)
+            bank, unbank = (lambda a: a[:, None]), (lambda g: g[:, 0])
+        if head == "probabilities":
+            np.testing.assert_array_equal(prob_per_class_scheme(bank(z), W, 0.07), prob_joint_scheme(z, W, 0.07))
+            return
+        if head == "ce":
+            joint, per_class = synth_ce_joint(z, W, 0.07, t), synth_ce_per_class(bank(z), W, 0.07, t)
+        else:
+            pt = prob_joint_scheme(teacher, W, 0.07)
+            joint, per_class = distill_grad_joint(pt, z, W, 0.07), distill_grad_per_class(pt, bank(z), W, 0.07)
+        assert per_class[0] == joint[0]
+        np.testing.assert_array_equal(unbank(per_class[1]), joint[1])
+        np.testing.assert_array_equal(per_class[2], joint[2])
+
+    @pytest.mark.parametrize("batch", [5, 8])
+    def test_known_batch_ce_is_joint_ce_over_batch(self, batch):
+        rng = np.random.default_rng(6)
+        F = rng.standard_normal((8, batch))
+        W = rng.standard_normal((8, 5))
+        targets = rng.integers(0, 5, size=batch)
+        loss, dW = known_batch_ce(F, W, 0.07, targets)
+        joint_loss, _, joint_dW = synth_ce_joint(F, W, 0.07, targets)
+        assert loss == joint_loss / batch
+        if batch == 8:
+            # dividing by a power of two commutes with every rounding
+            np.testing.assert_array_equal(dW, joint_dW / batch)
+        else:
+            np.testing.assert_allclose(dW, joint_dW / batch, rtol=1e-12, atol=1e-15)
 
     def test_identical_columns_collapse(self):
         rng = np.random.default_rng(2)

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import ogen._tensorio
 import ogen.objective
 import ogen.trainer
-from ogen.embedding_store import SynthConfig, make_synthetic
+from ogen.embedding_store import SynthConfig, make_synthetic, save_embeddings
 from ogen.errors import ConfigError, DataError, NumericalError
-from ogen.generator import _TENSOR_FIELDS, init_params, extrapolate_per_class
+from ogen.generator import _TENSOR_FIELDS, extrapolate_per_class, init_params, save_checkpoint
 from ogen.objective import prob_per_class_scheme
 from ogen.retrieval import build_context, retrieve_knn
 from ogen.trainer import (
@@ -314,6 +315,54 @@ class TestStatePersistence:
         resumed = train(ds, cfg, state=state)
         assert resumed.metrics == full.metrics[4:]
         assert np.array_equal(resumed.params.flat, full.params.flat)
+
+    @pytest.mark.parametrize("target", ["state.bin", "checkpoint.bin", "d.oef"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, target):
+        ds = tiny_dataset()
+        cfg = tiny_config(scheme="joint", distill="almt", epochs=3)
+        result = train(ds, cfg)
+        path = tmp_path / target
+        first, second = {
+            "state.bin": (
+                lambda: save_state(path, result.state, cfg),
+                lambda: save_state(path, dataclasses.replace(result.state, next_epoch=1), cfg),
+            ),
+            "checkpoint.bin": (
+                lambda: save_checkpoint(path, result.params, "joint", 2),
+                lambda: save_checkpoint(path, result.params, "joint", 1),
+            ),
+            "d.oef": (
+                lambda: save_embeddings(ds, path),
+                lambda: save_embeddings(tiny_dataset(seed=1), path),
+            ),
+        }[target]
+        first()
+        before = path.read_bytes()
+
+        class Torn:
+            """A file whose write stores half its bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.fh.write(chunk[: len(chunk) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(ogen._tensorio, "open", lambda p, mode: Torn(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            second()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [target]
+        monkeypatch.undo()
+        second()
+        assert path.read_bytes() != before
 
     def test_state_file_round_trip(self, tmp_path):
         ds = tiny_dataset()
