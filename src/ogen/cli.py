@@ -91,12 +91,24 @@ def _append_metrics_row(fh, row):
 
 
 def _truncate_metrics(path: Path, next_epoch: int) -> None:
-    lines = path.read_text().splitlines()
-    kept = [lines[0]]
-    for line in lines[1:]:
-        if line and int(line.split(",", 1)[0]) < next_epoch:
-            kept.append(line)
+    """Keep the header and the rows of the epochs before next_epoch."""
+    try:
+        header, *rows = path.read_text().splitlines()
+        kept = [header] + [line for line in rows if line and int(line.split(",", 1)[0]) < next_epoch]
+    except ValueError as exc:  # no header, an epoch that is no integer, or bytes that are no text
+        raise DataError(f"{path}: not a metrics table ({exc})") from exc
     path.write_text("\n".join(kept) + "\n")
+
+
+def _run_data(config_path: Path) -> str:
+    """The dataset path that a run's config.json records."""
+    try:
+        config = json.loads(config_path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{config_path}: not JSON ({exc})") from exc
+    if not (isinstance(config, dict) and isinstance(config.get("data"), str)):
+        raise DataError(f"{config_path}: not an object with a string \"data\" path")
+    return config["data"]
 
 
 # train options named apart from their TrainConfig field
@@ -172,7 +184,7 @@ def cmd_train(ctx, data, out, distill, window, resume, plot, **_):
                 raise DataError(f"cannot resume: {path} does not exist")
         state, cfg = load_state(state_path)
         _check_resume_flags(ctx, cfg)
-        run_data = json.loads(config_path.read_text()).get("data", data)
+        run_data = _run_data(config_path)
         if Path(data).resolve() != Path(run_data).resolve():
             raise ConfigError(f"--data {data} is not the run's dataset {run_data}")
         if state.next_epoch >= cfg.epochs:
@@ -239,7 +251,7 @@ def cmd_eval(run_dir, data, as_csv):
         config_path = run / "config.json"
         if not config_path.exists():
             raise DataError(f"{config_path} missing; pass --data explicitly")
-        data = json.loads(config_path.read_text())["data"]
+        data = _run_data(config_path)
     dataset = load_embeddings(data)
     base_acc, new_acc, h = evaluate(state.params, state.embeddings, dataset)
     if as_csv:

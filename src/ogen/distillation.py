@@ -102,10 +102,3 @@ def almt_teacher(queue: TeacherQueue, t: int) -> GeneratorParams:
     window = [params for _, params in queue.last(m_t + 1)]
     return ema_mean_teacher(window, queue.schedule.ema_alpha)
 
-
-def teacher_epoch_range(queue: TeacherQueue, window: int):
-    """(oldest, newest) epochs that a window of the given size would use."""
-    if len(queue) == 0:
-        return None
-    used = queue.last(window)
-    return used[0][0], used[-1][0]

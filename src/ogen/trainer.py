@@ -20,6 +20,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .distillation import (
     almt_teacher,
     ema_mean_teacher,
     push_checkpoint,
-    teacher_epoch_range,
     window_size,
 )
 from .embedding_store import EmbeddingSet
@@ -84,6 +84,7 @@ class TrainConfig:
             raise ConfigError("distill=fixed requires fixed_window >= 1")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        ScheduleConfig(t_max=self.epochs, m_min=self.m_min, m_max=self.m_max, ema_alpha=self.ema_alpha)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.k < 1:
@@ -100,10 +101,6 @@ class TrainConfig:
             raise ConfigError(
                 f"pseudo_unknown_fraction must be in (0, 1), got {self.pseudo_unknown_fraction}"
             )
-        if not 1 <= self.m_min <= self.m_max:
-            raise ConfigError(f"need 1 <= m_min <= m_max, got {self.m_min}, {self.m_max}")
-        if not 0.0 < self.ema_alpha < 1.0:
-            raise ConfigError(f"ema_alpha must be in (0, 1), got {self.ema_alpha}")
         if dataset is not None:
             c_b = len(dataset.split.base)
             if c_b == 0:
@@ -234,11 +231,10 @@ def _sgd_step(value: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: flo
 
 
 def _teacher_queue(cfg: TrainConfig) -> TeacherQueue:
-    """An empty checkpoint queue deep enough for the configured window."""
-    schedule = ScheduleConfig(
-        t_max=cfg.epochs, m_min=cfg.m_min, m_max=cfg.m_max, ema_alpha=cfg.ema_alpha
-    )
-    return TeacherQueue(schedule=schedule, capacity=max(cfg.m_max, cfg.fixed_window or 0) + 1)
+    """An empty checkpoint queue that holds the widest window its teacher averages."""
+    schedule = ScheduleConfig(t_max=cfg.epochs, m_min=cfg.m_min, m_max=cfg.m_max, ema_alpha=cfg.ema_alpha)
+    window = cfg.m_max if cfg.distill == "almt" else cfg.fixed_window
+    return TeacherQueue(schedule=schedule, capacity=window + 1)
 
 
 def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
@@ -275,11 +271,12 @@ def _resolve_teacher(state: TrainState, cfg: TrainConfig, epoch: int):
     m_t = window_size(epoch, state.queue.schedule) if cfg.distill == "almt" else cfg.fixed_window
     if len(state.queue) == 0:
         return m_t, None, None
+    used = state.queue.last(m_t + 1)
     if cfg.distill == "almt":
         teacher = almt_teacher(state.queue, epoch)
     else:
-        teacher = ema_mean_teacher([p for _, p in state.queue.last(m_t + 1)], cfg.ema_alpha)
-    return m_t, teacher, teacher_epoch_range(state.queue, m_t + 1)
+        teacher = ema_mean_teacher([p for _, p in used], cfg.ema_alpha)
+    return m_t, teacher, (used[0][0], used[-1][0])
 
 
 def _mt_update(state: TrainState, cfg: TrainConfig) -> None:
@@ -351,11 +348,12 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     """Run (or continue) a finetuning run; returns the metric rows
     produced by this call along with the final parameters and state."""
     cfg.validate(dataset)
-    if state is None:
-        state = _init_state(dataset, cfg)
-
     base = list(dataset.split.base)
     c_b = len(base)
+    if state is None:
+        state = _init_state(dataset, cfg)
+    elif state.embeddings.shape != (dataset.dim, c_b):
+        raise DataError(f"state embeddings shape {state.embeddings.shape} != ({dataset.dim}, {c_b})")
     n_unk = math.ceil(cfg.pseudo_unknown_fraction * c_b)
     feats_by_col = [dataset.image_features[c] for c in base]
     eval_cache = _EvalCache(dataset)
@@ -448,39 +446,25 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
 
 
 def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
-    tensors = {
-        "embeddings": state.embeddings,
-        "emb_velocity": state.emb_velocity,
-    }
+    """Version 2: one tensor per generator bundle, holding its flat vector."""
+    tensors = {"embeddings": state.embeddings, "emb_velocity": state.emb_velocity}
     meta = {
         "format": "ogen-run-state",
-        "version": 1,
+        "version": 2,
         "next_epoch": state.next_epoch,
         "rng": state.rng.bit_generator.state,
         "config": asdict(cfg),
         "queue_epochs": [e for e, _ in state.queue.entries] if state.queue else None,
-        "has_mt": state.mt_teacher is not None,
         "gen_meta": None,
     }
     if state.params is not None:
-        meta["gen_meta"] = {
-            "heads": state.params.heads,
-            "dim": state.params.dim,
-            "d_ff": state.params.d_ff,
-        }
-        tensors.update({f"params.{k}": v for k, v in state.params.tensor_dict().items()})
-        tensors.update({f"velocity.{k}": v for k, v in state.gen_velocity.tensor_dict().items()})
+        meta["gen_meta"] = {key: getattr(state.params, key) for key in ("heads", "dim", "d_ff")}
+        tensors.update(params=state.params.flat, velocity=state.gen_velocity.flat)
         if state.queue is not None:
-            for i, (_, params) in enumerate(state.queue.entries):
-                tensors.update({f"queue{i}.{k}": v for k, v in params.tensor_dict().items()})
+            tensors.update({f"queue{i}": params.flat for i, (_, params) in enumerate(state.queue.entries)})
         if state.mt_teacher is not None:
-            tensors.update({f"mt.{k}": v for k, v in state.mt_teacher.tensor_dict().items()})
+            tensors["mt"] = state.mt_teacher.flat
     write_tensor_file(path, tensors, meta)
-
-
-def _params_from(tensors: dict, prefix: str, gen_meta: dict) -> GeneratorParams:
-    named = {k[len(prefix) :]: v for k, v in tensors.items() if k.startswith(prefix)}
-    return GeneratorParams.from_tensors(gen_meta["heads"], gen_meta["dim"], gen_meta["d_ff"], named)
 
 
 def load_state(path):
@@ -488,6 +472,9 @@ def load_state(path):
     tensors, meta = read_tensor_file(path)
     if meta.get("format") != "ogen-run-state":
         raise DataError(f"{path}: not a run-state file")
+    if meta.get("version") != 2:
+        raise DataError(f"{path}: run-state version {meta.get('version')!r} is not version 2, "
+                        "the only one this ogen reads; start a new run")
     try:
         return _state_from(tensors, meta)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -496,16 +483,24 @@ def load_state(path):
 
 def _state_from(tensors: dict, meta: dict):
     cfg = TrainConfig(**meta["config"])
+    cfg.validate()
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]
     params = gen_velocity = queue = mt_teacher = None
-    next_epoch = int(meta["next_epoch"])
+    next_epoch, emb, emb_velocity = meta["next_epoch"], tensors["embeddings"], tensors["emb_velocity"]
+    if not (type(next_epoch) is int and next_epoch >= 0):
+        raise DataError(f"next_epoch {next_epoch!r} is not an epoch")
+    if not (emb.dtype == emb_velocity.dtype == np.float64 and emb.ndim == 2 and emb_velocity.shape == emb.shape):
+        raise DataError(f"embeddings {emb.dtype}{emb.shape} and emb_velocity {emb_velocity.dtype}"
+                        f"{emb_velocity.shape} are not float64 matrices of one shape")
     gen_meta = meta.get("gen_meta")
     if (gen_meta is None) != (cfg.scheme == "none"):
         raise DataError(f"generator tensors do not match scheme {cfg.scheme!r}")
     if gen_meta is not None:
-        params = _params_from(tensors, "params.", gen_meta)
-        gen_velocity = _params_from(tensors, "velocity.", gen_meta)
+        bundle = partial(GeneratorParams, *(int(gen_meta[key]) for key in ("heads", "dim", "d_ff")))
+        params, gen_velocity = bundle(tensors["params"]), bundle(tensors["velocity"])
+        if params.dim != emb.shape[0]:
+            raise DataError(f"generator dim {params.dim} != embedding dim {emb.shape[0]}")
         if cfg.distill in ("almt", "fixed"):
             queue = _teacher_queue(cfg)
             epochs = meta.get("queue_epochs")
@@ -515,15 +510,13 @@ def _state_from(tensors: dict, meta: dict):
                     and all(0 <= a < b for a, b in zip(epochs, epochs[1:] + [next_epoch]))):
                 raise DataError(f"queue_epochs {epochs!r}: not {queue.capacity} or fewer "
                                 f"increasing epochs below {next_epoch}")
-            queue.entries = [
-                (e, _params_from(tensors, f"queue{i}.", gen_meta)) for i, e in enumerate(epochs)
-            ]
-        if meta.get("has_mt"):
-            mt_teacher = _params_from(tensors, "mt.", gen_meta)
+            queue.entries = [(e, bundle(tensors[f"queue{i}"])) for i, e in enumerate(epochs)]
+        if "mt" in tensors:
+            mt_teacher = bundle(tensors["mt"])
     state = TrainState(
         next_epoch=next_epoch,
-        embeddings=tensors["embeddings"],
-        emb_velocity=tensors["emb_velocity"],
+        embeddings=emb,
+        emb_velocity=emb_velocity,
         params=params,
         gen_velocity=gen_velocity,
         rng=rng,

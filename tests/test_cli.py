@@ -11,7 +11,7 @@ import pytest
 from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.cli import main
 from ogen.embedding_store import OEF_MAGIC, OEF_VERSION, load_embeddings
-from ogen.generator import load_checkpoint
+from ogen.generator import GeneratorParams, load_checkpoint
 
 
 def gen_args(path, classes=8, dim=16, per_class=6, seed=0):
@@ -35,6 +35,25 @@ def train_args(data, out, epochs=3, extra=()):
         "--seed", "0",
         *extra,
     ]
+
+
+def resume_args(data, out):
+    return ["train", "--data", str(data), "--out", str(out), "--resume"]
+
+
+def rewrite_as_version_1(state_path):
+    """Rewrite a run state in the layout of version 1: one entry per named
+    generator tensor, prefixed by its bundle, and a has_mt flag."""
+    tensors, meta = read_tensor_file(state_path)
+    sizes = [meta["gen_meta"][key] for key in ("heads", "dim", "d_ff")]
+    old = {}
+    for name, t in tensors.items():
+        if name in ("embeddings", "emb_velocity"):
+            old[name] = t
+        else:
+            old.update({f"{name}.{k}": v for k, v in GeneratorParams(*sizes, t).tensor_dict().items()})
+    meta.update(version=1, has_mt="mt" in tensors)
+    write_tensor_file(state_path, old, meta)
 
 
 @pytest.fixture()
@@ -158,11 +177,11 @@ class TestTrain:
 
 class TestResume:
     @staticmethod
-    def rewound_run(dataset_path, run):
+    def rewound_run(dataset_path, run, extra=()):
         """A finished 4-epoch run whose state is rewound to epoch 1."""
         from ogen.trainer import TrainConfig, save_state, train
 
-        assert main(train_args(dataset_path, run, epochs=4)) == 0
+        assert main(train_args(dataset_path, run, epochs=4, extra=extra)) == 0
         cfg = TrainConfig(**json.loads((run / "config.json").read_text())["config"])
 
         def keep(state, row):
@@ -236,14 +255,52 @@ class TestResume:
             del meta["queue_epochs"]
         else:
             meta["queue_epochs"] = queue_epochs
-            # give every listed epoch its checkpoint tensors
-            queue0 = {k[len("queue0."):]: v for k, v in tensors.items() if k.startswith("queue0.")}
+            # give every listed epoch its checkpoint vector
             for i in range(len(queue_epochs) if isinstance(queue_epochs, list) else 0):
-                tensors.update({f"queue{i}.{k}": v for k, v in queue0.items()})
+                tensors[f"queue{i}"] = tensors["queue0"]
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(train_args(dataset_path, run, epochs=12, extra=[*distill, "--resume"])) == 2
         assert "queue_epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda tensors, meta: meta["config"].update(epochs="4"),
+            lambda tensors, meta: meta["config"].update(tau="x"),
+            lambda tensors, meta: meta["config"].update(batch_size=None),
+            lambda tensors, meta: meta.update(next_epoch=-1),
+            lambda tensors, meta: tensors.update(emb_velocity=tensors["emb_velocity"][:, :-1]),
+            lambda tensors, meta: tensors.update(
+                embeddings=tensors["embeddings"][:, :-1], emb_velocity=tensors["emb_velocity"][:, :-1]
+            ),
+            lambda tensors, meta: tensors.update(embeddings=tensors["embeddings"].astype(np.float32)),
+        ],
+        ids=["epochs_a_string", "tau_a_string", "batch_size_null", "negative_next_epoch",
+             "velocity_of_another_shape", "embeddings_not_of_the_dataset", "float32_embeddings"],
+    )
+    def test_inconsistent_state_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run, extra=["--distill", "mt"])
+        tensors, meta = read_tensor_file(run / "state.bin")
+        corrupt(tensors, meta)
+        write_tensor_file(run / "state.bin", tensors, meta)
+        capsys.readouterr()
+        assert main(resume_args(dataset_path, run)) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"epoch,base_acc\n0,0.5\none,0.5\n", b"", b"epoch,base_acc\n\xff\n"],
+        ids=["epoch_not_an_integer", "empty", "not_text"],
+    )
+    def test_bad_metrics_table_is_data_error(self, dataset_path, tmp_path, capsys, text):
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run)
+        (run / "metrics.csv").write_bytes(text)
+        capsys.readouterr()
+        assert main(resume_args(dataset_path, run)) == 2
+        assert "metrics.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -371,6 +428,38 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--run", str(run)]) == 2
         assert "malformed tensor entry" in capsys.readouterr().err
+
+
+class TestHostileRunFiles:
+    """Run files that `eval --run` and `train --resume` both read."""
+
+    @staticmethod
+    def command(name, dataset_path, run):
+        return ["eval", "--run", str(run)] if name == "eval" else resume_args(dataset_path, run)
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("distill", ["almt", "mt"])
+    def test_version_1_state_is_data_error(self, dataset_path, tmp_path, capsys, command, distill):
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run, extra=["--distill", distill])
+        rewrite_as_version_1(run / "state.bin")
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert "version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize(
+        "text",
+        [b"{not json", b"\xff\xfe", b"[1, 2]", b'"d.oef"', b'{"x": 1}', b'{"data": 5}', b'{"data": null}'],
+        ids=["not_json", "not_text", "a_list", "a_string", "data_missing", "data_a_number", "data_null"],
+    )
+    def test_bad_config_json_is_data_error(self, dataset_path, tmp_path, capsys, command, text):
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run)
+        (run / "config.json").write_bytes(text)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert "config.json" in capsys.readouterr().err
 
 
 class TestHmean:

@@ -5,6 +5,9 @@ truncations, flips inside the header or JSON manifest, and digit swaps
 inside the manifest (which keep the JSON readable and so reach the checks
 behind it). Whatever the bytes, a load either succeeds or raises
 DataError, which the CLI maps to exit code 2; nothing else may escape.
+A run state that loads is resumed for its remaining epochs on the
+dataset it came from; that may fail only with DataError or ConfigError
+(exit 2) or NumericalError (exit 3).
 """
 
 import struct
@@ -14,9 +17,9 @@ import pytest
 
 from ogen.cli import main
 from ogen.embedding_store import OEF_MAGIC, load_embeddings
-from ogen.errors import DataError
+from ogen.errors import ConfigError, DataError, NumericalError
 from ogen.generator import load_checkpoint
-from ogen.trainer import load_state
+from ogen.trainer import TrainConfig, load_state, save_state, train
 
 CASES = 200
 LOADERS = {"oef": load_embeddings, "state": load_state, "checkpoint": load_checkpoint}
@@ -27,7 +30,14 @@ def real_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     data, run = root / "d.oef", root / "run"
     assert main(["gen-data", "--classes", "8", "--dim", "16", "--per-class", "6", "--out", str(data)]) == 0
-    assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "3", "--batch-size", "16"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "4", "--batch-size", "16"]) == 0
+    cfg = TrainConfig(epochs=4, batch_size=16)
+
+    def rewind(state, row):  # to the state after epoch 1, so that a resume trains
+        if row.epoch == 1:
+            save_state(run / "state.bin", state, cfg)
+
+    train(load_embeddings(data), cfg, on_epoch=rewind)
     return {"oef": data, "state": run / "state.bin", "checkpoint": run / "checkpoint.bin"}
 
 
@@ -65,16 +75,28 @@ def test_mutated_file_loads_or_is_data_error(real_files, tmp_path, kind):
     raw = real_files[kind].read_bytes()
     rng = np.random.default_rng(["oef", "state", "checkpoint"].index(kind))
     path = tmp_path / real_files[kind].name
-    outcomes = {"ok": 0, "DataError": 0}
+    dataset = load_embeddings(real_files["oef"])
+    outcomes = {"ok": 0, "DataError": 0, "resumed": 0}
     for case in range(CASES):
         data, how = mutate(raw, kind, rng)
         path.write_bytes(data)
         try:
-            LOADERS[kind](path)
+            loaded = LOADERS[kind](path)
         except DataError:
             outcomes["DataError"] += 1
+            continue
         except Exception as exc:  # noqa: BLE001 - anything else is the failure under test
             pytest.fail(f"{kind} case {case} ({how}): {type(exc).__name__}: {exc}")
-        else:
-            outcomes["ok"] += 1
+        outcomes["ok"] += 1
+        if kind != "state":
+            continue
+        state, cfg = loaded
+        try:
+            train(dataset, cfg, state=state)
+        except (DataError, ConfigError, NumericalError):
+            continue
+        except Exception as exc:  # noqa: BLE001
+            pytest.fail(f"resume of state case {case} ({how}): {type(exc).__name__}: {exc}")
+        outcomes["resumed"] += 1
     assert outcomes["DataError"] > 0
+    assert kind != "state" or outcomes["resumed"] > 0

@@ -364,6 +364,34 @@ class TestStatePersistence:
         second()
         assert path.read_bytes() != before
 
+    @pytest.mark.parametrize(
+        "distill,window,bundles",
+        [
+            ("none", None, []),
+            ("mt", None, ["mt"]),
+            ("almt", None, ["queue0", "queue1", "queue2", "queue3"]),  # m_max + 1 = 4
+            ("fixed", 2, ["queue0", "queue1", "queue2"]),  # fixed_window + 1 = 3
+        ],
+    )
+    def test_state_holds_one_flat_vector_per_bundle(self, tmp_path, distill, window, bundles):
+        ds = tiny_dataset()
+        cfg = tiny_config(scheme="joint", distill=distill, fixed_window=window, m_max=3, epochs=7)
+        result = train(ds, cfg)
+        save_state(tmp_path / "state.bin", result.state, cfg)
+        tensors, meta = ogen._tensorio.read_tensor_file(tmp_path / "state.bin")
+        assert meta["version"] == 2
+        assert list(tensors) == ["embeddings", "emb_velocity", "params", "velocity", *bundles]
+        assert np.array_equal(tensors["params"], result.params.flat)
+        if window is not None:
+            assert meta["queue_epochs"] == [4, 5, 6]
+        # each stored vector comes back as the bundle it was saved from
+        state, _ = load_state(tmp_path / "state.bin")
+        queue = state.queue.entries if state.queue else []
+        loaded = {"params": state.params, "velocity": state.gen_velocity, "mt": state.mt_teacher,
+                  **{f"queue{i}": params for i, (_, params) in enumerate(queue)}}
+        for name in list(tensors)[2:]:
+            assert np.array_equal(loaded[name].flat, tensors[name])
+
     def test_state_file_round_trip(self, tmp_path):
         ds = tiny_dataset()
         cfg = tiny_config(scheme="joint", distill="mt", epochs=3)
