@@ -9,6 +9,7 @@ is serialized with sorted keys so identical content gives identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -54,7 +55,7 @@ def write_atomically(path, chunks) -> None:
 def read_tensor_file(path):
     """Returns (tensors dict, meta dict without the tensor list)."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise DataError(f"no such file: {p}")
     data = p.read_bytes()
     if len(data) < 4:
@@ -66,9 +67,8 @@ def read_tensor_file(path):
         manifest = json.loads(data[4 : 4 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{p}: unreadable manifest ({exc})") from exc
-    entries = manifest.pop("tensors", None)
-    if not isinstance(entries, list):
-        raise DataError(f"{p}: manifest lacks a tensor list")
+    if not (isinstance(manifest, dict) and isinstance(entries := manifest.pop("tensors", None), list)):
+        raise DataError(f"{p}: manifest is not an object with a tensor list")
     tensors = {}
     pos = 4 + mlen
     for entry in entries:
@@ -77,14 +77,14 @@ def read_tensor_file(path):
             and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list)
             and all(type(n) is int and n >= 0 for n in entry["shape"])
+            and isinstance(entry.get("dtype", "f4"), str)
         ):
             raise DataError(f"{p}: malformed tensor entry {entry!r}")
         shape = tuple(entry["shape"])
         dtype = _DTYPES.get(entry.get("dtype", "f4"))
         if dtype is None:
             raise DataError(f"{p}: unknown dtype for tensor {entry['name']!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * int(dtype[-1])
+        nbytes = math.prod(shape) * int(dtype[-1])  # Python ints: a huge shape cannot wrap around
         if pos + nbytes > len(data):
             raise DataError(f"{p}: truncated data for tensor {entry['name']!r}")
         arr = np.frombuffer(data[pos : pos + nbytes], dtype=dtype).reshape(shape).copy()
@@ -93,3 +93,12 @@ def read_tensor_file(path):
     if pos != len(data):
         raise DataError(f"{p}: {len(data) - pos} trailing bytes")
     return tensors, manifest
+
+
+def check_format(path, meta: dict, fmt: str, version: int, remedy: str) -> None:
+    """Reject a tensor file whose manifest is not format fmt at version."""
+    if meta.get("format") != fmt:
+        raise DataError(f"{path}: not an {fmt} file")
+    if meta.get("version") != version:
+        raise DataError(f"{path}: {fmt} version {meta.get('version')!r} is not version {version}, "
+                        f"the only one this ogen reads; {remedy}")

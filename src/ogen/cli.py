@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .generator import save_checkpoint
 from .trainer import (
     TrainConfig,
     ablate,
+    check_state,
     evaluate,
     harmonic_mean,
     load_state,
@@ -171,7 +171,7 @@ def _check_resume_flags(ctx, stored: TrainConfig) -> None:
 @click.option("--resume", is_flag=True, help="Continue the run stored in --out.")
 @click.option("--plot", is_flag=True, help="Write an SVG of the learning curves.")
 @click.pass_context
-def cmd_train(ctx, data, out, distill, window, resume, plot, **_):
+def cmd_train(ctx, data, out, resume, plot, **_):
     """Finetune on the base split of a dataset and log per-epoch metrics."""
     run_dir = Path(out)
     state_path = run_dir / "state.bin"
@@ -190,17 +190,17 @@ def cmd_train(ctx, data, out, distill, window, resume, plot, **_):
         if state.next_epoch >= cfg.epochs:
             click.echo(f"run already complete at epoch {cfg.epochs}; nothing to do")
             return
-        _truncate_metrics(metrics_path, state.next_epoch)
-        click.echo(f"resuming from epoch {state.next_epoch}")
     else:
-        if window is not None and distill != "fixed":
-            raise ConfigError("--window is only meaningful with --distill fixed")
         state, cfg = None, _train_config(ctx)
 
     dataset = load_embeddings(data)
     cfg.validate(dataset)
 
-    if not resume:
+    if resume:
+        check_state(state, dataset)  # before metrics.csv loses the rows past the state
+        _truncate_metrics(metrics_path, state.next_epoch)
+        click.echo(f"resuming from epoch {state.next_epoch}")
+    else:
         run_dir.mkdir(parents=True, exist_ok=True)
         config = {
             "config": asdict(cfg),

@@ -5,39 +5,25 @@ image-feature vectors per class, plus a disjoint base/new class split.
 Vectors are stored L2-normalized in float32, so cosine similarity reduces
 to a dot product downstream; score accumulation happens in float64.
 
-On-disk format (".oef", little-endian binary):
-
-    magic            4 bytes  b"OGEN"
-    version          u32      currently 1
-    dim              u32      vector dimension d
-    num_classes      u32      C
-    per class (C times):
-        name_len     u16      UTF-8 byte length of the class name
-        name         bytes
-        embedding    d * f32
-        n_features   u32
-        features     n_features * d * f32
-    split:
-        n_base       u32, then n_base * u32 class indices
-        n_new        u32, then n_new * u32 class indices
+On disk (".oef") a dataset is a tensor file (see _tensorio) whose
+manifest holds format "ogen-embeddings", version 2, the class_names, the
+per-class feature counts and the base and new class indices, and whose
+two float32 tensors are class_embeddings (C, d) and image_features
+(sum(counts), d), the features of class 0 first.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from ._tensorio import write_atomically
+from ._tensorio import check_format, read_tensor_file, write_tensor_file
 from .errors import DataError
 from .objective import class_probabilities  # noqa: F401  (re-export; the scorer lives in objective)
-
-OEF_MAGIC = b"OGEN"
-OEF_VERSION = 1
 
 # |norm - 1| tolerance under which a stored vector counts as unit and is
 # kept bit-identical at load time (keeps file round-trips byte-exact).
@@ -93,7 +79,8 @@ class EmbeddingSet:
         if C == 0:
             raise DataError("dataset has no classes")
         if len(set(self.class_names)) != C:
-            raise DataError("class names are not unique")
+            dup = next(name for c, name in enumerate(self.class_names) if name in self.class_names[:c])
+            raise DataError(f"class names are not unique: duplicate class name {dup!r}")
         for i, name in enumerate(self.class_names):
             if not name:
                 raise DataError(f"class {i} has an empty name")
@@ -141,7 +128,7 @@ class EmbeddingSet:
 
 def _check_unit_rows(arr: np.ndarray, what: str) -> None:
     norms = np.linalg.norm(arr.astype(np.float64), axis=-1)
-    bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_ATOL)[0]
+    bad = np.nonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL))[0]  # a NaN norm is not unit
     if bad.size:
         raise DataError(f"{what} {bad[0]} is not unit-norm (|v| = {norms[bad[0]]:.6g})")
 
@@ -152,9 +139,9 @@ def _normalize_block(arr: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(out.astype(np.float64), axis=-1)
     for i in np.nonzero(norms < ZERO_NORM_EPS)[0]:
         raise DataError(f"{what} {i} has zero norm")
-    needs = np.abs(norms - 1.0) > UNIT_NORM_ATOL
-    if needs.any():
-        out[needs] = (out[needs].astype(np.float64) / norms[needs, None]).astype(np.float32)
+    # non-finite rows are kept as they are, for EmbeddingSet to reject
+    needs = np.isfinite(norms) & (np.abs(norms - 1.0) > UNIT_NORM_ATOL)
+    out[needs] = (out[needs].astype(np.float64) / norms[needs, None]).astype(np.float32)
     return out
 
 
@@ -231,116 +218,55 @@ def make_synthetic(cfg: SynthConfig) -> EmbeddingSet:
 
 
 # ---------------------------------------------------------------------------
-# Binary file format
+# Dataset files
 # ---------------------------------------------------------------------------
 
 
 def save_embeddings(dataset: EmbeddingSet, path) -> None:
-    """Write a dataset in the binary embedding-file layout."""
-    buf = bytearray()
-    buf += OEF_MAGIC
-    buf += struct.pack("<III", OEF_VERSION, dataset.dim, dataset.num_classes)
-    for c in range(dataset.num_classes):
-        name = dataset.class_names[c].encode("utf-8")
-        if len(name) > 0xFFFF:
-            raise DataError(f"class {c}: name too long to encode")
-        buf += struct.pack("<H", len(name)) + name
-        buf += np.ascontiguousarray(dataset.class_embeddings[c], dtype="<f4").tobytes()
-        feats = dataset.image_features[c]
-        buf += struct.pack("<I", feats.shape[0])
-        buf += np.ascontiguousarray(feats, dtype="<f4").tobytes()
-    for part in (dataset.split.base, dataset.split.new):
-        buf += struct.pack("<I", len(part))
-        if part:
-            buf += struct.pack(f"<{len(part)}I", *part)
-    write_atomically(path, [buf])
-
-
-class _Reader:
-    """Cursor over the raw bytes with truncation-aware error reporting."""
-
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DataError(f"{self.path}: truncated file while reading {what}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def f32_block(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").copy()
+    """Write a dataset as a version-2 tensor file (see the module docstring)."""
+    meta = {
+        "format": "ogen-embeddings",
+        "version": 2,
+        "class_names": list(dataset.class_names),
+        "counts": [feats.shape[0] for feats in dataset.image_features],
+        "base": list(map(int, dataset.split.base)),
+        "new": list(map(int, dataset.split.new)),
+    }
+    tensors = {
+        "class_embeddings": np.asarray(dataset.class_embeddings, dtype=np.float32),
+        "image_features": np.concatenate(dataset.image_features, dtype=np.float32),
+    }
+    write_tensor_file(path, tensors, meta)
 
 
 def load_embeddings(path) -> EmbeddingSet:
     """Read and validate a dataset file; vectors outside unit-norm tolerance
-    are renormalized, zero vectors are rejected."""
+    are renormalized, zero and non-finite vectors are rejected."""
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {p}")
-    r = _Reader(p.read_bytes(), p)
-
-    magic = r.take(4, "magic bytes")
-    if magic != OEF_MAGIC:
-        raise DataError(f"{p}: bad magic {magic!r}, expected {OEF_MAGIC!r}")
-    version = r.u32("format version")
-    if version != OEF_VERSION:
-        raise DataError(f"{p}: unsupported format version {version}")
-    dim = r.u32("dimension")
-    C = r.u32("class count")
-    if dim == 0 or C == 0:
-        raise DataError(f"{p}: header declares dim={dim}, classes={C}")
-    # each class takes at least a name length, its embedding and a feature
-    # count; checked before the (C, dim) allocation
-    fit = (len(r.data) - r.pos) // (6 + 4 * dim)
-    if C > fit:
-        raise DataError(f"{p}: truncated file: header declares {C} classes of dim {dim}, no room for class {fit}")
-
-    names = []
-    embeddings = np.empty((C, dim), dtype=np.float32)
-    feats = []
-    for c in range(C):
-        name_len = r.u16(f"name length of class {c}")
-        try:
-            name = r.take(name_len, f"name of class {c}").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{p}: name of class {c} is not UTF-8 ({exc})") from exc
-        names.append(name)
-        emb = r.f32_block(dim, f"embedding of class {c} ({name!r})")
-        embeddings[c] = _normalize_block(emb[None, :], f"class {c} ({name!r}) embedding")[0]
-        n_feat = r.u32(f"feature count of class {c} ({name!r})")
-        block = r.f32_block(
-            n_feat * dim, f"image features of class {c} ({name!r})"
-        ).reshape(n_feat, dim) if n_feat else np.empty((0, dim), dtype=np.float32)
-        feats.append(_normalize_block(block, f"class {c} ({name!r}) image feature"))
-
-    n_base = r.u32("base split size")
-    base = struct.unpack(f"<{n_base}I", r.take(4 * n_base, "base split")) if n_base else ()
-    n_new = r.u32("new split size")
-    new = struct.unpack(f"<{n_new}I", r.take(4 * n_new, "new split")) if n_new else ()
-    if r.pos != len(r.data):
-        raise DataError(f"{p}: {len(r.data) - r.pos} trailing bytes after split")
-
-    if len(set(names)) != C:
-        seen = set()
-        for c, name in enumerate(names):
-            if name in seen:
-                raise DataError(f"{p}: duplicate class name {name!r} at class {c}")
-            seen.add(name)
+    if p.is_file():
+        with open(p, "rb") as fh:
+            if fh.read(4) == b"OGEN":
+                raise DataError(f"{p}: a version-1 dataset, which this ogen no longer reads; "
+                                "write it again with `ogen gen-data`")
+    tensors, meta = read_tensor_file(p)
+    check_format(p, meta, "ogen-embeddings", 2, "write it again with `ogen gen-data`")
+    names = meta.get("class_names")
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise DataError(f"{p}: class_names is not a list of strings")
+    for key in ("counts", "base", "new"):
+        if not (isinstance(meta.get(key), list) and all(type(v) is int and v >= 0 for v in meta[key])):
+            raise DataError(f"{p}: {key} is not a list of non-negative integers")
+    emb, feats = tensors.get("class_embeddings"), tensors.get("image_features")
+    C, counts = len(names), meta["counts"]
+    if emb is None or emb.ndim != 2 or emb.shape[0] != C or len(counts) != C:
+        raise DataError(f"{p}: class_embeddings and counts do not hold one entry per class name ({C})")
+    if feats is None or feats.shape != (sum(counts), emb.shape[1]):
+        raise DataError(f"{p}: image_features is not (sum(counts), d) = ({sum(counts)}, {emb.shape[1]})")
+    feats = _normalize_block(feats, "image feature")
     return EmbeddingSet(
-        dim=dim,
+        dim=emb.shape[1],
         class_names=tuple(names),
-        class_embeddings=embeddings,
-        image_features=tuple(feats),
-        split=ClassSplit(base=tuple(map(int, base)), new=tuple(map(int, new))),
+        class_embeddings=_normalize_block(emb, "class embedding"),
+        image_features=tuple(np.split(feats, np.cumsum(counts)[:-1])),
+        split=ClassSplit(base=tuple(meta["base"]), new=tuple(meta["new"])),
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._tensorio import read_tensor_file, write_tensor_file
+from ._tensorio import check_format, read_tensor_file, write_tensor_file
 from .errors import ConfigError, DataError
 from .retrieval import NeighborContext
 
@@ -78,19 +78,6 @@ class GeneratorParams:
         # pickle and deepcopy rebuild the views from the (copied) vector
         return GeneratorParams, (self.heads, self.dim, self.d_ff, self.flat)
 
-    @classmethod
-    def from_tensors(cls, heads: int, dim: int, d_ff: int, tensors: dict) -> "GeneratorParams":
-        """Pack named tensors (any float dtype) into a new bundle."""
-        layout = _layout(heads, dim, d_ff)
-        for name, shape in layout.items():
-            if np.shape(tensors[name]) != shape:
-                raise ConfigError(f"{name} has shape {np.shape(tensors[name])}, expected {shape}")
-        flat = np.concatenate([np.ravel(tensors[name]).astype(np.float64) for name in layout])
-        return cls(heads=heads, dim=dim, d_ff=d_ff, flat=flat)
-
-    def tensor_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _TENSOR_FIELDS}
-
     def copy(self) -> "GeneratorParams":
         return replace(self, flat=self.flat.copy())
 
@@ -98,12 +85,6 @@ class GeneratorParams:
         """All-zero tensors of the same shapes: a gradient or momentum
         accumulator."""
         return replace(self, flat=np.zeros_like(self.flat))
-
-    def check_shapes(self) -> None:
-        """Every tensor finite; the sizes and shapes hold by construction."""
-        bad = [name for name, t in self.tensor_dict().items() if not np.all(np.isfinite(t))]
-        if bad:
-            raise ConfigError(f"{bad[0]} contains non-finite values")
 
 
 @dataclass
@@ -346,30 +327,30 @@ def backward(tape: ForwardTape, upstream):
 
 
 def save_checkpoint(path, params: GeneratorParams, scheme: str, epoch: int) -> None:
-    tensors = {name: t.astype(np.float32) for name, t in params.tensor_dict().items()}
+    """Version 2: one float32 tensor, params, holding the flat vector."""
     meta = {
         "format": "ogen-generator",
-        "version": 1,
+        "version": 2,
         "heads": params.heads,
         "dim": params.dim,
         "d_ff": params.d_ff,
         "scheme": scheme,
         "epoch": epoch,
     }
-    write_tensor_file(path, tensors, meta)
+    write_tensor_file(path, {"params": params.flat.astype(np.float32)}, meta)
 
 
 def load_checkpoint(path):
     """Returns (GeneratorParams, metadata dict). Tensors come back float64
     in memory; re-saving reproduces the file byte-for-byte."""
     tensors, meta = read_tensor_file(path)
-    if meta.get("format") != "ogen-generator":
-        raise DataError(f"{path}: not a generator checkpoint")
-    # missing, misshapen or non-finite tensors and bad sizes are the file's fault
+    check_format(path, meta, "ogen-generator", 2, "train the run again to write it")
+    # a missing or misshapen vector and bad sizes are the file's fault
     try:
-        sizes = {key: int(meta[key]) for key in ("heads", "dim", "d_ff")}
-        params = GeneratorParams.from_tensors(**sizes, tensors=tensors)
-        params.check_shapes()
+        sizes = [int(meta[key]) for key in ("heads", "dim", "d_ff")]
+        params = GeneratorParams(*sizes, tensors["params"].astype(np.float64))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
+    if not np.all(np.isfinite(params.flat)):
+        raise DataError(f"{path}: generator parameters contain non-finite values")
     return params, meta

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import objective
-from ._tensorio import read_tensor_file, write_tensor_file
+from ._tensorio import check_format, read_tensor_file, write_tensor_file
 from .distillation import (
     ScheduleConfig,
     TeacherQueue,
@@ -47,6 +47,8 @@ from .retrieval import build_context, retrieve_knn
 
 SCHEMES = ("none", "per_class", "joint")
 DISTILL_MODES = ("none", "mt", "almt", "fixed")
+# the Python types each TrainConfig annotation admits: a bool is no int, an int is a float
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)}
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class TrainConfig:
     k: int = 3
     scheme: str = "joint"
     distill: str = "almt"
-    fixed_window: "int | None" = None
+    fixed_window: int | None = None
     tau: float = 0.01
     learning_rate: float = 0.02
     generator_lr: float = 0.02
@@ -66,7 +68,7 @@ class TrainConfig:
     pseudo_unknown_fraction: float = 0.3
     seed: int = 0
     heads: int = 4
-    d_ff: "int | None" = None
+    d_ff: int | None = None
     m_min: int = 2
     m_max: int = 9
     ema_alpha: float = 0.9
@@ -74,6 +76,10 @@ class TrainConfig:
     known_loss_union: bool = True
 
     def validate(self, dataset: "EmbeddingSet | None" = None) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not any(type(value) in _FIELD_TYPES[name] for name in f.type.split(" | ")):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.distill not in DISTILL_MODES:
@@ -82,6 +88,8 @@ class TrainConfig:
             raise ConfigError("scheme=none has no generator to distill; use distill=none")
         if self.distill == "fixed" and (self.fixed_window is None or self.fixed_window < 1):
             raise ConfigError("distill=fixed requires fixed_window >= 1")
+        if self.distill != "fixed" and self.fixed_window is not None:
+            raise ConfigError(f"fixed_window applies only to distill=fixed, not distill={self.distill}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         ScheduleConfig(t_max=self.epochs, m_min=self.m_min, m_max=self.m_max, ema_alpha=self.ema_alpha)
@@ -344,6 +352,13 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     return gen_grads, emb_grad, synth_ce / n_unk, mse / n_unk, ctx
 
 
+def check_state(state: TrainState, dataset: EmbeddingSet) -> None:
+    """Reject a run state whose embeddings are not (dim, C_base) of the dataset."""
+    expected = (dataset.dim, len(dataset.split.base))
+    if state.embeddings.shape != expected:
+        raise DataError(f"state embeddings shape {state.embeddings.shape} != {expected}")
+
+
 def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = None, on_epoch=None) -> TrainResult:
     """Run (or continue) a finetuning run; returns the metric rows
     produced by this call along with the final parameters and state."""
@@ -352,8 +367,8 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     c_b = len(base)
     if state is None:
         state = _init_state(dataset, cfg)
-    elif state.embeddings.shape != (dataset.dim, c_b):
-        raise DataError(f"state embeddings shape {state.embeddings.shape} != ({dataset.dim}, {c_b})")
+    else:
+        check_state(state, dataset)
     n_unk = math.ceil(cfg.pseudo_unknown_fraction * c_b)
     feats_by_col = [dataset.image_features[c] for c in base]
     eval_cache = _EvalCache(dataset)
@@ -470,11 +485,7 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
 def load_state(path):
     """Returns (TrainState, TrainConfig) reconstructed from a state file."""
     tensors, meta = read_tensor_file(path)
-    if meta.get("format") != "ogen-run-state":
-        raise DataError(f"{path}: not a run-state file")
-    if meta.get("version") != 2:
-        raise DataError(f"{path}: run-state version {meta.get('version')!r} is not version 2, "
-                        "the only one this ogen reads; start a new run")
+    check_format(path, meta, "ogen-run-state", 2, "start a new run")
     try:
         return _state_from(tensors, meta)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

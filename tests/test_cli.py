@@ -10,8 +10,8 @@ import pytest
 
 from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.cli import main
-from ogen.embedding_store import OEF_MAGIC, OEF_VERSION, load_embeddings
-from ogen.generator import GeneratorParams, load_checkpoint
+from ogen.embedding_store import load_embeddings
+from ogen.generator import _TENSOR_FIELDS, GeneratorParams, load_checkpoint
 
 
 def gen_args(path, classes=8, dim=16, per_class=6, seed=0):
@@ -51,9 +51,19 @@ def rewrite_as_version_1(state_path):
         if name in ("embeddings", "emb_velocity"):
             old[name] = t
         else:
-            old.update({f"{name}.{k}": v for k, v in GeneratorParams(*sizes, t).tensor_dict().items()})
+            bundle = GeneratorParams(*sizes, t)
+            old.update({f"{name}.{k}": getattr(bundle, k) for k in _TENSOR_FIELDS})
     meta.update(version=1, has_mt="mt" in tensors)
     write_tensor_file(state_path, old, meta)
+
+
+def rewrite_manifest(raw, edit):
+    """The bytes of a tensor file whose JSON manifest edit() has changed."""
+    (mlen,) = struct.unpack("<I", raw[:4])
+    manifest = json.loads(raw[4 : 4 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode()
+    return struct.pack("<I", len(mbytes)) + mbytes + raw[4 + mlen :]
 
 
 @pytest.fixture()
@@ -123,15 +133,16 @@ class TestTrain:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda raw: raw[:18] + b"\xff" + raw[19:],  # first byte of class 0's name
-            lambda raw: raw[:8] + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + raw[16:],
-            lambda raw: raw[:8] + struct.pack("<II", 256, 1 << 20) + raw[16:],
+            lambda raw: raw.replace(b'"synth_000"', b'"synth_\xff00"', 1),  # a manifest that is not UTF-8
+            lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][1].update(shape=[2**32 - 1] * 2)),  # image_features
+            lambda raw: rewrite_manifest(raw, lambda m: m.update(counts=[1 << 20] * len(m["counts"]))),
+            lambda raw: b"OGEN" + struct.pack("<III", 1, 0xFFFFFFFF, 0xFFFFFFFF) + raw,
         ],
-        ids=["name_not_utf8", "huge_header", "oversized_header"],
+        ids=["name_not_utf8", "huge_header", "oversized_header", "version_1"],
     )
     def test_hostile_dataset_is_data_error_without_allocating(self, dataset_path, tmp_path, capsys, corrupt):
         raw = dataset_path.read_bytes()
-        assert raw[:4] == OEF_MAGIC and struct.unpack("<I", raw[4:8])[0] == OEF_VERSION
+        assert read_tensor_file(dataset_path)[1]["format"] == "ogen-embeddings"
         dataset_path.write_bytes(corrupt(raw))
         tracemalloc.start()
         try:
@@ -275,9 +286,14 @@ class TestResume:
                 embeddings=tensors["embeddings"][:, :-1], emb_velocity=tensors["emb_velocity"][:, :-1]
             ),
             lambda tensors, meta: tensors.update(embeddings=tensors["embeddings"].astype(np.float32)),
+            lambda tensors, meta: meta["config"].update(epochs=6.0),
+            lambda tensors, meta: meta["config"].update(k=2.5),
+            lambda tensors, meta: meta["config"].update(heads=4.0),
+            lambda tensors, meta: meta["config"].update(random_neighbors="no"),
         ],
         ids=["epochs_a_string", "tau_a_string", "batch_size_null", "negative_next_epoch",
-             "velocity_of_another_shape", "embeddings_not_of_the_dataset", "float32_embeddings"],
+             "velocity_of_another_shape", "embeddings_not_of_the_dataset", "float32_embeddings",
+             "epochs_a_float", "k_a_float", "heads_a_float", "random_neighbors_a_string"],
     )
     def test_inconsistent_state_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"
@@ -285,9 +301,11 @@ class TestResume:
         tensors, meta = read_tensor_file(run / "state.bin")
         corrupt(tensors, meta)
         write_tensor_file(run / "state.bin", tensors, meta)
+        metrics = (run / "metrics.csv").read_bytes()
         capsys.readouterr()
         assert main(resume_args(dataset_path, run)) == 2
         assert "error:" in capsys.readouterr().err
+        assert (run / "metrics.csv").read_bytes() == metrics  # rejected before any rewrite
 
     @pytest.mark.parametrize(
         "text",
@@ -387,9 +405,14 @@ class TestEval:
             lambda meta: meta["rng"].update(has_uint32=2**70),
             lambda meta: meta["rng"].update(uinteger=2**40),
             lambda meta: meta.update(gen_meta=None),
+            lambda meta: meta["config"].update(epochs=6.0),
+            lambda meta: meta["config"].update(k=2.5),
+            lambda meta: meta["config"].update(heads=4.0),
+            lambda meta: meta["config"].update(random_neighbors="no"),
         ],
         ids=["missing_rng", "unknown_config_key", "garbage_rng", "config_not_a_dict",
-             "rng_flag_overflow", "rng_word_overflow", "generator_missing"],
+             "rng_flag_overflow", "rng_word_overflow", "generator_missing",
+             "epochs_a_float", "k_a_float", "heads_a_float", "random_neighbors_a_string"],
     )
     def test_malformed_state_manifest_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"
@@ -412,9 +435,10 @@ class TestEval:
             lambda entry: {**entry, "shape": 16},
             lambda entry: {**entry, "shape": [-1, 4]},
             lambda entry: {**entry, "shape": [1.5, 4]},
+            lambda entry: {**entry, "dtype": ["f8"]},
         ],
         ids=["not_a_dict", "missing_name", "name_not_a_string", "missing_shape",
-             "shape_not_a_list", "negative_size", "non_integer_size"],
+             "shape_not_a_list", "negative_size", "non_integer_size", "dtype_not_a_string"],
     )
     def test_malformed_tensor_entry_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"

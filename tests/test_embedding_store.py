@@ -6,9 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.embedding_store import (
-    OEF_MAGIC,
-    OEF_VERSION,
     ClassSplit,
     EmbeddingSet,
     SynthConfig,
@@ -36,23 +35,25 @@ def tiny_set(dim=4):
     )
 
 
-def raw_oef(dim, classes, split=((0,), ())):
-    """Handcraft file bytes; classes = [(name, emb list, [feat lists])]."""
-    buf = bytearray()
-    buf += OEF_MAGIC
-    buf += struct.pack("<III", OEF_VERSION, dim, len(classes))
-    for name, emb, feats in classes:
-        nb = name.encode()
-        buf += struct.pack("<H", len(nb)) + nb
-        buf += np.asarray(emb, dtype="<f4").tobytes()
-        buf += struct.pack("<I", len(feats))
-        for f in feats:
-            buf += np.asarray(f, dtype="<f4").tobytes()
-    for part in split:
-        buf += struct.pack("<I", len(part))
-        if part:
-            buf += struct.pack(f"<{len(part)}I", *part)
-    return bytes(buf)
+def write_dataset(path, classes, split=((0,), ()), **meta):
+    """Handcraft a dataset file; classes = [(name, emb list, [feat lists])];
+    meta entries override the manifest's."""
+    dim = len(classes[0][1])
+    feats = [f for _, _, fs in classes for f in fs]
+    tensors = {
+        "class_embeddings": np.asarray([emb for _, emb, _ in classes], dtype=np.float32),
+        "image_features": np.asarray(feats, dtype=np.float32).reshape(len(feats), dim),
+    }
+    manifest = {
+        "format": "ogen-embeddings",
+        "version": 2,
+        "class_names": [name for name, _, _ in classes],
+        "counts": [len(fs) for _, _, fs in classes],
+        "base": list(split[0]),
+        "new": list(split[1]),
+    }
+    manifest.update(meta)
+    write_tensor_file(path, tensors, manifest)
 
 
 class TestValidation:
@@ -65,6 +66,21 @@ class TestValidation:
                 class_embeddings=bad,
                 image_features=(bad[:1], bad[1:]),
                 split=ClassSplit(base=(0,), new=(1,)),
+            )
+
+    @pytest.mark.parametrize("where", ["class_embeddings", "image_features"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, where, bad):
+        ds = tiny_set()
+        arrays = {"class_embeddings": ds.class_embeddings.copy(), "image_features": ds.image_features[0].copy()}
+        arrays[where][0, 0] = bad
+        with pytest.raises(DataError, match="0 is not unit-norm"):
+            EmbeddingSet(
+                dim=ds.dim,
+                class_names=ds.class_names,
+                class_embeddings=arrays["class_embeddings"],
+                image_features=(arrays["image_features"], ds.image_features[1]),
+                split=ds.split,
             )
 
     def test_duplicate_names_rejected(self):
@@ -139,9 +155,7 @@ class TestFileFormat:
         e = [2.0, 0.0, 0.0, 0.0]
         f = [0.0, 3.0, 0.0, 0.0]
         path = tmp_path / "t.oef"
-        path.write_bytes(
-            raw_oef(4, [("a", e, [f]), ("b", f, [e])], split=((0,), (1,)))
-        )
+        write_dataset(path, [("a", e, [f]), ("b", f, [e])], split=((0,), (1,)))
         ds = load_embeddings(path)
         assert ds.num_classes == 2
         norms = np.linalg.norm(ds.class_embeddings.astype(np.float64), axis=1)
@@ -152,45 +166,108 @@ class TestFileFormat:
             )
 
     def test_short_record_names_the_record(self, tmp_path):
-        # header says d=8 but the class embedding carries 7 floats; the
-        # stream runs dry while reading the named record
-        buf = bytearray()
-        buf += OEF_MAGIC
-        buf += struct.pack("<III", OEF_VERSION, 8, 1)
-        buf += struct.pack("<H", 1) + b"a"
-        buf += np.asarray([1.0] * 7, dtype="<f4").tobytes()
+        # the manifest declares (1, 8) class embeddings but the file
+        # stops after 7 floats; the error names the tensor it was reading
         path = tmp_path / "short.oef"
-        path.write_bytes(bytes(buf))
-        with pytest.raises(DataError, match="class 0"):
+        write_dataset(path, [("a", [1.0] + [0.0] * 7, [[1.0] + [0.0] * 7])])
+        raw = path.read_bytes()
+        (mlen,) = struct.unpack("<I", raw[:4])
+        path.write_bytes(raw[: 4 + mlen + 7 * 4])
+        with pytest.raises(DataError, match="class_embeddings"):
             load_embeddings(path)
 
     def test_zero_vector_rejected(self, tmp_path):
         e = [1.0, 0.0, 0.0, 0.0]
         z = [0.0, 0.0, 0.0, 0.0]
         path = tmp_path / "z.oef"
-        path.write_bytes(raw_oef(4, [("a", e, [z])]))
+        write_dataset(path, [("a", e, [z])])
         with pytest.raises(DataError, match="zero norm"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, tmp_path, bad):
+        e = [1.0, 0.0, 0.0, 0.0]
+        path = tmp_path / "nan.oef"
+        write_dataset(path, [("a", e, [e, [bad, 0.0, 0.0, 0.0]])])
+        with pytest.raises(DataError, match="class 0 image feature 1 is not unit-norm"):
             load_embeddings(path)
 
     def test_duplicate_name_in_file(self, tmp_path):
         e0 = [1.0, 0.0, 0.0, 0.0]
         e1 = [0.0, 1.0, 0.0, 0.0]
         path = tmp_path / "dup.oef"
-        path.write_bytes(
-            raw_oef(4, [("x", e0, [e0]), ("x", e1, [e1])], split=((0, 1), ()))
-        )
+        write_dataset(path, [("x", e0, [e0]), ("x", e1, [e1])], split=((0, 1), ()))
         with pytest.raises(DataError, match="duplicate class name 'x'"):
             load_embeddings(path)
 
     def test_bad_magic(self, tmp_path):
+        # the format field of the manifest takes the place of magic bytes
         path = tmp_path / "junk.oef"
+        write_dataset(path, [("a", [1.0, 0.0], [[1.0, 0.0]])], format="ogen-generator")
+        with pytest.raises(DataError, match="not an ogen-embeddings file"):
+            load_embeddings(path)
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(DataError, match="bad magic"):
+        with pytest.raises(DataError, match="truncated manifest"):
+            load_embeddings(path)
+        for manifest in (b"[1]", b"7"):
+            path.write_bytes(struct.pack("<I", len(manifest)) + manifest)
+            with pytest.raises(DataError, match="not an object with a tensor list"):
+                load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"version": 3},
+            {"class_names": "a"},
+            {"class_names": [1]},
+            {"counts": [1.0]},
+            {"counts": [True]},
+            {"counts": [2]},  # sums to more than the stored features
+            {"counts": [1, 0]},  # one more count than class names
+            {"base": [-1]},
+            {"new": None},
+        ],
+        ids=["version_3", "names_not_a_list", "name_not_a_string", "count_a_float", "count_a_bool",
+             "counts_not_summing_to_n", "counts_too_long", "negative_class_index", "new_missing"],
+    )
+    def test_malformed_manifest_is_data_error(self, tmp_path, meta):
+        path = tmp_path / "m.oef"
+        write_dataset(path, [("a", [1.0, 0.0], [[1.0, 0.0]])], **meta)
+        with pytest.raises(DataError):
+            load_embeddings(path)
+
+    def test_version_1_file_says_to_regenerate(self, tmp_path):
+        path = tmp_path / "old.oef"
+        path.write_bytes(b"OGEN" + struct.pack("<III", 1, 4, 1) + b"\x00" * 32)
+        with pytest.raises(DataError, match="version-1 dataset.*ogen gen-data"):
             load_embeddings(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_embeddings(tmp_path / "absent.oef")
+        with pytest.raises(DataError, match="no such file"):
+            load_embeddings(tmp_path)  # a directory
+
+    def test_numpy_split_indices_are_written(self, tmp_path):
+        ds = tiny_set()
+        ds = EmbeddingSet(dim=ds.dim, class_names=ds.class_names, class_embeddings=ds.class_embeddings,
+                          image_features=ds.image_features, split=ClassSplit(base=(np.int64(0),), new=(np.int64(1),)))
+        save_embeddings(ds, tmp_path / "np.oef")
+        assert load_embeddings(tmp_path / "np.oef").split == ClassSplit(base=(0,), new=(1,))
+
+    def test_file_holds_one_block_per_tensor(self, tmp_path):
+        ds = make_synthetic(SynthConfig(num_classes=5, dim=8, per_class=3, seed=4))
+        save_embeddings(ds, tmp_path / "d.oef")
+        tensors, meta = read_tensor_file(tmp_path / "d.oef")
+        assert (meta["format"], meta["version"]) == ("ogen-embeddings", 2)
+        assert meta["counts"] == [3] * 5 and meta["class_names"] == list(ds.class_names)
+        assert (meta["base"], meta["new"]) == (list(ds.split.base), list(ds.split.new))
+        np.testing.assert_array_equal(tensors["class_embeddings"], ds.class_embeddings)
+        np.testing.assert_array_equal(tensors["image_features"], np.concatenate(ds.image_features))
+        # the loaded per-class arrays are views of one block
+        loaded = load_embeddings(tmp_path / "d.oef")
+        block = loaded.image_features[0].base
+        assert block.shape == (15, 8) and all(f.base is block for f in loaded.image_features)
 
 
 class TestSynthetic:

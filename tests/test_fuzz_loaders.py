@@ -1,9 +1,9 @@
 """Seeded byte-mutation fuzz of the three file loaders.
 
-Each loader reads about 200 mutations of a real file: random byte flips,
-truncations, flips inside the header or JSON manifest, and digit swaps
-inside the manifest (which keep the JSON readable and so reach the checks
-behind it). Whatever the bytes, a load either succeeds or raises
+Each loader reads about 200 mutations of a real file (all three are
+tensor files): random byte flips, truncations, flips inside the manifest
+length or JSON manifest, and digit swaps inside the manifest (which keep
+the JSON readable and so reach the checks behind it). Whatever the bytes, a load either succeeds or raises
 DataError, which the CLI maps to exit code 2; nothing else may escape.
 A run state that loads is resumed for its remaining epochs on the
 dataset it came from; that may fail only with DataError or ConfigError
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ogen.cli import main
-from ogen.embedding_store import OEF_MAGIC, load_embeddings
+from ogen.embedding_store import load_embeddings
 from ogen.errors import ConfigError, DataError, NumericalError
 from ogen.generator import load_checkpoint
 from ogen.trainer import TrainConfig, load_state, save_state, train
@@ -41,18 +41,10 @@ def real_files(tmp_path_factory):
     return {"oef": data, "state": run / "state.bin", "checkpoint": run / "checkpoint.bin"}
 
 
-def header_span(kind, raw):
-    """Bytes of the file's header: the magic, version and sizes of a
-    dataset, or the length and JSON manifest of a tensor file."""
-    if kind == "oef":
-        return len(OEF_MAGIC) + 12
-    return 4 + struct.unpack("<I", raw[:4])[0]
-
-
-def mutate(raw, kind, rng):
+def mutate(raw, rng):
     """One seeded mutation of raw, and a label for it."""
     data = bytearray(raw)
-    head = header_span(kind, raw)
+    head = 4 + struct.unpack("<I", raw[:4])[0]  # the manifest length and the JSON manifest
     how = int(rng.integers(4))
     if how == 0:
         for pos in rng.integers(len(data), size=int(rng.integers(1, 9))):
@@ -60,7 +52,7 @@ def mutate(raw, kind, rng):
         return bytes(data), "flip"
     if how == 1:
         return bytes(data[: int(rng.integers(len(data)))]), "truncate"
-    if how == 2 or kind == "oef":
+    if how == 2:
         for pos in rng.integers(head, size=int(rng.integers(1, 5))):
             data[pos] ^= int(rng.integers(1, 256))
         return bytes(data), "header flip"
@@ -78,7 +70,7 @@ def test_mutated_file_loads_or_is_data_error(real_files, tmp_path, kind):
     dataset = load_embeddings(real_files["oef"])
     outcomes = {"ok": 0, "DataError": 0, "resumed": 0}
     for case in range(CASES):
-        data, how = mutate(raw, kind, rng)
+        data, how = mutate(raw, rng)
         path.write_bytes(data)
         try:
             loaded = LOADERS[kind](path)

@@ -76,7 +76,6 @@ class TestInit:
 
     def test_shapes(self):
         p = init_params(4, 64, 128, seed=0)
-        p.check_shapes()
         assert p.wq.shape == (64, 64)
         assert p.ffn_w1.shape == (128, 64)
         assert p.dim // p.heads == 16
@@ -90,8 +89,8 @@ class TestFlatStorage:
     def test_tensors_are_views_of_flat(self):
         p = init_params(2, 8, 16, seed=0)
         assert p.flat.dtype == np.float64 and p.flat.ndim == 1 and p.flat.flags.c_contiguous
-        assert p.flat.size == sum(t.size for t in p.tensor_dict().values())
-        assert all(np.shares_memory(t, p.flat) for t in p.tensor_dict().values())
+        assert p.flat.size == sum(getattr(p, name).size for name in _TENSOR_FIELDS)
+        assert all(np.shares_memory(getattr(p, name), p.flat) for name in _TENSOR_FIELDS)
         wq = p.wq.copy()
         p.flat -= 0.5 * np.arange(p.flat.size)  # an in-place step on the vector
         np.testing.assert_array_equal(p.wq, wq - 0.5 * np.arange(64).reshape(8, 8))
@@ -105,7 +104,7 @@ class TestFlatStorage:
         q = getattr(p, make)()
         assert (q.heads, q.dim, q.d_ff) == (p.heads, p.dim, p.d_ff)
         assert not np.shares_memory(q.flat, p.flat)
-        assert all(np.shares_memory(t, q.flat) for t in q.tensor_dict().values())
+        assert all(np.shares_memory(getattr(q, name), q.flat) for name in _TENSOR_FIELDS)
         q.flat += 1.0
         q.wq[...] = 3.0
         np.testing.assert_array_equal(p.flat, before)
@@ -428,16 +427,43 @@ class TestCheckpoint:
         path = tmp_path / "f.ckpt"
         save_checkpoint(path, init_params(2, 8, 16, seed=0), scheme="joint", epoch=0)
         tensors, meta = read_tensor_file(path)
-        del tensors["ffn_b2"]
-        write_tensor_file(path, tensors, meta)
-        with pytest.raises(DataError, match="ffn_b2"):
+        write_tensor_file(path, {"flat": tensors["params"]}, meta)
+        with pytest.raises(DataError, match="KeyError: 'params'"):
             load_checkpoint(path)
 
     def test_misshapen_tensor_is_data_error(self, tmp_path):
         path = tmp_path / "e.ckpt"
         save_checkpoint(path, init_params(2, 8, 16, seed=0), scheme="joint", epoch=0)
         tensors, meta = read_tensor_file(path)
-        tensors["wq"] = tensors["wq"].reshape(4, 16)  # right size, wrong shape
+        flat = tensors["params"]
+        for misshapen in (flat.reshape(2, -1), flat[:-1], np.append(flat, np.float32(0.0))):
+            write_tensor_file(path, {"params": misshapen}, meta)
+            with pytest.raises(DataError, match="one contiguous float64 vector of"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_is_data_error(self, tmp_path, bad):
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(path, init_params(2, 8, 16, seed=0), scheme="joint", epoch=0)
+        tensors, meta = read_tensor_file(path)
+        tensors["params"][5] = bad
         write_tensor_file(path, tensors, meta)
-        with pytest.raises(DataError, match="wq has shape"):
+        with pytest.raises(DataError, match="non-finite"):
             load_checkpoint(path)
+
+    def test_file_holds_one_flat_vector(self, tmp_path):
+        p = random_params(np.random.default_rng(3), heads=2, dim=8, d_ff=16)
+        save_checkpoint(tmp_path / "v.ckpt", p, scheme="joint", epoch=1)
+        tensors, meta = read_tensor_file(tmp_path / "v.ckpt")
+        assert list(tensors) == ["params"] and meta["version"] == 2
+        assert tensors["params"].dtype == np.float32
+        np.testing.assert_array_equal(tensors["params"], p.flat.astype(np.float32))
+
+    def test_version_1_checkpoint_is_data_error(self, tmp_path):
+        # version 1 held one float32 entry per named tensor
+        p = init_params(2, 8, 16, seed=0)
+        meta = {"format": "ogen-generator", "version": 1, "heads": 2, "dim": 8, "d_ff": 16,
+                "scheme": "joint", "epoch": 0}
+        write_tensor_file(tmp_path / "old.ckpt", {n: getattr(p, n).astype(np.float32) for n in _TENSOR_FIELDS}, meta)
+        with pytest.raises(DataError, match="ogen-generator version 1 is not version 2.*train the run again"):
+            load_checkpoint(tmp_path / "old.ckpt")

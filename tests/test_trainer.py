@@ -113,6 +113,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="fixed_window"):
             TrainConfig(distill="fixed").validate()
 
+    @pytest.mark.parametrize("distill", ["none", "mt", "almt"])
+    def test_window_only_with_fixed(self, distill):
+        with pytest.raises(ConfigError, match="fixed_window applies only to distill=fixed"):
+            TrainConfig(scheme="joint", distill=distill, fixed_window=3).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 6.0), ("k", 2.5), ("heads", 4.0), ("k", True), ("random_neighbors", "no"),
+         ("random_neighbors", 1), ("scheme", None), ("tau", "0.1"), ("d_ff", 8.0)],
+    )
+    def test_value_of_another_type_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be of type"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_int_for_float_and_none_where_allowed_are_accepted(self):
+        TrainConfig(tau=1, momentum=0, d_ff=None, fixed_window=None).validate()
+        TrainConfig(distill="fixed", fixed_window=2, d_ff=16).validate()
+
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             TrainConfig(scheme="both").validate()
@@ -195,7 +213,7 @@ class TestTrainLoop:
             if state.queue is not None and len(state.queue):
                 epoch0 = state.queue.entries[0]
                 key = epoch0[0]
-                snap = {k: v.copy() for k, v in epoch0[1].tensor_dict().items()}
+                snap = {k: getattr(epoch0[1], k).copy() for k in _TENSOR_FIELDS}
                 if key in seen:
                     for name, v in seen[key].items():
                         np.testing.assert_array_equal(v, snap[name])
