@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 
 from . import __version__
+from ._tensorio import write_atomically
 from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
@@ -97,7 +98,7 @@ def _truncate_metrics(path: Path, next_epoch: int) -> None:
         kept = [header] + [line for line in rows if line and int(line.split(",", 1)[0]) < next_epoch]
     except ValueError as exc:  # no header, an epoch that is no integer, or bytes that are no text
         raise DataError(f"{path}: not a metrics table ({exc})") from exc
-    path.write_text("\n".join(kept) + "\n")
+    write_atomically(path, ["\n".join(kept).encode() + b"\n"])
 
 
 def _run_data(config_path: Path) -> str:

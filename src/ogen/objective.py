@@ -11,13 +11,18 @@ of that average against a teacher's.
 
 The per-class heads take one (d, K) bank or a (U, d, K) stack. The joint
 heads are the same head with banks of one column: a (d,) feature is a
-(d, 1) bank and (d, U) columns are a (U, d, 1) stack. known_batch_ce is
-the joint cross-entropy of a (d, B) batch divided by B. Losses and the
+(d, 1) bank and (d, U) columns are a (U, d, 1) stack. Losses and the
 class-matrix gradient add up over the U banks; probabilities come back as
 (C,) for one bank or (C, U). Both sides of the cosine are normalized
 inside, and the gradients chain through that normalization into the raw
 features and class matrix (class embeddings drift off the unit sphere
 while learning).
+
+known_batch_ce, the known-class loss, scores a (d, B) batch of fixed
+image features against the learnable class columns only. Frozen columns
+join its softmax as a (C_f, B) block of cosine scores that gets no
+gradient; the trainer scores all its features against them once per run.
+Without that block the loss is the joint cross-entropy divided by B.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from .errors import DataError
 def _unit_columns(mat):
     """Columns of a (..., d, n) array scaled to unit norm, and the norms."""
     m = np.asarray(mat, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=-2, keepdims=True)
-    if np.any(norms == 0.0):
+    # np.linalg.norm's own reduction, without its Python overhead
+    norms = np.sqrt(np.add.reduce(m * m, axis=-2, keepdims=True))
+    if not norms.all():
         raise DataError("zero-norm column in cosine input")
     return m / norms, norms
 
@@ -100,24 +106,22 @@ class _Head:
         pbar = self.probs.mean(axis=2)
         return pbar[:, 0] if self.single else pbar
 
-    def backward(self, d_scores, features=True):
+    def backward(self, d_scores):
         """Gradients w.r.t. the features, in their own layout, and the
         class matrix."""
         U, d, K = self.shape
-        d_cols, d_classes = self.graph.backward(d_scores.reshape(-1, U * K), features)
-        if not features:
-            return None, d_classes
+        d_cols, d_classes = self.graph.backward(d_scores.reshape(-1, U * K))
         d_feats = np.moveaxis(d_cols.reshape(d, U, K), 1, 0)
         if self.single:
             d_feats = d_feats[0]
         return (d_feats[..., 0].T if self.joint else d_feats), d_classes
 
-    def cross_entropy(self, targets, batch: int = 1, features=True):
-        """-log mean_k p_k[target] summed over the banks and divided by
-        batch, and its gradients. Column k gets weight_k (p_k - onehot)
-        / tau with weight_k = p_k[target] / sum_j p_j[target], a ratio
-        that stays bounded when target probabilities underflow. The loss
-        is taken in log space, so it stays finite there too."""
+    def cross_entropy(self, targets):
+        """-log mean_k p_k[target] summed over the banks, and its
+        gradients. Column k gets weight_k (p_k - onehot) / tau with
+        weight_k = p_k[target] / sum_j p_j[target], a ratio that stays
+        bounded when target probabilities underflow. The loss is taken in
+        log space, so it stays finite there too."""
         t = np.reshape(targets, -1)
         rows = np.arange(t.size)
         log_target = self.log_probs[t, rows]  # (U, K)
@@ -125,12 +129,12 @@ class _Head:
         e = np.exp(log_target - shift)
         total = e.sum(axis=1, keepdims=True)
         log_mean = shift[:, 0] + np.log(total[:, 0])
-        loss = float(-(log_mean - np.log(self.shape[2])).sum() / batch)
+        loss = float(-(log_mean - np.log(self.shape[2])).sum())
         d_scores = self.probs
         d_scores[t, rows] -= 1.0
         d_scores *= e / total
-        d_scores /= self.tau * batch
-        return (loss, *self.backward(d_scores, features))
+        d_scores /= self.tau
+        return (loss, *self.backward(d_scores))
 
     def distillation(self, p_teacher):
         """distill_mse of the bank averages against fixed teacher
@@ -174,13 +178,33 @@ def distill_mse(p_teacher, p_student):
     return loss, 2.0 * diff / ps.shape[0]
 
 
-def known_batch_ce(features, class_matrix, tau: float, targets):
-    """Mean cross-entropy of fixed (d, B) feature columns: the joint
-    cross-entropy divided by B, with no feature gradient. Returns
-    (loss, d class_matrix)."""
-    head = _Head(features, class_matrix, tau, joint=True)
-    loss, _, d_classes = head.cross_entropy(targets, batch=head.shape[0], features=False)
-    return loss, d_classes
+def known_batch_ce(features, class_matrix, tau: float, targets, frozen_scores=None):
+    """Mean cross-entropy of fixed (d, B) feature columns toward targets
+    among the learnable (d, C_l) class columns, with no feature gradient.
+    frozen_scores, a (C_f, B) block of cosine scores of the same features
+    against frozen columns, joins the softmax below the learnable scores
+    and gets no gradient. Returns (loss, d class_matrix)."""
+    if tau <= 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    graph = CosineGraph(features, class_matrix)
+    scores = graph.scores
+    c_l, b = scores.shape
+    t = np.asarray(targets)
+    if t.shape != (b,) or t.dtype.kind not in "iu" or (b and not 0 <= t.min() <= t.max() < c_l):
+        raise DataError(f"targets {t!r} are not {b} indices of the {c_l} learnable columns")
+    if frozen_scores is not None:
+        frozen = np.asarray(frozen_scores, dtype=np.float64)
+        if frozen.ndim != 2 or frozen.shape[1] != b:
+            raise DataError(f"frozen scores of shape {frozen.shape} are not (C_f, {b})")
+        scores = np.concatenate([scores, frozen])
+    probs, log_probs = _softmax(scores / tau)
+    rows = np.arange(b)
+    loss = float(-log_probs[t, rows].sum() / b)
+    # the learnable rows of d loss / d scores: (p - onehot) / (tau B)
+    d_scores = probs[:c_l]
+    d_scores[t, rows] -= 1.0
+    d_scores /= tau * b
+    return loss, graph.backward(d_scores, features=False)[1]
 
 
 def synth_ce_joint(features, class_matrix, tau: float, targets):

@@ -97,6 +97,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        if self.d_ff is not None and self.d_ff < 1:
+            raise ConfigError(f"d_ff must be >= 1, got {self.d_ff}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.learning_rate < 0 or self.generator_lr < 0:
@@ -375,8 +379,12 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     # every base image feature (row) and its column in base-split order
     known_feats, feat_col = eval_cache.base_feats, eval_cache.base_labels
     # frozen new-class columns participate in every softmax denominator
-    # (the union reading); they never receive updates
+    # (the union reading); they never receive updates, so the cosines of
+    # every base image feature against them are scored once per run
     frozen_new = eval_cache.frozen_new
+    frozen_scores = None
+    if cfg.known_loss_union and frozen_new.shape[1]:
+        frozen_scores = objective._unit_columns(frozen_new)[0].T @ objective._unit_columns(known_feats.T)[0]
     rng = state.rng
     rows = []
 
@@ -396,15 +404,10 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         known_loss_sum = 0.0
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
-            feats = known_feats[batch].T
-            targets = feat_col[batch]
-            if cfg.known_loss_union:
-                denom = np.concatenate([state.embeddings, frozen_new], axis=1)
-            else:
-                denom = state.embeddings
-            loss, d_denom = objective.known_batch_ce(feats, denom, cfg.tau, targets)
-            # frozen new columns take part in the softmax but stay fixed
-            grad = d_denom[:, :c_b]
+            batch_frozen = None if frozen_scores is None else frozen_scores[:, batch]
+            loss, grad = objective.known_batch_ce(
+                known_feats[batch].T, state.embeddings, cfg.tau, feat_col[batch], batch_frozen
+            )
             _sgd_step(state.embeddings, grad, state.emb_velocity, lr_emb, cfg.momentum)
             known_loss_sum += loss * batch.size
         known_ce = known_loss_sum / max(rows_known.size, 1)

@@ -127,6 +127,11 @@ class TestTrain:
         run = tmp_path / "run"
         assert main(train_args(dataset_path, run, extra=["--window", "3"])) == 2
 
+    @pytest.mark.parametrize("flag", ["--heads", "--d-ff"])
+    def test_width_below_one_is_config_error(self, dataset_path, tmp_path, capsys, flag):
+        assert main(train_args(dataset_path, tmp_path / "run", extra=[flag, "0"])) == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
+
     def test_missing_data_file(self, tmp_path):
         assert main(train_args(tmp_path / "absent.oef", tmp_path / "run")) == 2
 
@@ -176,8 +181,8 @@ class TestTrain:
 
         real = ogen.objective.known_batch_ce
 
-        def poisoned(feats, classes, tau, targets):
-            loss, grad = real(feats, classes, tau, targets)
+        def poisoned(*args, **kwargs):
+            loss, grad = real(*args, **kwargs)
             return float("inf"), grad
 
         monkeypatch.setattr(ogen.objective, "known_batch_ce", poisoned)
@@ -290,10 +295,13 @@ class TestResume:
             lambda tensors, meta: meta["config"].update(k=2.5),
             lambda tensors, meta: meta["config"].update(heads=4.0),
             lambda tensors, meta: meta["config"].update(random_neighbors="no"),
+            lambda tensors, meta: meta["config"].update(heads=0),
+            lambda tensors, meta: meta["config"].update(d_ff=0),
         ],
         ids=["epochs_a_string", "tau_a_string", "batch_size_null", "negative_next_epoch",
              "velocity_of_another_shape", "embeddings_not_of_the_dataset", "float32_embeddings",
-             "epochs_a_float", "k_a_float", "heads_a_float", "random_neighbors_a_string"],
+             "epochs_a_float", "k_a_float", "heads_a_float", "random_neighbors_a_string",
+             "heads_zero", "d_ff_zero"],
     )
     def test_inconsistent_state_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"
@@ -319,6 +327,22 @@ class TestResume:
         capsys.readouterr()
         assert main(resume_args(dataset_path, run)) == 2
         assert "metrics.csv" in capsys.readouterr().err
+
+    def test_killed_truncation_leaves_metrics_intact(self, dataset_path, tmp_path, monkeypatch):
+        # the kept rows go to a temp file that replaces metrics.csv; a kill
+        # before the rename leaves the old table, so the run still resumes
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run)
+        before = (run / "metrics.csv").read_bytes()
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            main(resume_args(dataset_path, run))
+        assert (run / "metrics.csv").read_bytes() == before
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint.bin", "config.json", "metrics.csv", "state.bin"]
 
     @pytest.mark.parametrize(
         "flags",

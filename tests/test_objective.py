@@ -7,6 +7,7 @@ from conftest import central_diff, rel_err
 from ogen.embedding_store import class_probabilities
 from ogen.errors import DataError
 from ogen.objective import (
+    _unit_columns,
     distill_grad_joint,
     distill_grad_per_class,
     distill_mse,
@@ -114,6 +115,92 @@ class TestProbabilityHeads:
             for p in (prob_per_class_scheme(Z, W, tau), prob_joint_scheme(Z[:, 0], W, tau)):
                 assert abs(p.sum() - 1.0) < 1e-9
                 assert np.all(p >= 0.0)
+
+
+def unit(mat):
+    return mat / np.linalg.norm(mat, axis=0)
+
+
+class TestKnownBatchCe:
+    """The known-class loss scores only the learnable columns; frozen
+    columns join its softmax as a fixed block of cosine scores."""
+
+    @staticmethod
+    def inputs(seed, batch=6, learnable=5, frozen=4):
+        rng = np.random.default_rng(seed)
+        F = unit(rng.standard_normal((8, batch)))
+        W = rng.standard_normal((8, learnable)) * 1.5
+        Wn = rng.standard_normal((8, frozen))
+        targets = rng.integers(0, learnable, size=batch)
+        return F, W, Wn, targets
+
+    @pytest.mark.parametrize("tau", [0.01, 0.1])
+    def test_frozen_block_equals_the_union_matrix(self, tau):
+        F, W, Wn, targets = self.inputs(20)
+        loss, dW = known_batch_ce(F, W, tau, targets, frozen_scores=unit(Wn).T @ unit(F))
+        union_loss, d_union = known_batch_ce(F, np.concatenate([W, Wn], axis=1), tau, targets)
+        assert dW.shape == W.shape
+        assert abs(loss - union_loss) <= 1e-12 * max(1.0, abs(union_loss))
+        np.testing.assert_allclose(dW, d_union[:, : W.shape[1]], rtol=1e-12, atol=1e-12)
+
+    def test_class_gradient_with_frozen_block(self):
+        F, W, Wn, targets = self.inputs(21)
+        frozen = unit(Wn).T @ F
+        _, dW = known_batch_ce(F, W, 0.1, targets, frozen)
+        fd = central_diff(lambda: known_batch_ce(F, W, 0.1, targets, frozen)[0], W, 1e-4)
+        assert rel_err(fd, dW) < 1e-4
+
+    def test_target_outside_the_learnable_columns_is_data_error(self):
+        F, W, Wn, targets = self.inputs(22)
+        frozen = unit(Wn).T @ F
+        for bad in (W.shape[1], W.shape[1] + Wn.shape[1] - 1, -1):
+            wrong = targets.copy()
+            wrong[2] = bad
+            with pytest.raises(DataError, match="learnable columns"):
+                known_batch_ce(F, W, 0.1, wrong, frozen)
+        with pytest.raises(DataError, match="learnable columns"):
+            known_batch_ce(F, W, 0.1, targets[:-1], frozen)
+        with pytest.raises(DataError, match="frozen scores"):
+            known_batch_ce(F, W, 0.1, targets, frozen[:, :-1])
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1])
+    def test_non_positive_temperature_is_value_error(self, tau):
+        F, W, Wn, targets = self.inputs(23)
+        with pytest.raises(ValueError, match="temperature"):
+            known_batch_ce(F, W, tau, targets)
+        with pytest.raises(ValueError, match="temperature"):
+            known_batch_ce(F, W, tau, targets, unit(Wn).T @ F)
+
+    def test_zero_class_column_is_data_error(self):
+        F, W, _, targets = self.inputs(24)
+        W[:, 1] = 0.0
+        with pytest.raises(DataError, match="zero-norm"):
+            known_batch_ce(F, W, 0.1, targets)
+
+
+class TestUnitColumns:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.standard_normal((64, 40)),
+            lambda rng: rng.standard_normal((40, 64)).T,
+            lambda rng: rng.standard_normal((7, 64, 3)),
+            lambda rng: rng.standard_normal((64, 1000)) * 1e-3,
+        ],
+        ids=["columns", "transposed", "stack", "small_wide"],
+    )
+    def test_bit_equal_to_linalg_norm(self, make):
+        m = make(np.random.default_rng(25))
+        norms = np.linalg.norm(m, axis=-2, keepdims=True)
+        got, got_norms = _unit_columns(m)
+        np.testing.assert_array_equal(got_norms, norms)
+        np.testing.assert_array_equal(got, m / norms)
+
+    def test_zero_column_is_data_error(self):
+        m = np.random.default_rng(26).standard_normal((3, 8, 4))
+        m[2, :, 1] = 0.0
+        with pytest.raises(DataError, match="zero-norm"):
+            _unit_columns(m)
 
 
 class TestDistillMse:

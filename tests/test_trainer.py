@@ -127,6 +127,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{field} must be of type"):
             TrainConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value", [("heads", 0), ("heads", -2), ("d_ff", 0), ("d_ff", -1)])
+    def test_width_below_one_is_config_error(self, field, value):
+        # checked without a dataset, so a stored run state cannot carry one
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            TrainConfig(**{field: value}).validate()
+
     def test_int_for_float_and_none_where_allowed_are_accepted(self):
         TrainConfig(tau=1, momentum=0, d_ff=None, fixed_window=None).validate()
         TrainConfig(distill="fixed", fixed_window=2, d_ff=16).validate()
