@@ -43,11 +43,14 @@ def window_size(t: int, cfg: ScheduleConfig) -> int:
 
 @dataclass
 class TeacherQueue:
-    """Bounded FIFO of (epoch, params) checkpoints, newest last."""
+    """Bounded FIFO of (epoch, params) checkpoints of consecutive epochs,
+    newest last. crcs maps the epoch of a checkpoint to the crc32 of its
+    bytes once a save has computed it, until the checkpoint is evicted."""
 
     schedule: ScheduleConfig
     capacity: int = 0
     entries: list = field(default_factory=list)
+    crcs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.capacity <= 0:
@@ -63,13 +66,13 @@ class TeacherQueue:
 
 def push_checkpoint(queue: TeacherQueue, epoch: int, params: GeneratorParams) -> None:
     """Append a deep copy; evict the oldest entry beyond capacity."""
-    if queue.entries and epoch <= queue.entries[-1][0]:
+    if queue.entries and epoch != queue.entries[-1][0] + 1:
         raise DataError(
-            f"checkpoint epochs must increase: got {epoch} after {queue.entries[-1][0]}"
+            f"checkpoint epochs must increase by one: got {epoch} after {queue.entries[-1][0]}"
         )
     queue.entries.append((epoch, params.copy()))
     while len(queue.entries) > queue.capacity:
-        queue.entries.pop(0)
+        queue.crcs.pop(queue.entries.pop(0)[0], None)
 
 
 def ema_mean_teacher(checkpoints, alpha: float) -> GeneratorParams:

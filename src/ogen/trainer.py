@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from . import objective
-from ._tensorio import check_format, read_tensor_file, write_tensor_file
+from ._tensorio import check_format, read_tensor_file, tensor_header, write_atomically, write_tensor_file
 from .distillation import (
     ScheduleConfig,
     TeacherQueue,
@@ -49,6 +52,9 @@ SCHEMES = ("none", "per_class", "joint")
 DISTILL_MODES = ("none", "mt", "almt", "fixed")
 # the Python types each TrainConfig annotation admits: a bool is no int, an int is a float
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)}
+# the teacher-queue slot file; a slot tagged epoch -1 holds no checkpoint
+_QUEUE_FORMAT = {"format": "ogen-teacher-queue", "version": 1}
+_NO_TAG = struct.pack("<d", -1.0)
 
 
 @dataclass(frozen=True)
@@ -464,38 +470,140 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
 
 
 def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
-    """Version 2: one tensor per generator bundle, holding its flat vector."""
+    """Version 3: one tensor per generator bundle, holding its flat vector.
+    The teacher queue's checkpoints go to the slot file beside path
+    (run/state.queue.bin for run/state.bin), which is written first."""
     tensors = {"embeddings": state.embeddings, "emb_velocity": state.emb_velocity}
+    queue = state.queue
     meta = {
         "format": "ogen-run-state",
-        "version": 2,
+        "version": 3,
         "next_epoch": state.next_epoch,
         "rng": state.rng.bit_generator.state,
         "config": asdict(cfg),
-        "queue_epochs": [e for e, _ in state.queue.entries] if state.queue else None,
+        "queue_epochs": None if queue is None else [e for e, _ in queue.entries],
+        "queue_crc32": None if queue is None else _save_queue(_queue_path(path), queue),
         "gen_meta": None,
     }
     if state.params is not None:
         meta["gen_meta"] = {key: getattr(state.params, key) for key in ("heads", "dim", "d_ff")}
         tensors.update(params=state.params.flat, velocity=state.gen_velocity.flat)
-        if state.queue is not None:
-            tensors.update({f"queue{i}": params.flat for i, (_, params) in enumerate(state.queue.entries)})
         if state.mt_teacher is not None:
             tensors["mt"] = state.mt_teacher.flat
     write_tensor_file(path, tensors, meta)
 
 
-def load_state(path):
-    """Returns (TrainState, TrainConfig) reconstructed from a state file."""
-    tensors, meta = read_tensor_file(path)
-    check_format(path, meta, "ogen-run-state", 2, "start a new run")
+def _queue_path(path) -> Path:
+    """The teacher-queue slot file of the state file at path: run/state.bin
+    has run/state.queue.bin, so state files in one directory never share one."""
+    path = Path(path)
+    return path.with_name(f"{path.stem}.queue{path.suffix}")
+
+
+def _queue_layout(slots: int, size: int):
+    """(header, offset of the rows, file length) of a slot file holding
+    slots checkpoints of size values each."""
+    header = tensor_header(_QUEUE_FORMAT, {"tags": ((2, slots), "f8"), "rows": ((slots, size), "f8")})
+    rows_at = len(header) + 16 * slots
+    return header, rows_at, rows_at + 8 * slots * size
+
+
+def _has_layout(fh, header: bytes, length: int) -> bool:
+    return fh.read(len(header)) == header and fh.seek(0, os.SEEK_END) == length
+
+
+def _open_slot_file(path: Path, slots: int, size: int, fresh: bool):
+    """The slot file at path, open for update; made anew, with every tag
+    invalid and the rows left as a hole, when fresh, missing or of
+    another layout."""
+    header, _, length = _queue_layout(slots, size)
+    if not fresh and path.is_file():
+        fh = open(path, "r+b")
+        if _has_layout(fh, header, length):
+            return fh
+        fh.close()
+    write_atomically(path, [header, _NO_TAG * (2 * slots)], size=length)
+    return open(path, "r+b")
+
+
+def _save_queue(path: Path, queue: TeacherQueue) -> list:
+    """Write each checkpoint of the queue that its slot does not hold yet
+    into the slot file at path, in place; returns their crc32s, oldest first.
+
+    Epoch e lives in slot e % (capacity + 1), so the newest checkpoint
+    takes the slot of the one just evicted, which the state file on disk
+    does not reference: a process killed here leaves that file's
+    checkpoints whole. A slot's epoch tag is invalid while its row is
+    written, and is written last.
+    """
+    for epoch, params in queue.entries:
+        if epoch not in queue.crcs:
+            queue.crcs[epoch] = zlib.crc32(params.flat)
+    crcs = [queue.crcs[epoch] for epoch, _ in queue.entries]
+    if not crcs:
+        return crcs
+    slots, size = queue.capacity + 1, queue.entries[0][1].flat.size
+    header, rows_at, _ = _queue_layout(slots, size)
+    # a run's first checkpoint starts a new file, so that no slot of an
+    # earlier run in the same place survives into this run's file
+    fresh = [epoch for epoch, _ in queue.entries] == [0]
+    with _open_slot_file(path, slots, size, fresh) as fh:
+        fh.seek(len(header))
+        tags = np.frombuffer(fh.read(16 * slots), dtype="<f8").reshape(2, slots)
+        for (epoch, params), crc in zip(queue.entries, crcs):
+            slot = epoch % slots
+            if tags[0, slot] == epoch and tags[1, slot] == crc:
+                continue
+            epoch_tag = len(header) + 8 * slot  # its crc tag is slots tags further on
+            fh.seek(epoch_tag)
+            fh.write(_NO_TAG)
+            fh.seek(rows_at + 8 * size * slot)
+            fh.write(params.flat.data)
+            fh.seek(epoch_tag + 8 * slots)
+            fh.write(struct.pack("<d", crc))
+            fh.seek(epoch_tag)
+            fh.write(struct.pack("<d", epoch))
+    return crcs
+
+
+def _load_queue(path: Path, queue: TeacherQueue, epochs: list, crcs: list, bundle, size: int) -> None:
+    """Fill queue with the checkpoints of these epochs from the slot file
+    at path, reading only their rows; each slot's tag and each row's
+    crc32 must be the ones the state file lists."""
+    slots = queue.capacity + 1
+    header, rows_at, length = _queue_layout(slots, size)
     try:
-        return _state_from(tensors, meta)
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"no teacher-queue slot file {path} ({exc.strerror})") from exc
+    with fh:
+        if not _has_layout(fh, header, length):
+            raise DataError(f"{path}: not a teacher-queue slot file of {slots} checkpoints of {size} values")
+        fh.seek(len(header))
+        tags = np.frombuffer(fh.read(16 * slots), dtype="<f8").reshape(2, slots)
+        for epoch, crc in zip(epochs, crcs):
+            slot, row = epoch % slots, np.empty(size)
+            fh.seek(rows_at + 8 * size * slot)
+            fh.readinto(row)
+            if not (tags[0, slot] == epoch and tags[1, slot] == crc and zlib.crc32(row) == crc):
+                raise DataError(f"{path}: slot {slot} does not hold the checkpoint of epoch {epoch} "
+                                f"with crc32 {crc}")
+            queue.entries.append((epoch, bundle(row)))
+            queue.crcs[epoch] = crc
+
+
+def load_state(path):
+    """Returns (TrainState, TrainConfig) reconstructed from a state file
+    and its teacher-queue slot file."""
+    tensors, meta = read_tensor_file(path)
+    check_format(path, meta, "ogen-run-state", 3, "start a new run")
+    try:
+        return _state_from(tensors, meta, _queue_path(path))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed run state ({type(exc).__name__}: {exc})") from exc
 
 
-def _state_from(tensors: dict, meta: dict):
+def _state_from(tensors: dict, meta: dict, slot_file: Path):
     cfg = TrainConfig(**meta["config"])
     cfg.validate()
     rng = np.random.default_rng()
@@ -510,21 +618,28 @@ def _state_from(tensors: dict, meta: dict):
     gen_meta = meta.get("gen_meta")
     if (gen_meta is None) != (cfg.scheme == "none"):
         raise DataError(f"generator tensors do not match scheme {cfg.scheme!r}")
+    # the mean teacher is made at the end of epoch 0
+    if ("mt" in tensors) != (cfg.distill == "mt" and next_epoch >= 1):
+        raise DataError(f"a state of distill={cfg.distill} before epoch {next_epoch} "
+                        f"{'has' if 'mt' in tensors else 'lacks'} an mt tensor")
     if gen_meta is not None:
-        bundle = partial(GeneratorParams, *(int(gen_meta[key]) for key in ("heads", "dim", "d_ff")))
+        shape = {"heads": cfg.heads, "dim": emb.shape[0], "d_ff": cfg.d_ff or 2 * emb.shape[0]}
+        if gen_meta != shape:
+            raise DataError(f"gen_meta {gen_meta!r} is not the configured generator {shape}")
+        bundle = partial(GeneratorParams, *shape.values())
         params, gen_velocity = bundle(tensors["params"]), bundle(tensors["velocity"])
-        if params.dim != emb.shape[0]:
-            raise DataError(f"generator dim {params.dim} != embedding dim {emb.shape[0]}")
         if cfg.distill in ("almt", "fixed"):
             queue = _teacher_queue(cfg)
-            epochs = meta.get("queue_epochs")
-            # checkpoint epochs: strictly increasing, from 0, below next_epoch
-            if not (isinstance(epochs, list) and len(epochs) <= queue.capacity
-                    and all(type(e) is int for e in epochs)
-                    and all(0 <= a < b for a, b in zip(epochs, epochs[1:] + [next_epoch]))):
-                raise DataError(f"queue_epochs {epochs!r}: not {queue.capacity} or fewer "
-                                f"increasing epochs below {next_epoch}")
-            queue.entries = [(e, bundle(tensors[f"queue{i}"])) for i, e in enumerate(epochs)]
+            epochs, crcs = meta.get("queue_epochs"), meta.get("queue_crc32")
+            window = list(range(max(0, next_epoch - queue.capacity), next_epoch))
+            if not (epochs == window and all(type(e) is int for e in epochs)):
+                raise DataError(f"queue_epochs {epochs!r} are not {window}, the epochs that a queue "
+                                f"of {queue.capacity} holds before epoch {next_epoch}")
+            if not (isinstance(crcs, list) and len(crcs) == len(epochs)
+                    and all(type(c) is int and 0 <= c < 2**32 for c in crcs)):
+                raise DataError(f"queue_crc32 {crcs!r} is not one crc32 per queue epoch")
+            if epochs:
+                _load_queue(slot_file, queue, epochs, crcs, bundle, params.flat.size)
         if "mt" in tensors:
             mt_teacher = bundle(tensors["mt"])
     state = TrainState(

@@ -170,6 +170,21 @@ class TestTrain:
         c2 = json.loads((r2 / "config.json").read_text())
         assert c1 == c2
 
+    def test_fresh_run_over_another_runs_queue_file(self, dataset_path, tmp_path):
+        # the other run filled slots 0-5; a fresh 4-epoch run writes 0-3
+        # and must leave no trace of the other run's 4 and 5
+        other, clean, dirty = tmp_path / "other", tmp_path / "clean", tmp_path / "dirty"
+        assert main(train_args(dataset_path, other, epochs=6, extra=["--lr", "0.05"])) == 0
+        dirty.mkdir()
+        (dirty / "state.queue.bin").write_bytes((other / "state.queue.bin").read_bytes())
+        assert main(train_args(dataset_path, clean, epochs=4)) == 0
+        assert main(train_args(dataset_path, dirty, epochs=4)) == 0
+        files = sorted(p.name for p in clean.iterdir())
+        assert files == sorted(p.name for p in dirty.iterdir())
+        assert "state.queue.bin" in files
+        for name in files:
+            assert (clean / name).read_bytes() == (dirty / name).read_bytes(), name
+
     def test_plot_writes_svg(self, dataset_path, tmp_path):
         run = tmp_path / "run"
         assert main(train_args(dataset_path, run, extra=["--plot"])) == 0
@@ -229,8 +244,8 @@ class TestResume:
 
         assert main(["train", "--data", str(dataset_path), "--out", str(part), "--resume"]) == 0
         assert "resuming from epoch 3" in capsys.readouterr().out
-        assert (part / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
-        assert (part / "state.bin").read_bytes() == (full / "state.bin").read_bytes()
+        for name in ("metrics.csv", "state.bin", "state.queue.bin", "checkpoint.bin"):
+            assert (part / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_resume_without_state_fails(self, dataset_path, tmp_path):
         assert main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "nope"), "--resume"]) == 2
@@ -258,11 +273,13 @@ class TestResume:
             (2, [-1, 0]),
             (2, [0, 2]),
             (11, list(range(11))),  # one more than the queue holds
+            (3, [0]),  # epochs 1 and 2 lost
         ],
         ids=["missing", "null", "not_a_list", "floats", "bool", "decreasing", "repeated",
-             "negative", "not_below_next_epoch", "longer_than_capacity"],
+             "negative", "not_below_next_epoch", "longer_than_capacity", "truncated"],
     )
     def test_bad_queue_epochs_is_data_error(self, dataset_path, tmp_path, capsys, distill, next_epoch, queue_epochs):
+        # the checkpoints live in state.queue.bin, which the run left whole
         run = tmp_path / "run"
         assert main(train_args(dataset_path, run, epochs=12, extra=distill)) == 0
         tensors, meta = read_tensor_file(run / "state.bin")
@@ -271,9 +288,6 @@ class TestResume:
             del meta["queue_epochs"]
         else:
             meta["queue_epochs"] = queue_epochs
-            # give every listed epoch its checkpoint vector
-            for i in range(len(queue_epochs) if isinstance(queue_epochs, list) else 0):
-                tensors[f"queue{i}"] = tensors["queue0"]
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(train_args(dataset_path, run, epochs=12, extra=[*distill, "--resume"])) == 2
@@ -316,6 +330,98 @@ class TestResume:
         assert (run / "metrics.csv").read_bytes() == metrics  # rejected before any rewrite
 
     @pytest.mark.parametrize(
+        "distill, corrupt",
+        [
+            ("mt", lambda tensors: tensors.pop("mt")),
+            ("almt", lambda tensors: tensors.update(mt=tensors["params"])),
+            ("none", lambda tensors: tensors.update(mt=tensors["params"])),
+        ],
+        ids=["mt_without_teacher", "almt_with_mt_teacher", "none_with_mt_teacher"],
+    )
+    def test_mean_teacher_of_another_distill_is_data_error(self, dataset_path, tmp_path, capsys, distill, corrupt):
+        # without the check, an mt run re-seeds its teacher from the current
+        # parameters and an almt run carries a teacher it never reads
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run, extra=["--distill", distill])
+        tensors, meta = read_tensor_file(run / "state.bin")
+        corrupt(tensors)
+        write_tensor_file(run / "state.bin", tensors, meta)
+        metrics = (run / "metrics.csv").read_bytes()
+        capsys.readouterr()
+        assert main(resume_args(dataset_path, run)) == 2
+        assert "mt tensor" in capsys.readouterr().err
+        assert (run / "metrics.csv").read_bytes() == metrics
+
+    @pytest.mark.parametrize("key, value", [("heads", 2), ("d_ff", 48), ("dim", 8)])
+    def test_generator_other_than_configured_is_data_error(self, dataset_path, tmp_path, capsys, key, value):
+        # heads=2 has the vector length of the configured heads=4
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run)
+        tensors, meta = read_tensor_file(run / "state.bin")
+        meta["gen_meta"][key] = value
+        write_tensor_file(run / "state.bin", tensors, meta)
+        capsys.readouterr()
+        assert main(resume_args(dataset_path, run)) == 2
+        assert "gen_meta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "module, mode, name",
+        [("trainer", "r+b", "state.queue.bin"), ("_tensorio", "wb", ".state.bin.")],
+        ids=["slot_write", "state_write"],
+    )
+    def test_killed_save_keeps_the_resume_point(self, dataset_path, tmp_path, monkeypatch, module, mode, name):
+        # a window of 2 keeps 3 checkpoints in 4 slots; the sixth save
+        # (epoch 5, which evicts epoch 2) stores half of its first large
+        # write, the checkpoint's row or the new state.bin, then the process dies
+        import builtins
+
+        import ogen._tensorio
+        import ogen.trainer
+        from ogen.trainer import load_state
+
+        full, run, window = tmp_path / "full", tmp_path / "run", ["--distill", "fixed", "--window", "2"]
+        assert main(train_args(dataset_path, full, epochs=8, extra=window)) == 0
+        opened = []
+
+        class Killed:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                if len(data) <= 8:  # a slot tag
+                    return self.fh.write(data)
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("killed mid-write")
+
+        def killing_open(path, how="r", *args):
+            fh = builtins.open(path, how, *args)
+            if how == mode and name in str(path):
+                opened.append(path)
+                if len(opened) == 6:
+                    return Killed(fh)
+            return fh
+
+        monkeypatch.setattr(getattr(ogen, module), "open", killing_open, raising=False)
+        with pytest.raises(OSError, match="killed"):
+            main(train_args(dataset_path, run, epochs=8, extra=window))
+        monkeypatch.undo()
+        assert load_state(run / "state.bin")[0].next_epoch == 5
+        assert main(resume_args(dataset_path, run)) == 0
+        assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in full.iterdir())
+        for file in ("metrics.csv", "state.bin", "state.queue.bin", "checkpoint.bin"):
+            assert (run / file).read_bytes() == (full / file).read_bytes(), file
+
+    @pytest.mark.parametrize(
         "text",
         [b"epoch,base_acc\n0,0.5\none,0.5\n", b"", b"epoch,base_acc\n\xff\n"],
         ids=["epoch_not_an_integer", "empty", "not_text"],
@@ -342,7 +448,9 @@ class TestResume:
         with pytest.raises(OSError, match="killed"):
             main(resume_args(dataset_path, run))
         assert (run / "metrics.csv").read_bytes() == before
-        assert sorted(p.name for p in run.iterdir()) == ["checkpoint.bin", "config.json", "metrics.csv", "state.bin"]
+        assert sorted(p.name for p in run.iterdir()) == [
+            "checkpoint.bin", "config.json", "metrics.csv", "state.bin", "state.queue.bin"
+        ]
 
     @pytest.mark.parametrize(
         "flags",
@@ -494,6 +602,50 @@ class TestHostileRunFiles:
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
         assert "version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_version_2_state_is_data_error(self, dataset_path, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run)
+        tensors, meta = read_tensor_file(run / "state.bin")
+        meta["version"] = 2
+        write_tensor_file(run / "state.bin", tensors, meta)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert "version 2 is not version 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "another_run", "other_window", "truncated", "wrong_epoch_tag", "wrong_crc_tag", "row_changed"],
+    )
+    def test_bad_queue_file_is_data_error(self, dataset_path, tmp_path, capsys, command, damage):
+        # the rewound almt state references epochs 0 and 1, in slots 0 and 1
+        run, other = tmp_path / "run", tmp_path / "other"
+        TestResume.rewound_run(dataset_path, run)
+        slot_file = run / "state.queue.bin"
+        raw = bytearray(slot_file.read_bytes())
+        header = 4 + struct.unpack("<I", raw[:4])[0]
+        slots = json.loads(raw[4:header])["tensors"][0]["shape"][1]  # tags are (2, slots)
+        if damage == "missing":
+            slot_file.unlink()
+        elif damage in ("another_run", "other_window"):
+            extra = ["--lr", "0.05"] if damage == "another_run" else ["--distill", "fixed", "--window", "2"]
+            assert main(train_args(dataset_path, other, epochs=4, extra=extra)) == 0
+            slot_file.write_bytes((other / "state.queue.bin").read_bytes())
+        else:
+            if damage == "truncated":
+                del raw[-1]
+            elif damage == "wrong_epoch_tag":
+                raw[header + 8 : header + 16] = struct.pack("<d", 5.0)  # slot 1 claims epoch 5
+            elif damage == "wrong_crc_tag":
+                raw[header + 8 * (slots + 1) : header + 8 * (slots + 2)] = struct.pack("<d", 7.0)
+            else:
+                raw[header + 16 * slots] ^= 1  # the first byte of slot 0's row
+            slot_file.write_bytes(raw)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert "state.queue.bin" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(

@@ -126,6 +126,23 @@ class TestTeacherQueue:
         with pytest.raises(DataError, match="increase"):
             push_checkpoint(q, 1, params_filled(9.0))
 
+    def test_consecutive_epochs_required(self):
+        # epoch e has slot e % (capacity + 1) in the slot file: a gap would
+        # give the new checkpoint a slot that the saved state still uses
+        q = self.queue()
+        push_checkpoint(q, 3, params_filled(3.0))
+        with pytest.raises(DataError, match="by one: got 5 after 3"):
+            push_checkpoint(q, 5, params_filled(5.0))
+        assert [e for e, _ in q.entries] == [3]
+
+    def test_eviction_drops_the_checkpoint_crc(self):
+        q = self.queue()  # capacity m_max + 1 = 10
+        for epoch in range(10):
+            push_checkpoint(q, epoch, params_filled(float(epoch)))
+            q.crcs[epoch] = epoch
+        push_checkpoint(q, 10, params_filled(10.0))
+        assert sorted(q.crcs) == list(range(1, 10))
+
 
 class TestAlmtTeacher:
     def test_single_checkpoint_is_teacher(self):

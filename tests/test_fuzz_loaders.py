@@ -1,15 +1,19 @@
-"""Seeded byte-mutation fuzz of the three file loaders.
+"""Seeded byte-mutation fuzz of the file loaders.
 
-Each loader reads about 200 mutations of a real file (all three are
+Each loader reads about 200 mutations of a real file (all four are
 tensor files): random byte flips, truncations, flips inside the manifest
 length or JSON manifest, and digit swaps inside the manifest (which keep
 the JSON readable and so reach the checks behind it). Whatever the bytes, a load either succeeds or raises
 DataError, which the CLI maps to exit code 2; nothing else may escape.
-A run state that loads is resumed for its remaining epochs on the
-dataset it came from; that may fail only with DataError or ConfigError
-(exit 2) or NumericalError (exit 3).
+A run state is read with its teacher-queue slot file beside it, and the
+slot file through the state that references it. A run state that loads
+is resumed for its remaining epochs on the dataset it came from; that
+may fail only with DataError or ConfigError (exit 2) or NumericalError
+(exit 3). A mutated slot file that loads gives the checkpoints of the
+intact one bit for bit.
 """
 
+import shutil
 import struct
 
 import numpy as np
@@ -22,7 +26,12 @@ from ogen.generator import load_checkpoint
 from ogen.trainer import TrainConfig, load_state, save_state, train
 
 CASES = 200
-LOADERS = {"oef": load_embeddings, "state": load_state, "checkpoint": load_checkpoint}
+LOADERS = {
+    "oef": load_embeddings,
+    "state": load_state,
+    "checkpoint": load_checkpoint,
+    "queue": lambda path: load_state(path.with_name("state.bin")),
+}
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +47,12 @@ def real_files(tmp_path_factory):
             save_state(run / "state.bin", state, cfg)
 
     train(load_embeddings(data), cfg, on_epoch=rewind)
-    return {"oef": data, "state": run / "state.bin", "checkpoint": run / "checkpoint.bin"}
+    return {"oef": data, "state": run / "state.bin", "checkpoint": run / "checkpoint.bin",
+            "queue": run / "state.queue.bin"}
+
+
+def checkpoints(state):
+    return [(epoch, params.flat.tobytes()) for epoch, params in state.queue.entries]
 
 
 def mutate(raw, rng):
@@ -64,10 +78,13 @@ def mutate(raw, rng):
 
 @pytest.mark.parametrize("kind", list(LOADERS))
 def test_mutated_file_loads_or_is_data_error(real_files, tmp_path, kind):
+    for name in ("state", "queue"):
+        shutil.copy(real_files[name], tmp_path)
     raw = real_files[kind].read_bytes()
-    rng = np.random.default_rng(["oef", "state", "checkpoint"].index(kind))
+    rng = np.random.default_rng(list(LOADERS).index(kind))
     path = tmp_path / real_files[kind].name
     dataset = load_embeddings(real_files["oef"])
+    intact = checkpoints(load_state(real_files["state"])[0])
     outcomes = {"ok": 0, "DataError": 0, "resumed": 0}
     for case in range(CASES):
         data, how = mutate(raw, rng)
@@ -80,6 +97,8 @@ def test_mutated_file_loads_or_is_data_error(real_files, tmp_path, kind):
         except Exception as exc:  # noqa: BLE001 - anything else is the failure under test
             pytest.fail(f"{kind} case {case} ({how}): {type(exc).__name__}: {exc}")
         outcomes["ok"] += 1
+        if kind == "queue":
+            assert checkpoints(loaded[0]) == intact, f"queue case {case} ({how}) loaded other checkpoints"
         if kind != "state":
             continue
         state, cfg = loaded
@@ -92,3 +111,4 @@ def test_mutated_file_loads_or_is_data_error(real_files, tmp_path, kind):
         outcomes["resumed"] += 1
     assert outcomes["DataError"] > 0
     assert kind != "state" or outcomes["resumed"] > 0
+    assert kind != "queue" or outcomes["ok"] > 0

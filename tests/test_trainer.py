@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -361,7 +362,8 @@ class TestStatePersistence:
             ),
         }[target]
         first()
-        before = path.read_bytes()
+        # an almt state.bin also has its teacher-queue slot file, state.queue.bin
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         class Torn:
             """A file whose write stores half its bytes, then fails."""
@@ -382,19 +384,19 @@ class TestStatePersistence:
         monkeypatch.setattr(ogen._tensorio, "open", lambda p, mode: Torn(open(p, mode)), raising=False)
         with pytest.raises(OSError, match="disk full"):
             second()
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [target]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert sorted(before) == ([target, "state.queue.bin"] if target == "state.bin" else [target])
         monkeypatch.undo()
         second()
-        assert path.read_bytes() != before
+        assert path.read_bytes() != before[target]
 
     @pytest.mark.parametrize(
         "distill,window,bundles",
         [
             ("none", None, []),
             ("mt", None, ["mt"]),
-            ("almt", None, ["queue0", "queue1", "queue2", "queue3"]),  # m_max + 1 = 4
-            ("fixed", 2, ["queue0", "queue1", "queue2"]),  # fixed_window + 1 = 3
+            ("almt", None, []),  # the queue goes to state.queue.bin
+            ("fixed", 2, []),
         ],
     )
     def test_state_holds_one_flat_vector_per_bundle(self, tmp_path, distill, window, bundles):
@@ -403,18 +405,89 @@ class TestStatePersistence:
         result = train(ds, cfg)
         save_state(tmp_path / "state.bin", result.state, cfg)
         tensors, meta = ogen._tensorio.read_tensor_file(tmp_path / "state.bin")
-        assert meta["version"] == 2
+        assert meta["version"] == 3
         assert list(tensors) == ["embeddings", "emb_velocity", "params", "velocity", *bundles]
         assert np.array_equal(tensors["params"], result.params.flat)
-        if window is not None:
-            assert meta["queue_epochs"] == [4, 5, 6]
         # each stored vector comes back as the bundle it was saved from
         state, _ = load_state(tmp_path / "state.bin")
-        queue = state.queue.entries if state.queue else []
-        loaded = {"params": state.params, "velocity": state.gen_velocity, "mt": state.mt_teacher,
-                  **{f"queue{i}": params for i, (_, params) in enumerate(queue)}}
+        loaded = {"params": state.params, "velocity": state.gen_velocity, "mt": state.mt_teacher}
         for name in list(tensors)[2:]:
             assert np.array_equal(loaded[name].flat, tensors[name])
+        if distill not in ("almt", "fixed"):
+            assert meta["queue_epochs"] is meta["queue_crc32"] is None
+            assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
+            return
+        # the queue holds its teacher's widest window, m_max + 1 = 4 for
+        # almt and fixed_window + 1 = 3 for fixed, in one slot more
+        capacity = 4 if distill == "almt" else 3
+        epochs, slots = list(range(7 - capacity, 7)), capacity + 1
+        assert meta["queue_epochs"] == epochs == [e for e, _ in state.queue.entries]
+        queue, queue_meta = ogen._tensorio.read_tensor_file(tmp_path / "state.queue.bin")
+        assert queue_meta == {"format": "ogen-teacher-queue", "version": 1}
+        assert list(queue) == ["tags", "rows"]
+        assert queue["rows"].shape == (slots, result.params.flat.size)
+        assert meta["queue_crc32"] == [zlib.crc32(queue["rows"][e % slots]) for e in epochs]
+        for (epoch, saved), (_, params), crc in zip(result.state.queue.entries, state.queue.entries, meta["queue_crc32"]):
+            assert list(queue["tags"][:, epoch % slots]) == [epoch, crc]
+            assert np.array_equal(queue["rows"][epoch % slots], saved.flat)
+            assert np.array_equal(params.flat, saved.flat)
+
+    def test_state_files_in_one_directory_keep_their_own_queue(self, tmp_path):
+        ds = tiny_dataset()
+        runs = {}
+        for name, cfg in (("a", tiny_config(distill="almt")), ("b", tiny_config(distill="fixed", fixed_window=1))):
+            runs[name] = train(ds, cfg)
+            save_state(tmp_path / f"{name}.bin", runs[name].state, cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "a.queue.bin", "b.bin", "b.queue.bin"]
+        for name, result in runs.items():
+            state, _ = load_state(tmp_path / f"{name}.bin")
+            saved = result.state.queue.entries
+            assert [e for e, _ in state.queue.entries] == [e for e, _ in saved]
+            for (_, params), (_, expected) in zip(state.queue.entries, saved):
+                assert np.array_equal(params.flat, expected.flat)
+
+    def test_almt_epoch_writes_the_state_and_one_slot(self, tmp_path, monkeypatch):
+        # past the save that makes the slot file, an epoch writes state.bin,
+        # the new checkpoint's row and three tags (invalid epoch, crc, epoch),
+        # and computes one crc32: that of the new checkpoint
+        ds = tiny_dataset()
+        cfg = tiny_config(scheme="joint", distill="almt", m_max=3, epochs=9)
+        real_open, real_crc32 = open, zlib.crc32
+        written, crcs = [], []
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                written[-1] += memoryview(data).nbytes
+                return self.fh.write(data)
+
+        for module in (ogen._tensorio, ogen.trainer):
+            monkeypatch.setattr(module, "open", lambda *args: Counted(real_open(*args)), raising=False)
+        monkeypatch.setattr(zlib, "crc32", lambda data: crcs.append(1) or real_crc32(data))
+        path, sizes = tmp_path / "state.bin", []
+
+        def save(state, row):
+            written.append(0)
+            save_state(path, state, cfg)
+            sizes.append(path.stat().st_size)
+
+        result = train(ds, cfg, on_epoch=save)
+        row = 8 * result.params.flat.size
+        assert len(crcs) == cfg.epochs
+        assert len(written) == cfg.epochs
+        for n, size in zip(written[1:], sizes[1:]):
+            assert size + row < n <= size + row + 3 * 8
 
     def test_state_file_round_trip(self, tmp_path):
         ds = tiny_dataset()
