@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import click
@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
 from .trainer import (
     TrainConfig,
+    _queue_path,
     ablate,
     check_state,
     evaluate,
@@ -118,10 +119,10 @@ _CONFIG_FIELDS = {"window": "fixed_window", "lr": "learning_rate", "gen_lr": "ge
 
 
 def _train_config(ctx) -> TrainConfig:
-    """The configuration the training flags of a train command ask for."""
+    """The configuration the training flags of a command ask for; a field
+    the command has no flag for keeps its TrainConfig() default."""
     flags = {_CONFIG_FIELDS.get(name, name): value for name, value in ctx.params.items()}
-    flags["known_loss_union"] = flags["known_loss_union"] == "union"
-    return TrainConfig(**{f.name: flags[f.name] for f in fields(TrainConfig)})
+    return replace(TrainConfig(), **{f.name: flags[f.name] for f in fields(TrainConfig) if f.name in flags})
 
 
 def _check_resume_flags(ctx, stored: TrainConfig) -> None:
@@ -167,6 +168,7 @@ def _check_resume_flags(ctx, stored: TrainConfig) -> None:
     type=click.Choice(["union", "known"]),
     default="union",
     show_default=True,
+    callback=lambda ctx, param, value: value == "union",
     help="Class set in the known-loss softmax denominator.",
 )
 @click.option("--resume", is_flag=True, help="Continue the run stored in --out.")
@@ -203,6 +205,10 @@ def cmd_train(ctx, data, out, resume, plot, **_):
         click.echo(f"resuming from epoch {state.next_epoch}")
     else:
         run_dir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's files that this one does not rewrite at once: a run
+        # stopped before its first save must not eval or resume as that run
+        for path in (state_path, _queue_path(state_path), run_dir / "checkpoint.bin", run_dir / "curves.svg"):
+            path.unlink(missing_ok=True)
         config = {
             "config": asdict(cfg),
             "data": str(data),
@@ -277,25 +283,11 @@ def cmd_hmean(base, new):
 @click.option("--data", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(file_okay=False), default="ogen-ablation", show_default=True)
 @click.option("--seeds", type=int, default=3, show_default=True)
-@click.option("--epochs", type=int, default=200, show_default=True)
-@click.option("--batch-size", type=int, default=64, show_default=True)
-@click.option("--k", type=int, default=3, show_default=True)
-@click.option("--tau", type=float, default=0.01, show_default=True)
-@click.option("--lr", type=float, default=0.02, show_default=True)
-@click.option("--gen-lr", type=float, default=0.02, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def cmd_ablate(data, out, seeds, epochs, batch_size, k, tau, lr, gen_lr, seed):
+@click.pass_context
+def cmd_ablate(ctx, data, out, seeds, **_):
     """Run the ablation grid and write one CSV per table."""
     dataset = load_embeddings(data)
-    base_cfg = TrainConfig(
-        epochs=epochs,
-        batch_size=batch_size,
-        k=k,
-        tau=tau,
-        learning_rate=lr,
-        generator_lr=gen_lr,
-        seed=seed,
-    )
+    base_cfg = _train_config(ctx)
     report = ablate(dataset, base_cfg, seeds=seeds)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,6 +299,12 @@ def cmd_ablate(data, out, seeds, epochs, batch_size, k, tau, lr, gen_lr, seed):
             for row in rows:
                 writer.writerow([_format_cell(row[col]) for col in ABLATION_COLUMNS])
         click.echo(f"wrote {path}")
+
+
+# train's own options, so that the grid's base run takes train's defaults
+cmd_ablate.params += [
+    p for p in cmd_train.params if p.name in ("epochs", "batch_size", "k", "tau", "lr", "gen_lr", "seed")
+]
 
 
 def _render_curves_svg(metrics_path) -> str:
@@ -360,9 +358,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -168,6 +168,8 @@ class SynthConfig:
             raise DataError("noise levels must be non-negative")
         if not 0.0 < self.base_fraction <= 1.0:
             raise DataError(f"base_fraction must be in (0, 1], got {self.base_fraction}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def make_synthetic(cfg: SynthConfig) -> EmbeddingSet:

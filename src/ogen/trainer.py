@@ -98,6 +98,8 @@ class TrainConfig:
             raise ConfigError(f"fixed_window applies only to distill=fixed, not distill={self.distill}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         ScheduleConfig(t_max=self.epochs, m_min=self.m_min, m_max=self.m_max, ema_alpha=self.ema_alpha)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -238,6 +240,8 @@ def evaluate(params, embeddings, dataset: EmbeddingSet):
         raise DataError(
             f"embeddings shape {emb.shape} != ({dataset.dim}, {len(dataset.split.base)})"
         )
+    if not np.all(np.isfinite(emb)):
+        raise DataError("embeddings hold non-finite values")
     base_acc, new_acc = _EvalCache(dataset).accuracies(emb)
     return base_acc, new_acc, harmonic_mean(base_acc, new_acc)
 
@@ -588,6 +592,8 @@ def _load_queue(path: Path, queue: TeacherQueue, epochs: list, crcs: list, bundl
             if not (tags[0, slot] == epoch and tags[1, slot] == crc and zlib.crc32(row) == crc):
                 raise DataError(f"{path}: slot {slot} does not hold the checkpoint of epoch {epoch} "
                                 f"with crc32 {crc}")
+            if not np.all(np.isfinite(row)):
+                raise DataError(f"{path}: the checkpoint of epoch {epoch} holds non-finite values")
             queue.entries.append((epoch, bundle(row)))
             queue.crcs[epoch] = crc
 
@@ -615,6 +621,9 @@ def _state_from(tensors: dict, meta: dict, slot_file: Path):
     if not (emb.dtype == emb_velocity.dtype == np.float64 and emb.ndim == 2 and emb_velocity.shape == emb.shape):
         raise DataError(f"embeddings {emb.dtype}{emb.shape} and emb_velocity {emb_velocity.dtype}"
                         f"{emb_velocity.shape} are not float64 matrices of one shape")
+    non_finite = [name for name, t in tensors.items() if not np.all(np.isfinite(t))]
+    if non_finite:
+        raise DataError(f"tensors {', '.join(non_finite)} hold non-finite values")
     gen_meta = meta.get("gen_meta")
     if (gen_meta is None) != (cfg.scheme == "none"):
         raise DataError(f"generator tensors do not match scheme {cfg.scheme!r}")
@@ -698,7 +707,7 @@ def ablation_workers(requested: "int | None" = None) -> int:
     return max(1, min(requested or limit, limit))
 
 
-def ablate(dataset: EmbeddingSet, base_cfg: TrainConfig, seeds: int = 3, max_workers=None) -> AblationReport:
+def ablate(dataset: EmbeddingSet, base_cfg: TrainConfig, seeds: int = 3) -> AblationReport:
     """Run the standard ablation grid and aggregate final-epoch metrics.
 
     Tables: component on/off, extrapolation schemes, neighbor-count sweep
@@ -748,7 +757,7 @@ def ablate(dataset: EmbeddingSet, base_cfg: TrainConfig, seeds: int = 3, max_wor
         final = train(dataset, cfg).metrics[-1]
         return (final.base_acc, final.new_acc, final.harmonic_mean)
 
-    with ThreadPoolExecutor(max_workers=ablation_workers(max_workers)) as pool:
+    with ThreadPoolExecutor(ablation_workers()) as pool:
         futures = {cfg: pool.submit(run_one, cfg) for cfg in jobs}
         results = {cfg: fut.result() for cfg, fut in futures.items()}
 

@@ -97,6 +97,19 @@ class TestGenData:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+def test_negative_seed_is_rejected_before_any_write(dataset_path, tmp_path, capsys, command):
+    new = tmp_path / "new"
+    if command == "gen-data":
+        args = gen_args(new / "d.oef", seed=-1)
+    else:
+        args = [command, "--data", str(dataset_path), "--out", str(new), "--seed", "-1"]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not new.exists()
+
+
 class TestTrain:
     def test_run_directory_contents(self, dataset_path, tmp_path):
         run = tmp_path / "run"
@@ -184,6 +197,20 @@ class TestTrain:
         assert "state.queue.bin" in files
         for name in files:
             assert (clean / name).read_bytes() == (dirty / name).read_bytes(), name
+
+    def test_interrupted_fresh_run_keeps_no_state_of_the_earlier_run(self, dataset_path, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, epochs=4, extra=["--plot"])) == 0
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("ogen.cli.train", interrupted)
+        assert main(["train", "--data", str(dataset_path), "--out", str(run), "--seed", "7"]) == 1
+        monkeypatch.undo()
+        assert sorted(p.name for p in run.iterdir()) == ["config.json", "metrics.csv"]
+        assert main(["eval", "--run", str(run)]) == 2
+        assert main(resume_args(dataset_path, run)) == 2
 
     def test_plot_writes_svg(self, dataset_path, tmp_path):
         run = tmp_path / "run"
@@ -311,11 +338,12 @@ class TestResume:
             lambda tensors, meta: meta["config"].update(random_neighbors="no"),
             lambda tensors, meta: meta["config"].update(heads=0),
             lambda tensors, meta: meta["config"].update(d_ff=0),
+            lambda tensors, meta: meta["config"].update(seed=-1),
         ],
         ids=["epochs_a_string", "tau_a_string", "batch_size_null", "negative_next_epoch",
              "velocity_of_another_shape", "embeddings_not_of_the_dataset", "float32_embeddings",
              "epochs_a_float", "k_a_float", "heads_a_float", "random_neighbors_a_string",
-             "heads_zero", "d_ff_zero"],
+             "heads_zero", "d_ff_zero", "negative_seed"],
     )
     def test_inconsistent_state_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"
@@ -648,6 +676,37 @@ class TestHostileRunFiles:
         assert "state.queue.bin" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("tensor", ["embeddings", "emb_velocity", "params", "velocity", "mt"])
+    def test_non_finite_state_is_data_error(self, dataset_path, tmp_path, capsys, command, value, tensor):
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run, extra=["--distill", "mt"])
+        tensors, meta = read_tensor_file(run / "state.bin")
+        tensors[tensor].flat[0] = value
+        write_tensor_file(run / "state.bin", tensors, meta)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert f"tensors {tensor} hold non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_queue_checkpoint_is_data_error(self, dataset_path, tmp_path, capsys, command, value):
+        from ogen.trainer import load_state, save_state
+
+        # without its crc32, save_state writes the bad checkpoint into its
+        # slot under a crc32 that matches, as a run that produced it would
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run)
+        state, cfg = load_state(run / "state.bin")
+        epoch, params = state.queue.entries[-1]
+        params.flat[0] = value
+        del state.queue.crcs[epoch]
+        save_state(run / "state.bin", state, cfg)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert f"state.queue.bin: the checkpoint of epoch {epoch} holds non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(
         "text",
         [b"{not json", b"\xff\xfe", b"[1, 2]", b'"d.oef"', b'{"x": 1}', b'{"data": 5}', b'{"data": null}'],
@@ -692,6 +751,23 @@ class TestAblateCommand:
             "knn k=1", "knn k=2", "knn k=3", "knn k=4", "random k=3",
         ]
         assert all(int(r["seeds"]) == 2 for r in rows)
+
+    def test_base_run_takes_train_defaults(self, dataset_path, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from ogen.trainer import AblationReport, TrainConfig
+
+        base_cfgs = []
+
+        def capture(dataset, base_cfg, seeds):
+            base_cfgs.append(base_cfg)
+            return AblationReport()
+
+        monkeypatch.setattr("ogen.cli.ablate", capture)
+        args = ["ablate", "--data", str(dataset_path), "--out", str(tmp_path / "reports")]
+        assert main(args) == 0
+        assert main([*args, "--lr", "0.05", "--seed", "3"]) == 0
+        assert base_cfgs == [TrainConfig(), replace(TrainConfig(), learning_rate=0.05, seed=3)]
 
     def test_non_integer_thread_cap_is_config_error(self, dataset_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OGEN_THREADS", "two")

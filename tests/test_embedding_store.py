@@ -333,6 +333,8 @@ class TestSynthetic:
             SynthConfig(num_classes=3, dim=8, per_class=2, base_fraction=0.0).validate()
         with pytest.raises(DataError):
             SynthConfig(num_classes=3, dim=8, per_class=2, image_noise=-0.1).validate()
+        with pytest.raises(DataError, match="seed"):
+            SynthConfig(num_classes=3, dim=8, per_class=2, seed=-1).validate()
 
 
 class TestClassProbabilities:

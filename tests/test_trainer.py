@@ -104,6 +104,14 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(None, np.zeros((ds.dim, 1)), ds)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_embeddings_rejected(self, value):
+        ds = tiny_dataset()
+        emb = ds.embedding_columns(list(ds.split.base)).copy()
+        emb[0, 0] = value
+        with pytest.raises(DataError, match="non-finite"):
+            evaluate(None, emb, ds)
+
 
 class TestConfigValidation:
     def test_scheme_none_forces_distill_none(self):
@@ -133,6 +141,10 @@ class TestConfigValidation:
         # checked without a dataset, so a stored run state cannot carry one
         with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
             TrainConfig(**{field: value}).validate()
+
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(seed=-1).validate()
 
     def test_int_for_float_and_none_where_allowed_are_accepted(self):
         TrainConfig(tau=1, momentum=0, d_ff=None, fixed_window=None).validate()
