@@ -23,40 +23,29 @@ _DTYPES = {"f4": "<f4", "f8": "<f8"}
 
 def write_tensor_file(path, tensors: dict, meta: dict) -> None:
     """tensors maps name -> ndarray; meta is JSON-serializable metadata."""
-    specs = {}
+    manifest = dict(meta)
+    manifest["tensors"] = []
     blobs = []
     for name, arr in tensors.items():
         arr = np.asarray(arr)
         code = "f4" if arr.dtype == np.float32 else "f8"
-        specs[name] = (arr.shape, code)
+        manifest["tensors"].append({"name": name, "shape": list(arr.shape), "dtype": code})
         blobs.append(np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes())
-    write_atomically(path, [tensor_header(meta, specs), *blobs])
-
-
-def tensor_header(meta: dict, tensors: dict) -> bytes:
-    """The bytes that open a tensor file: the manifest length and the
-    manifest of meta plus tensors, which maps name -> (shape, dtype code)."""
-    manifest = dict(meta)
-    manifest["tensors"] = [
-        {"name": name, "shape": list(shape), "dtype": code} for name, (shape, code) in tensors.items()
-    ]
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return struct.pack("<I", len(mbytes)) + mbytes
+    write_atomically(path, [struct.pack("<I", len(mbytes)) + mbytes, *blobs])
 
 
-def write_atomically(path, chunks, size: "int | None" = None) -> None:
-    """Write the byte chunks to a temp file beside path, extend it with
-    zeros to size bytes if given, then rename it over path: a killed
-    process leaves the old file or the new one, never a torn one. There is
-    no fsync, so this does not survive a power loss."""
+def write_atomically(path, chunks) -> None:
+    """Write the byte chunks to a temp file beside path, then rename it over
+    path: a killed process leaves the old file or the new one, never a torn
+    one, and at worst a stray .<name>.<pid>.tmp beside them. There is no
+    fsync, so this does not survive a power loss."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-            if size is not None:
-                fh.truncate(size)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -207,8 +208,10 @@ def cmd_train(ctx, data, out, resume, plot, **_):
         run_dir.mkdir(parents=True, exist_ok=True)
         # an earlier run's files that this one does not rewrite at once: a run
         # stopped before its first save must not eval or resume as that run
-        for path in (state_path, _queue_path(state_path), run_dir / "checkpoint.bin", run_dir / "curves.svg"):
+        for path in (state_path, run_dir / "checkpoint.bin", run_dir / "curves.svg"):
             path.unlink(missing_ok=True)
+        if _queue_path(state_path).exists():
+            shutil.rmtree(_queue_path(state_path))
         config = {
             "config": asdict(cfg),
             "data": str(data),

@@ -164,8 +164,8 @@ class SynthConfig:
             raise DataError(f"need dim >= 2, got {self.dim}")
         if self.per_class < 1:
             raise DataError(f"need at least 1 feature per class, got {self.per_class}")
-        if self.image_noise < 0 or self.text_noise < 0:
-            raise DataError("noise levels must be non-negative")
+        if not (0 <= self.image_noise < math.inf and 0 <= self.text_noise < math.inf):
+            raise DataError(f"noise levels must be finite and non-negative, got {self.image_noise}, {self.text_noise}")
         if not 0.0 < self.base_fraction <= 1.0:
             raise DataError(f"base_fraction must be in (0, 1], got {self.base_fraction}")
         if self.seed < 0:

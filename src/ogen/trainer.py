@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import objective
-from ._tensorio import check_format, read_tensor_file, tensor_header, write_atomically, write_tensor_file
+from ._tensorio import check_format, read_tensor_file, write_atomically, write_tensor_file
 from .distillation import (
     ScheduleConfig,
     TeacherQueue,
@@ -52,9 +51,6 @@ SCHEMES = ("none", "per_class", "joint")
 DISTILL_MODES = ("none", "mt", "almt", "fixed")
 # the Python types each TrainConfig annotation admits: a bool is no int, an int is a float
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)}
-# the teacher-queue slot file; a slot tagged epoch -1 holds no checkpoint
-_QUEUE_FORMAT = {"format": "ogen-teacher-queue", "version": 1}
-_NO_TAG = struct.pack("<d", -1.0)
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if not any(type(value) in _FIELD_TYPES[name] for name in f.type.split(" | ")):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.distill not in DISTILL_MODES:
@@ -183,10 +181,10 @@ class TrainResult:
 
 
 def harmonic_mean(a: float, b: float) -> float:
-    """2ab/(a+b) for non-negative inputs (accuracies or percentages);
+    """2ab/(a+b) for finite non-negative inputs (accuracies or percentages);
     zero when both are zero."""
-    if a < 0 or b < 0:
-        raise DataError(f"harmonic mean needs non-negative inputs, got {a}, {b}")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):
+        raise DataError(f"harmonic mean needs finite non-negative inputs, got {a}, {b}")
     if a + b == 0:
         return 0.0
     return 2.0 * a * b / (a + b)
@@ -474,14 +472,16 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
 
 
 def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
-    """Version 3: one tensor per generator bundle, holding its flat vector.
-    The teacher queue's checkpoints go to the slot file beside path
-    (run/state.queue.bin for run/state.bin), which is written first."""
+    """Version 4: one tensor per generator bundle, holding its flat vector.
+    Each teacher-queue checkpoint is a file of its own in the directory
+    beside path (run/state.queue/ for run/state.bin), written once, before
+    the state file that lists it; the state file then replaces the old
+    one, and last the directory loses every entry it does not list."""
     tensors = {"embeddings": state.embeddings, "emb_velocity": state.emb_velocity}
     queue = state.queue
     meta = {
         "format": "ogen-run-state",
-        "version": 3,
+        "version": 4,
         "next_epoch": state.next_epoch,
         "rng": state.rng.bit_generator.state,
         "config": asdict(cfg),
@@ -495,121 +495,68 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
         if state.mt_teacher is not None:
             tensors["mt"] = state.mt_teacher.flat
     write_tensor_file(path, tensors, meta)
+    if queue is not None:
+        listed = {f"{epoch}.f8" for epoch in meta["queue_epochs"]}
+        for entry in _queue_path(path).iterdir():
+            if entry.name not in listed:
+                entry.unlink()
 
 
 def _queue_path(path) -> Path:
-    """The teacher-queue slot file of the state file at path: run/state.bin
-    has run/state.queue.bin, so state files in one directory never share one."""
+    """The teacher-checkpoint directory of the state file at path: run/state.bin
+    has run/state.queue, so state files in one directory never share one."""
     path = Path(path)
-    return path.with_name(f"{path.stem}.queue{path.suffix}")
+    return path.with_name(f"{path.stem}.queue")
 
 
-def _queue_layout(slots: int, size: int):
-    """(header, offset of the rows, file length) of a slot file holding
-    slots checkpoints of size values each."""
-    header = tensor_header(_QUEUE_FORMAT, {"tags": ((2, slots), "f8"), "rows": ((slots, size), "f8")})
-    rows_at = len(header) + 16 * slots
-    return header, rows_at, rows_at + 8 * slots * size
-
-
-def _has_layout(fh, header: bytes, length: int) -> bool:
-    return fh.read(len(header)) == header and fh.seek(0, os.SEEK_END) == length
-
-
-def _open_slot_file(path: Path, slots: int, size: int, fresh: bool):
-    """The slot file at path, open for update; made anew, with every tag
-    invalid and the rows left as a hole, when fresh, missing or of
-    another layout."""
-    header, _, length = _queue_layout(slots, size)
-    if not fresh and path.is_file():
-        fh = open(path, "r+b")
-        if _has_layout(fh, header, length):
-            return fh
-        fh.close()
-    write_atomically(path, [header, _NO_TAG * (2 * slots)], size=length)
-    return open(path, "r+b")
-
-
-def _save_queue(path: Path, queue: TeacherQueue) -> list:
-    """Write each checkpoint of the queue that its slot does not hold yet
-    into the slot file at path, in place; returns their crc32s, oldest first.
-
-    Epoch e lives in slot e % (capacity + 1), so the newest checkpoint
-    takes the slot of the one just evicted, which the state file on disk
-    does not reference: a process killed here leaves that file's
-    checkpoints whole. A slot's epoch tag is invalid while its row is
-    written, and is written last.
-    """
+def _save_queue(directory: Path, queue: TeacherQueue) -> list:
+    """Write each checkpoint of the queue that has no crc32 yet to its own
+    file in directory, <epoch>.f8: its 8 * P bytes of little-endian float64,
+    with no header. Returns the crc32s, oldest first. A checkpoint has a
+    crc32 once this process has written it or read it back whole."""
+    directory.mkdir(exist_ok=True)
     for epoch, params in queue.entries:
         if epoch not in queue.crcs:
-            queue.crcs[epoch] = zlib.crc32(params.flat)
-    crcs = [queue.crcs[epoch] for epoch, _ in queue.entries]
-    if not crcs:
-        return crcs
-    slots, size = queue.capacity + 1, queue.entries[0][1].flat.size
-    header, rows_at, _ = _queue_layout(slots, size)
-    # a run's first checkpoint starts a new file, so that no slot of an
-    # earlier run in the same place survives into this run's file
-    fresh = [epoch for epoch, _ in queue.entries] == [0]
-    with _open_slot_file(path, slots, size, fresh) as fh:
-        fh.seek(len(header))
-        tags = np.frombuffer(fh.read(16 * slots), dtype="<f8").reshape(2, slots)
-        for (epoch, params), crc in zip(queue.entries, crcs):
-            slot = epoch % slots
-            if tags[0, slot] == epoch and tags[1, slot] == crc:
-                continue
-            epoch_tag = len(header) + 8 * slot  # its crc tag is slots tags further on
-            fh.seek(epoch_tag)
-            fh.write(_NO_TAG)
-            fh.seek(rows_at + 8 * size * slot)
-            fh.write(params.flat.data)
-            fh.seek(epoch_tag + 8 * slots)
-            fh.write(struct.pack("<d", crc))
-            fh.seek(epoch_tag)
-            fh.write(struct.pack("<d", epoch))
-    return crcs
+            row = params.flat.astype("<f8", copy=False)
+            write_atomically(directory / f"{epoch}.f8", [row.data])
+            queue.crcs[epoch] = zlib.crc32(row)
+    return [queue.crcs[epoch] for epoch, _ in queue.entries]
 
 
-def _load_queue(path: Path, queue: TeacherQueue, epochs: list, crcs: list, bundle, size: int) -> None:
-    """Fill queue with the checkpoints of these epochs from the slot file
-    at path, reading only their rows; each slot's tag and each row's
-    crc32 must be the ones the state file lists."""
-    slots = queue.capacity + 1
-    header, rows_at, length = _queue_layout(slots, size)
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"no teacher-queue slot file {path} ({exc.strerror})") from exc
-    with fh:
-        if not _has_layout(fh, header, length):
-            raise DataError(f"{path}: not a teacher-queue slot file of {slots} checkpoints of {size} values")
-        fh.seek(len(header))
-        tags = np.frombuffer(fh.read(16 * slots), dtype="<f8").reshape(2, slots)
-        for epoch, crc in zip(epochs, crcs):
-            slot, row = epoch % slots, np.empty(size)
-            fh.seek(rows_at + 8 * size * slot)
-            fh.readinto(row)
-            if not (tags[0, slot] == epoch and tags[1, slot] == crc and zlib.crc32(row) == crc):
-                raise DataError(f"{path}: slot {slot} does not hold the checkpoint of epoch {epoch} "
-                                f"with crc32 {crc}")
-            if not np.all(np.isfinite(row)):
-                raise DataError(f"{path}: the checkpoint of epoch {epoch} holds non-finite values")
-            queue.entries.append((epoch, bundle(row)))
-            queue.crcs[epoch] = crc
+def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, bundle, size: int) -> None:
+    """Fill queue with the checkpoints of these epochs from their files in
+    directory; each file must hold size values with the listed crc32."""
+    for epoch, crc in zip(epochs, crcs):
+        file, row = directory / f"{epoch}.f8", np.empty(size, dtype="<f8")
+        try:
+            with open(file, "rb") as fh:  # no more than a checkpoint's bytes, however long the file
+                whole = fh.readinto(row) == 8 * size and not fh.read(1)
+        except OSError as exc:
+            raise DataError(f"no teacher checkpoint {file} ({exc.strerror})") from exc
+        if not whole:
+            raise DataError(f"{file}: not the {8 * size} bytes of a checkpoint of {size} values")
+        if zlib.crc32(row) != crc:
+            raise DataError(f"{file}: crc32 {zlib.crc32(row)} is not {crc}, the crc32 listed for epoch {epoch}")
+        if not np.all(np.isfinite(row)):
+            raise DataError(f"{file}: the checkpoint of epoch {epoch} holds non-finite values")
+        queue.entries.append((epoch, bundle(row)))
+        queue.crcs[epoch] = crc
 
 
 def load_state(path):
     """Returns (TrainState, TrainConfig) reconstructed from a state file
-    and its teacher-queue slot file."""
+    and its teacher-checkpoint directory."""
     tensors, meta = read_tensor_file(path)
-    check_format(path, meta, "ogen-run-state", 3, "start a new run")
+    check_format(path, meta, "ogen-run-state", 4, "start a new run")
     try:
         return _state_from(tensors, meta, _queue_path(path))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed run state ({type(exc).__name__}: {exc})") from exc
 
 
-def _state_from(tensors: dict, meta: dict, slot_file: Path):
+def _state_from(tensors: dict, meta: dict, queue_dir: Path):
     cfg = TrainConfig(**meta["config"])
     cfg.validate()
     rng = np.random.default_rng()
@@ -648,7 +595,7 @@ def _state_from(tensors: dict, meta: dict, slot_file: Path):
                     and all(type(c) is int and 0 <= c < 2**32 for c in crcs)):
                 raise DataError(f"queue_crc32 {crcs!r} is not one crc32 per queue epoch")
             if epochs:
-                _load_queue(slot_file, queue, epochs, crcs, bundle, params.flat.size)
+                _load_queue(queue_dir, queue, epochs, crcs, bundle, params.flat.size)
         if "mt" in tensors:
             mt_teacher = bundle(tensors["mt"])
     state = TrainState(

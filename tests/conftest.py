@@ -1,9 +1,15 @@
-"""Shared test helpers: random instances and finite-difference oracles."""
+"""Shared test helpers: random instances, finite-difference oracles and
+snapshots of run directories."""
 
 import numpy as np
 
 from ogen.generator import _TENSOR_FIELDS, init_params
 from ogen.retrieval import NeighborContext
+
+
+def file_tree(root):
+    """Every file under root, by its path relative to root, mapped to its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def rel_err(a, b):

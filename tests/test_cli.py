@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import pathlib
+import shutil
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import file_tree
 
 from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.cli import main
@@ -110,6 +114,24 @@ def test_negative_seed_is_rejected_before_any_write(dataset_path, tmp_path, caps
     assert not new.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("gen-data", "--image-noise", "nan"), ("gen-data", "--text-noise", "nan"), ("gen-data", "--text-noise", "inf"),
+     ("train", "--tau", "inf"), ("train", "--tau", "nan"), ("train", "--lr", "nan"), ("train", "--gen-lr", "inf"),
+     ("train", "--lambda-syn", "inf"), ("train", "--lambda-distill", "nan"), ("ablate", "--tau", "inf")],
+)
+def test_non_finite_float_flag_is_rejected_before_any_write(dataset_path, tmp_path, capsys, command, flag, value):
+    new = tmp_path / "new"
+    if command == "gen-data":
+        args = [*gen_args(new / "d.oef"), flag, value]
+    else:
+        args = [command, "--data", str(dataset_path), "--out", str(new), flag, value]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not new.exists()
+
+
 class TestTrain:
     def test_run_directory_contents(self, dataset_path, tmp_path):
         run = tmp_path / "run"
@@ -184,19 +206,16 @@ class TestTrain:
         assert c1 == c2
 
     def test_fresh_run_over_another_runs_queue_file(self, dataset_path, tmp_path):
-        # the other run filled slots 0-5; a fresh 4-epoch run writes 0-3
+        # the other run left checkpoints 0-5; a fresh 4-epoch run writes 0-3
         # and must leave no trace of the other run's 4 and 5
         other, clean, dirty = tmp_path / "other", tmp_path / "clean", tmp_path / "dirty"
         assert main(train_args(dataset_path, other, epochs=6, extra=["--lr", "0.05"])) == 0
-        dirty.mkdir()
-        (dirty / "state.queue.bin").write_bytes((other / "state.queue.bin").read_bytes())
+        shutil.copytree(other / "state.queue", dirty / "state.queue")
         assert main(train_args(dataset_path, clean, epochs=4)) == 0
         assert main(train_args(dataset_path, dirty, epochs=4)) == 0
-        files = sorted(p.name for p in clean.iterdir())
-        assert files == sorted(p.name for p in dirty.iterdir())
-        assert "state.queue.bin" in files
-        for name in files:
-            assert (clean / name).read_bytes() == (dirty / name).read_bytes(), name
+        files = file_tree(clean)
+        assert [name for name in files if name.startswith("state.queue/")] == [f"state.queue/{e}.f8" for e in range(4)]
+        assert file_tree(dirty) == files
 
     def test_interrupted_fresh_run_keeps_no_state_of_the_earlier_run(self, dataset_path, tmp_path, monkeypatch):
         run = tmp_path / "run"
@@ -271,8 +290,7 @@ class TestResume:
 
         assert main(["train", "--data", str(dataset_path), "--out", str(part), "--resume"]) == 0
         assert "resuming from epoch 3" in capsys.readouterr().out
-        for name in ("metrics.csv", "state.bin", "state.queue.bin", "checkpoint.bin"):
-            assert (part / name).read_bytes() == (full / name).read_bytes(), name
+        assert file_tree(part) == file_tree(full)
 
     def test_resume_without_state_fails(self, dataset_path, tmp_path):
         assert main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "nope"), "--resume"]) == 2
@@ -339,11 +357,12 @@ class TestResume:
             lambda tensors, meta: meta["config"].update(heads=0),
             lambda tensors, meta: meta["config"].update(d_ff=0),
             lambda tensors, meta: meta["config"].update(seed=-1),
+            lambda tensors, meta: meta["config"].update(tau=float("nan")),
         ],
         ids=["epochs_a_string", "tau_a_string", "batch_size_null", "negative_next_epoch",
              "velocity_of_another_shape", "embeddings_not_of_the_dataset", "float32_embeddings",
              "epochs_a_float", "k_a_float", "heads_a_float", "random_neighbors_a_string",
-             "heads_zero", "d_ff_zero", "negative_seed"],
+             "heads_zero", "d_ff_zero", "negative_seed", "tau_nan"],
     )
     def test_inconsistent_state_is_data_error(self, dataset_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"
@@ -392,24 +411,20 @@ class TestResume:
         assert main(resume_args(dataset_path, run)) == 2
         assert "gen_meta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "module, mode, name",
-        [("trainer", "r+b", "state.queue.bin"), ("_tensorio", "wb", ".state.bin.")],
-        ids=["slot_write", "state_write"],
-    )
-    def test_killed_save_keeps_the_resume_point(self, dataset_path, tmp_path, monkeypatch, module, mode, name):
-        # a window of 2 keeps 3 checkpoints in 4 slots; the sixth save
-        # (epoch 5, which evicts epoch 2) stores half of its first large
-        # write, the checkpoint's row or the new state.bin, then the process dies
+    @pytest.mark.parametrize("step", ["slot_write", "state_write", "cleanup"])
+    def test_killed_save_keeps_the_resume_point(self, dataset_path, tmp_path, monkeypatch, step):
+        # a window of 2 keeps 3 checkpoints; the sixth save (epoch 5, which
+        # evicts epoch 2) dies in one of its steps: half way through writing
+        # checkpoint 5 or the new state.bin, or before it deletes checkpoint 2
         import builtins
 
         import ogen._tensorio
-        import ogen.trainer
         from ogen.trainer import load_state
 
         full, run, window = tmp_path / "full", tmp_path / "run", ["--distill", "fixed", "--window", "2"]
         assert main(train_args(dataset_path, full, epochs=8, extra=window)) == 0
-        opened = []
+        name = "state.queue" if step == "slot_write" else ".state.bin."
+        calls = []
 
         class Killed:
             def __init__(self, fh):
@@ -426,28 +441,41 @@ class TestResume:
 
             def write(self, data):
                 data = memoryview(data).cast("B")
-                if len(data) <= 8:  # a slot tag
-                    return self.fh.write(data)
                 self.fh.write(data[: len(data) // 2])
                 raise OSError("killed mid-write")
 
         def killing_open(path, how="r", *args):
             fh = builtins.open(path, how, *args)
-            if how == mode and name in str(path):
-                opened.append(path)
-                if len(opened) == 6:
+            if how == "wb" and name in str(path):
+                calls.append(path)
+                if len(calls) == 6:
                     return Killed(fh)
             return fh
 
-        monkeypatch.setattr(getattr(ogen, module), "open", killing_open, raising=False)
+        real_unlink = pathlib.Path.unlink
+
+        def killing_unlink(path, *args, **kwargs):
+            if path.parent.name == "state.queue":  # the saves of epochs 3, 4 and 5 delete 0, 1 and 2
+                calls.append(path)
+                if len(calls) == 3:
+                    raise OSError("killed before deleting an evicted checkpoint")
+            return real_unlink(path, *args, **kwargs)
+
+        if step == "cleanup":
+            monkeypatch.setattr(pathlib.Path, "unlink", killing_unlink)
+        else:
+            monkeypatch.setattr(ogen._tensorio, "open", killing_open, raising=False)
         with pytest.raises(OSError, match="killed"):
             main(train_args(dataset_path, run, epochs=8, extra=window))
         monkeypatch.undo()
-        assert load_state(run / "state.bin")[0].next_epoch == 5
+        if step == "slot_write":
+            # a process killed outright also skips write_atomically's cleanup
+            (run / "state.queue" / ".5.f8.99999.tmp").write_bytes(b"\0" * 100)
+        # the cleanup runs after the new state.bin is in place
+        assert load_state(run / "state.bin")[0].next_epoch == (6 if step == "cleanup" else 5)
+        assert (run / "state.queue" / "2.f8").exists()
         assert main(resume_args(dataset_path, run)) == 0
-        assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in full.iterdir())
-        for file in ("metrics.csv", "state.bin", "state.queue.bin", "checkpoint.bin"):
-            assert (run / file).read_bytes() == (full / file).read_bytes(), file
+        assert file_tree(run) == file_tree(full)
 
     @pytest.mark.parametrize(
         "text",
@@ -477,7 +505,7 @@ class TestResume:
             main(resume_args(dataset_path, run))
         assert (run / "metrics.csv").read_bytes() == before
         assert sorted(p.name for p in run.iterdir()) == [
-            "checkpoint.bin", "config.json", "metrics.csv", "state.bin", "state.queue.bin"
+            "checkpoint.bin", "config.json", "metrics.csv", "state.bin", "state.queue"
         ]
 
     @pytest.mark.parametrize(
@@ -582,7 +610,9 @@ class TestEval:
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(["eval", "--run", str(run)]) == 2
-        assert "malformed run state" in capsys.readouterr().err
+        # a DataError of the state's own checks reads once, without the wrapper
+        expected = "generator tensors do not match scheme" if meta["gen_meta"] is None else "malformed run state"
+        assert expected in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -640,40 +670,67 @@ class TestHostileRunFiles:
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
-        assert "version 2 is not version 3" in capsys.readouterr().err
+        assert "version 2 is not version 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_version_3_state_is_data_error(self, dataset_path, tmp_path, capsys, command):
+        # version 3 kept its checkpoints in a slot file, state.queue.bin
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run)
+        tensors, meta = read_tensor_file(run / "state.bin")
+        meta["version"] = 3
+        write_tensor_file(run / "state.bin", tensors, meta)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert "version 3 is not version 4, the only one this ogen reads; start a new run" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(
         "damage",
-        ["missing", "another_run", "other_window", "truncated", "wrong_epoch_tag", "wrong_crc_tag", "row_changed"],
+        ["missing", "another_run", "other_window", "truncated", "wrong_epoch_tag", "wrong_crc_tag", "row_changed",
+         "oversized"],
     )
     def test_bad_queue_file_is_data_error(self, dataset_path, tmp_path, capsys, command, damage):
-        # the rewound almt state references epochs 0 and 1, in slots 0 and 1
+        # the rewound almt state lists the checkpoints of epochs 0 and 1;
+        # the error names the first listed file that is not as listed, and
+        # is found without reading more of a file than a checkpoint's bytes
         run, other = tmp_path / "run", tmp_path / "other"
         TestResume.rewound_run(dataset_path, run)
-        slot_file = run / "state.queue.bin"
-        raw = bytearray(slot_file.read_bytes())
-        header = 4 + struct.unpack("<I", raw[:4])[0]
-        slots = json.loads(raw[4:header])["tensors"][0]["shape"][1]  # tags are (2, slots)
+        queue = run / "state.queue"
+        bad = queue / ("1.f8" if damage in ("missing", "truncated", "wrong_epoch_tag", "wrong_crc_tag") else "0.f8")
         if damage == "missing":
-            slot_file.unlink()
+            bad.unlink()
+        elif damage == "oversized":
+            os.truncate(bad, 64 * 2**20)  # sparse: the extra zeros take no disk
         elif damage in ("another_run", "other_window"):
+            # the fixed run keeps epochs 1-3, so it has no 0.f8
             extra = ["--lr", "0.05"] if damage == "another_run" else ["--distill", "fixed", "--window", "2"]
             assert main(train_args(dataset_path, other, epochs=4, extra=extra)) == 0
-            slot_file.write_bytes((other / "state.queue.bin").read_bytes())
+            shutil.rmtree(queue)
+            shutil.copytree(other / "state.queue", queue)
+        elif damage == "wrong_epoch_tag":  # another epoch's checkpoint under this epoch's name
+            bad.write_bytes((queue / "0.f8").read_bytes())
+        elif damage == "wrong_crc_tag":  # a queue_crc32 that its file does not have
+            tensors, meta = read_tensor_file(run / "state.bin")
+            meta["queue_crc32"][1] ^= 1
+            write_tensor_file(run / "state.bin", tensors, meta)
         else:
+            raw = bytearray(bad.read_bytes())
             if damage == "truncated":
                 del raw[-1]
-            elif damage == "wrong_epoch_tag":
-                raw[header + 8 : header + 16] = struct.pack("<d", 5.0)  # slot 1 claims epoch 5
-            elif damage == "wrong_crc_tag":
-                raw[header + 8 * (slots + 1) : header + 8 * (slots + 2)] = struct.pack("<d", 7.0)
             else:
-                raw[header + 16 * slots] ^= 1  # the first byte of slot 0's row
-            slot_file.write_bytes(raw)
+                raw[0] ^= 1
+            bad.write_bytes(raw)
         capsys.readouterr()
-        assert main(self.command(command, dataset_path, run)) == 2
-        assert "state.queue.bin" in capsys.readouterr().err
+        tracemalloc.start()
+        try:
+            assert main(self.command(command, dataset_path, run)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / 'state.bin'}: ") and str(bad) in err
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -686,15 +743,16 @@ class TestHostileRunFiles:
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
-        assert f"tensors {tensor} hold non-finite values" in capsys.readouterr().err
+        # the path once, and no second DataError wrapped around the first
+        assert capsys.readouterr().err == f"error: {run / 'state.bin'}: tensors {tensor} hold non-finite values\n"
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_queue_checkpoint_is_data_error(self, dataset_path, tmp_path, capsys, command, value):
         from ogen.trainer import load_state, save_state
 
-        # without its crc32, save_state writes the bad checkpoint into its
-        # slot under a crc32 that matches, as a run that produced it would
+        # without its crc32, save_state writes the bad checkpoint to its
+        # file under a crc32 that matches, as a run that produced it would
         run = tmp_path / "run"
         TestResume.rewound_run(dataset_path, run)
         state, cfg = load_state(run / "state.bin")
@@ -704,7 +762,8 @@ class TestHostileRunFiles:
         save_state(run / "state.bin", state, cfg)
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
-        assert f"state.queue.bin: the checkpoint of epoch {epoch} holds non-finite values" in capsys.readouterr().err
+        bad = run / "state.queue" / f"{epoch}.f8"
+        assert f"{bad}: the checkpoint of epoch {epoch} holds non-finite values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(
@@ -722,6 +781,11 @@ class TestHostileRunFiles:
 
 
 class TestHmean:
+    @pytest.mark.parametrize("args", [["nan", "0.5"], ["inf", "0.5"], ["0.5", "nan"], ["0.5", "inf"]])
+    def test_non_finite_input_is_data_error(self, capsys, args):
+        assert main(["hmean", *args]) == 2
+        assert "harmonic mean needs finite non-negative inputs" in capsys.readouterr().err
+
     def test_published_value(self, capsys):
         assert main(["hmean", "82.69", "63.22"]) == 0
         value = float(capsys.readouterr().out.strip())

@@ -6,6 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import file_tree
 
 import ogen._tensorio
 import ogen.objective
@@ -374,8 +375,8 @@ class TestStatePersistence:
             ),
         }[target]
         first()
-        # an almt state.bin also has its teacher-queue slot file, state.queue.bin
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # an almt state.bin also has its teacher checkpoints, in state.queue/
+        before = file_tree(tmp_path)
 
         class Torn:
             """A file whose write stores half its bytes, then fails."""
@@ -396,8 +397,9 @@ class TestStatePersistence:
         monkeypatch.setattr(ogen._tensorio, "open", lambda p, mode: Torn(open(p, mode)), raising=False)
         with pytest.raises(OSError, match="disk full"):
             second()
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        assert sorted(before) == ([target, "state.queue.bin"] if target == "state.bin" else [target])
+        assert file_tree(tmp_path) == before
+        checkpoints = [f"state.queue/{epoch}.f8" for epoch in range(3)]
+        assert sorted(before) == ([target, *checkpoints] if target == "state.bin" else [target])
         monkeypatch.undo()
         second()
         assert path.read_bytes() != before[target]
@@ -407,7 +409,7 @@ class TestStatePersistence:
         [
             ("none", None, []),
             ("mt", None, ["mt"]),
-            ("almt", None, []),  # the queue goes to state.queue.bin
+            ("almt", None, []),  # the queue goes to state.queue/
             ("fixed", 2, []),
         ],
     )
@@ -417,7 +419,7 @@ class TestStatePersistence:
         result = train(ds, cfg)
         save_state(tmp_path / "state.bin", result.state, cfg)
         tensors, meta = ogen._tensorio.read_tensor_file(tmp_path / "state.bin")
-        assert meta["version"] == 3
+        assert meta["version"] == 4
         assert list(tensors) == ["embeddings", "emb_velocity", "params", "velocity", *bundles]
         assert np.array_equal(tensors["params"], result.params.flat)
         # each stored vector comes back as the bundle it was saved from
@@ -430,18 +432,17 @@ class TestStatePersistence:
             assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
             return
         # the queue holds its teacher's widest window, m_max + 1 = 4 for
-        # almt and fixed_window + 1 = 3 for fixed, in one slot more
+        # almt and fixed_window + 1 = 3 for fixed, one headerless file of
+        # little-endian float64 per checkpoint
         capacity = 4 if distill == "almt" else 3
-        epochs, slots = list(range(7 - capacity, 7)), capacity + 1
+        epochs = list(range(7 - capacity, 7))
         assert meta["queue_epochs"] == epochs == [e for e, _ in state.queue.entries]
-        queue, queue_meta = ogen._tensorio.read_tensor_file(tmp_path / "state.queue.bin")
-        assert queue_meta == {"format": "ogen-teacher-queue", "version": 1}
-        assert list(queue) == ["tags", "rows"]
-        assert queue["rows"].shape == (slots, result.params.flat.size)
-        assert meta["queue_crc32"] == [zlib.crc32(queue["rows"][e % slots]) for e in epochs]
+        files = file_tree(tmp_path)
+        assert sorted(files) == ["state.bin", *(f"state.queue/{e}.f8" for e in epochs)]
         for (epoch, saved), (_, params), crc in zip(result.state.queue.entries, state.queue.entries, meta["queue_crc32"]):
-            assert list(queue["tags"][:, epoch % slots]) == [epoch, crc]
-            assert np.array_equal(queue["rows"][epoch % slots], saved.flat)
+            raw = files[f"state.queue/{epoch}.f8"]
+            assert raw == saved.flat.astype("<f8").tobytes()
+            assert zlib.crc32(raw) == crc
             assert np.array_equal(params.flat, saved.flat)
 
     def test_state_files_in_one_directory_keep_their_own_queue(self, tmp_path):
@@ -450,7 +451,7 @@ class TestStatePersistence:
         for name, cfg in (("a", tiny_config(distill="almt")), ("b", tiny_config(distill="fixed", fixed_window=1))):
             runs[name] = train(ds, cfg)
             save_state(tmp_path / f"{name}.bin", runs[name].state, cfg)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "a.queue.bin", "b.bin", "b.queue.bin"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "a.queue", "b.bin", "b.queue"]
         for name, result in runs.items():
             state, _ = load_state(tmp_path / f"{name}.bin")
             saved = result.state.queue.entries
@@ -459,9 +460,8 @@ class TestStatePersistence:
                 assert np.array_equal(params.flat, expected.flat)
 
     def test_almt_epoch_writes_the_state_and_one_slot(self, tmp_path, monkeypatch):
-        # past the save that makes the slot file, an epoch writes state.bin,
-        # the new checkpoint's row and three tags (invalid epoch, crc, epoch),
-        # and computes one crc32: that of the new checkpoint
+        # every epoch writes state.bin and the new checkpoint's 8 * P bytes,
+        # nothing more, and computes one crc32: that of the new checkpoint
         ds = tiny_dataset()
         cfg = tiny_config(scheme="joint", distill="almt", m_max=3, epochs=9)
         real_open, real_crc32 = open, zlib.crc32
@@ -498,8 +498,7 @@ class TestStatePersistence:
         row = 8 * result.params.flat.size
         assert len(crcs) == cfg.epochs
         assert len(written) == cfg.epochs
-        for n, size in zip(written[1:], sizes[1:]):
-            assert size + row < n <= size + row + 3 * 8
+        assert written == [size + row for size in sizes]
 
     def test_state_file_round_trip(self, tmp_path):
         ds = tiny_dataset()
