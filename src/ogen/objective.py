@@ -19,10 +19,11 @@ features and class matrix (class embeddings drift off the unit sphere
 while learning).
 
 known_batch_ce, the known-class loss, scores a (d, B) batch of fixed
-image features against the learnable class columns only. Frozen columns
-join its softmax as a (C_f, B) block of cosine scores that gets no
-gradient; the trainer scores all its features against them once per run.
-Without that block the loss is the joint cross-entropy divided by B.
+unit image features, which the trainer normalizes once per run, against
+the learnable class columns only. Frozen columns join its softmax as a
+(C_f, B) block of cosine scores that gets no gradient; the trainer
+scores all its features against them once per run. Without that block
+the loss is the joint cross-entropy of the normalized batch divided by B.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _unit_columns_vjp(unit, norms, d_unit):
 class CosineGraph:
     """Cosine scores (C, N) of (d, N) raw feature columns against (d, C)
     raw class columns. backward(d_scores) returns the gradients w.r.t.
-    the raw features (None when features=False) and the raw classes."""
+    the raw features and the raw classes."""
 
     def __init__(self, features, classes):
         self.fu, self.fnorms = _unit_columns(features)
@@ -59,10 +60,8 @@ class CosineGraph:
             raise DataError(f"feature columns {self.fu.shape} do not match class dim {self.wu.shape[0]}")
         self.scores = self.wu.T @ self.fu
 
-    def backward(self, d_scores, features=True):
+    def backward(self, d_scores):
         d_classes = _unit_columns_vjp(self.wu, self.wnorms, self.fu @ d_scores.T)
-        if not features:
-            return None, d_classes
         return _unit_columns_vjp(self.fu, self.fnorms, self.wu @ d_scores), d_classes
 
 
@@ -179,32 +178,41 @@ def distill_mse(p_teacher, p_student):
 
 
 def known_batch_ce(features, class_matrix, tau: float, targets, frozen_scores=None):
-    """Mean cross-entropy of fixed (d, B) feature columns toward targets
-    among the learnable (d, C_l) class columns, with no feature gradient.
-    frozen_scores, a (C_f, B) block of cosine scores of the same features
-    against frozen columns, joins the softmax below the learnable scores
-    and gets no gradient. Returns (loss, d class_matrix)."""
+    """Mean cross-entropy of fixed (d, B) unit feature columns, normalized
+    by the caller, toward targets among the learnable (d, C_l) class
+    columns, with no feature gradient. frozen_scores, a (C_f, B) block of
+    cosine scores of the same features against frozen columns, joins the
+    softmax below the learnable scores and gets no gradient. Returns
+    (loss, d class_matrix)."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    graph = CosineGraph(features, class_matrix)
-    scores = graph.scores
-    c_l, b = scores.shape
+    fu = np.asarray(features, dtype=np.float64)
+    wu, wnorms = _unit_columns(class_matrix)
+    if fu.ndim != 2 or fu.shape[0] != wu.shape[0]:
+        raise DataError(f"feature columns {fu.shape} do not match class dim {wu.shape[0]}")
+    c_l, b = wu.shape[1], fu.shape[1]
     t = np.asarray(targets)
-    if t.shape != (b,) or t.dtype.kind not in "iu" or (b and not 0 <= t.min() <= t.max() < c_l):
-        raise DataError(f"targets {t!r} are not {b} indices of the {c_l} learnable columns")
-    if frozen_scores is not None:
-        frozen = np.asarray(frozen_scores, dtype=np.float64)
-        if frozen.ndim != 2 or frozen.shape[1] != b:
-            raise DataError(f"frozen scores of shape {frozen.shape} are not (C_f, {b})")
-        scores = np.concatenate([scores, frozen])
-    probs, log_probs = _softmax(scores / tau)
+    if not b or t.shape != (b,) or t.dtype.kind not in "iu" or not 0 <= t.min() <= t.max() < c_l:
+        raise DataError(f"targets {t!r} are not {b} indices of the {c_l} learnable columns in a nonempty batch")
+    frozen = np.empty((0, b)) if frozen_scores is None else np.asarray(frozen_scores, dtype=np.float64)
+    if frozen.ndim != 2 or frozen.shape[1] != b:
+        raise DataError(f"frozen scores of shape {frozen.shape} are not (C_f, {b})")
+    # the learnable scores above the frozen block, in one softmax buffer
+    logits = np.empty((c_l + len(frozen), b))
+    np.matmul(wu.T, fu, out=logits[:c_l])
+    logits[c_l:] = frozen
+    logits /= tau
+    logits -= logits.max(axis=0)
     rows = np.arange(b)
-    loss = float(-log_probs[t, rows].sum() / b)
+    target_logits = logits[t, rows]
+    e = np.exp(logits, out=logits)
+    total = e.sum(axis=0)
+    loss = float(-(target_logits - np.log(total)).sum() / b)
     # the learnable rows of d loss / d scores: (p - onehot) / (tau B)
-    d_scores = probs[:c_l]
+    d_scores = e[:c_l] / total
     d_scores[t, rows] -= 1.0
     d_scores /= tau * b
-    return loss, graph.backward(d_scores, features=False)[1]
+    return loss, _unit_columns_vjp(wu, wnorms, fu @ d_scores.T)
 
 
 def synth_ce_joint(features, class_matrix, tau: float, targets):

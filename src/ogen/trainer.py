@@ -384,15 +384,18 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     n_unk = math.ceil(cfg.pseudo_unknown_fraction * c_b)
     feats_by_col = [dataset.image_features[c] for c in base]
     eval_cache = _EvalCache(dataset)
-    # every base image feature (row) and its column in base-split order
-    known_feats, feat_col = eval_cache.base_feats, eval_cache.base_labels
+    # every base image feature and its column in base-split order; the
+    # features are fixed, so they are normalized once per run and each
+    # minibatch takes its (d, B) unit columns from the (N, d) unit rows
+    known_units, feat_col = objective._unit_columns(eval_cache.base_feats.T)[0], eval_cache.base_labels
+    known_unit_rows = known_units.T
     # frozen new-class columns participate in every softmax denominator
     # (the union reading); they never receive updates, so the cosines of
     # every base image feature against them are scored once per run
     frozen_new = eval_cache.frozen_new
     frozen_scores = None
     if cfg.known_loss_union and frozen_new.shape[1]:
-        frozen_scores = objective._unit_columns(frozen_new)[0].T @ objective._unit_columns(known_feats.T)[0]
+        frozen_scores = objective._unit_columns(frozen_new)[0].T @ known_units
     rng = state.rng
     rows = []
 
@@ -407,14 +410,16 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         known_cols = np.sort(perm[n_unk:])
 
         # -- known-class cross-entropy, minibatch SGD on the embeddings --
-        rows_known = np.flatnonzero(np.isin(feat_col, known_cols))
+        is_known = np.zeros(c_b, dtype=bool)
+        is_known[known_cols] = True
+        rows_known = np.flatnonzero(is_known[feat_col])
         shuffled = rows_known[rng.permutation(rows_known.size)]
         known_loss_sum = 0.0
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
             batch_frozen = None if frozen_scores is None else frozen_scores[:, batch]
             loss, grad = objective.known_batch_ce(
-                known_feats[batch].T, state.embeddings, cfg.tau, feat_col[batch], batch_frozen
+                known_unit_rows[batch].T, state.embeddings, cfg.tau, feat_col[batch], batch_frozen
             )
             _sgd_step(state.embeddings, grad, state.emb_velocity, lr_emb, cfg.momentum)
             known_loss_sum += loss * batch.size

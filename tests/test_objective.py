@@ -7,6 +7,8 @@ from conftest import central_diff, rel_err
 from ogen.embedding_store import class_probabilities
 from ogen.errors import DataError
 from ogen.objective import (
+    CosineGraph,
+    _softmax,
     _unit_columns,
     distill_grad_joint,
     distill_grad_per_class,
@@ -67,7 +69,8 @@ class TestProbabilityHeads:
         F = rng.standard_normal((8, batch))
         W = rng.standard_normal((8, 5))
         targets = rng.integers(0, 5, size=batch)
-        loss, dW = known_batch_ce(F, W, 0.07, targets)
+        # known_batch_ce takes unit features; the joint head normalizes its own
+        loss, dW = known_batch_ce(_unit_columns(F)[0], W, 0.07, targets)
         joint_loss, _, joint_dW = synth_ce_joint(F, W, 0.07, targets)
         assert loss == joint_loss / batch
         if batch == 8:
@@ -150,6 +153,46 @@ class TestKnownBatchCe:
         fd = central_diff(lambda: known_batch_ce(F, W, 0.1, targets, frozen)[0], W, 1e-4)
         assert rel_err(fd, dW) < 1e-4
 
+    @staticmethod
+    def reference(features, class_matrix, tau, targets, frozen_scores=None):
+        """The loss as first written: raw features normalized per batch,
+        the frozen block concatenated, full softmax and log-softmax."""
+        graph = CosineGraph(features, class_matrix)
+        scores = graph.scores
+        c_l, b = scores.shape
+        if frozen_scores is not None:
+            scores = np.concatenate([scores, frozen_scores])
+        probs, log_probs = _softmax(scores / tau)
+        rows = np.arange(b)
+        loss = float(-log_probs[targets, rows].sum() / b)
+        d_scores = probs[:c_l]
+        d_scores[targets, rows] -= 1.0
+        d_scores /= tau * b
+        return loss, graph.backward(d_scores)[1]
+
+    @pytest.mark.parametrize("union", [True, False], ids=["union", "known_only"])
+    @pytest.mark.parametrize("tau", [0.01, 0.1])
+    def test_unit_rows_equal_the_per_batch_formula_bit_for_bit(self, tau, union):
+        # train normalizes the (N, d) base features once and hands each
+        # minibatch its rows of the unit matrix; every result must equal
+        # that of normalizing the raw rows of the batch inside the loss
+        rng = np.random.default_rng(25)
+        raw_rows = rng.standard_normal((150, 16)) * rng.uniform(0.5, 3.0, size=(150, 1))
+        W, Wn = rng.standard_normal((16, 7)) * 1.5, rng.standard_normal((16, 4))
+        labels = rng.integers(0, 7, size=150)
+        units = _unit_columns(raw_rows.T)[0]
+        unit_rows = units.T
+        frozen = _unit_columns(Wn)[0].T @ units if union else None
+        shuffled = rng.permutation(150)
+        batches = [shuffled[start : start + 64] for start in range(0, 150, 64)]
+        assert [b.size for b in batches] == [64, 64, 22]
+        for batch in batches:
+            block = None if frozen is None else frozen[:, batch]
+            loss, dW = known_batch_ce(unit_rows[batch].T, W, tau, labels[batch], block)
+            ref_loss, ref_dW = self.reference(raw_rows[batch].T, W, tau, labels[batch], block)
+            assert loss == ref_loss
+            np.testing.assert_array_equal(dW, ref_dW)
+
     def test_target_outside_the_learnable_columns_is_data_error(self):
         F, W, Wn, targets = self.inputs(22)
         frozen = unit(Wn).T @ F
@@ -162,6 +205,10 @@ class TestKnownBatchCe:
             known_batch_ce(F, W, 0.1, targets[:-1], frozen)
         with pytest.raises(DataError, match="frozen scores"):
             known_batch_ce(F, W, 0.1, targets, frozen[:, :-1])
+        # a mean over an empty batch is undefined
+        for block in (None, frozen[:, :0]):
+            with pytest.raises(DataError, match="learnable columns in a nonempty batch"):
+                known_batch_ce(F[:, :0], W, 0.1, targets[:0], block)
 
     @pytest.mark.parametrize("tau", [0.0, -0.1])
     def test_non_positive_temperature_is_value_error(self, tau):
