@@ -21,7 +21,7 @@ from .errors import DataError
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
 
 
-def write_tensor_file(path, tensors: dict, meta: dict) -> None:
+def write_tensor_file(path, tensors: dict, meta: dict, aside=None) -> None:
     """tensors maps name -> ndarray; meta is JSON-serializable metadata."""
     manifest = dict(meta)
     manifest["tensors"] = []
@@ -32,20 +32,24 @@ def write_tensor_file(path, tensors: dict, meta: dict) -> None:
         manifest["tensors"].append({"name": name, "shape": list(arr.shape), "dtype": code})
         blobs.append(np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes())
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_atomically(path, [struct.pack("<I", len(mbytes)) + mbytes, *blobs])
+    write_atomically(path, [struct.pack("<I", len(mbytes)) + mbytes, *blobs], aside)
 
 
-def write_atomically(path, chunks) -> None:
-    """Write the byte chunks to a temp file beside path, then rename it over
+def write_atomically(path, chunks, aside=None) -> None:
+    """Write the byte chunks to a temp file beside path, then rename it to
     path: a killed process leaves the old file or the new one, never a torn
-    one, and at worst a stray .<name>.<pid>.tmp beside them. There is no
-    fsync, so this does not survive a power loss."""
+    one, and at worst a stray .<name>.<pid>.tmp beside them. With aside, an
+    existing path is renamed to aside first, for the caller to delete, so no
+    rename lands on a file (on ext4 that starts the new file's writeback at
+    once). With no fsync, a power loss can lose the new file and the old."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+        if aside is not None and path.exists():
+            os.replace(path, aside)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -57,41 +61,46 @@ def read_tensor_file(path):
     p = Path(path)
     if not p.is_file():
         raise DataError(f"no such file: {p}")
-    data = p.read_bytes()
-    if len(data) < 4:
-        raise DataError(f"{p}: too short to hold a manifest")
-    (mlen,) = struct.unpack("<I", data[:4])
-    if 4 + mlen > len(data):
-        raise DataError(f"{p}: truncated manifest")
-    try:
-        manifest = json.loads(data[4 : 4 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{p}: unreadable manifest ({exc})") from exc
-    if not (isinstance(manifest, dict) and isinstance(entries := manifest.pop("tensors", None), list)):
-        raise DataError(f"{p}: manifest is not an object with a tensor list")
-    tensors = {}
-    pos = 4 + mlen
-    for entry in entries:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(type(n) is int and n >= 0 for n in entry["shape"])
-            and isinstance(entry.get("dtype", "f4"), str)
-        ):
-            raise DataError(f"{p}: malformed tensor entry {entry!r}")
-        shape = tuple(entry["shape"])
-        dtype = _DTYPES.get(entry.get("dtype", "f4"))
-        if dtype is None:
-            raise DataError(f"{p}: unknown dtype for tensor {entry['name']!r}")
-        nbytes = math.prod(shape) * int(dtype[-1])  # Python ints: a huge shape cannot wrap around
-        if pos + nbytes > len(data):
-            raise DataError(f"{p}: truncated data for tensor {entry['name']!r}")
-        arr = np.frombuffer(data[pos : pos + nbytes], dtype=dtype).reshape(shape).copy()
-        tensors[entry["name"]] = arr
-        pos += nbytes
-    if pos != len(data):
-        raise DataError(f"{p}: {len(data) - pos} trailing bytes")
+    with open(p, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 4:
+            raise DataError(f"{p}: too short to hold a manifest")
+        (mlen,) = struct.unpack("<I", fh.read(4))
+        if 4 + mlen > size:
+            raise DataError(f"{p}: truncated manifest")
+        try:
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{p}: unreadable manifest ({exc})") from exc
+        if not (isinstance(manifest, dict) and isinstance(entries := manifest.pop("tensors", None), list)):
+            raise DataError(f"{p}: manifest is not an object with a tensor list")
+        layout = []
+        pos = 4 + mlen
+        for entry in entries:
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])
+                and isinstance(entry.get("dtype", "f4"), str)
+            ):
+                raise DataError(f"{p}: malformed tensor entry {entry!r}")
+            shape = tuple(entry["shape"])
+            dtype = _DTYPES.get(entry.get("dtype", "f4"))
+            if dtype is None:
+                raise DataError(f"{p}: unknown dtype for tensor {entry['name']!r}")
+            nbytes = math.prod(shape) * int(dtype[-1])  # Python ints: a huge shape cannot wrap around
+            if pos + nbytes > size:
+                raise DataError(f"{p}: truncated data for tensor {entry['name']!r}")
+            layout.append((entry["name"], shape, dtype, nbytes))
+            pos += nbytes
+        if pos != size:  # before any tensor is read: a padded file costs no memory
+            raise DataError(f"{p}: {size - pos} trailing bytes")
+        tensors = {}
+        for name, shape, dtype, nbytes in layout:
+            tensors[name] = arr = np.empty(shape, dtype=dtype)
+            if fh.readinto(arr.reshape(-1)) != nbytes:
+                raise DataError(f"{p}: truncated data for tensor {name!r}")
     return tensors, manifest
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import shutil
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -22,12 +21,12 @@ from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
 from .trainer import (
     TrainConfig,
-    _queue_path,
     ablate,
     check_state,
     evaluate,
     harmonic_mean,
     load_state,
+    remove_state,
     save_state,
     train,
 )
@@ -183,7 +182,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
     config_path = run_dir / "config.json"
 
     if resume:
-        for path in (state_path, config_path, metrics_path):
+        for path in (config_path, metrics_path):
             if not path.exists():
                 raise DataError(f"cannot resume: {path} does not exist")
         state, cfg = load_state(state_path)
@@ -208,10 +207,9 @@ def cmd_train(ctx, data, out, resume, plot, **_):
         run_dir.mkdir(parents=True, exist_ok=True)
         # an earlier run's files that this one does not rewrite at once: a run
         # stopped before its first save must not eval or resume as that run
-        for path in (state_path, run_dir / "checkpoint.bin", run_dir / "curves.svg"):
+        remove_state(state_path)
+        for path in (run_dir / "checkpoint.bin", run_dir / "curves.svg"):
             path.unlink(missing_ok=True)
-        if _queue_path(state_path).exists():
-            shutil.rmtree(_queue_path(state_path))
         config = {
             "config": asdict(cfg),
             "data": str(data),
@@ -253,10 +251,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
 def cmd_eval(run_dir, data, as_csv):
     """Evaluate the checkpoint of a finished (or partial) run."""
     run = Path(run_dir)
-    state_path = run / "state.bin"
-    if not state_path.exists():
-        raise DataError(f"no checkpoint state found at {state_path}")
-    state, cfg = load_state(state_path)
+    state, cfg = load_state(run / "state.bin")
     if data is None:
         config_path = run / "config.json"
         if not config_path.exists():

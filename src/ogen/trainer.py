@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -499,12 +500,26 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
         tensors.update(params=state.params.flat, velocity=state.gen_velocity.flat)
         if state.mt_teacher is not None:
             tensors["mt"] = state.mt_teacher.flat
-    write_tensor_file(path, tensors, meta)
+    write_tensor_file(path, tensors, meta, aside=_aside_path(path))
+    _aside_path(path).unlink(missing_ok=True)
     if queue is not None:
         listed = {f"{epoch}.f8" for epoch in meta["queue_epochs"]}
         for entry in _queue_path(path).iterdir():
             if entry.name not in listed:
                 entry.unlink()
+
+
+def remove_state(path) -> None:
+    """Delete the state file at path, its checkpoint directory and all that killed saves left beside it."""
+    path = Path(path)
+    for stray in (path, _aside_path(path), *path.parent.glob(f".{path.name}.*.tmp")):
+        stray.unlink(missing_ok=True)
+    if _queue_path(path).exists():
+        shutil.rmtree(_queue_path(path))
+
+
+def _aside_path(path) -> Path:  # run/.state.bin.prev, the old state while a save renames the new one in
+    return Path(path).with_name(f".{Path(path).name}.prev")
 
 
 def _queue_path(path) -> Path:
@@ -549,16 +564,17 @@ def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, 
 
 
 def load_state(path):
-    """Returns (TrainState, TrainConfig) reconstructed from a state file
-    and its teacher-checkpoint directory."""
-    tensors, meta = read_tensor_file(path)
-    check_format(path, meta, "ogen-run-state", 4, "start a new run")
+    """Returns (TrainState, TrainConfig) reconstructed from a state file (or
+    the one a save moved aside, if only that is there) and its checkpoints."""
+    source = _aside_path(path) if not Path(path).exists() and _aside_path(path).exists() else path
+    tensors, meta = read_tensor_file(source)
+    check_format(source, meta, "ogen-run-state", 4, "start a new run")
     try:
         return _state_from(tensors, meta, _queue_path(path))
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{source}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: malformed run state ({type(exc).__name__}: {exc})") from exc
+        raise DataError(f"{source}: malformed run state ({type(exc).__name__}: {exc})") from exc
 
 
 def _state_from(tensors: dict, meta: dict, queue_dir: Path):

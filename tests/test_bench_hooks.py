@@ -66,3 +66,18 @@ def test_objective_spans_never_nest(monkeypatch):
         while parent is not None:
             assert not parent.name.startswith("objective."), f"{span.name} inside {parent.name}"
             parent = parent.parent
+
+
+def test_every_traced_save_leaves_a_file_at_its_path(monkeypatch, tmp_path):
+    # the traced run sizes the file at save_state's path after each save
+    run = load_bench(monkeypatch)
+    session = run.Session(ogen, "cli", 0, 1.0, True)
+    data = tmp_path / "d.oef"
+    assert ogen.cli.main(["gen-data", "--classes", "8", "--dim", "16", "--per-class", "6", "--out", str(data)]) == 0
+    with session.tracing():
+        for distill in ("almt", "mt"):
+            args = ["train", "--data", data, "--out", tmp_path / distill, "--epochs", "3", "--distill", distill]
+            assert ogen.cli.main([str(a) for a in args]) == 0
+    saves = [s for s in session.tracer.spans if s.name == "cli.save_state"]
+    assert len(saves) == 6
+    assert all(s.attrs["bytes"] > 0 for s in saves)

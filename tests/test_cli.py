@@ -177,13 +177,17 @@ class TestTrain:
             lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][1].update(shape=[2**32 - 1] * 2)),  # image_features
             lambda raw: rewrite_manifest(raw, lambda m: m.update(counts=[1 << 20] * len(m["counts"]))),
             lambda raw: b"OGEN" + struct.pack("<III", 1, 0xFFFFFFFF, 0xFFFFFFFF) + raw,
+            "oversized",
         ],
-        ids=["name_not_utf8", "huge_header", "oversized_header", "version_1"],
+        ids=["name_not_utf8", "huge_header", "oversized_header", "version_1", "oversized"],
     )
     def test_hostile_dataset_is_data_error_without_allocating(self, dataset_path, tmp_path, capsys, corrupt):
         raw = dataset_path.read_bytes()
         assert read_tensor_file(dataset_path)[1]["format"] == "ogen-embeddings"
-        dataset_path.write_bytes(corrupt(raw))
+        if corrupt == "oversized":
+            os.truncate(dataset_path, 64 * 2**20)  # sparse: the extra zeros take no disk
+        else:
+            dataset_path.write_bytes(corrupt(raw))
         tracemalloc.start()
         try:
             code = main(train_args(dataset_path, tmp_path / "run"))
@@ -205,6 +209,26 @@ class TestTrain:
         c2 = json.loads((r2 / "config.json").read_text())
         assert c1 == c2
 
+    def test_no_save_renames_onto_an_existing_file(self, dataset_path, tmp_path, monkeypatch):
+        # on ext4 a rename over an existing file starts the new file's
+        # writeback at once: a disk write on every epoch's save of state.bin
+        renames = []
+
+        def recorded(real):
+            def rename(src, dst, *args, **kwargs):
+                renames.append((dst, os.path.lexists(dst)))
+                return real(src, dst, *args, **kwargs)
+
+            return rename
+
+        monkeypatch.setattr(os, "replace", recorded(os.replace))
+        monkeypatch.setattr(os, "rename", recorded(os.rename))
+        for distill in ("almt", "mt"):
+            assert main(train_args(dataset_path, tmp_path / distill, extra=["--distill", distill])) == 0
+        monkeypatch.undo()
+        assert sum(pathlib.Path(dst).name == "state.bin" for dst, _ in renames) == 6
+        assert [dst for dst, existed in renames if existed] == []
+
     def test_fresh_run_over_another_runs_queue_file(self, dataset_path, tmp_path):
         # the other run left checkpoints 0-5; a fresh 4-epoch run writes 0-3
         # and must leave no trace of the other run's 4 and 5
@@ -224,6 +248,9 @@ class TestTrain:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
+        # and what killed saves leave: the old state moved aside, a temp file
+        shutil.copy(run / "state.bin", run / ".state.bin.prev")
+        (run / ".state.bin.99999.tmp").write_bytes(b"\0" * 100)
         monkeypatch.setattr("ogen.cli.train", interrupted)
         assert main(["train", "--data", str(dataset_path), "--out", str(run), "--seed", "7"]) == 1
         monkeypatch.undo()
@@ -411,11 +438,13 @@ class TestResume:
         assert main(resume_args(dataset_path, run)) == 2
         assert "gen_meta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("step", ["slot_write", "state_write", "cleanup"])
+    @pytest.mark.parametrize("step", ["slot_write", "state_write", "moved_aside", "cleanup"])
     def test_killed_save_keeps_the_resume_point(self, dataset_path, tmp_path, monkeypatch, step):
         # a window of 2 keeps 3 checkpoints; the sixth save (epoch 5, which
         # evicts epoch 2) dies in one of its steps: half way through writing
-        # checkpoint 5 or the new state.bin, or before it deletes checkpoint 2
+        # checkpoint 5 or the new state.bin, after it moved the old state.bin
+        # aside but before it renamed the new one in, or before it deletes
+        # checkpoint 2
         import builtins
 
         import ogen._tensorio
@@ -452,6 +481,15 @@ class TestResume:
                     return Killed(fh)
             return fh
 
+        real_replace = os.replace
+
+        def killing_replace(src, dst):
+            if pathlib.Path(dst).name == "state.bin":
+                calls.append(dst)
+                if len(calls) == 6:
+                    raise OSError("killed between the renames")
+            return real_replace(src, dst)
+
         real_unlink = pathlib.Path.unlink
 
         def killing_unlink(path, *args, **kwargs):
@@ -463,6 +501,8 @@ class TestResume:
 
         if step == "cleanup":
             monkeypatch.setattr(pathlib.Path, "unlink", killing_unlink)
+        elif step == "moved_aside":
+            monkeypatch.setattr(os, "replace", killing_replace)
         else:
             monkeypatch.setattr(ogen._tensorio, "open", killing_open, raising=False)
         with pytest.raises(OSError, match="killed"):
@@ -473,7 +513,9 @@ class TestResume:
             (run / "state.queue" / ".5.f8.99999.tmp").write_bytes(b"\0" * 100)
         # the cleanup runs after the new state.bin is in place
         assert load_state(run / "state.bin")[0].next_epoch == (6 if step == "cleanup" else 5)
+        assert (run / "state.bin").exists() == (step != "moved_aside")
         assert (run / "state.queue" / "2.f8").exists()
+        assert main(["eval", "--run", str(run)]) == 0
         assert main(resume_args(dataset_path, run)) == 0
         assert file_tree(run) == file_tree(full)
 
@@ -688,19 +730,22 @@ class TestHostileRunFiles:
     @pytest.mark.parametrize(
         "damage",
         ["missing", "another_run", "other_window", "truncated", "wrong_epoch_tag", "wrong_crc_tag", "row_changed",
-         "oversized"],
+         "oversized", "oversized_state"],
     )
     def test_bad_queue_file_is_data_error(self, dataset_path, tmp_path, capsys, command, damage):
         # the rewound almt state lists the checkpoints of epochs 0 and 1;
         # the error names the first listed file that is not as listed, and
-        # is found without reading more of a file than a checkpoint's bytes
+        # is found without reading more of a file than a checkpoint's bytes;
+        # a state.bin longer than its tensors, before any tensor is read
         run, other = tmp_path / "run", tmp_path / "other"
         TestResume.rewound_run(dataset_path, run)
         queue = run / "state.queue"
         bad = queue / ("1.f8" if damage in ("missing", "truncated", "wrong_epoch_tag", "wrong_crc_tag") else "0.f8")
+        if damage == "oversized_state":
+            bad = run / "state.bin"
         if damage == "missing":
             bad.unlink()
-        elif damage == "oversized":
+        elif damage.startswith("oversized"):
             os.truncate(bad, 64 * 2**20)  # sparse: the extra zeros take no disk
         elif damage in ("another_run", "other_window"):
             # the fixed run keeps epochs 1-3, so it has no 0.f8
