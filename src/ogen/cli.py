@@ -20,6 +20,8 @@ from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_
 from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
 from .trainer import (
+    DISTILL_MODES,
+    SCHEMES,
     TrainConfig,
     ablate,
     check_state,
@@ -114,15 +116,19 @@ def _run_data(config_path: Path) -> str:
 
 
 # train options named apart from their TrainConfig field
-_CONFIG_FIELDS = {"window": "fixed_window", "lr": "learning_rate", "gen_lr": "generator_lr",
-                  "known_denominator": "known_loss_union"}
+_CONFIG_FIELDS = {"lr": "learning_rate", "gen_lr": "generator_lr", "known_denominator": "known_loss_union"}
 
 
 def _train_config(ctx) -> TrainConfig:
     """The configuration the training flags of a command ask for; a field
     the command has no flag for keeps its TrainConfig() default."""
     flags = {_CONFIG_FIELDS.get(name, name): value for name, value in ctx.params.items()}
-    return replace(TrainConfig(), **{f.name: flags[f.name] for f in fields(TrainConfig) if f.name in flags})
+    cfg = replace(TrainConfig(), **{f.name: flags[f.name] for f in fields(TrainConfig) if f.name in flags})
+    bounds = [p.opts[0] for p in ctx.command.params if p.name in ("m_min", "m_max")
+              and ctx.get_parameter_source(p.name) is click.core.ParameterSource.COMMANDLINE]
+    if bounds and cfg.distill != "almt":
+        raise ConfigError(f"{', '.join(bounds)} bound the window of distill=almt, not distill={cfg.distill}")
+    return cfg
 
 
 def _check_resume_flags(ctx, stored: TrainConfig) -> None:
@@ -146,9 +152,9 @@ def _check_resume_flags(ctx, stored: TrainConfig) -> None:
 @click.option("--epochs", type=int, default=200, show_default=True)
 @click.option("--batch-size", type=int, default=64, show_default=True)
 @click.option("--k", type=int, default=3, show_default=True, help="Neighbor classes per synthesis.")
-@click.option("--scheme", type=click.Choice(["none", "per_class", "joint"]), default="joint", show_default=True)
-@click.option("--distill", type=click.Choice(["none", "mt", "almt", "fixed"]), default="almt", show_default=True)
-@click.option("--window", type=int, default=None, help="Window size for --distill fixed.")
+@click.option("--scheme", type=click.Choice(SCHEMES), default="joint", show_default=True)
+@click.option("--distill", type=click.Choice(DISTILL_MODES), default="almt", show_default=True,
+              help="Teacher: an EMA of all epochs (mt) or of the last m_t + 1, m_t from --m-min to --m-max (almt).")
 @click.option("--tau", type=float, default=0.01, show_default=True)
 @click.option("--lr", type=float, default=0.02, show_default=True, help="Embedding learning rate.")
 @click.option("--gen-lr", type=float, default=0.02, show_default=True, help="Generator learning rate.")

@@ -4,7 +4,7 @@ The teacher for self-distillation is an exponential moving average over
 historical generator checkpoints. The adaptive variant restricts the
 average to a recent window whose size grows on a cosine curve from m_min
 to m_max over the run: small early (excludes underfit checkpoints), wide
-late (reaches back past the overfit recent ones).
+late (reaches back past the overfit recent ones); constant if m_min = m_max.
 """
 
 from __future__ import annotations
@@ -43,18 +43,17 @@ def window_size(t: int, cfg: ScheduleConfig) -> int:
 
 @dataclass
 class TeacherQueue:
-    """Bounded FIFO of (epoch, params) checkpoints of consecutive epochs,
+    """FIFO of the (epoch, params) checkpoints of the last m_max + 1 epochs,
     newest last. crcs maps the epoch of a checkpoint to the crc32 of its
     bytes once a save has computed it, until the checkpoint is evicted."""
 
     schedule: ScheduleConfig
-    capacity: int = 0
     entries: list = field(default_factory=list)
     crcs: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.capacity <= 0:
-            self.capacity = self.schedule.m_max + 1
+    @property
+    def capacity(self) -> int:
+        return self.schedule.m_max + 1
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -33,7 +33,7 @@ from .distillation import (
     ScheduleConfig,
     TeacherQueue,
     almt_teacher,
-    ema_mean_teacher,
+    ema_mean_teacher,  # unused here; the benchmark wraps this name until it times the library's own phases
     push_checkpoint,
     window_size,
 )
@@ -49,7 +49,7 @@ from .generator import (
 from .retrieval import build_context, retrieve_knn
 
 SCHEMES = ("none", "per_class", "joint")
-DISTILL_MODES = ("none", "mt", "almt", "fixed")
+DISTILL_MODES = ("none", "mt", "almt")
 # the Python types each TrainConfig annotation admits: a bool is no int, an int is a float
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)}
 
@@ -61,7 +61,6 @@ class TrainConfig:
     k: int = 3
     scheme: str = "joint"
     distill: str = "almt"
-    fixed_window: int | None = None
     tau: float = 0.01
     learning_rate: float = 0.02
     generator_lr: float = 0.02
@@ -91,10 +90,6 @@ class TrainConfig:
             raise ConfigError(f"unknown distill mode {self.distill!r}, expected one of {DISTILL_MODES}")
         if self.scheme == "none" and self.distill != "none":
             raise ConfigError("scheme=none has no generator to distill; use distill=none")
-        if self.distill == "fixed" and (self.fixed_window is None or self.fixed_window < 1):
-            raise ConfigError("distill=fixed requires fixed_window >= 1")
-        if self.distill != "fixed" and self.fixed_window is not None:
-            raise ConfigError(f"fixed_window applies only to distill=fixed, not distill={self.distill}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
@@ -253,9 +248,7 @@ def _sgd_step(value: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: flo
 
 def _teacher_queue(cfg: TrainConfig) -> TeacherQueue:
     """An empty checkpoint queue that holds the widest window its teacher averages."""
-    schedule = ScheduleConfig(t_max=cfg.epochs, m_min=cfg.m_min, m_max=cfg.m_max, ema_alpha=cfg.ema_alpha)
-    window = cfg.m_max if cfg.distill == "almt" else cfg.fixed_window
-    return TeacherQueue(schedule=schedule, capacity=window + 1)
+    return TeacherQueue(ScheduleConfig(t_max=cfg.epochs, m_min=cfg.m_min, m_max=cfg.m_max, ema_alpha=cfg.ema_alpha))
 
 
 def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
@@ -268,7 +261,7 @@ def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
         d_ff = cfg.d_ff if cfg.d_ff is not None else 2 * dataset.dim
         params = init_params(cfg.heads, dataset.dim, d_ff, seed=int(init_ss.generate_state(1)[0]))
         gen_velocity = params.zeros_like()
-    queue = _teacher_queue(cfg) if cfg.distill in ("almt", "fixed") else None
+    queue = _teacher_queue(cfg) if cfg.distill == "almt" else None
     return TrainState(
         next_epoch=0,
         embeddings=embeddings,
@@ -283,21 +276,17 @@ def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
 
 def _resolve_teacher(state: TrainState, cfg: TrainConfig, epoch: int):
     """(m_t, teacher params, (lo, hi) checkpoint epochs used) for this
-    epoch; the teacher and its range are None while there is no teacher.
-    almt and fixed average the last m_t + 1 checkpoints."""
+    epoch, almt's teacher the EMA of the last m_t + 1 checkpoints; the
+    teacher and its range are None while there is no teacher."""
     if cfg.distill == "mt":
         return 0, state.mt_teacher, None if state.mt_teacher is None else (0, epoch - 1)
     if cfg.distill == "none":
         return 0, None, None
-    m_t = window_size(epoch, state.queue.schedule) if cfg.distill == "almt" else cfg.fixed_window
+    m_t = window_size(epoch, state.queue.schedule)
     if len(state.queue) == 0:
         return m_t, None, None
     used = state.queue.last(m_t + 1)
-    if cfg.distill == "almt":
-        teacher = almt_teacher(state.queue, epoch)
-    else:
-        teacher = ema_mean_teacher([p for _, p in used], cfg.ema_alpha)
-    return m_t, teacher, (used[0][0], used[-1][0])
+    return m_t, almt_teacher(state.queue, epoch), (used[0][0], used[-1][0])
 
 
 def _mt_update(state: TrainState, cfg: TrainConfig) -> None:
@@ -437,7 +426,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
             _sgd_step(state.embeddings, emb_grad, state.emb_velocity, lr_emb, cfg.momentum)
 
         # -- teacher bookkeeping, evaluation, metrics --
-        if cfg.distill in ("almt", "fixed"):
+        if cfg.distill == "almt":
             push_checkpoint(state.queue, epoch, state.params)
         elif cfg.distill == "mt":
             _mt_update(state, cfg)
@@ -578,7 +567,12 @@ def load_state(path):
 
 
 def _state_from(tensors: dict, meta: dict, queue_dir: Path):
-    cfg = TrainConfig(**meta["config"])
+    config = dict(meta["config"])
+    if config.get("distill") == "fixed":  # an older version-4 state: fixed_window W is almt, m_min = m_max = W
+        config.update(distill="almt", m_min=config["fixed_window"], m_max=config.pop("fixed_window"))
+    if config.get("fixed_window", 0) is None:  # which stores null for the other modes
+        del config["fixed_window"]
+    cfg = TrainConfig(**config)
     cfg.validate()
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]
@@ -605,7 +599,7 @@ def _state_from(tensors: dict, meta: dict, queue_dir: Path):
             raise DataError(f"gen_meta {gen_meta!r} is not the configured generator {shape}")
         bundle = partial(GeneratorParams, *shape.values())
         params, gen_velocity = bundle(tensors["params"]), bundle(tensors["velocity"])
-        if cfg.distill in ("almt", "fixed"):
+        if cfg.distill == "almt":
             queue = _teacher_queue(cfg)
             epochs, crcs = meta.get("queue_epochs"), meta.get("queue_crc32")
             window = list(range(max(0, next_epoch - queue.capacity), next_epoch))
@@ -708,8 +702,8 @@ def ablate(dataset: EmbeddingSet, base_cfg: TrainConfig, seeds: int = 3) -> Abla
         "distill": [
             ("none", variant(scheme="joint", distill="none")),
             ("mt", variant(scheme="joint", distill="mt")),
-            ("fixed m=2", variant(scheme="joint", distill="fixed", fixed_window=2)),
-            ("fixed m=9", variant(scheme="joint", distill="fixed", fixed_window=9)),
+            ("fixed m=2", variant(scheme="joint", distill="almt", m_min=2, m_max=2)),
+            ("fixed m=9", variant(scheme="joint", distill="almt", m_min=9, m_max=9)),
             ("almt", variant(scheme="joint", distill="almt")),
         ],
     }

@@ -158,9 +158,15 @@ class TestTrain:
         assert code == 2
         assert "distill" in capsys.readouterr().err
 
-    def test_window_requires_fixed_mode(self, dataset_path, tmp_path):
+    @pytest.mark.parametrize("distill", ["none", "mt"])
+    @pytest.mark.parametrize("flag", ["--m-min", "--m-max"])
+    def test_window_bounds_require_almt(self, dataset_path, tmp_path, capsys, flag, distill):
         run = tmp_path / "run"
-        assert main(train_args(dataset_path, run, extra=["--window", "3"])) == 2
+        scheme = "none" if distill == "none" else "joint"
+        args = train_args(dataset_path, run, extra=["--scheme", scheme, "--distill", distill, flag, "9"])
+        assert main(args) == 2
+        assert f"{flag} bound the window of distill=almt, not distill={distill}" in capsys.readouterr().err
+        assert not run.exists()
 
     @pytest.mark.parametrize("flag", ["--heads", "--d-ff"])
     def test_width_below_one_is_config_error(self, dataset_path, tmp_path, capsys, flag):
@@ -331,7 +337,8 @@ class TestResume:
         assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume"]) == 2
         assert lost in capsys.readouterr().err
 
-    @pytest.mark.parametrize("distill", [["--distill", "almt"], ["--distill", "fixed", "--window", "2"]], ids=["almt", "fixed"])
+    # fixed: a constant window, m_min = m_max = 2
+    @pytest.mark.parametrize("distill", [["--distill", "almt"], ["--m-min", "2", "--m-max", "2"]], ids=["almt", "fixed"])
     @pytest.mark.parametrize(
         "next_epoch, queue_epochs",
         [
@@ -450,7 +457,7 @@ class TestResume:
         import ogen._tensorio
         from ogen.trainer import load_state
 
-        full, run, window = tmp_path / "full", tmp_path / "run", ["--distill", "fixed", "--window", "2"]
+        full, run, window = tmp_path / "full", tmp_path / "run", ["--m-min", "2", "--m-max", "2"]
         assert main(train_args(dataset_path, full, epochs=8, extra=window)) == 0
         name = "state.queue" if step == "slot_write" else ".state.bin."
         calls = []
@@ -556,7 +563,7 @@ class TestResume:
             ["--epochs", "5"],
             ["--tau", "0.02"],
             ["--scheme", "per_class"],
-            ["--distill", "fixed", "--window", "2"],
+            ["--m-min", "3", "--m-max", "3"],
             ["--random-neighbors"],
             ["--known-denominator", "known"],
             ["--lr", "0.5"],
@@ -748,8 +755,8 @@ class TestHostileRunFiles:
         elif damage.startswith("oversized"):
             os.truncate(bad, 64 * 2**20)  # sparse: the extra zeros take no disk
         elif damage in ("another_run", "other_window"):
-            # the fixed run keeps epochs 1-3, so it has no 0.f8
-            extra = ["--lr", "0.05"] if damage == "another_run" else ["--distill", "fixed", "--window", "2"]
+            # the run with a constant window of 2 keeps epochs 1-3, so it has no 0.f8
+            extra = ["--lr", "0.05"] if damage == "another_run" else ["--m-min", "2", "--m-max", "2"]
             assert main(train_args(dataset_path, other, epochs=4, extra=extra)) == 0
             shutil.rmtree(queue)
             shutil.copytree(other / "state.queue", queue)

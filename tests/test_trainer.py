@@ -119,14 +119,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="distill"):
             TrainConfig(scheme="none", distill="almt").validate()
 
-    def test_fixed_needs_window(self):
-        with pytest.raises(ConfigError, match="fixed_window"):
+    def test_fixed_is_no_distill_mode(self):
+        # a constant window is almt with m_min = m_max
+        with pytest.raises(ConfigError, match="unknown distill mode 'fixed'"):
             TrainConfig(distill="fixed").validate()
-
-    @pytest.mark.parametrize("distill", ["none", "mt", "almt"])
-    def test_window_only_with_fixed(self, distill):
-        with pytest.raises(ConfigError, match="fixed_window applies only to distill=fixed"):
-            TrainConfig(scheme="joint", distill=distill, fixed_window=3).validate()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -148,8 +144,8 @@ class TestConfigValidation:
             TrainConfig(seed=-1).validate()
 
     def test_int_for_float_and_none_where_allowed_are_accepted(self):
-        TrainConfig(tau=1, momentum=0, d_ff=None, fixed_window=None).validate()
-        TrainConfig(distill="fixed", fixed_window=2, d_ff=16).validate()
+        TrainConfig(tau=1, momentum=0, d_ff=None).validate()
+        TrainConfig(d_ff=16).validate()
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
@@ -245,12 +241,10 @@ class TestTrainLoop:
     def test_distill_modes_report_window_column(self):
         ds = tiny_dataset()
         almt = train(ds, tiny_config(scheme="joint", distill="almt", epochs=3)).metrics
-        fixed = train(
-            ds, tiny_config(scheme="joint", distill="fixed", fixed_window=4, epochs=3)
-        ).metrics
+        constant = train(ds, tiny_config(scheme="joint", distill="almt", m_min=4, m_max=4, epochs=3)).metrics
         none = train(ds, tiny_config(scheme="joint", distill="none", epochs=3)).metrics
         mt = train(ds, tiny_config(scheme="joint", distill="mt", epochs=3)).metrics
-        assert [m.m_t for m in fixed] == [4, 4, 4]
+        assert [m.m_t for m in constant] == [4, 4, 4]
         assert all(m.m_t == 0 for m in none)
         assert all(m.m_t == 0 for m in mt)
         assert almt[0].m_t == 2  # cosine ramp starts at the minimum window
@@ -332,13 +326,13 @@ class TestTrainedGeneratorImproves:
 
 class TestStatePersistence:
     @pytest.mark.parametrize(
-        "scheme,distill,window",
-        [("joint", "almt", None), ("joint", "mt", None), ("joint", "fixed", 2), ("per_class", "almt", None)],
-        ids=["almt", "mt", "fixed2", "per_class_almt"],
+        "scheme,distill,m_max",
+        [("joint", "almt", 9), ("joint", "mt", 9), ("joint", "almt", 2), ("per_class", "almt", 9)],
+        ids=["almt", "mt", "fixed2", "per_class_almt"],  # fixed2: a constant window, m_min = m_max = 2
     )
-    def test_resumed_run_matches_unbroken_run(self, tmp_path, scheme, distill, window):
+    def test_resumed_run_matches_unbroken_run(self, tmp_path, scheme, distill, m_max):
         ds = tiny_dataset()
-        cfg = tiny_config(scheme=scheme, distill=distill, fixed_window=window, epochs=8)
+        cfg = tiny_config(scheme=scheme, distill=distill, m_max=m_max, epochs=8)
         full = train(ds, cfg)
 
         state_path = tmp_path / "state.bin"
@@ -410,12 +404,12 @@ class TestStatePersistence:
             ("none", None, []),
             ("mt", None, ["mt"]),
             ("almt", None, []),  # the queue goes to state.queue/
-            ("fixed", 2, []),
+            pytest.param("almt", 2, [], id="fixed-2-bundles3"),  # a constant window, m_min = m_max = 2
         ],
     )
     def test_state_holds_one_flat_vector_per_bundle(self, tmp_path, distill, window, bundles):
         ds = tiny_dataset()
-        cfg = tiny_config(scheme="joint", distill=distill, fixed_window=window, m_max=3, epochs=7)
+        cfg = tiny_config(scheme="joint", distill=distill, m_min=window or 2, m_max=window or 3, epochs=7)
         result = train(ds, cfg)
         save_state(tmp_path / "state.bin", result.state, cfg)
         tensors, meta = ogen._tensorio.read_tensor_file(tmp_path / "state.bin")
@@ -427,14 +421,14 @@ class TestStatePersistence:
         loaded = {"params": state.params, "velocity": state.gen_velocity, "mt": state.mt_teacher}
         for name in list(tensors)[2:]:
             assert np.array_equal(loaded[name].flat, tensors[name])
-        if distill not in ("almt", "fixed"):
+        if distill != "almt":
             assert meta["queue_epochs"] is meta["queue_crc32"] is None
             assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
             return
-        # the queue holds its teacher's widest window, m_max + 1 = 4 for
-        # almt and fixed_window + 1 = 3 for fixed, one headerless file of
-        # little-endian float64 per checkpoint
-        capacity = 4 if distill == "almt" else 3
+        # the queue holds its teacher's widest window, m_max + 1: 4 for the
+        # window growing to 3 and 3 for the constant window of 2, one
+        # headerless file of little-endian float64 per checkpoint
+        capacity = 3 if window == 2 else 4
         epochs = list(range(7 - capacity, 7))
         assert meta["queue_epochs"] == epochs == [e for e, _ in state.queue.entries]
         files = file_tree(tmp_path)
@@ -448,7 +442,7 @@ class TestStatePersistence:
     def test_state_files_in_one_directory_keep_their_own_queue(self, tmp_path):
         ds = tiny_dataset()
         runs = {}
-        for name, cfg in (("a", tiny_config(distill="almt")), ("b", tiny_config(distill="fixed", fixed_window=1))):
+        for name, cfg in (("a", tiny_config(distill="almt")), ("b", tiny_config(distill="almt", m_min=1, m_max=1))):
             runs[name] = train(ds, cfg)
             save_state(tmp_path / f"{name}.bin", runs[name].state, cfg)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "a.queue", "b.bin", "b.queue"]
@@ -500,6 +494,53 @@ class TestStatePersistence:
         assert len(written) == cfg.epochs
         assert written == [size + row for size in sizes]
 
+    @pytest.mark.parametrize(
+        "m_max, spelling",
+        [(2, {"distill": "fixed", "fixed_window": 2, "m_max": 9}), (9, {"fixed_window": None})],
+        ids=["fixed", "null"],
+    )
+    def test_state_with_a_fixed_window_field_resumes_as_almt(self, tmp_path, m_max, spelling):
+        # version-4 states once stored fixed_window in their config, and
+        # spelled a constant window w as distill="fixed", fixed_window=w;
+        # they load as almt with m_min = m_max = w, and resume bit-exactly
+        ds = tiny_dataset()
+        cfg = tiny_config(scheme="joint", distill="almt", m_max=m_max, epochs=8)
+        full = train(ds, cfg)
+        path = tmp_path / "state.bin"
+
+        def snapshot(state, row):
+            if row.epoch == 3:
+                save_state(path, state, cfg)
+
+        train(ds, cfg, on_epoch=snapshot)
+        tensors, meta = ogen._tensorio.read_tensor_file(path)
+        meta["config"].update(spelling)
+        ogen._tensorio.write_tensor_file(path, tensors, meta)
+        state, loaded = load_state(path)
+        assert loaded == cfg
+        resumed = train(ds, loaded, state=state)
+        assert resumed.metrics == full.metrics[4:]
+        assert np.array_equal(resumed.params.flat, full.params.flat)
+        assert [e for e, _ in resumed.state.queue.entries] == [e for e, _ in full.state.queue.entries]
+        for (_, params), (_, expected) in zip(resumed.state.queue.entries, full.state.queue.entries):
+            assert np.array_equal(params.flat, expected.flat)
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [{"fixed_window": 2}, {"distill": "fixed", "fixed_window": None}, {"distill": "fixed"}],
+        ids=["window_without_fixed", "fixed_with_null", "fixed_without_window"],
+    )
+    def test_state_with_a_stray_fixed_window_is_data_error(self, tmp_path, spelling):
+        # no older state paired fixed_window and distill any other way
+        cfg = tiny_config(scheme="joint", distill="almt", epochs=2)
+        path = tmp_path / "state.bin"
+        save_state(path, train(tiny_dataset(), cfg).state, cfg)
+        tensors, meta = ogen._tensorio.read_tensor_file(path)
+        meta["config"].update(spelling)
+        ogen._tensorio.write_tensor_file(path, tensors, meta)
+        with pytest.raises(DataError, match="malformed run state"):
+            load_state(path)
+
     def test_state_file_round_trip(self, tmp_path):
         ds = tiny_dataset()
         cfg = tiny_config(scheme="joint", distill="mt", epochs=3)
@@ -531,6 +572,14 @@ class TestAblate:
         assert [r["variant"] for r in report.distill] == [
             "none", "mt", "fixed m=2", "fixed m=9", "almt",
         ]
+        # a fixed window of w is almt with m_min = m_max = w
+        for row, w in zip(report.distill[2:4], (2, 9)):
+            runs = [
+                train(ds, dataclasses.replace(base_cfg, scheme="joint", distill="almt", m_min=w, m_max=w, seed=seed))
+                for seed in (base_cfg.seed, base_cfg.seed + 1)
+            ]
+            finals = [(r.metrics[-1].base_acc, r.metrics[-1].new_acc, r.metrics[-1].harmonic_mean) for r in runs]
+            assert row == {"variant": f"fixed m={w}", **ogen.trainer._cell_stats(finals)}
         for rows in tables.values():
             for row in rows:
                 assert row["seeds"] == 2
