@@ -15,8 +15,10 @@ two float32 tensors are class_embeddings (C, d) and image_features
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,9 @@ from .objective import class_probabilities  # noqa: F401  (re-export; the scorer
 UNIT_NORM_ATOL = 1e-6
 # Below this norm a vector is rejected as zero rather than renormalized.
 ZERO_NORM_EPS = 1e-6
+# Rows per pass of the row-norm and synthesis loops (128 KB of float64 at
+# d=64): their float64 temporaries do not grow with the number of classes.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -90,13 +95,13 @@ class EmbeddingSet:
             )
         if len(self.image_features) != C:
             raise DataError("image_features must provide one array per class")
-        _check_unit_rows(self.class_embeddings, "class embedding")
+        _check_unit_rows([self.class_embeddings], "class embedding {i}")
         for c, feats in enumerate(self.image_features):
             if feats.ndim != 2 or feats.shape[1] != self.dim:
                 raise DataError(f"class {c} ({self.class_names[c]!r}): feature shape {feats.shape}")
             if feats.shape[0] < 1:
                 raise DataError(f"class {c} ({self.class_names[c]!r}) has no image features")
-            _check_unit_rows(feats, f"class {c} image feature")
+        _check_unit_rows(self.image_features, "class {c} image feature {i}")
         self.split.validate(C)
 
     @property
@@ -126,22 +131,56 @@ class EmbeddingSet:
         return self.class_embeddings[idx].astype(np.float64).T
 
 
-def _check_unit_rows(arr: np.ndarray, what: str) -> None:
-    norms = np.linalg.norm(arr.astype(np.float64), axis=-1)
-    bad = np.nonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL))[0]  # a NaN norm is not unit
+def _row_norms(blocks) -> np.ndarray:
+    """Float64 norms of the rows of a sequence of (n_i, d) blocks, all
+    rows in order, equal bit for bit to np.linalg.norm(b.astype(np.float64),
+    axis=-1) of each block; casts at most _CHUNK_ROWS rows at a time."""
+    total = sum(len(b) for b in blocks)
+    norms = np.empty(total)
+    if total == 0:
+        return norms
+    buf = np.empty((min(total, _CHUNK_ROWS), blocks[0].shape[1]))
+    pieces, start, filled = [], 0, 0
+    for b in blocks:
+        taken = 0
+        while taken < len(b):
+            m = min(len(b) - taken, len(buf) - filled)
+            pieces.append(b[taken:taken + m])
+            taken += m
+            filled += m
+            if filled == len(buf) or start + filled == total:
+                chunk = np.concatenate(pieces, out=buf[:filled])
+                np.multiply(chunk, chunk, out=chunk)
+                np.add.reduce(chunk, axis=-1, out=norms[start:start + filled])
+                pieces, start, filled = [], start + filled, 0
+    return np.sqrt(norms, out=norms)
+
+
+def _check_unit_rows(blocks, what: str) -> None:
+    """Reject the first row of blocks that is not unit-norm; what names it
+    from its block index c and its row index i in that block."""
+    norms = _row_norms(blocks)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL))  # a NaN norm is not unit
     if bad.size:
-        raise DataError(f"{what} {bad[0]} is not unit-norm (|v| = {norms[bad[0]]:.6g})")
+        row = int(bad[0])
+        ends = list(accumulate(len(b) for b in blocks))
+        c = bisect_right(ends, row)
+        i = row - (ends[c - 1] if c else 0)
+        raise DataError(f"{what.format(c=c, i=i)} is not unit-norm (|v| = {norms[row]:.6g})")
 
 
 def _normalize_block(arr: np.ndarray, what: str) -> np.ndarray:
-    """Unit-normalize rows of a float32 block, preserving already-unit rows."""
-    out = np.array(arr, dtype=np.float32, copy=True)
-    norms = np.linalg.norm(out.astype(np.float64), axis=-1)
-    for i in np.nonzero(norms < ZERO_NORM_EPS)[0]:
+    """Unit-normalize the rows of a freshly read block in place, as float32,
+    preserving already-unit rows."""
+    out = arr.astype(np.float32, copy=False)
+    norms = _row_norms([out])
+    for i in np.flatnonzero(norms < ZERO_NORM_EPS):
         raise DataError(f"{what} {i} has zero norm")
     # non-finite rows are kept as they are, for EmbeddingSet to reject
-    needs = np.isfinite(norms) & (np.abs(norms - 1.0) > UNIT_NORM_ATOL)
-    out[needs] = (out[needs].astype(np.float64) / norms[needs, None]).astype(np.float32)
+    needs = np.flatnonzero(np.isfinite(norms) & (np.abs(norms - 1.0) > UNIT_NORM_ATOL))
+    for s in range(0, needs.size, _CHUNK_ROWS):
+        rows = needs[s:s + _CHUNK_ROWS]
+        out[rows] = (out[rows].astype(np.float64) / norms[rows, None]).astype(np.float32)
     return out
 
 
@@ -194,14 +233,17 @@ def make_synthetic(cfg: SynthConfig) -> EmbeddingSet:
     else:
         text = mu.copy()
 
-    feats = []
-    for c in range(C):
-        if cfg.image_noise > 0:
-            block = mu[c] + cfg.image_noise * rng.standard_normal((n, d))
-            block /= np.linalg.norm(block, axis=1, keepdims=True)
-        else:
-            block = np.tile(mu[c], (n, 1))
-        feats.append(block.astype(np.float32))
+    feats = np.empty((C, n, d), dtype=np.float32)
+    if cfg.image_noise > 0:
+        group = max(1, _CHUNK_ROWS // n)  # classes per draw; one draw of g classes is g draws of one
+        for c in range(0, C, group):
+            block = cfg.image_noise * rng.standard_normal((min(group, C - c), n, d))
+            block += mu[c:c + group, None]
+            block /= np.linalg.norm(block, axis=-1, keepdims=True)
+            feats[c:c + group] = block
+    else:
+        feats[...] = mu[:, None]
+    feats.setflags(write=False)
 
     order = rng.permutation(C)
     n_base = math.ceil(cfg.base_fraction * C)
@@ -245,12 +287,15 @@ def load_embeddings(path) -> EmbeddingSet:
     """Read and validate a dataset file; vectors outside unit-norm tolerance
     are renormalized, zero and non-finite vectors are rejected."""
     p = Path(path)
-    if p.is_file():
-        with open(p, "rb") as fh:
-            if fh.read(4) == b"OGEN":
-                raise DataError(f"{p}: a version-1 dataset, which this ogen no longer reads; "
-                                "write it again with `ogen gen-data`")
-    tensors, meta = read_tensor_file(p)
+    try:
+        tensors, meta = read_tensor_file(p)
+    except DataError:
+        if p.is_file():
+            with open(p, "rb") as fh:
+                if fh.read(4) == b"OGEN":
+                    raise DataError(f"{p}: a version-1 dataset, which this ogen no longer reads; "
+                                    "write it again with `ogen gen-data`") from None
+        raise
     check_format(p, meta, "ogen-embeddings", 2, "write it again with `ogen gen-data`")
     names = meta.get("class_names")
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
@@ -265,10 +310,12 @@ def load_embeddings(path) -> EmbeddingSet:
     if feats is None or feats.shape != (sum(counts), emb.shape[1]):
         raise DataError(f"{p}: image_features is not (sum(counts), d) = ({sum(counts)}, {emb.shape[1]})")
     feats = _normalize_block(feats, "image feature")
+    ends = list(accumulate(counts))
     return EmbeddingSet(
         dim=emb.shape[1],
         class_names=tuple(names),
         class_embeddings=_normalize_block(emb, "class embedding"),
-        image_features=tuple(np.split(feats, np.cumsum(counts)[:-1])),
+        image_features=tuple(feats[a:b] for a, b in zip([0, *ends], ends)),
         split=ClassSplit(base=tuple(meta["base"]), new=tuple(meta["new"])),
     )
+

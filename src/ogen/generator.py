@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,20 +38,27 @@ from .retrieval import NeighborContext
 LN_EPS = 1e-5
 
 
-def _layout(heads: int, dim: int, d_ff: int) -> dict:
-    """Name -> shape of every generator tensor, in storage order; rejects
-    an architecture the generator cannot have."""
+@lru_cache(maxsize=16)
+def _spans(heads: int, dim: int, d_ff: int) -> tuple:
+    """(name, start, stop, shape) of every generator tensor in the flat
+    vector, in storage order; rejects an architecture the generator
+    cannot have."""
     if min(heads, dim, d_ff) < 1 or dim % heads != 0:
         raise ConfigError(f"need heads dividing dim and d_ff >= 1, got heads={heads}, dim={dim}, d_ff={d_ff}")
     d, f = dim, d_ff
-    return {
+    shapes = {
         "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
         "ln_gain": (d,), "ln_bias": (d,),
         "ffn_w1": (f, d), "ffn_b1": (f,), "ffn_w2": (d, f), "ffn_b2": (d,),
     }
+    spans, stop = [], 0
+    for name, shape in shapes.items():
+        start, stop = stop, stop + math.prod(shape)
+        spans.append((name, start, stop, shape))
+    return tuple(spans)
 
 
-_TENSOR_FIELDS = tuple(_layout(1, 1, 1))
+_TENSOR_FIELDS = tuple(name for name, *_ in _spans(1, 1, 1))
 
 
 @dataclass
@@ -65,14 +73,14 @@ class GeneratorParams:
     flat: np.ndarray
 
     def __post_init__(self):
-        layout = _layout(self.heads, self.dim, self.d_ff)
-        ends = np.cumsum([math.prod(shape) for shape in layout.values()])
+        spans = _spans(self.heads, self.dim, self.d_ff)
+        size = spans[-1][2]
         flat = self.flat
         if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.ndim == 1
-                and flat.flags.c_contiguous and flat.size == ends[-1]):
-            raise ConfigError(f"generator parameters must be one contiguous float64 vector of {ends[-1]} values")
-        for (name, shape), chunk in zip(layout.items(), np.split(flat, ends[:-1])):
-            setattr(self, name, chunk.reshape(shape))
+                and flat.flags.c_contiguous and flat.size == size):
+            raise ConfigError(f"generator parameters must be one contiguous float64 vector of {size} values")
+        for name, start, stop, shape in spans:
+            setattr(self, name, flat[start:stop].reshape(shape))
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the views from the (copied) vector
@@ -111,7 +119,7 @@ def init_params(heads: int, dim: int, d_ff: int, seed: int) -> GeneratorParams:
     """Uniform(+-1/sqrt(d)) projection and FFN weights, zero output
     projection (so the attention residual vanishes at step 0), identity
     layer norm. Deterministic per seed."""
-    size = sum(map(math.prod, _layout(heads, dim, d_ff).values()))
+    size = _spans(heads, dim, d_ff)[-1][2]
     params = GeneratorParams(heads=heads, dim=dim, d_ff=d_ff, flat=np.zeros(size))
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(dim)

@@ -1,7 +1,9 @@
 """Dataset construction, file round-trips, and the cosine-softmax scorer."""
 
+import builtins
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ogen.embedding_store import (
     ClassSplit,
     EmbeddingSet,
     SynthConfig,
+    _row_norms,
     class_probabilities,
     load_embeddings,
     make_synthetic,
@@ -82,6 +85,20 @@ class TestValidation:
                 image_features=(arrays["image_features"], ds.image_features[1]),
                 split=ds.split,
             )
+
+    @pytest.mark.parametrize(
+        "c, i, value, shown",
+        [(1, 2, 2.0, "2"), (2, 4, 0.5, "0.5"), (1, 0, np.nan, "nan")],
+        ids=["middle_class", "last_row_of_last_class", "nan_row"],
+    )
+    def test_bad_row_is_named_by_class_and_row(self, c, i, value, shown):
+        # one norm pass over all classes still names the class and the row in it
+        feats = [np.tile(np.eye(4, dtype=np.float32)[k], (n, 1)) for k, n in enumerate((3, 4, 5))]
+        feats[c][i] *= value
+        with pytest.raises(DataError) as exc:
+            EmbeddingSet(dim=4, class_names=("a", "b", "c"), class_embeddings=np.eye(4, dtype=np.float32)[:3],
+                         image_features=tuple(feats), split=ClassSplit(base=(0,), new=(1, 2)))
+        assert str(exc.value) == f"class {c} image feature {i} is not unit-norm (|v| = {shown})"
 
     def test_duplicate_names_rejected(self):
         ds = tiny_set()
@@ -183,6 +200,11 @@ class TestFileFormat:
         write_dataset(path, [("a", e, [z])])
         with pytest.raises(DataError, match="zero norm"):
             load_embeddings(path)
+        # a zero row is named by its index in the stored feature block
+        write_dataset(path, [("a", e, [e, e]), ("b", e, [e, z])], split=((0,), (1,)))
+        with pytest.raises(DataError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == "image feature 3 has zero norm"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_rejected(self, tmp_path, bad):
@@ -242,6 +264,15 @@ class TestFileFormat:
         with pytest.raises(DataError, match="version-1 dataset.*ogen gen-data"):
             load_embeddings(path)
 
+    def test_valid_file_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.oef"
+        save_embeddings(tiny_set(), path)
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda f, *a, **k: opened.append(f) or real_open(f, *a, **k))
+        load_embeddings(path)
+        assert opened == [path]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_embeddings(tmp_path / "absent.oef")
@@ -268,6 +299,106 @@ class TestFileFormat:
         loaded = load_embeddings(tmp_path / "d.oef")
         block = loaded.image_features[0].base
         assert block.shape == (15, 8) and all(f.base is block for f in loaded.image_features)
+
+
+def _reference_synthetic(cfg):
+    """make_synthetic as one draw and one normalization per class: the
+    reference the batched draw must match bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    C, d, n = cfg.num_classes, cfg.dim, cfg.per_class
+    mu = rng.standard_normal((C, d))
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    if cfg.text_noise > 0:
+        text = mu + cfg.text_noise * rng.standard_normal((C, d))
+        text /= np.linalg.norm(text, axis=1, keepdims=True)
+    else:
+        text = mu.copy()
+    feats = []
+    for c in range(C):
+        if cfg.image_noise > 0:
+            block = mu[c] + cfg.image_noise * rng.standard_normal((n, d))
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
+        else:
+            block = np.tile(mu[c], (n, 1))
+        feats.append(block.astype(np.float32))
+    order = rng.permutation(C)
+    n_base = math.ceil(cfg.base_fraction * C)
+    return text.astype(np.float32), feats, (tuple(order[:n_base]), tuple(order[n_base:]))
+
+
+class TestChunkedRows:
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 2000])
+    def test_row_norms_equal_linalg_norm(self, rows):
+        x = (np.random.default_rng(rows).standard_normal((rows, 64)) * 3).astype(np.float32)
+        expected = np.linalg.norm(x.astype(np.float64), axis=-1)
+        assert _row_norms([x]).tobytes() == expected.tobytes()
+
+    def test_row_norms_of_blocks_straddling_chunks(self):
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal((n, 24)).astype(np.float32) for n in (100, 200, 3, 256, 1, 300, 52)]
+        expected = np.concatenate([np.linalg.norm(b.astype(np.float64), axis=-1) for b in blocks])
+        assert _row_norms(blocks).tobytes() == expected.tobytes()
+        assert _row_norms([b.astype(np.float64) for b in blocks]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(num_classes=7, dim=64, per_class=40, seed=3),
+            SynthConfig(num_classes=7, dim=16, per_class=6, image_noise=0.0),
+            SynthConfig(num_classes=300, dim=8, per_class=1, seed=1),
+            SynthConfig(num_classes=20, dim=16, per_class=5, text_noise=0.0, base_fraction=1.0),
+            SynthConfig(num_classes=13, dim=128, per_class=300, seed=2),
+        ],
+        ids=["C7_n40", "no_image_noise", "C300_n1_d8", "no_text_noise_all_base", "C13_d128_n300"],
+    )
+    def test_synthetic_equals_per_class_draws(self, cfg):
+        text, feats, (base, new) = _reference_synthetic(cfg)
+        ds = make_synthetic(cfg)
+        assert ds.class_embeddings.tobytes() == text.tobytes()
+        assert len(ds.image_features) == len(feats)
+        for got, want in zip(ds.image_features, feats):
+            assert got.dtype == np.float32 and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ds.split == ClassSplit(base=tuple(map(int, base)), new=tuple(map(int, new)))
+        # read-only views of one (C, n, d) block
+        block = ds.image_features[0].base
+        assert block.shape == (cfg.num_classes, cfg.per_class, cfg.dim) and not block.flags.writeable
+        assert all(f.base is block for f in ds.image_features)
+
+    def test_renormalized_file_equals_per_row_division(self, tmp_path):
+        # rows off the sphere are divided by their float64 norm; unit rows are kept as stored
+        rng = np.random.default_rng(8)
+        feats = rng.standard_normal((700, 16)).astype(np.float32)
+        feats /= np.linalg.norm(feats.astype(np.float64), axis=1, keepdims=True).astype(np.float32)
+        feats[::2] *= 2.5  # 350 rows: more than one renormalization chunk
+        counts = [300, 1, 399]
+        path = tmp_path / "off.oef"
+        write_tensor_file(path, {"class_embeddings": np.eye(3, 16, dtype=np.float32) * 4, "image_features": feats},
+                          {"format": "ogen-embeddings", "version": 2, "class_names": ["a", "b", "c"],
+                           "counts": counts, "base": [0], "new": [1, 2]})
+        norms = np.linalg.norm(feats.astype(np.float64), axis=-1)
+        off = np.abs(norms - 1.0) > 1e-6
+        expected = feats.copy()
+        expected[off] = (feats[off].astype(np.float64) / norms[off, None]).astype(np.float32)
+        ds = load_embeddings(path)
+        assert off.sum() >= 350
+        assert np.concatenate(ds.image_features).tobytes() == expected.tobytes()
+        assert ds.class_embeddings.tobytes() == np.eye(3, 16, dtype=np.float32).tobytes()
+
+    def test_peak_memory_stays_within_twice_the_feature_block(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; a float64 copy of the
+        # whole block would alone take twice the float32 block
+        cfg = SynthConfig(num_classes=50, dim=64, per_class=40)
+        block_bytes = 50 * 40 * 64 * 4
+        path = tmp_path / "d.oef"
+        save_embeddings(make_synthetic(cfg), path)
+        for call in (lambda: load_embeddings(path), lambda: make_synthetic(cfg)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * block_bytes
 
 
 class TestSynthetic:
