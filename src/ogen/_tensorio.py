@@ -85,6 +85,8 @@ def read_tensor_file(path):
                 and isinstance(entry.get("dtype", "f4"), str)
             ):
                 raise DataError(f"{p}: malformed tensor entry {entry!r}")
+            if any(entry["name"] == name for name, *_ in layout):
+                raise DataError(f"{p}: tensor {entry['name']!r} is listed twice")
             shape = tuple(entry["shape"])
             dtype = _DTYPES.get(entry.get("dtype", "f4"))
             if dtype is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -22,6 +22,7 @@ from .generator import save_checkpoint
 from .trainer import (
     DISTILL_MODES,
     SCHEMES,
+    EpochMetrics,
     TrainConfig,
     ablate,
     check_state,
@@ -33,10 +34,7 @@ from .trainer import (
     train,
 )
 
-METRIC_COLUMNS = (
-    "epoch", "base_acc", "new_acc", "harmonic_mean",
-    "known_ce", "synth_ce", "distill_mse", "m_t", "teacher_lo", "teacher_hi",
-)
+METRIC_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
 
 ABLATION_COLUMNS = (
     "variant", "base_mean", "base_std", "new_mean", "new_std", "h_mean", "h_std", "seeds",
@@ -115,15 +113,10 @@ def _run_data(config_path: Path) -> str:
     return config["data"]
 
 
-# train options named apart from their TrainConfig field
-_CONFIG_FIELDS = {"lr": "learning_rate", "gen_lr": "generator_lr", "known_denominator": "known_loss_union"}
-
-
 def _train_config(ctx) -> TrainConfig:
     """The configuration the training flags of a command ask for; a field
     the command has no flag for keeps its TrainConfig() default."""
-    flags = {_CONFIG_FIELDS.get(name, name): value for name, value in ctx.params.items()}
-    cfg = replace(TrainConfig(), **{f.name: flags[f.name] for f in fields(TrainConfig) if f.name in flags})
+    cfg = TrainConfig(**{f.name: ctx.params[f.name] for f in fields(TrainConfig) if f.name in ctx.params})
     bounds = [p.opts[0] for p in ctx.command.params if p.name in ("m_min", "m_max")
               and ctx.get_parameter_source(p.name) is click.core.ParameterSource.COMMANDLINE]
     if bounds and cfg.distill != "almt":
@@ -136,11 +129,11 @@ def _check_resume_flags(ctx, stored: TrainConfig) -> None:
     value differs from the stored run's configuration."""
     requested = _train_config(ctx)
     conflicts = [
-        f"{p.opts[0]} (run has {field}={getattr(stored, field)!r})"
+        f"{p.opts[0]} (run has {p.name}={getattr(stored, p.name)!r})"
         for p in ctx.command.params
-        if hasattr(stored, field := _CONFIG_FIELDS.get(p.name, p.name))
+        if hasattr(stored, p.name)
         and ctx.get_parameter_source(p.name) is click.core.ParameterSource.COMMANDLINE
-        and getattr(requested, field) != getattr(stored, field)
+        and getattr(requested, p.name) != getattr(stored, p.name)
     ]
     if conflicts:
         raise ConfigError("--resume continues the stored run; conflicting flags: " + ", ".join(conflicts))
@@ -149,34 +142,29 @@ def _check_resume_flags(ctx, stored: TrainConfig) -> None:
 @cli.command("train")
 @click.option("--data", type=click.Path(exists=False), required=True, help="Dataset (.oef).")
 @click.option("--out", type=click.Path(file_okay=False), default="ogen-run", show_default=True)
-@click.option("--epochs", type=int, default=200, show_default=True)
-@click.option("--batch-size", type=int, default=64, show_default=True)
-@click.option("--k", type=int, default=3, show_default=True, help="Neighbor classes per synthesis.")
-@click.option("--scheme", type=click.Choice(SCHEMES), default="joint", show_default=True)
-@click.option("--distill", type=click.Choice(DISTILL_MODES), default="almt", show_default=True,
+@click.option("--epochs", type=int, default=TrainConfig.epochs, show_default=True)
+@click.option("--batch-size", type=int, default=TrainConfig.batch_size, show_default=True)
+@click.option("--k", type=int, default=TrainConfig.k, show_default=True, help="Neighbor classes per synthesis.")
+@click.option("--scheme", type=click.Choice(SCHEMES), default=TrainConfig.scheme, show_default=True)
+@click.option("--distill", type=click.Choice(DISTILL_MODES), default=TrainConfig.distill, show_default=True,
               help="Teacher: an EMA of all epochs (mt) or of the last m_t + 1, m_t from --m-min to --m-max (almt).")
-@click.option("--tau", type=float, default=0.01, show_default=True)
-@click.option("--lr", type=float, default=0.02, show_default=True, help="Embedding learning rate.")
-@click.option("--gen-lr", type=float, default=0.02, show_default=True, help="Generator learning rate.")
-@click.option("--momentum", type=float, default=0.9, show_default=True)
-@click.option("--lambda-syn", type=float, default=2.0, show_default=True)
-@click.option("--lambda-distill", type=float, default=1.0, show_default=True)
-@click.option("--pseudo-unknown-fraction", type=float, default=0.3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--heads", type=int, default=4, show_default=True)
-@click.option("--d-ff", type=int, default=None, help="FFN width (default 2*dim).")
-@click.option("--m-min", type=int, default=2, show_default=True)
-@click.option("--m-max", type=int, default=9, show_default=True)
-@click.option("--ema-alpha", type=float, default=0.9, show_default=True)
-@click.option("--random-neighbors", is_flag=True, help="Sample neighbors at random instead of kNN.")
-@click.option(
-    "--known-denominator",
-    type=click.Choice(["union", "known"]),
-    default="union",
-    show_default=True,
-    callback=lambda ctx, param, value: value == "union",
-    help="Class set in the known-loss softmax denominator.",
-)
+@click.option("--tau", type=float, default=TrainConfig.tau, show_default=True)
+@click.option("--lr", "learning_rate", type=float, default=TrainConfig.learning_rate, show_default=True,
+              help="Embedding learning rate.")
+@click.option("--gen-lr", "generator_lr", type=float, default=TrainConfig.generator_lr, show_default=True,
+              help="Generator learning rate.")
+@click.option("--momentum", type=float, default=TrainConfig.momentum, show_default=True)
+@click.option("--lambda-syn", type=float, default=TrainConfig.lambda_syn, show_default=True)
+@click.option("--lambda-distill", type=float, default=TrainConfig.lambda_distill, show_default=True)
+@click.option("--pseudo-unknown-fraction", type=float, default=TrainConfig.pseudo_unknown_fraction, show_default=True)
+@click.option("--seed", type=int, default=TrainConfig.seed, show_default=True)
+@click.option("--heads", type=int, default=TrainConfig.heads, show_default=True)
+@click.option("--d-ff", type=int, default=TrainConfig.d_ff, help="FFN width (default 2*dim).")
+@click.option("--m-min", type=int, default=TrainConfig.m_min, show_default=True)
+@click.option("--m-max", type=int, default=TrainConfig.m_max, show_default=True)
+@click.option("--ema-alpha", type=float, default=TrainConfig.ema_alpha, show_default=True)
+@click.option("--random-neighbors", is_flag=True, default=TrainConfig.random_neighbors,
+              help="Sample neighbors at random instead of kNN.")
 @click.option("--resume", is_flag=True, help="Continue the run stored in --out.")
 @click.option("--plot", is_flag=True, help="Write an SVG of the learning curves.")
 @click.pass_context
@@ -307,7 +295,8 @@ def cmd_ablate(ctx, data, out, seeds, **_):
 
 # train's own options, so that the grid's base run takes train's defaults
 cmd_ablate.params += [
-    p for p in cmd_train.params if p.name in ("epochs", "batch_size", "k", "tau", "lr", "gen_lr", "seed")
+    p for p in cmd_train.params
+    if p.name in ("epochs", "batch_size", "k", "tau", "learning_rate", "generator_lr", "seed")
 ]
 
 

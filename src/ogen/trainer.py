@@ -5,8 +5,8 @@ The text-encoder side of the original setting is emulated by one learnable
 embedding per base class (initialized at the dataset's class embeddings);
 new-class embeddings stay frozen. Each epoch the base classes are
 reshuffled into pseudo-known/pseudo-unknown roles: pseudo-known image
-features drive a cosine-softmax cross-entropy over the union of base
-columns, pseudo-unknown classes get features synthesized from their
+features drive a cosine-softmax cross-entropy over the base and frozen
+new columns, pseudo-unknown classes get features synthesized from their
 nearest pseudo-known neighbors (all classes in one batched pass),
 optionally held consistent with an EMA teacher of the generator.
 Optimization is SGD with momentum and cosine learning-rate decay. Runs
@@ -75,7 +75,6 @@ class TrainConfig:
     m_max: int = 9
     ema_alpha: float = 0.9
     random_neighbors: bool = False
-    known_loss_union: bool = True
 
     def validate(self, dataset: "EmbeddingSet | None" = None) -> None:
         for f in fields(self):
@@ -121,7 +120,7 @@ class TrainConfig:
                 raise DataError("dataset has no base classes to finetune on")
             if dataset.dim % self.heads != 0:
                 raise ConfigError(f"heads={self.heads} does not divide dim={dataset.dim}")
-            n_unk = math.ceil(self.pseudo_unknown_fraction * c_b)
+            n_unk = self.pseudo_unknown_count(dataset)
             if n_unk >= c_b:
                 raise ConfigError(
                     f"pseudo split leaves no known classes ({n_unk} of {c_b} unknown)"
@@ -132,12 +131,18 @@ class TrainConfig:
                         f"base class {c} ({dataset.class_names[c]!r}) needs >= 2 image features"
                     )
 
+    def pseudo_unknown_count(self, dataset: EmbeddingSet) -> int:
+        """How many base classes take the pseudo-unknown role each epoch."""
+        return math.ceil(self.pseudo_unknown_fraction * len(dataset.split.base))
+
     def effective_k(self, dataset: EmbeddingSet) -> int:
         """k after clamping to the pseudo-known class count (recorded in
         run metadata when it differs from the requested k)."""
-        c_b = len(dataset.split.base)
-        n_known = c_b - math.ceil(self.pseudo_unknown_fraction * c_b)
-        return min(self.k, n_known)
+        return min(self.k, len(dataset.split.base) - self.pseudo_unknown_count(dataset))
+
+    def ffn_width(self, dim: int) -> int:
+        """The generator's FFN width: d_ff, or 2 * dim when it is None."""
+        return 2 * dim if self.d_ff is None else self.d_ff
 
 
 @dataclass
@@ -258,8 +263,7 @@ def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
     params = None
     gen_velocity = None
     if cfg.scheme != "none":
-        d_ff = cfg.d_ff if cfg.d_ff is not None else 2 * dataset.dim
-        params = init_params(cfg.heads, dataset.dim, d_ff, seed=int(init_ss.generate_state(1)[0]))
+        params = init_params(cfg.heads, dataset.dim, cfg.ffn_width(dataset.dim), seed=int(init_ss.generate_state(1)[0]))
         gen_velocity = params.zeros_like()
     queue = _teacher_queue(cfg) if cfg.distill == "almt" else None
     return TrainState(
@@ -371,7 +375,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         state = _init_state(dataset, cfg)
     else:
         check_state(state, dataset)
-    n_unk = math.ceil(cfg.pseudo_unknown_fraction * c_b)
+    n_unk = cfg.pseudo_unknown_count(dataset)
     feats_by_col = [dataset.image_features[c] for c in base]
     eval_cache = _EvalCache(dataset)
     # every base image feature and its column in base-split order; the
@@ -379,13 +383,11 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     # minibatch takes its (d, B) unit columns from the (N, d) unit rows
     known_units, feat_col = objective._unit_columns(eval_cache.base_feats.T)[0], eval_cache.base_labels
     known_unit_rows = known_units.T
-    # frozen new-class columns participate in every softmax denominator
-    # (the union reading); they never receive updates, so the cosines of
-    # every base image feature against them are scored once per run
+    # frozen new-class columns join every softmax denominator, as in synthesis
+    # and evaluation; they never receive updates, so the cosines of every
+    # base image feature against them are scored once per run
     frozen_new = eval_cache.frozen_new
-    frozen_scores = None
-    if cfg.known_loss_union and frozen_new.shape[1]:
-        frozen_scores = objective._unit_columns(frozen_new)[0].T @ known_units
+    frozen_scores = objective._unit_columns(frozen_new)[0].T @ known_units if frozen_new.shape[1] else None
     rng = state.rng
     rows = []
 
@@ -572,6 +574,10 @@ def _state_from(tensors: dict, meta: dict, queue_dir: Path):
         config.update(distill="almt", m_min=config["fixed_window"], m_max=config.pop("fixed_window"))
     if config.get("fixed_window", 0) is None:  # which stores null for the other modes
         del config["fixed_window"]
+    union = config.pop("known_loss_union", True)  # an older version-4 state stores it
+    if union is not True:
+        raise DataError(f"config known_loss_union={union!r} leaves the frozen new columns out of the known "
+                        "loss, which this ogen always scores against them; start a new run")
     cfg = TrainConfig(**config)
     cfg.validate()
     rng = np.random.default_rng()
@@ -594,7 +600,7 @@ def _state_from(tensors: dict, meta: dict, queue_dir: Path):
         raise DataError(f"a state of distill={cfg.distill} before epoch {next_epoch} "
                         f"{'has' if 'mt' in tensors else 'lacks'} an mt tensor")
     if gen_meta is not None:
-        shape = {"heads": cfg.heads, "dim": emb.shape[0], "d_ff": cfg.d_ff or 2 * emb.shape[0]}
+        shape = {"heads": cfg.heads, "dim": emb.shape[0], "d_ff": cfg.ffn_width(emb.shape[0])}
         if gen_meta != shape:
             raise DataError(f"gen_meta {gen_meta!r} is not the configured generator {shape}")
         bundle = partial(GeneratorParams, *shape.values())

@@ -1,6 +1,7 @@
 """Command-line behavior: files, exit codes, determinism, resume."""
 
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -130,6 +131,18 @@ def test_non_finite_float_flag_is_rejected_before_any_write(dataset_path, tmp_pa
     assert main(args) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not new.exists()
+
+
+def test_train_options_are_train_config_fields_with_its_defaults():
+    from ogen.cli import cmd_ablate, cmd_train
+    from ogen.trainer import TrainConfig
+
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    options = {p.name: p for p in cmd_train.params if p.name not in ("data", "out", "resume", "plot")}
+    assert {name: p.default for name, p in options.items()} == defaults
+    shared = [p for p in cmd_ablate.params if p.name in defaults]
+    assert [p.name for p in shared] == ["epochs", "batch_size", "k", "tau", "learning_rate", "generator_lr", "seed"]
+    assert all(p is options[p.name] for p in shared)
 
 
 class TestTrain:
@@ -565,10 +578,9 @@ class TestResume:
             ["--scheme", "per_class"],
             ["--m-min", "3", "--m-max", "3"],
             ["--random-neighbors"],
-            ["--known-denominator", "known"],
             ["--lr", "0.5"],
         ],
-        ids=["epochs", "tau", "scheme", "window", "random_neighbors", "known_denominator", "lr"],
+        ids=["epochs", "tau", "scheme", "window", "random_neighbors", "lr"],
     )
     def test_conflicting_flag_is_config_error(self, dataset_path, tmp_path, capsys, flags):
         run = tmp_path / "run"
@@ -577,6 +589,32 @@ class TestResume:
         capsys.readouterr()
         assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume", *flags]) == 2
         assert flags[0] in capsys.readouterr().err
+        assert {name: (run / name).read_bytes() for name in before} == before
+
+    def test_state_that_stores_known_loss_union_true_resumes(self, dataset_path, tmp_path):
+        # an older version-4 state stores known_loss_union in its config;
+        # true is the known loss that every run now has
+        run, full = tmp_path / "run", tmp_path / "full"
+        assert main(train_args(dataset_path, full, epochs=4)) == 0
+        self.rewound_run(dataset_path, run)
+        tensors, meta = read_tensor_file(run / "state.bin")
+        meta["config"]["known_loss_union"] = True
+        write_tensor_file(run / "state.bin", tensors, meta)
+        assert main(resume_args(dataset_path, run)) == 0
+        assert file_tree(run) == file_tree(full)
+
+    def test_state_that_stores_known_loss_union_false_is_data_error(self, dataset_path, tmp_path, capsys):
+        # false left the frozen new columns out of the known loss; no run continues that way
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run)
+        tensors, meta = read_tensor_file(run / "state.bin")
+        meta["config"]["known_loss_union"] = False
+        write_tensor_file(run / "state.bin", tensors, meta)
+        before = {name: (run / name).read_bytes() for name in ("state.bin", "metrics.csv")}
+        capsys.readouterr()
+        assert main(resume_args(dataset_path, run)) == 2
+        err = capsys.readouterr().err
+        assert "known_loss_union=False" in err and "start a new run" in err
         assert {name: (run / name).read_bytes() for name in before} == before
 
     def test_other_dataset_is_config_error(self, dataset_path, tmp_path, capsys):
@@ -691,6 +729,17 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--run", str(run)]) == 2
         assert "malformed tensor entry" in capsys.readouterr().err
+
+    def test_tensor_listed_twice_is_data_error(self, dataset_path, tmp_path, capsys):
+        # a second entry of one name must not load as if it were the only one
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, epochs=1)) == 0
+        tensors, _ = read_tensor_file(run / "state.bin")
+        raw = rewrite_manifest((run / "state.bin").read_bytes(), lambda m: m["tensors"].append(m["tensors"][0]))
+        (run / "state.bin").write_bytes(raw + tensors["embeddings"].tobytes())
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run)]) == 2
+        assert "tensor 'embeddings' is listed twice" in capsys.readouterr().err
 
 
 class TestHostileRunFiles:

@@ -252,14 +252,6 @@ class TestTrainLoop:
         assert almt[0].teacher_lo is None and almt[0].distill_mse == 0.0
         assert almt[1].teacher_lo == 0 and almt[1].teacher_hi == 0
 
-    def test_known_denominator_flag_changes_training(self):
-        ds = tiny_dataset()
-        union = train(ds, tiny_config(scheme="none", distill="none")).metrics
-        restricted = train(
-            ds, tiny_config(scheme="none", distill="none", known_loss_union=False)
-        ).metrics
-        assert union != restricted
-
     @pytest.mark.parametrize(
         "head, term, scheme, distill, epoch",
         [
