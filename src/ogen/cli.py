@@ -48,26 +48,19 @@ def cli():
 
 
 @cli.command("gen-data")
-@click.option("--classes", type=int, default=50, show_default=True, help="Number of classes.")
-@click.option("--dim", type=int, default=64, show_default=True, help="Embedding dimension.")
-@click.option("--per-class", type=int, default=40, show_default=True, help="Image features per class.")
-@click.option("--image-noise", type=float, default=0.15, show_default=True)
-@click.option("--text-noise", type=float, default=0.4, show_default=True)
-@click.option("--base-frac", type=float, default=0.5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--classes", "num_classes", type=int, default=SynthConfig.num_classes, show_default=True,
+              help="Number of classes.")
+@click.option("--dim", type=int, default=SynthConfig.dim, show_default=True, help="Embedding dimension.")
+@click.option("--per-class", type=int, default=SynthConfig.per_class, show_default=True,
+              help="Image features per class.")
+@click.option("--image-noise", type=float, default=SynthConfig.image_noise, show_default=True)
+@click.option("--text-noise", type=float, default=SynthConfig.text_noise, show_default=True)
+@click.option("--base-frac", "base_fraction", type=float, default=SynthConfig.base_fraction, show_default=True)
+@click.option("--seed", type=int, default=SynthConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output .oef path.")
-def gen_data(classes, dim, per_class, image_noise, text_noise, base_frac, seed, out):
+def gen_data(out, **params):
     """Generate a synthetic embedding dataset and write it to disk."""
-    cfg = SynthConfig(
-        num_classes=classes,
-        dim=dim,
-        per_class=per_class,
-        image_noise=image_noise,
-        text_noise=text_noise,
-        base_fraction=base_frac,
-        seed=seed,
-    )
-    dataset = make_synthetic(cfg)
+    dataset = make_synthetic(SynthConfig(**params))
     out_path = Path(out)
     if out_path.parent and not out_path.parent.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -113,30 +106,25 @@ def _run_data(config_path: Path) -> str:
     return config["data"]
 
 
-def _train_config(ctx) -> TrainConfig:
-    """The configuration the training flags of a command ask for; a field
-    the command has no flag for keeps its TrainConfig() default."""
-    cfg = TrainConfig(**{f.name: ctx.params[f.name] for f in fields(TrainConfig) if f.name in ctx.params})
-    bounds = [p.opts[0] for p in ctx.command.params if p.name in ("m_min", "m_max")
-              and ctx.get_parameter_source(p.name) is click.core.ParameterSource.COMMANDLINE]
+def _train_config(ctx, stored: TrainConfig | None = None) -> TrainConfig:
+    """The configuration of a command's run: on a resume the stored one,
+    which each training flag given on the command line must equal; else
+    the flags', a field the command has no flag for keeping its default."""
+    names = [f.name for f in fields(TrainConfig) if f.name in ctx.params]
+    given = [p for p in ctx.command.params if p.name in names
+             and ctx.get_parameter_source(p.name) is click.core.ParameterSource.COMMANDLINE]
+    if stored is None:
+        cfg = TrainConfig(**{name: ctx.params[name] for name in names})
+    else:
+        cfg = stored
+        conflicts = [f"{p.opts[0]} (run has {p.name}={getattr(cfg, p.name)!r})"
+                     for p in given if ctx.params[p.name] != getattr(cfg, p.name)]
+        if conflicts:
+            raise ConfigError("--resume continues the stored run; conflicting flags: " + ", ".join(conflicts))
+    bounds = [p.opts[0] for p in given if p.name in ("m_min", "m_max")]
     if bounds and cfg.distill != "almt":
         raise ConfigError(f"{', '.join(bounds)} bound the window of distill=almt, not distill={cfg.distill}")
     return cfg
-
-
-def _check_resume_flags(ctx, stored: TrainConfig) -> None:
-    """Reject training flags given on the command line of a resume whose
-    value differs from the stored run's configuration."""
-    requested = _train_config(ctx)
-    conflicts = [
-        f"{p.opts[0]} (run has {p.name}={getattr(stored, p.name)!r})"
-        for p in ctx.command.params
-        if hasattr(stored, p.name)
-        and ctx.get_parameter_source(p.name) is click.core.ParameterSource.COMMANDLINE
-        and getattr(requested, p.name) != getattr(stored, p.name)
-    ]
-    if conflicts:
-        raise ConfigError("--resume continues the stored run; conflicting flags: " + ", ".join(conflicts))
 
 
 @cli.command("train")
@@ -179,8 +167,8 @@ def cmd_train(ctx, data, out, resume, plot, **_):
         for path in (config_path, metrics_path):
             if not path.exists():
                 raise DataError(f"cannot resume: {path} does not exist")
-        state, cfg = load_state(state_path)
-        _check_resume_flags(ctx, cfg)
+        state, stored = load_state(state_path)
+        cfg = _train_config(ctx, stored)
         run_data = _run_data(config_path)
         if Path(data).resolve() != Path(run_data).resolve():
             raise ConfigError(f"--data {data} is not the run's dataset {run_data}")

@@ -21,7 +21,7 @@ class ScheduleConfig:
     t_max: int
     m_min: int = 2
     m_max: int = 9
-    ema_alpha: float = 0.99
+    ema_alpha: float = 0.9
 
     def __post_init__(self):
         if not 1 <= self.m_min <= self.m_max:

@@ -186,11 +186,11 @@ def _normalize_block(arr: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Parameters for the synthetic benchmark generator."""
+    """Parameters for the synthetic benchmark generator; the defaults are `ogen gen-data`'s."""
 
-    num_classes: int
-    dim: int
-    per_class: int
+    num_classes: int = 50
+    dim: int = 64
+    per_class: int = 40
     image_noise: float = 0.15
     text_noise: float = 0.4
     base_fraction: float = 0.5

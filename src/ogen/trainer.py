@@ -71,9 +71,9 @@ class TrainConfig:
     seed: int = 0
     heads: int = 4
     d_ff: int | None = None
-    m_min: int = 2
-    m_max: int = 9
-    ema_alpha: float = 0.9
+    m_min: int = ScheduleConfig.m_min
+    m_max: int = ScheduleConfig.m_max
+    ema_alpha: float = ScheduleConfig.ema_alpha
     random_neighbors: bool = False
 
     def validate(self, dataset: "EmbeddingSet | None" = None) -> None:
@@ -93,7 +93,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        ScheduleConfig(t_max=self.epochs, m_min=self.m_min, m_max=self.m_max, ema_alpha=self.ema_alpha)
+        self.schedule()
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.k < 1:
@@ -130,6 +130,10 @@ class TrainConfig:
                     raise DataError(
                         f"base class {c} ({dataset.class_names[c]!r}) needs >= 2 image features"
                     )
+
+    def schedule(self) -> ScheduleConfig:
+        """The teacher's window schedule over the run's epochs."""
+        return ScheduleConfig(t_max=self.epochs, m_min=self.m_min, m_max=self.m_max, ema_alpha=self.ema_alpha)
 
     def pseudo_unknown_count(self, dataset: EmbeddingSet) -> int:
         """How many base classes take the pseudo-unknown role each epoch."""
@@ -251,11 +255,6 @@ def _sgd_step(value: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: flo
     value -= lr * velocity
 
 
-def _teacher_queue(cfg: TrainConfig) -> TeacherQueue:
-    """An empty checkpoint queue that holds the widest window its teacher averages."""
-    return TeacherQueue(ScheduleConfig(t_max=cfg.epochs, m_min=cfg.m_min, m_max=cfg.m_max, ema_alpha=cfg.ema_alpha))
-
-
 def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
     init_ss, loop_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     base = list(dataset.split.base)
@@ -265,7 +264,7 @@ def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
     if cfg.scheme != "none":
         params = init_params(cfg.heads, dataset.dim, cfg.ffn_width(dataset.dim), seed=int(init_ss.generate_state(1)[0]))
         gen_velocity = params.zeros_like()
-    queue = _teacher_queue(cfg) if cfg.distill == "almt" else None
+    queue = TeacherQueue(cfg.schedule()) if cfg.distill == "almt" else None
     return TrainState(
         next_epoch=0,
         embeddings=embeddings,
@@ -385,9 +384,10 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     known_unit_rows = known_units.T
     # frozen new-class columns join every softmax denominator, as in synthesis
     # and evaluation; they never receive updates, so the cosines of every
-    # base image feature against them are scored once per run
+    # base image feature against them are scored once per run, a (C_f, N)
+    # block with no rows when the dataset has no new classes
     frozen_new = eval_cache.frozen_new
-    frozen_scores = objective._unit_columns(frozen_new)[0].T @ known_units if frozen_new.shape[1] else None
+    frozen_scores = objective._unit_columns(frozen_new)[0].T @ known_units
     rng = state.rng
     rows = []
 
@@ -409,9 +409,8 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         known_loss_sum = 0.0
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
-            batch_frozen = None if frozen_scores is None else frozen_scores[:, batch]
             loss, grad = objective.known_batch_ce(
-                known_unit_rows[batch].T, state.embeddings, cfg.tau, feat_col[batch], batch_frozen
+                known_unit_rows[batch].T, state.embeddings, cfg.tau, feat_col[batch], frozen_scores[:, batch]
             )
             _sgd_step(state.embeddings, grad, state.emb_velocity, lr_emb, cfg.momentum)
             known_loss_sum += loss * batch.size
@@ -606,7 +605,7 @@ def _state_from(tensors: dict, meta: dict, queue_dir: Path):
         bundle = partial(GeneratorParams, *shape.values())
         params, gen_velocity = bundle(tensors["params"]), bundle(tensors["velocity"])
         if cfg.distill == "almt":
-            queue = _teacher_queue(cfg)
+            queue = TeacherQueue(cfg.schedule())
             epochs, crcs = meta.get("queue_epochs"), meta.get("queue_crc32")
             window = list(range(max(0, next_epoch - queue.capacity), next_epoch))
             if not (epochs == window and all(type(e) is int for e in epochs)):

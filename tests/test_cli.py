@@ -145,6 +145,23 @@ def test_train_options_are_train_config_fields_with_its_defaults():
     assert all(p is options[p.name] for p in shared)
 
 
+def test_gen_data_options_are_synth_config_fields_with_its_defaults():
+    from ogen.cli import gen_data
+    from ogen.embedding_store import SynthConfig
+
+    defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+    assert {p.name: p.default for p in gen_data.params if p.name != "out"} == defaults
+
+
+def test_teacher_defaults_are_the_schedule_defaults():
+    from ogen.distillation import ScheduleConfig
+    from ogen.trainer import TrainConfig
+
+    for name in ("m_min", "m_max", "ema_alpha"):
+        assert getattr(TrainConfig(), name) == getattr(ScheduleConfig(t_max=1), name)
+    assert ScheduleConfig(t_max=1).ema_alpha == 0.9
+
+
 class TestTrain:
     def test_run_directory_contents(self, dataset_path, tmp_path):
         run = tmp_path / "run"
@@ -591,6 +608,20 @@ class TestResume:
         assert flags[0] in capsys.readouterr().err
         assert {name: (run / name).read_bytes() for name in before} == before
 
+    @pytest.mark.parametrize("flags", [["--m-min", "2"], ["--m-max", "9"]], ids=["m_min", "m_max"])
+    @pytest.mark.parametrize("distill", ["mt", "none"])
+    def test_window_bounds_are_checked_against_the_stored_distill(self, dataset_path, tmp_path, capsys,
+                                                                  distill, flags):
+        # the values equal the stored ones, yet bound no window of the stored run
+        run = tmp_path / "run"
+        self.rewound_run(dataset_path, run, extra=["--scheme", "joint" if distill == "mt" else "none",
+                                                   "--distill", distill])
+        before = {name: (run / name).read_bytes() for name in ("state.bin", "metrics.csv")}
+        capsys.readouterr()
+        assert main([*resume_args(dataset_path, run), *flags]) == 2
+        assert f"{flags[0]} bound the window of distill=almt, not distill={distill}" in capsys.readouterr().err
+        assert {name: (run / name).read_bytes() for name in before} == before
+
     def test_state_that_stores_known_loss_union_true_resumes(self, dataset_path, tmp_path):
         # an older version-4 state stores known_loss_union in its config;
         # true is the known loss that every run now has
@@ -632,7 +663,8 @@ class TestResume:
         self.rewound_run(dataset_path, run)
         same_file = tmp_path / "sub" / ".." / dataset_path.name
         (tmp_path / "sub").mkdir()
-        args = train_args(same_file, run, epochs=4, extra=["--tau", "0.01", "--distill", "almt", "--resume"])
+        extra = ["--tau", "0.01", "--distill", "almt", "--m-min", "2", "--m-max", "9", "--resume"]
+        args = train_args(same_file, run, epochs=4, extra=extra)
         capsys.readouterr()
         assert main(args) == 0
         assert "resuming from epoch 2" in capsys.readouterr().out
