@@ -36,7 +36,7 @@ from .objective import (
     prob_joint_scheme,
     prob_per_class_scheme,
 )
-from .retrieval import NeighborContext, retrieve_knn, sample_support
+from .retrieval import NeighborContext, retrieve_knn
 from .trainer import (
     EpochMetrics,
     TrainConfig,
@@ -80,7 +80,6 @@ __all__ = [
     "prob_per_class_scheme",
     "push_checkpoint",
     "retrieve_knn",
-    "sample_support",
     "save_checkpoint",
     "save_embeddings",
     "train",

@@ -8,7 +8,10 @@ timestamps), so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import fcntl
 import json
+import os
+from contextlib import ExitStack
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -127,6 +130,17 @@ def _train_config(ctx, stored: TrainConfig | None = None) -> TrainConfig:
     return cfg
 
 
+def _lock_run(run_dir: Path, held: ExitStack) -> None:
+    """Hold an exclusive flock on the run directory itself, which leaves no
+    lock file in the run, until held closes; another holder is a DataError."""
+    fd = os.open(run_dir, os.O_RDONLY)
+    held.callback(os.close, fd)  # closing the descriptor releases the lock
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        raise DataError(f"run directory {run_dir} is in use by another ogen train") from None
+
+
 @cli.command("train")
 @click.option("--data", type=click.Path(exists=False), required=True, help="Dataset (.oef).")
 @click.option("--out", type=click.Path(file_okay=False), default="ogen-run", show_default=True)
@@ -157,73 +171,78 @@ def _train_config(ctx, stored: TrainConfig | None = None) -> TrainConfig:
 @click.option("--plot", is_flag=True, help="Write an SVG of the learning curves.")
 @click.pass_context
 def cmd_train(ctx, data, out, resume, plot, **_):
-    """Finetune on the base split of a dataset and log per-epoch metrics."""
+    """Finetune on the base split of a dataset and log per-epoch metrics.
+    One process at a time writes a run directory: the command holds its
+    lock from before its first write to its end."""
     run_dir = Path(out)
     state_path = run_dir / "state.bin"
     metrics_path = run_dir / "metrics.csv"
     config_path = run_dir / "config.json"
 
-    if resume:
-        for path in (config_path, metrics_path):
-            if not path.exists():
-                raise DataError(f"cannot resume: {path} does not exist")
-        state, stored = load_state(state_path)
-        cfg = _train_config(ctx, stored)
-        run_data = _run_data(config_path)
-        if Path(data).resolve() != Path(run_data).resolve():
-            raise ConfigError(f"--data {data} is not the run's dataset {run_data}")
-        if state.next_epoch >= cfg.epochs:
-            click.echo(f"run already complete at epoch {cfg.epochs}; nothing to do")
-            return
-    else:
-        state, cfg = None, _train_config(ctx)
+    with ExitStack() as held:
+        if resume:
+            for path in (config_path, metrics_path):
+                if not path.exists():
+                    raise DataError(f"cannot resume: {path} does not exist")
+            _lock_run(run_dir, held)
+            state, stored = load_state(state_path)
+            cfg = _train_config(ctx, stored)
+            run_data = _run_data(config_path)
+            if Path(data).resolve() != Path(run_data).resolve():
+                raise ConfigError(f"--data {data} is not the run's dataset {run_data}")
+            if state.next_epoch >= cfg.epochs:
+                click.echo(f"run already complete at epoch {cfg.epochs}; nothing to do")
+                return
+        else:
+            state, cfg = None, _train_config(ctx)
 
-    dataset = load_embeddings(data)
-    cfg.validate(dataset)
+        dataset = load_embeddings(data)
+        cfg.validate(dataset)
 
-    if resume:
-        check_state(state, dataset)  # before metrics.csv loses the rows past the state
-        _truncate_metrics(metrics_path, state.next_epoch)
-        click.echo(f"resuming from epoch {state.next_epoch}")
-    else:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        # an earlier run's files that this one does not rewrite at once: a run
-        # stopped before its first save must not eval or resume as that run
-        remove_state(state_path)
-        for path in (run_dir / "checkpoint.bin", run_dir / "curves.svg"):
-            path.unlink(missing_ok=True)
-        config = {
-            "config": asdict(cfg),
-            "data": str(data),
-            "k_requested": cfg.k,
-            "k_effective": cfg.effective_k(dataset),
-        }
-        if config["k_effective"] != cfg.k:
-            config["warnings"] = [
-                f"k clamped from {cfg.k} to {config['k_effective']} (pseudo-known classes)"
-            ]
-        config_path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n")
-        metrics_path.write_text(",".join(METRIC_COLUMNS) + "\n")
+        if resume:
+            check_state(state, dataset)  # before metrics.csv loses the rows past the state
+            _truncate_metrics(metrics_path, state.next_epoch)
+            click.echo(f"resuming from epoch {state.next_epoch}")
+        else:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _lock_run(run_dir, held)
+            # an earlier run's files that this one does not rewrite at once: a run
+            # stopped before its first save must not eval or resume as that run
+            remove_state(state_path)
+            for path in (run_dir / "checkpoint.bin", run_dir / "curves.svg"):
+                path.unlink(missing_ok=True)
+            config = {
+                "config": asdict(cfg),
+                "data": str(data),
+                "k_requested": cfg.k,
+                "k_effective": cfg.effective_k(dataset),
+            }
+            if config["k_effective"] != cfg.k:
+                config["warnings"] = [
+                    f"k clamped from {cfg.k} to {config['k_effective']} (pseudo-known classes)"
+                ]
+            config_path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n")
+            metrics_path.write_text(",".join(METRIC_COLUMNS) + "\n")
 
-    with open(metrics_path, "a") as fh:
+        with open(metrics_path, "a") as fh:
 
-        def on_epoch(state, row):
-            _append_metrics_row(fh, row)
-            fh.flush()
-            save_state(state_path, state, cfg)
+            def on_epoch(state, row):
+                _append_metrics_row(fh, row)
+                fh.flush()
+                save_state(state_path, state, cfg)
 
-        result = train(dataset, cfg, state=state, on_epoch=on_epoch)
+            result = train(dataset, cfg, state=state, on_epoch=on_epoch)
 
-    if result.params is not None:
-        save_checkpoint(run_dir / "checkpoint.bin", result.params, cfg.scheme, cfg.epochs - 1)
-    if plot:
-        (run_dir / "curves.svg").write_text(_render_curves_svg(metrics_path))
-    final = result.metrics[-1] if result.metrics else None
-    if final is not None:
-        click.echo(
-            f"done: epoch {final.epoch} base={final.base_acc:.4f} "
-            f"new={final.new_acc:.4f} H={final.harmonic_mean:.4f}"
-        )
+        if result.params is not None:
+            save_checkpoint(run_dir / "checkpoint.bin", result.params, cfg.scheme, cfg.epochs - 1)
+        if plot:
+            (run_dir / "curves.svg").write_text(_render_curves_svg(metrics_path))
+        final = result.metrics[-1] if result.metrics else None
+        if final is not None:
+            click.echo(
+                f"done: epoch {final.epoch} base={final.base_acc:.4f} "
+                f"new={final.new_acc:.4f} H={final.harmonic_mean:.4f}"
+            )
 
 
 @cli.command("eval")

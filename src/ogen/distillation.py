@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .generator import GeneratorParams
@@ -45,11 +46,13 @@ def window_size(t: int, cfg: ScheduleConfig) -> int:
 class TeacherQueue:
     """FIFO of the (epoch, params) checkpoints of the last m_max + 1 epochs,
     newest last. crcs maps the epoch of a checkpoint to the crc32 of its
-    bytes once a save has computed it, until the checkpoint is evicted."""
+    bytes once a save has written it to the directory crc_dir, or a load
+    has read it from there, until the checkpoint is evicted."""
 
     schedule: ScheduleConfig
     entries: list = field(default_factory=list)
     crcs: dict = field(default_factory=dict)
+    crc_dir: Path | None = None
 
     @property
     def capacity(self) -> int:

@@ -14,8 +14,10 @@ Two synthesis schemes share the attention core:
              feature attending over all neighbors, anchored at a learned
              text-to-image projection of w.
 
-Both take one conditioning class, or U at once: (d, U) columns of w and
-a (U, d, K) NeighborContext give (d, U) joint or (U, d, K) outputs.
+Both read the K neighbors through a NeighborContext: unit text
+embeddings E and one unit image feature per neighbor, S. Both take one
+conditioning class, or U at once: (d, U) columns of w and a (U, d, K)
+context give (d, U) joint or (U, d, K) outputs.
 
 Gradients are derived by hand for exactly this architecture (no general
 autodiff): each forward returns a tape consumed once by backward(), which

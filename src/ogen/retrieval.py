@@ -1,11 +1,12 @@
-"""Nearest-class retrieval and support sampling for feature synthesis.
+"""Nearest-class retrieval and support gathering for feature synthesis.
 
 Given conditioning class embeddings, find the K most similar known
 classes of each by text-embedding cosine similarity (exact search; the
-class count is small) and gather one support image feature per retrieved
-class. Every function works on one conditioning class or on U of them
-at once along a leading batch axis. Everything here is a pure function
-except for the caller-owned rng used in sample_support.
+class count is small), and gather one support image feature per
+retrieved class into the two unit-column stacks the generator reads.
+Every function works on one conditioning class or on U of them at once
+along a leading batch axis. Everything here is a pure function; the
+caller draws which support row each neighbor contributes.
 """
 
 from __future__ import annotations
@@ -15,28 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_store import EmbeddingSet
 from .errors import DataError
 from .objective import _unit_columns
-
-UNIT_ATOL = 1e-5
 
 
 @dataclass
 class NeighborContext:
-    """Retrieved neighborhood of one conditioning class, or of U classes.
+    """The generator's input for one conditioning class, or for U of them.
 
     neighbor_embeddings and support_features are (d, K) column matrices,
-    or (U, d, K) with one matrix per conditioning class; column j of
-    support_features is one sampled image feature of class
-    neighbor_indices[j] (neighbor_indices[u][j] when batched).
+    or (U, d, K) with one matrix per conditioning class: column j holds a
+    retrieved class's unit text embedding and one unit image feature of
+    that class. Only the shapes are checked here. The columns are unit by
+    construction (the trainer normalizes the neighbors, and the supports
+    are dataset rows checked when the file is loaded), just as the
+    extrapolation functions take the conditioning columns as given.
     """
 
-    conditioning: "int | np.ndarray | None"
-    neighbor_indices: list
     neighbor_embeddings: np.ndarray
     support_features: np.ndarray
-    sample_ids: list
 
     def __post_init__(self):
         emb, sup = self.neighbor_embeddings, self.support_features
@@ -44,17 +42,6 @@ class NeighborContext:
             raise DataError("neighbor and support matrices must share one (d, K) or (U, d, K) shape")
         if emb.shape[-1] == 0:
             raise DataError("neighbor context needs at least one neighbor")
-        for name, ids in (("neighbor_indices", self.neighbor_indices), ("sample_ids", self.sample_ids)):
-            if np.shape(ids) != emb.shape[:-2] + emb.shape[-1:]:
-                raise DataError(f"{name} must list one entry per neighbor column")
-        for name, mat in (("neighbor", emb), ("support", sup)):
-            norms = np.linalg.norm(mat.astype(np.float64), axis=-2)
-            if np.any(np.abs(norms - 1.0) > UNIT_ATOL):
-                raise DataError(f"{name} columns must be unit-norm")
-
-    @property
-    def k(self) -> int:
-        return self.neighbor_embeddings.shape[-1]
 
 
 def retrieve_knn(query, base_embeddings, k: int):
@@ -91,44 +78,18 @@ def retrieve_knn(query, base_embeddings, k: int):
     return order.tolist() if w.ndim == 1 else order.T
 
 
-def build_context(
-    neighbor_ids,
-    neighbor_embeddings,
-    features_by_class,
-    sample_ids,
-    conditioning=None,
-) -> NeighborContext:
-    """Assemble a NeighborContext from explicit neighbor columns.
+def build_context(neighbor_ids, neighbor_embeddings, features_by_class, sample_ids) -> NeighborContext:
+    """Gather the supports of a NeighborContext.
 
     neighbor_ids holds K class ids, or (U, K) for U conditioning classes;
-    neighbor_embeddings is the matching (d, K) or (U, d, K) stack of raw
-    columns (normalized here). features_by_class maps a neighbor id to
-    its (n, d) image-feature rows, and sample_ids (shaped like
-    neighbor_ids) picks the support row of each neighbor.
+    neighbor_embeddings is the matching (d, K) or (U, d, K) stack of unit
+    columns, taken as it is. features_by_class maps a neighbor id to its
+    (n, d) image-feature rows, and sample_ids (shaped like neighbor_ids)
+    picks the support row of each neighbor: support column j is row
+    sample_ids[j] of class neighbor_ids[j].
     """
     ids = np.asarray(neighbor_ids, dtype=int)
     picks = np.asarray(sample_ids, dtype=int)
-    emb, _ = _unit_columns(neighbor_embeddings)
     rows = [features_by_class[c][p] for c, p in zip(ids.flat, picks.flat)]
-    support = np.array(rows, dtype=np.float64).reshape(ids.shape + (emb.shape[-2],))
-    return NeighborContext(
-        conditioning=conditioning,
-        neighbor_indices=ids.tolist(),
-        neighbor_embeddings=emb,
-        support_features=np.swapaxes(support, -1, -2),
-        sample_ids=picks.tolist(),
-    )
-
-
-def sample_support(
-    neighbor_ids, dataset: EmbeddingSet, rng: np.random.Generator, conditioning=None
-) -> NeighborContext:
-    """Sample one image feature per neighbor class from a dataset, drawn
-    uniformly in neighbor order."""
-    ids = [int(i) for i in neighbor_ids]
-    feats = {i: dataset.image_features[i] for i in ids}
-    for i in ids:
-        if feats[i].shape[0] == 0:
-            raise DataError(f"neighbor class {i} has no image features to sample")
-    picks = rng.integers([feats[i].shape[0] for i in ids])
-    return build_context(ids, dataset.embedding_columns(ids), feats, picks, conditioning=conditioning)
+    support = np.array(rows, dtype=np.float64).reshape(ids.shape + (neighbor_embeddings.shape[-2],))
+    return NeighborContext(neighbor_embeddings, np.swapaxes(support, -1, -2))

@@ -305,10 +305,10 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     the U pseudo-unknown classes: one retrieval, one context, one student
     forward, one teacher forward and one backward.
 
-    Returns (generator grads, embedding grad, synth_ce, distill_mse,
-    context), each averaged over the U classes. Draws from state.rng in
-    the order of one class at a time: class u's neighbors (random mode),
-    then its k support rows.
+    Returns (generator grads, embedding grad, synth_ce, distill_mse),
+    each averaged over the U classes. Draws from state.rng in the order of
+    one class at a time: class u's neighbors (random mode), then its k
+    support rows.
     """
     rng, emb = state.rng, state.embeddings
     c_b, n_unk = emb.shape[1], unknown_cols.size
@@ -323,8 +323,9 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     else:
         neighbor_cols = known_cols[retrieve_knn(emb[:, unknown_cols], emb[:, known_cols], k_eff)]
         sample_ids = rng.integers(counts[neighbor_cols])
-    raw_neighbors = np.swapaxes(emb.T[neighbor_cols], 1, 2)  # (U, d, k)
-    ctx = build_context(neighbor_cols, raw_neighbors, feats_by_col, sample_ids, conditioning=unknown_cols)
+    # the (U, d, k) neighbor stack, normalized once for the forward and its VJP
+    n_unit, n_norms = objective._unit_columns(np.swapaxes(emb.T[neighbor_cols], 1, 2))
+    ctx = build_context(neighbor_cols, n_unit, feats_by_col, sample_ids)
     w_unit, w_norms = objective._unit_columns(emb[:, unknown_cols])
 
     extrapolate = extrapolate_jointly if cfg.scheme == "joint" else extrapolate_per_class
@@ -350,11 +351,9 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     # the input gradients go through the column normalization; neighbors
     # repeat across classes, so theirs accumulate
     emb_grad[:, unknown_cols] += objective._unit_columns_vjp(w_unit, w_norms, igrads.w_n)
-    d_neighbors = objective._unit_columns_vjp(
-        *objective._unit_columns(raw_neighbors), igrads.neighbor_embeddings
-    )
+    d_neighbors = objective._unit_columns_vjp(n_unit, n_norms, igrads.neighbor_embeddings)
     np.add.at(emb_grad.T, neighbor_cols, np.swapaxes(d_neighbors, 1, 2))
-    return gen_grads, emb_grad, synth_ce / n_unk, mse / n_unk, ctx
+    return gen_grads, emb_grad, synth_ce / n_unk, mse / n_unk
 
 
 def check_state(state: TrainState, dataset: EmbeddingSet) -> None:
@@ -420,7 +419,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         synth_ce = mse = 0.0
         m_t, teacher, teacher_range = _resolve_teacher(state, cfg, epoch)
         if cfg.scheme != "none":
-            gen_grads, emb_grad, synth_ce, mse, _ = _synthesize(
+            gen_grads, emb_grad, synth_ce, mse = _synthesize(
                 state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
             )
             _sgd_step(state.params.flat, gen_grads.flat, state.gen_velocity.flat, lr_gen, cfg.momentum)
@@ -520,11 +519,15 @@ def _queue_path(path) -> Path:
 
 
 def _save_queue(directory: Path, queue: TeacherQueue) -> list:
-    """Write each checkpoint of the queue that has no crc32 yet to its own
-    file in directory, <epoch>.f8: its 8 * P bytes of little-endian float64,
-    with no header. Returns the crc32s, oldest first. A checkpoint has a
-    crc32 once this process has written it or read it back whole."""
+    """Write each checkpoint of the queue that has no file in directory
+    yet to one, <epoch>.f8: its 8 * P bytes of little-endian float64, with
+    no header. Returns the crc32s, oldest first. A checkpoint has a crc32
+    once this process has written it to queue.crc_dir or read it whole
+    from there, so a save to any other directory writes every one."""
     directory.mkdir(exist_ok=True)
+    if queue.crc_dir != directory:
+        queue.crcs.clear()
+        queue.crc_dir = directory
     for epoch, params in queue.entries:
         if epoch not in queue.crcs:
             row = params.flat.astype("<f8", copy=False)
@@ -551,6 +554,7 @@ def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, 
             raise DataError(f"{file}: the checkpoint of epoch {epoch} holds non-finite values")
         queue.entries.append((epoch, bundle(row)))
         queue.crcs[epoch] = crc
+    queue.crc_dir = directory
 
 
 def load_state(path):

@@ -59,13 +59,7 @@ def random_context(rng, dim=8, k=3):
     emb /= np.linalg.norm(emb, axis=0)
     sup = rng.standard_normal((dim, k))
     sup /= np.linalg.norm(sup, axis=0)
-    return NeighborContext(
-        conditioning=None,
-        neighbor_indices=list(range(k)),
-        neighbor_embeddings=emb,
-        support_features=sup,
-        sample_ids=[0] * k,
-    )
+    return NeighborContext(neighbor_embeddings=emb, support_features=sup)
 
 
 def screened_instances(count, heads=2, dim=8, d_ff=16, k=3, start_seed=0, kink_margin=5e-3):
@@ -92,11 +86,8 @@ def screened_instances(count, heads=2, dim=8, d_ff=16, k=3, start_seed=0, kink_m
 def stack_contexts(contexts):
     """One batched (U, d, K) NeighborContext from U single contexts."""
     return NeighborContext(
-        conditioning=None,
-        neighbor_indices=[c.neighbor_indices for c in contexts],
         neighbor_embeddings=np.stack([c.neighbor_embeddings for c in contexts]),
         support_features=np.stack([c.support_features for c in contexts]),
-        sample_ids=[c.sample_ids for c in contexts],
     )
 
 

@@ -210,11 +210,8 @@ def test_criterion_5_structural_invariants():
     w /= np.linalg.norm(w)
     perm = [2, 3, 1, 0]
     ctx_p = NeighborContext(
-        conditioning=None,
-        neighbor_indices=[ctx.neighbor_indices[j] for j in perm],
         neighbor_embeddings=ctx.neighbor_embeddings[:, perm],
         support_features=ctx.support_features[:, perm],
-        sample_ids=[ctx.sample_ids[j] for j in perm],
     )
     z, _ = extrapolate_jointly(ctx, w, params)
     z_p, _ = extrapolate_jointly(ctx_p, w, params)

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ogen.trainer
 from ogen import objective
 from ogen.embedding_store import SynthConfig, make_synthetic
 from ogen.generator import (
@@ -61,9 +62,10 @@ def reference_step(state, cfg, teacher, frozen_new, known_cols, unknown_cols, fe
         else:
             neighbor_cols = known_cols[retrieve_knn(w_raw, emb[:, known_cols], k_eff)]
         picks = [int(rng.integers(feats_by_col[c].shape[0])) for c in neighbor_cols]
-        ctx = build_context(neighbor_cols, emb[:, neighbor_cols], feats_by_col, picks, conditioning=int(u))
-        neighbors.append(ctx.neighbor_indices)
-        samples.append(ctx.sample_ids)
+        raw = emb[:, neighbor_cols]
+        ctx = build_context(neighbor_cols, raw / np.linalg.norm(raw, axis=0), feats_by_col, picks)
+        neighbors.append(neighbor_cols.tolist())
+        samples.append(picks)
         w_unit = w_raw / np.linalg.norm(w_raw)
         feature, tape = extrapolate(ctx, w_unit, state.params)
         ce, d_feat, d_union = ce_fn(feature, union, cfg.tau, int(u))
@@ -80,11 +82,26 @@ def reference_step(state, cfg, teacher, frozen_new, known_cols, unknown_cols, fe
         for name in _TENSOR_FIELDS:
             gen_grads[name] += getattr(ggrads, name)
         emb_grad[:, u] += unit_vector_vjp(w_raw, igrads.w_n)
-        for j, col in enumerate(ctx.neighbor_indices):
+        for j, col in enumerate(neighbor_cols):
             emb_grad[:, col] += unit_vector_vjp(emb[:, col], igrads.neighbor_embeddings[:, j])
     n = unknown_cols.size
     gen_grads = {name: g / n for name, g in gen_grads.items()}
     return gen_grads, emb_grad / n, synth_ce / n, mse / n, neighbors, samples
+
+
+def spied_synthesize(monkeypatch, *args):
+    """_synthesize(*args), and the neighbor and sample ids of the one
+    context it builds."""
+    calls = []
+
+    def spy(neighbor_ids, neighbor_embeddings, features_by_class, sample_ids):
+        calls.append((neighbor_ids.tolist(), sample_ids.tolist()))
+        return build_context(neighbor_ids, neighbor_embeddings, features_by_class, sample_ids)
+
+    monkeypatch.setattr(ogen.trainer, "build_context", spy)
+    result = _synthesize(*args)
+    (ids,) = calls
+    return result, ids
 
 
 def mid_run(scheme, distill, random_neighbors):
@@ -110,7 +127,7 @@ def mid_run(scheme, distill, random_neighbors):
 @pytest.mark.parametrize("random_neighbors", [False, True])
 @pytest.mark.parametrize("distill", ["none", "almt", "mt"])
 @pytest.mark.parametrize("scheme", ["joint", "per_class"])
-def test_batched_step_matches_per_class_loop(scheme, distill, random_neighbors):
+def test_batched_step_matches_per_class_loop(monkeypatch, scheme, distill, random_neighbors):
     state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col = mid_run(
         scheme, distill, random_neighbors
     )
@@ -118,15 +135,15 @@ def test_batched_step_matches_per_class_loop(scheme, distill, random_neighbors):
     ref_state = dataclasses.replace(state, rng=copy.deepcopy(state.rng))
     emb_before = state.embeddings.copy()
 
-    gen, emb_grad, synth_ce, mse, ctx = _synthesize(
-        state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
+    (gen, emb_grad, synth_ce, mse), (neighbors, samples) = spied_synthesize(
+        monkeypatch, state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
     )
     r_gen, r_emb_grad, r_synth_ce, r_mse, r_neighbors, r_samples = reference_step(
         ref_state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
     )
 
-    assert ctx.neighbor_indices == r_neighbors
-    assert ctx.sample_ids == r_samples
+    assert neighbors == r_neighbors
+    assert samples == r_samples
     assert state.rng.bit_generator.state == ref_state.rng.bit_generator.state
     np.testing.assert_array_equal(state.embeddings, emb_before)
     assert abs(synth_ce - r_synth_ce) <= TOL
@@ -138,7 +155,7 @@ def test_batched_step_matches_per_class_loop(scheme, distill, random_neighbors):
     assert np.abs(emb_grad).max() > 1e-3  # the comparison is not between zeros
 
 
-def test_shared_neighbors_accumulate():
+def test_shared_neighbors_accumulate(monkeypatch):
     # 3 classes x 3 neighbors out of 5 known classes: some neighbor serves
     # two classes, and its gradient must be the sum of both contributions
     state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col = mid_run(
@@ -146,9 +163,11 @@ def test_shared_neighbors_accumulate():
     )
     assert known_cols.size == 5
     ref_state = dataclasses.replace(state, rng=copy.deepcopy(state.rng))
-    _, emb_grad, _, _, ctx = _synthesize(state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col)
+    (_, emb_grad, _, _), (neighbors, _) = spied_synthesize(
+        monkeypatch, state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
+    )
     _, r_emb_grad, *_ = reference_step(ref_state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col)
-    flat = [c for row in ctx.neighbor_indices for c in row]
+    flat = [c for row in neighbors for c in row]
     shared = sorted({c for c in flat if flat.count(c) > 1})
     assert shared
     np.testing.assert_allclose(emb_grad[:, shared], r_emb_grad[:, shared], rtol=0, atol=TOL)

@@ -7,6 +7,8 @@ import os
 import pathlib
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -677,6 +679,36 @@ class TestResume:
         assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume"]) == 0
         assert "already complete" in capsys.readouterr().out
         assert (run / "metrics.csv").read_bytes() == before
+
+
+# holds the flock of the directory argv[1] until its stdin closes
+HOLD_LOCK = """import fcntl, os, sys
+fd = os.open(sys.argv[1], os.O_RDONLY)
+fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["train", "resume"])
+def test_second_writer_of_a_run_is_data_error_and_changes_no_file(dataset_path, tmp_path, capsys, resume):
+    run = tmp_path / "run"
+    TestResume.rewound_run(dataset_path, run)  # so that --resume has epochs left
+    before = file_tree(run)
+    args = resume_args(dataset_path, run) if resume else train_args(dataset_path, run)
+    holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(run)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        # LOCK_NB fails in the holder if a command of this process kept the lock
+        assert holder.stdout.readline() == "locked\n"
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: run directory {run} is in use by another ogen train\n"
+        assert file_tree(run) == before
+    finally:
+        holder.stdin.close()
+        holder.wait(timeout=30)
+    assert main(args) == 0
 
 
 class TestEval:

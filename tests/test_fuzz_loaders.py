@@ -80,7 +80,13 @@ def mutate(raw, rng, tensor_file=True):
     return bytes(data), "manifest digits"
 
 
-@pytest.mark.parametrize("kind", list(LOADERS))
+# a mutated but finite state can resume with values so large that the
+# generator's layer norm overflows; that run ends in the NumericalError the
+# test accepts, so its overflow warning is expected, not an error
+EXPECTED_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@pytest.mark.parametrize("kind", [pytest.param(k, marks=EXPECTED_OVERFLOW) if k == "state" else k for k in LOADERS])
 def test_mutated_file_loads_or_is_data_error(real_files, tmp_path, kind):
     shutil.copy(real_files["state"], tmp_path)
     shutil.copytree(real_files["queue"].parent, tmp_path / "state.queue")

@@ -204,11 +204,8 @@ class TestPerClassScheme:
         out, _ = extrapolate_per_class(ctx, w, p)
         perm = [2, 0, 3, 1]
         ctx_p = NeighborContext(
-            conditioning=None,
-            neighbor_indices=[ctx.neighbor_indices[j] for j in perm],
             neighbor_embeddings=ctx.neighbor_embeddings[:, perm],
             support_features=ctx.support_features[:, perm],
-            sample_ids=[ctx.sample_ids[j] for j in perm],
         )
         out_p, _ = extrapolate_per_class(ctx_p, w, p)
         np.testing.assert_allclose(out_p, out[:, perm], rtol=1e-10, atol=1e-12)
@@ -216,13 +213,7 @@ class TestPerClassScheme:
     def test_zero_variance_column_stays_finite(self):
         p = init_params(2, 8, 16, seed=2)
         const = np.ones((8, 2)) / np.sqrt(8.0)  # zero variance per column
-        ctx = NeighborContext(
-            conditioning=None,
-            neighbor_indices=[0, 1],
-            neighbor_embeddings=const.copy(),
-            support_features=const.copy(),
-            sample_ids=[0, 0],
-        )
+        ctx = NeighborContext(neighbor_embeddings=const.copy(), support_features=const.copy())
         w = np.zeros(8)
         w[0] = 1.0
         out, tape = extrapolate_per_class(ctx, w, p)
@@ -251,11 +242,8 @@ class TestJointScheme:
         out, _ = extrapolate_jointly(ctx, w, p)
         perm = [3, 1, 0, 2]
         ctx_p = NeighborContext(
-            conditioning=None,
-            neighbor_indices=[ctx.neighbor_indices[j] for j in perm],
             neighbor_embeddings=ctx.neighbor_embeddings[:, perm],
             support_features=ctx.support_features[:, perm],
-            sample_ids=[ctx.sample_ids[j] for j in perm],
         )
         out_p, _ = extrapolate_jointly(ctx_p, w, p)
         np.testing.assert_allclose(out_p, out, rtol=1e-12, atol=1e-14)
@@ -269,10 +257,8 @@ class TestJointScheme:
         sup /= np.linalg.norm(sup)
         w = rng.standard_normal(8)
         w /= np.linalg.norm(w)
-        one = NeighborContext(None, [0], emb, sup, [0])
-        three = NeighborContext(
-            None, [0, 0, 0], np.repeat(emb, 3, axis=1), np.repeat(sup, 3, axis=1), [0, 0, 0]
-        )
+        one = NeighborContext(emb, sup)
+        three = NeighborContext(np.repeat(emb, 3, axis=1), np.repeat(sup, 3, axis=1))
         z1, _ = extrapolate_jointly(one, w, p)
         z3, _ = extrapolate_jointly(three, w, p)
         np.testing.assert_allclose(z1, z3, rtol=1e-12, atol=1e-14)
@@ -311,7 +297,7 @@ class TestBackward:
         start = 0 if scheme == "joint" else 1000
         for params, ctx, w in screened_instances(20, start_seed=start):
             rng = np.random.default_rng(99)
-            probe = rng.standard_normal(8 if scheme == "joint" else (8, ctx.k))
+            probe = rng.standard_normal(8 if scheme == "joint" else ctx.support_features.shape)
 
             def loss():
                 return float(np.sum(probe * fn(ctx, w, params)[0]))
@@ -380,10 +366,11 @@ class TestBatchedCalls:
         rng = np.random.default_rng(22)
         p = random_params(rng, heads=2, dim=8, d_ff=16)
         ctx = stack_contexts([random_context(rng) for _ in range(3)])
-        with pytest.raises(DataError, match="conditioning"):
-            extrapolate_jointly(ctx, np.ones((8, 2)), p)
-        with pytest.raises(DataError, match="conditioning"):
-            extrapolate_per_class(ctx, np.ones(8), p)
+        # a (d,) vector with a batched context, or (d, U') columns with U' != U
+        for fn in (extrapolate_jointly, extrapolate_per_class):
+            for w in (np.ones(8), np.ones((8, 2)), np.ones((8, 4))):
+                with pytest.raises(DataError, match="conditioning"):
+                    fn(ctx, w, p)
 
 
 class TestCheckpoint:

@@ -19,5 +19,8 @@ def test_library_example_samples_the_retrieved_classes():
     exec(compile(library_block(), str(README), "exec"), ns)
     dataset, result, ctx = ns["dataset"], ns["result"], ns["ctx"]
     columns = retrieve_knn(dataset.class_embeddings[0], result.embeddings, k=3)
-    assert ctx.neighbor_indices == [dataset.split.base[i] for i in columns]
+    # each support column is a row of the class retrieved for that column
+    for j, col in enumerate(columns):
+        rows = dataset.image_features[dataset.split.base[col]]
+        assert (rows == ctx.support_features[:, j]).all(axis=1).any()
     assert ns["feature"].shape == (dataset.dim,)

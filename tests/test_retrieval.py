@@ -1,14 +1,13 @@
-"""Exact neighbor retrieval and support sampling."""
+"""Exact neighbor retrieval and the synthesis context."""
 
-import warnings
+import dataclasses
 
 import numpy as np
 import pytest
 
-import ogen.retrieval
 from ogen.embedding_store import SynthConfig, make_synthetic
 from ogen.errors import DataError
-from ogen.retrieval import build_context, retrieve_knn, sample_support
+from ogen.retrieval import NeighborContext, build_context, retrieve_knn
 
 
 def brute_force_topk(query, emb, k):
@@ -79,61 +78,34 @@ class TestRetrieveKnn:
             retrieve_knn(np.ones(4), np.eye(4), 0)
 
 
-class TestSampleSupport:
-    @staticmethod
-    def dataset():
-        return make_synthetic(SynthConfig(num_classes=8, dim=12, per_class=5, seed=11))
+class TestNeighborContext:
+    def test_holds_the_two_stacks_the_generator_reads(self):
+        assert [f.name for f in dataclasses.fields(NeighborContext)] == ["neighbor_embeddings", "support_features"]
 
+    @pytest.mark.parametrize(
+        "neighbor_shape, support_shape",
+        [((8,), (8,)), ((2, 2, 8, 3), (2, 2, 8, 3)), ((8, 3), (8, 2)), ((2, 8, 3), (8, 3)), ((8, 0), (8, 0)),
+         ((2, 8, 0), (2, 8, 0))],
+        ids=["1d", "4d", "shapes_differ", "batch_differs", "k0", "batched_k0"],
+    )
+    def test_malformed_stacks_are_data_errors(self, neighbor_shape, support_shape):
+        with pytest.raises(DataError):
+            NeighborContext(np.ones(neighbor_shape), np.ones(support_shape))
+
+
+class TestBuildContext:
     def test_context_shape_and_membership(self):
-        ds = self.dataset()
+        # support column j is row sample_ids[j] of class neighbor_ids[j], for
+        # one conditioning class and for a batch of two
+        ds = make_synthetic(SynthConfig(num_classes=8, dim=12, per_class=5, seed=11))
         rng = np.random.default_rng(0)
-        ctx = sample_support([2, 5, 7], ds, rng)
-        assert ctx.k == 3
-        assert ctx.neighbor_indices == [2, 5, 7]
-        assert ctx.neighbor_embeddings.shape == (12, 3)
-        assert ctx.support_features.shape == (12, 3)
-        for j, cls in enumerate(ctx.neighbor_indices):
-            np.testing.assert_allclose(
-                ctx.support_features[:, j],
-                ds.image_features[cls][ctx.sample_ids[j]].astype(np.float64),
-            )
-
-    def test_singleton_class_always_chosen(self):
-        ds = make_synthetic(SynthConfig(num_classes=4, dim=8, per_class=1, seed=5))
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            ctx = sample_support([0, 2], ds, rng)
-            assert ctx.sample_ids == [0, 0]
-
-    def test_deterministic_given_rng_state(self):
-        ds = self.dataset()
-        a = sample_support([1, 3], ds, np.random.default_rng(123))
-        b = sample_support([1, 3], ds, np.random.default_rng(123))
-        assert a.sample_ids == b.sample_ids
-        np.testing.assert_array_equal(a.support_features, b.support_features)
-
-    def test_uniform_selection_within_three_sigma(self):
-        # 10,000 draws over 40 examples; binomial concentration bound with
-        # the seed pinned so the outcome is reproducible
-        ds = make_synthetic(SynthConfig(num_classes=3, dim=8, per_class=40, seed=2))
-        rng = np.random.default_rng(77)
-        counts = np.zeros(40, dtype=int)
-        for _ in range(10_000):
-            ctx = sample_support([1], ds, rng)
-            counts[ctx.sample_ids[0]] += 1
-        expected = 10_000 / 40
-        sigma = np.sqrt(10_000 * (1 / 40) * (39 / 40))
-        assert np.all(np.abs(counts - expected) <= 3.0 * sigma)
-
-    def test_counter_tracks_builds(self, monkeypatch):
-        ds = self.dataset()
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args[0])
-            return build_context(*args, **kwargs)
-
-        monkeypatch.setattr(ogen.retrieval, "build_context", spy)
-        sample_support([0], ds, np.random.default_rng(0))
-        sample_support([1, 2], ds, np.random.default_rng(0))
-        assert calls == [[0], [1, 2]]
+        for neighbor_ids in ([2, 5, 7], [[2, 5, 7], [0, 2, 1]]):
+            ids = np.array(neighbor_ids)
+            picks = rng.integers(5, size=ids.shape)
+            units = np.swapaxes(ds.class_embeddings[ids], -1, -2).astype(np.float64)  # (d, K) or (U, d, K)
+            ctx = build_context(ids, units, ds.image_features, picks)
+            assert ctx.neighbor_embeddings is units
+            assert ctx.support_features.shape == units.shape == ids.shape[:-1] + (12, 3)
+            for *u, j in np.ndindex(ids.shape):
+                column = ctx.support_features[(*u, slice(None), j)]
+                np.testing.assert_array_equal(column, ds.image_features[ids[(*u, j)]][picks[(*u, j)]])

@@ -302,8 +302,9 @@ class TestTrainedGeneratorImproves:
                 ocols = [others[i] for i in picks]
                 classes = [base[i] for i in ocols]
                 picks = rng.integers([ds.image_features[c].shape[0] for c in classes])
+                raw = base_emb[:, ocols]
                 ctx = build_context(
-                    classes, base_emb[:, ocols], {c: ds.image_features[c] for c in classes}, picks
+                    classes, raw / np.linalg.norm(raw, axis=0), {c: ds.image_features[c] for c in classes}, picks
                 )
                 wq = w / np.linalg.norm(w)
                 z_tr, _ = extrapolate_per_class(ctx, wq, result.params)
@@ -339,6 +340,29 @@ class TestStatePersistence:
         resumed = train(ds, cfg, state=state)
         assert resumed.metrics == full.metrics[4:]
         assert np.array_equal(resumed.params.flat, full.params.flat)
+
+    def test_state_saved_to_a_second_path_loads_and_resumes(self, tmp_path):
+        # a trained state saved to two paths, and a loaded state saved to a
+        # third: each save writes the checkpoints its path lists
+        ds = tiny_dataset()
+        cfg = tiny_config(scheme="joint", distill="almt", epochs=8)
+        full = train(ds, cfg)
+        paths = [tmp_path / name / "state.bin" for name in ("a", "b", "c")]
+        for path in paths:
+            path.parent.mkdir()
+
+        def snapshot(state, row):
+            if row.epoch == 3:
+                save_state(paths[0], state, cfg)
+                save_state(paths[1], state, cfg)
+
+        train(ds, cfg, on_epoch=snapshot)
+        save_state(paths[2], load_state(paths[0])[0], cfg)
+        for path in paths:
+            state, cfg_loaded = load_state(path)
+            resumed = train(ds, cfg_loaded, state=state)
+            assert resumed.metrics == full.metrics[4:]
+            assert np.array_equal(resumed.params.flat, full.params.flat)
 
     @pytest.mark.parametrize("target", ["state.bin", "checkpoint.bin", "d.oef"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, target):
