@@ -25,6 +25,7 @@ import numpy as np
 
 from ._tensorio import check_format, read_tensor_file, write_tensor_file
 from .errors import DataError
+from .objective import _unit_columns
 from .objective import class_probabilities  # noqa: F401  (re-export; the scorer lives in objective)
 
 # |norm - 1| tolerance under which a stored vector counts as unit and is
@@ -119,6 +120,26 @@ class EmbeddingSet:
             stacked.setflags(write=False)
             out.append(stacked)
         return tuple(out)
+
+    @cached_property
+    def _frozen_verdict(self) -> tuple:
+        """What the frozen new-class columns decide, scored once per dataset:
+        (base_best, candidates, candidate_best). base_best holds each base
+        feature's best cosine against the unit new-class columns (-inf
+        without new classes). candidates are the new features whose first
+        best frozen column is their own class, as one (m, d) float64 matrix,
+        and candidate_best their cosine with it; no other new feature can
+        be predicted right, whatever the learnable columns are."""
+        base, new = self._split_features
+        if not self.split.new:
+            return np.full(len(base), -np.inf), new, np.empty(0)
+        # C order, as trainer._EvalCache normalizes the learnable columns
+        unit = _unit_columns(np.ascontiguousarray(self.embedding_columns(self.split.new)))[0]
+        base_best = (base @ unit).max(axis=1)
+        scores = new @ unit
+        own = np.repeat(np.arange(unit.shape[1]), [self.image_features[c].shape[0] for c in self.split.new])
+        hit = np.flatnonzero(scores.argmax(axis=1) == own)
+        return base_best, new[hit], scores[hit, own[hit]]
 
     @cached_property
     def _score_scratch(self) -> dict:

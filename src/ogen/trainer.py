@@ -11,6 +11,10 @@ nearest pseudo-known neighbors (all classes in one batched pass),
 optionally held consistent with an EMA teacher of the generator.
 Optimization is SGD with momentum and cosine learning-rate decay. Runs
 are deterministic per seed.
+
+Each epoch ends with the argmax accuracy of each split over the base and
+frozen new columns; the frozen columns are scored once per dataset, so
+each evaluation scores only the C_b learnable ones (see _EvalCache).
 """
 
 from __future__ import annotations
@@ -196,45 +200,47 @@ def harmonic_mean(a: float, b: float) -> float:
 
 
 class _EvalCache:
-    """Per-split feature matrices, union-column labels, and one score
-    matrix that every accuracies() call fills in place."""
+    """Argmax accuracy of each split over the learnable base columns and,
+    after them, the frozen new-class columns. What the frozen columns
+    decide is scored once per dataset (EmbeddingSet._frozen_verdict), so
+    each accuracies() call scores against the C_b learnable columns only,
+    into one score matrix filled in place. Argmax takes the first of equal
+    maxima, so a learnable column wins a tie with a frozen one."""
 
     def __init__(self, dataset: EmbeddingSet):
         base, new = dataset.split.base, dataset.split.new
         self.frozen_new = dataset.embedding_columns(new) if new else np.empty((dataset.dim, 0))
-        self.base_feats, self.new_feats = dataset._split_features
-        self.base_labels = self._labels(dataset, base, offset=0)
-        self.new_labels = self._labels(dataset, new, offset=len(base))
+        self.base_feats, new_feats = dataset._split_features
+        self.base_labels = np.repeat(np.arange(len(base)), [dataset.image_features[c].shape[0] for c in base])
+        self.n_new = len(new_feats)
+        self.frozen_best, self.candidates, self.candidate_best = dataset._frozen_verdict
         # the score matrix is large enough that the C allocator may hand it
         # back to the OS on free, and a fresh one faults its pages in again;
         # so every run and evaluate() of a dataset on one thread shares one
         scratch, thread = dataset._score_scratch, threading.get_ident()
         if thread not in scratch:
-            scratch[thread] = np.empty((max(len(self.base_feats), len(self.new_feats)), len(base) + len(new)))
+            scratch[thread] = np.empty((max(len(self.base_feats), len(self.candidates)), len(base)))
         self._scores = scratch[thread]
 
-    @staticmethod
-    def _labels(dataset, classes, offset):
-        counts = [dataset.image_features[c].shape[0] for c in classes]
-        return np.repeat(np.arange(offset, offset + len(classes)), counts)
-
     def accuracies(self, base_embeddings: np.ndarray):
-        unit, _ = objective._unit_columns(np.concatenate([base_embeddings, self.frozen_new], axis=1))
-        base_acc = self._acc(self.base_feats, self.base_labels, unit)
-        new_acc = self._acc(self.new_feats, self.new_labels, unit)
-        return base_acc, new_acc
-
-    def _acc(self, feats, labels, unit_union):
-        if feats.shape[0] == 0:
-            return 0.0
-        pred = np.argmax(np.matmul(feats, unit_union, out=self._scores[: feats.shape[0]]), axis=1)
-        return float(np.mean(pred == labels))
+        # C order, as the frozen columns are normalized: its column norms sum
+        # the d rows in turn, a transposed matrix's pairwise, and equal
+        # columns must score equal bits for the tie rule to hold
+        unit, _ = objective._unit_columns(np.ascontiguousarray(base_embeddings))
+        scores = np.matmul(self.base_feats, unit, out=self._scores[: len(self.base_feats)])
+        pred = np.argmax(scores, axis=1)
+        best = np.take_along_axis(scores, pred[:, None], axis=1)[:, 0]
+        base_acc = float(np.count_nonzero((pred == self.base_labels) & (best >= self.frozen_best)) / len(pred))
+        if not len(self.candidates):
+            return base_acc, 0.0
+        scores = np.matmul(self.candidates, unit, out=self._scores[: len(self.candidates)])
+        return base_acc, float(np.count_nonzero(scores.max(axis=1) < self.candidate_best) / self.n_new)
 
 
 def evaluate(params, embeddings, dataset: EmbeddingSet):
-    """Score every image feature against the union of learnable base
-    columns and frozen new-class embeddings; argmax accuracy per split
-    plus the harmonic mean. The generator does not participate at
+    """Argmax accuracy per split over the learnable base columns and the
+    frozen new-class embeddings, plus the harmonic mean, scored as each
+    training epoch is (_EvalCache). The generator does not participate at
     evaluation time (params is accepted for checkpoint-eval symmetry).
     """
     del params

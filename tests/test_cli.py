@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from conftest import file_tree
 
+import ogen
 from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.cli import main
 from ogen.embedding_store import load_embeddings
@@ -102,6 +103,23 @@ class TestGenData:
         main(gen_args(p1, seed=5))
         main(gen_args(p2, seed=5))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_python_m_ogen_cli_runs_commands(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(pathlib.Path(ogen.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ogen.cli", *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    data = tmp_path / "data.oef"
+    done = run(*gen_args(data))
+    assert done.returncode == 0, done.stderr
+    assert load_embeddings(data).num_classes == 8
+    done = run("train", "--data", tmp_path / "missing.oef", "--out", tmp_path / "run")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])

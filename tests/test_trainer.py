@@ -76,6 +76,23 @@ class TestHarmonicMean:
             harmonic_mean(-0.1, 0.5)
 
 
+def union_accuracies(ds, emb):
+    """(base_acc, new_acc) of the argmax over all C_b + C_f union columns,
+    learnable first, as one product per split: the brute-force oracle.
+    Also returns each split's (predictions, labels)."""
+    base, new = list(ds.split.base), list(ds.split.new)
+    union = np.concatenate([emb, ds.embedding_columns(new)], axis=1) if new else emb
+    unit = union / np.linalg.norm(union, axis=0)
+    accs, preds = [], []
+    for classes, offset in ((base, 0), (new, len(base))):
+        feats = np.concatenate([ds.image_features[c] for c in classes] or [np.empty((0, ds.dim))], dtype=np.float64)
+        labels = np.repeat(np.arange(offset, offset + len(classes)), [len(ds.image_features[c]) for c in classes])
+        pred = np.argmax(feats @ unit, axis=1)
+        accs.append(float(np.mean(pred == labels)) if len(pred) else 0.0)
+        preds.append((pred, labels))
+    return tuple(accs), preds
+
+
 class TestEvaluate:
     def test_matches_brute_force_oracle(self):
         ds = tiny_dataset(seed=4)
@@ -99,6 +116,108 @@ class TestEvaluate:
         assert base_acc == split_acc(base, 0)
         assert new_acc == split_acc(list(ds.split.new), len(base))
         assert h == harmonic_mean(base_acc, new_acc)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_the_union_argmax_mid_run(self, seed):
+        ds = tiny_dataset(seed=seed, classes=12, per_class=10)
+        seen = []
+
+        def check(state, row):
+            (base_acc, new_acc), _ = union_accuracies(ds, state.embeddings)
+            assert (row.base_acc, row.new_acc) == (base_acc, new_acc)
+            assert evaluate(None, state.embeddings, ds)[:2] == (base_acc, new_acc)
+            seen.append(row.epoch)
+
+        train(ds, tiny_config(epochs=6, seed=seed), on_epoch=check)
+        assert seen == list(range(6))
+
+    def test_tie_with_a_frozen_column_goes_to_the_learnable_column(self):
+        ds = tiny_dataset(seed=4, text_noise=0.0)
+        base, new = list(ds.split.base), list(ds.split.new)
+        emb = ds.embedding_columns(base)
+        _, (_, (before, labels)) = union_accuracies(ds, emb)
+        hits = (labels == len(base)) & (before == labels)  # new class 0's features predicted right
+        assert hits.any()
+        emb = emb.copy()
+        emb[:, 1] = 2.0 * ds.embedding_columns(new[:1])[:, 0]  # parallel: the same unit column
+        accs, (_, (pred, _)) = union_accuracies(ds, emb)
+        assert np.all(pred[hits] == 1)
+        assert evaluate(None, emb, ds)[:2] == accs
+
+    def test_tie_of_a_base_feature_goes_to_its_learnable_column(self):
+        ds = tiny_dataset(seed=4, text_noise=0.0)
+        base, new = list(ds.split.base), list(ds.split.new)
+        emb = ds.class_embeddings.copy()
+        emb[new[0]] = emb[base[1]]  # a frozen column equal to learnable column 1
+        ds = dataclasses.replace(ds, class_embeddings=emb)
+        accs, ((pred, labels), _) = union_accuracies(ds, ds.embedding_columns(base))
+        assert np.any((labels == 1) & (pred == 1))
+        assert evaluate(None, ds.embedding_columns(base), ds)[:2] == accs
+
+    def test_equal_columns_the_first_wins(self):
+        ds = tiny_dataset(seed=4, text_noise=0.0)
+        base, new = list(ds.split.base), list(ds.split.new)
+        emb = ds.embedding_columns(base)
+        (before, labels), (new_before, new_labels) = union_accuracies(ds, emb)[1]
+        hits = (labels == 3) & (before == 3)
+        new_hits = (new_labels == len(base) + 2) & (new_before == new_labels)
+        assert hits.any() and new_hits.any()
+        # learnable column 0 equals learnable column 3, frozen column 1 equals frozen column 2
+        emb = emb.copy()
+        emb[:, 0] = emb[:, 3]
+        classes = ds.class_embeddings.copy()
+        classes[new[1]] = classes[new[2]]
+        ds = dataclasses.replace(ds, class_embeddings=classes)
+        accs, ((pred, _), (new_pred, _)) = union_accuracies(ds, emb)
+        assert np.all(pred[hits] == 0)
+        assert np.all(new_pred[new_hits] == len(base) + 1)
+        assert evaluate(None, emb, ds)[:2] == accs
+
+    def test_no_new_classes(self):
+        ds = make_synthetic(SynthConfig(num_classes=8, dim=16, per_class=6, base_fraction=1.0, seed=1))
+        emb = ds.embedding_columns(list(ds.split.base)) + 0.3 * np.random.default_rng(0).standard_normal((16, 8))
+        (base_acc, new_acc), _ = union_accuracies(ds, emb)
+        assert 0.0 < base_acc < 1.0
+        assert evaluate(None, emb, ds)[:2] == (base_acc, 0.0) and new_acc == 0.0
+        assert len(ogen.trainer._EvalCache(ds).candidates) == 0
+
+    def test_no_frozen_argmax_is_right(self):
+        ds = tiny_dataset(seed=4, text_noise=0.0)
+        new = list(ds.split.new)
+        # each new class takes the embedding of the next one, so each new
+        # feature's best frozen column is another class's
+        emb = ds.class_embeddings.copy()
+        emb[new] = emb[np.roll(new, 1)]
+        ds = dataclasses.replace(ds, class_embeddings=emb)
+        cols = ds.embedding_columns(list(ds.split.base))
+        (base_acc, new_acc), _ = union_accuracies(ds, cols)
+        assert new_acc == 0.0
+        assert len(ogen.trainer._EvalCache(ds).candidates) == 0
+        assert evaluate(None, cols, ds)[:2] == (base_acc, 0.0)
+
+    def test_frozen_verdict_is_computed_once_per_dataset(self, monkeypatch):
+        from functools import cached_property
+
+        from ogen.embedding_store import EmbeddingSet
+
+        verdict, calls = EmbeddingSet.__dict__["_frozen_verdict"].func, []
+
+        def spy(dataset):
+            calls.append(dataset)
+            return verdict(dataset)
+
+        prop = cached_property(spy)
+        prop.__set_name__(EmbeddingSet, "_frozen_verdict")
+        monkeypatch.setattr(EmbeddingSet, "_frozen_verdict", prop)
+        ds = tiny_dataset(seed=2)
+        cfg = tiny_config(epochs=3)
+        train(ds, cfg)
+        result = train(ds, dataclasses.replace(cfg, scheme="none", distill="none"))
+        evaluate(None, result.embeddings, ds)
+        assert len(calls) == 1 and calls[0] is ds
+        # the per-epoch score matrix has the learnable columns only
+        (scores,) = ds._score_scratch.values()
+        assert scores.shape[1] == len(ds.split.base)
 
     def test_shape_check(self):
         ds = tiny_dataset()
