@@ -30,7 +30,7 @@ def write_tensor_file(path, tensors: dict, meta: dict, aside=None) -> None:
         arr = np.asarray(arr)
         code = "f4" if arr.dtype == np.float32 else "f8"
         manifest["tensors"].append({"name": name, "shape": list(arr.shape), "dtype": code})
-        blobs.append(np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes())
+        blobs.append(np.ascontiguousarray(arr, dtype=_DTYPES[code]).data)  # its own buffer, not a copy
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     write_atomically(path, [struct.pack("<I", len(mbytes)) + mbytes, *blobs], aside)
 

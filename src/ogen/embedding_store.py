@@ -142,6 +142,19 @@ class EmbeddingSet:
         return base_best, new[hit], scores[hit, own[hit]]
 
     @cached_property
+    def _known_loss_inputs(self) -> tuple:
+        """What the known loss reads of the dataset, built once per dataset,
+        read-only: (units, frozen_scores). units holds the base-split
+        features of _split_features as (d, N) unit columns; frozen_scores
+        is the (C_f, N) block of their cosines against the unit new-class
+        columns, with no rows when the dataset has no new classes."""
+        units = _unit_columns(self._split_features[0].T)[0]
+        frozen_scores = _unit_columns(self.embedding_columns(self.split.new))[0].T @ units
+        for out in (units, frozen_scores):
+            out.setflags(write=False)
+        return units, frozen_scores
+
+    @cached_property
     def _score_scratch(self) -> dict:
         """Thread id -> the score matrix trainer._EvalCache fills."""
         return {}

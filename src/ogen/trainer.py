@@ -209,7 +209,7 @@ class _EvalCache:
 
     def __init__(self, dataset: EmbeddingSet):
         base, new = dataset.split.base, dataset.split.new
-        self.frozen_new = dataset.embedding_columns(new) if new else np.empty((dataset.dim, 0))
+        self.frozen_new = dataset.embedding_columns(new)
         self.base_feats, new_feats = dataset._split_features
         self.base_labels = np.repeat(np.arange(len(base)), [dataset.image_features[c].shape[0] for c in base])
         self.n_new = len(new_feats)
@@ -383,16 +383,14 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     feats_by_col = [dataset.image_features[c] for c in base]
     eval_cache = _EvalCache(dataset)
     # every base image feature and its column in base-split order; the
-    # features are fixed, so they are normalized once per run and each
-    # minibatch takes its (d, B) unit columns from the (N, d) unit rows
-    known_units, feat_col = objective._unit_columns(eval_cache.base_feats.T)[0], eval_cache.base_labels
-    known_unit_rows = known_units.T
-    # frozen new-class columns join every softmax denominator, as in synthesis
-    # and evaluation; they never receive updates, so the cosines of every
-    # base image feature against them are scored once per run, a (C_f, N)
-    # block with no rows when the dataset has no new classes
+    # features are fixed, so they are normalized once per dataset and each
+    # minibatch takes its (d, B) unit columns from the (N, d) unit rows.
+    # Frozen new-class columns join every softmax denominator, as in
+    # synthesis and evaluation; they never receive updates, so the cosines
+    # of every base image feature against them are scored once per dataset
+    known_units, frozen_scores = dataset._known_loss_inputs
+    known_unit_rows, feat_col = known_units.T, eval_cache.base_labels
     frozen_new = eval_cache.frozen_new
-    frozen_scores = objective._unit_columns(frozen_new)[0].T @ known_units
     rng = state.rng
     rows = []
 
@@ -473,16 +471,17 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
 
 
 def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
-    """Version 4: one tensor per generator bundle, holding its flat vector.
-    Each teacher-queue checkpoint is a file of its own in the directory
-    beside path (run/state.queue/ for run/state.bin), written once, before
-    the state file that lists it; the state file then replaces the old
-    one, and last the directory loses every entry it does not list."""
+    """Version 5: one tensor per generator bundle, holding its flat vector,
+    but for an almt run's params, which its newest teacher checkpoint holds.
+    Each checkpoint is a file of its own in the directory beside path
+    (run/state.queue/ for run/state.bin), written once, before the state
+    file that lists it; the state file then replaces the old one, and last
+    the directory loses every entry it does not list."""
     tensors = {"embeddings": state.embeddings, "emb_velocity": state.emb_velocity}
     queue = state.queue
     meta = {
         "format": "ogen-run-state",
-        "version": 4,
+        "version": 5,
         "next_epoch": state.next_epoch,
         "rng": state.rng.bit_generator.state,
         "config": asdict(cfg),
@@ -492,7 +491,9 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
     }
     if state.params is not None:
         meta["gen_meta"] = {key: getattr(state.params, key) for key in ("heads", "dim", "d_ff")}
-        tensors.update(params=state.params.flat, velocity=state.gen_velocity.flat)
+        if not queue:  # no queue, or one before its first checkpoint
+            tensors["params"] = state.params.flat
+        tensors["velocity"] = state.gen_velocity.flat
         if state.mt_teacher is not None:
             tensors["mt"] = state.mt_teacher.flat
     write_tensor_file(path, tensors, meta, aside=_aside_path(path))
@@ -501,7 +502,7 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
         listed = {f"{epoch}.f8" for epoch in meta["queue_epochs"]}
         for entry in _queue_path(path).iterdir():
             if entry.name not in listed:
-                entry.unlink()
+                _delete(entry)
 
 
 def remove_state(path) -> None:
@@ -509,8 +510,16 @@ def remove_state(path) -> None:
     path = Path(path)
     for stray in (path, _aside_path(path), *path.parent.glob(f".{path.name}.*.tmp")):
         stray.unlink(missing_ok=True)
-    if _queue_path(path).exists():
-        shutil.rmtree(_queue_path(path))
+    _delete(_queue_path(path))
+
+
+def _delete(path: Path) -> None:
+    """Remove whatever occupies path: a real directory with all it holds,
+    anything else (a file, a symlink, a dangling one) by unlinking it."""
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
 
 
 def _aside_path(path) -> Path:  # run/.state.bin.prev, the old state while a save renames the new one in
@@ -568,7 +577,7 @@ def load_state(path):
     the one a save moved aside, if only that is there) and its checkpoints."""
     source = _aside_path(path) if not Path(path).exists() and _aside_path(path).exists() else path
     tensors, meta = read_tensor_file(source)
-    check_format(source, meta, "ogen-run-state", 4, "start a new run")
+    check_format(source, meta, "ogen-run-state", 5, "start a new run")
     try:
         return _state_from(tensors, meta, _queue_path(path))
     except DataError as exc:
@@ -578,16 +587,7 @@ def load_state(path):
 
 
 def _state_from(tensors: dict, meta: dict, queue_dir: Path):
-    config = dict(meta["config"])
-    if config.get("distill") == "fixed":  # an older version-4 state: fixed_window W is almt, m_min = m_max = W
-        config.update(distill="almt", m_min=config["fixed_window"], m_max=config.pop("fixed_window"))
-    if config.get("fixed_window", 0) is None:  # which stores null for the other modes
-        del config["fixed_window"]
-    union = config.pop("known_loss_union", True)  # an older version-4 state stores it
-    if union is not True:
-        raise DataError(f"config known_loss_union={union!r} leaves the frozen new columns out of the known "
-                        "loss, which this ogen always scores against them; start a new run")
-    cfg = TrainConfig(**config)
+    cfg = TrainConfig(**meta["config"])
     cfg.validate()
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]
@@ -613,7 +613,7 @@ def _state_from(tensors: dict, meta: dict, queue_dir: Path):
         if gen_meta != shape:
             raise DataError(f"gen_meta {gen_meta!r} is not the configured generator {shape}")
         bundle = partial(GeneratorParams, *shape.values())
-        params, gen_velocity = bundle(tensors["params"]), bundle(tensors["velocity"])
+        gen_velocity = bundle(tensors["velocity"])
         if cfg.distill == "almt":
             queue = TeacherQueue(cfg.schedule())
             epochs, crcs = meta.get("queue_epochs"), meta.get("queue_crc32")
@@ -625,7 +625,12 @@ def _state_from(tensors: dict, meta: dict, queue_dir: Path):
                     and all(type(c) is int and 0 <= c < 2**32 for c in crcs)):
                 raise DataError(f"queue_crc32 {crcs!r} is not one crc32 per queue epoch")
             if epochs:
-                _load_queue(queue_dir, queue, epochs, crcs, bundle, params.flat.size)
+                _load_queue(queue_dir, queue, epochs, crcs, bundle, gen_velocity.flat.size)
+        # a teacher checkpoint holds the params of its epoch: the newest is the state's, stored only there
+        if ("params" in tensors) == bool(queue):
+            raise DataError(f"a state of distill={cfg.distill} before epoch {next_epoch} "
+                            f"{'has' if queue else 'lacks'} a params tensor")
+        params = queue.entries[-1][1].copy() if queue else bundle(tensors["params"])
         if "mt" in tensors:
             mt_teacher = bundle(tensors["mt"])
     state = TrainState(

@@ -297,6 +297,24 @@ class TestTrain:
         assert [name for name in files if name.startswith("state.queue/")] == [f"state.queue/{e}.f8" for e in range(4)]
         assert file_tree(dirty) == files
 
+    @pytest.mark.parametrize("stray", ["file", "symlink_to_a_directory", "dangling_symlink"])
+    def test_fresh_run_over_a_stray_queue_path(self, dataset_path, tmp_path, stray):
+        # a fresh run unlinks whatever occupies state.queue and is not a real
+        # directory; a symlink goes, the directory it points to stays as it was
+        clean, run, target = tmp_path / "clean", tmp_path / "run", tmp_path / "target"
+        assert main(train_args(dataset_path, clean, epochs=4)) == 0
+        run.mkdir()
+        target.mkdir()
+        (target / "0.f8").write_bytes(b"not this run's")
+        if stray == "file":
+            (run / "state.queue").write_bytes(b"not a directory")
+        else:
+            (run / "state.queue").symlink_to(target if stray == "symlink_to_a_directory" else tmp_path / "missing")
+        assert main(train_args(dataset_path, run, epochs=4)) == 0
+        assert not (run / "state.queue").is_symlink()
+        assert file_tree(run) == file_tree(clean)
+        assert file_tree(target) == {"0.f8": b"not this run's"}
+
     def test_interrupted_fresh_run_keeps_no_state_of_the_earlier_run(self, dataset_path, tmp_path, monkeypatch):
         run = tmp_path / "run"
         assert main(train_args(dataset_path, run, epochs=4, extra=["--plot"])) == 0
@@ -464,7 +482,7 @@ class TestResume:
         "distill, corrupt",
         [
             ("mt", lambda tensors: tensors.pop("mt")),
-            ("almt", lambda tensors: tensors.update(mt=tensors["params"])),
+            ("almt", lambda tensors: tensors.update(mt=tensors["velocity"])),  # its params are in state.queue/
             ("none", lambda tensors: tensors.update(mt=tensors["params"])),
         ],
         ids=["mt_without_teacher", "almt_with_mt_teacher", "none_with_mt_teacher"],
@@ -642,31 +660,17 @@ class TestResume:
         assert f"{flags[0]} bound the window of distill=almt, not distill={distill}" in capsys.readouterr().err
         assert {name: (run / name).read_bytes() for name in before} == before
 
-    def test_state_that_stores_known_loss_union_true_resumes(self, dataset_path, tmp_path):
-        # an older version-4 state stores known_loss_union in its config;
-        # true is the known loss that every run now has
+    def test_resume_deletes_an_unlisted_subdirectory_of_the_queue(self, dataset_path, tmp_path):
+        # the save after the resumed epoch deletes every entry of state.queue/
+        # that the new state.bin does not list, a directory with all it holds too
         run, full = tmp_path / "run", tmp_path / "full"
         assert main(train_args(dataset_path, full, epochs=4)) == 0
         self.rewound_run(dataset_path, run)
-        tensors, meta = read_tensor_file(run / "state.bin")
-        meta["config"]["known_loss_union"] = True
-        write_tensor_file(run / "state.bin", tensors, meta)
+        (run / "state.queue" / "stray" / "deeper").mkdir(parents=True)
+        (run / "state.queue" / "stray" / "deeper" / "9.f8").write_bytes(b"\0" * 8)
         assert main(resume_args(dataset_path, run)) == 0
         assert file_tree(run) == file_tree(full)
-
-    def test_state_that_stores_known_loss_union_false_is_data_error(self, dataset_path, tmp_path, capsys):
-        # false left the frozen new columns out of the known loss; no run continues that way
-        run = tmp_path / "run"
-        self.rewound_run(dataset_path, run)
-        tensors, meta = read_tensor_file(run / "state.bin")
-        meta["config"]["known_loss_union"] = False
-        write_tensor_file(run / "state.bin", tensors, meta)
-        before = {name: (run / name).read_bytes() for name in ("state.bin", "metrics.csv")}
-        capsys.readouterr()
-        assert main(resume_args(dataset_path, run)) == 2
-        err = capsys.readouterr().err
-        assert "known_loss_union=False" in err and "start a new run" in err
-        assert {name: (run / name).read_bytes() for name in before} == before
+        assert not (run / "state.queue" / "stray").exists()
 
     def test_other_dataset_is_config_error(self, dataset_path, tmp_path, capsys):
         run = tmp_path / "run"
@@ -850,7 +854,7 @@ class TestHostileRunFiles:
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
-        assert "version 2 is not version 4" in capsys.readouterr().err
+        assert "version 2 is not version 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_version_3_state_is_data_error(self, dataset_path, tmp_path, capsys, command):
@@ -862,7 +866,45 @@ class TestHostileRunFiles:
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
-        assert "version 3 is not version 4, the only one this ogen reads; start a new run" in capsys.readouterr().err
+        assert "version 3 is not version 5, the only one this ogen reads; start a new run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_version_4_state_is_data_error(self, dataset_path, tmp_path, capsys, command):
+        # version 4 stored an almt run's params twice: in state.bin and as its newest checkpoint
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run)
+        tensors, meta = read_tensor_file(run / "state.bin")
+        params = np.fromfile(run / "state.queue" / "1.f8", dtype="<f8")
+        tensors = {"embeddings": tensors["embeddings"], "emb_velocity": tensors["emb_velocity"],
+                   "params": params, "velocity": tensors["velocity"]}
+        meta["version"] = 4
+        write_tensor_file(run / "state.bin", tensors, meta)
+        before = file_tree(run)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert "version 4 is not version 5, the only one this ogen reads; start a new run" in capsys.readouterr().err
+        assert file_tree(run) == before
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("distill", ["almt", "none"])
+    def test_params_tensor_where_the_queue_holds_them_or_none_holds_them_is_data_error(
+            self, dataset_path, tmp_path, capsys, command, distill):
+        # past epoch 0 an almt state's params are its newest checkpoint, so
+        # state.bin holds none; a state of any other run with a generator holds them
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run, extra=["--distill", distill])
+        tensors, meta = read_tensor_file(run / "state.bin")
+        if distill == "almt":
+            tensors = {"params": np.fromfile(run / "state.queue" / "1.f8", dtype="<f8"), **tensors}
+        else:
+            del tensors["params"]
+        write_tensor_file(run / "state.bin", tensors, meta)
+        before = file_tree(run)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        has = "has" if distill == "almt" else "lacks"
+        assert f"a state of distill={distill} before epoch 2 {has} a params tensor" in capsys.readouterr().err
+        assert file_tree(run) == before
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ogen._tensorio
 from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.embedding_store import (
     ClassSplit,
@@ -278,6 +279,16 @@ class TestFileFormat:
             load_embeddings(tmp_path / "absent.oef")
         with pytest.raises(DataError, match="no such file"):
             load_embeddings(tmp_path)  # a directory
+
+    def test_tensors_are_written_from_their_own_buffers(self, tmp_path, monkeypatch):
+        # a contiguous array of the stored dtype is written as it is, with no
+        # staging copy; any other is converted once, and the bytes are the same
+        chunks = []
+        monkeypatch.setattr(ogen._tensorio, "write_atomically", lambda path, parts, aside=None: chunks.extend(parts))
+        f8, f4 = np.arange(6.0).reshape(2, 3), np.arange(4, dtype=np.float32)
+        write_tensor_file(tmp_path / "t.bin", {"f8": f8, "f4": f4, "strided": f8.T}, {})
+        assert chunks[1].obj is f8 and chunks[2].obj is f4
+        assert [bytes(c) for c in chunks[1:]] == [f8.tobytes(), f4.tobytes(), f8.T.tobytes()]
 
     def test_numpy_split_indices_are_written(self, tmp_path):
         ds = tiny_set()

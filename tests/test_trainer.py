@@ -219,6 +219,34 @@ class TestEvaluate:
         (scores,) = ds._score_scratch.values()
         assert scores.shape[1] == len(ds.split.base)
 
+    def test_known_loss_inputs_are_computed_once_per_dataset(self, monkeypatch):
+        # the base features' unit columns and their frozen-column scores
+        # serve every run of the dataset, the ablation grid's included
+        from functools import cached_property
+
+        from ogen.embedding_store import EmbeddingSet
+
+        inputs, calls = EmbeddingSet.__dict__["_known_loss_inputs"].func, []
+
+        def spy(dataset):
+            calls.append(dataset)
+            return inputs(dataset)
+
+        prop = cached_property(spy)
+        prop.__set_name__(EmbeddingSet, "_known_loss_inputs")
+        monkeypatch.setattr(EmbeddingSet, "_known_loss_inputs", prop)
+        monkeypatch.setenv("OGEN_THREADS", "2")
+        ds = tiny_dataset(seed=2)
+        cfg = tiny_config(epochs=2)
+        first = train(ds, cfg)
+        assert train(ds, cfg).metrics == first.metrics
+        ablate(ds, cfg, seeds=1)
+        assert len(calls) == 1 and calls[0] is ds
+        units, frozen_scores = ds._known_loss_inputs
+        n = len(ds._split_features[0])
+        assert units.shape == (ds.dim, n) and frozen_scores.shape == (len(ds.split.new), n)
+        assert not (units.flags.writeable or frozen_scores.flags.writeable)
+
     def test_shape_check(self):
         ds = tiny_dataset()
         with pytest.raises(DataError):
@@ -548,11 +576,13 @@ class TestStatePersistence:
         result = train(ds, cfg)
         save_state(tmp_path / "state.bin", result.state, cfg)
         tensors, meta = ogen._tensorio.read_tensor_file(tmp_path / "state.bin")
-        assert meta["version"] == 4
-        assert list(tensors) == ["embeddings", "emb_velocity", "params", "velocity", *bundles]
-        assert np.array_equal(tensors["params"], result.params.flat)
+        assert meta["version"] == 5
+        # an almt run's params are its newest checkpoint, stored in state.queue/ only
+        params = [] if distill == "almt" else ["params"]
+        assert list(tensors) == ["embeddings", "emb_velocity", *params, "velocity", *bundles]
         # each stored vector comes back as the bundle it was saved from
         state, _ = load_state(tmp_path / "state.bin")
+        assert np.array_equal(state.params.flat, result.params.flat)
         loaded = {"params": state.params, "velocity": state.gen_velocity, "mt": state.mt_teacher}
         for name in list(tensors)[2:]:
             assert np.array_equal(loaded[name].flat, tensors[name])
@@ -573,6 +603,14 @@ class TestStatePersistence:
             assert raw == saved.flat.astype("<f8").tobytes()
             assert zlib.crc32(raw) == crc
             assert np.array_equal(params.flat, saved.flat)
+        assert files[f"state.queue/{state.next_epoch - 1}.f8"] == state.params.flat.astype("<f8").tobytes()
+        # the loaded params are a copy: training them leaves the teacher's checkpoint as it was
+        assert not np.shares_memory(state.params.flat, state.queue.entries[-1][1].flat)
+        # before its first checkpoint, an almt state stores its params itself
+        save_state(tmp_path / "first.bin", ogen.trainer._init_state(ds, cfg), cfg)
+        tensors, meta = ogen._tensorio.read_tensor_file(tmp_path / "first.bin")
+        assert list(tensors) == ["embeddings", "emb_velocity", "params", "velocity"] and meta["queue_epochs"] == []
+        assert np.array_equal(load_state(tmp_path / "first.bin")[0].params.flat, tensors["params"])
 
     def test_state_files_in_one_directory_keep_their_own_queue(self, tmp_path):
         ds = tiny_dataset()
@@ -628,53 +666,6 @@ class TestStatePersistence:
         assert len(crcs) == cfg.epochs
         assert len(written) == cfg.epochs
         assert written == [size + row for size in sizes]
-
-    @pytest.mark.parametrize(
-        "m_max, spelling",
-        [(2, {"distill": "fixed", "fixed_window": 2, "m_max": 9}), (9, {"fixed_window": None})],
-        ids=["fixed", "null"],
-    )
-    def test_state_with_a_fixed_window_field_resumes_as_almt(self, tmp_path, m_max, spelling):
-        # version-4 states once stored fixed_window in their config, and
-        # spelled a constant window w as distill="fixed", fixed_window=w;
-        # they load as almt with m_min = m_max = w, and resume bit-exactly
-        ds = tiny_dataset()
-        cfg = tiny_config(scheme="joint", distill="almt", m_max=m_max, epochs=8)
-        full = train(ds, cfg)
-        path = tmp_path / "state.bin"
-
-        def snapshot(state, row):
-            if row.epoch == 3:
-                save_state(path, state, cfg)
-
-        train(ds, cfg, on_epoch=snapshot)
-        tensors, meta = ogen._tensorio.read_tensor_file(path)
-        meta["config"].update(spelling)
-        ogen._tensorio.write_tensor_file(path, tensors, meta)
-        state, loaded = load_state(path)
-        assert loaded == cfg
-        resumed = train(ds, loaded, state=state)
-        assert resumed.metrics == full.metrics[4:]
-        assert np.array_equal(resumed.params.flat, full.params.flat)
-        assert [e for e, _ in resumed.state.queue.entries] == [e for e, _ in full.state.queue.entries]
-        for (_, params), (_, expected) in zip(resumed.state.queue.entries, full.state.queue.entries):
-            assert np.array_equal(params.flat, expected.flat)
-
-    @pytest.mark.parametrize(
-        "spelling",
-        [{"fixed_window": 2}, {"distill": "fixed", "fixed_window": None}, {"distill": "fixed"}],
-        ids=["window_without_fixed", "fixed_with_null", "fixed_without_window"],
-    )
-    def test_state_with_a_stray_fixed_window_is_data_error(self, tmp_path, spelling):
-        # no older state paired fixed_window and distill any other way
-        cfg = tiny_config(scheme="joint", distill="almt", epochs=2)
-        path = tmp_path / "state.bin"
-        save_state(path, train(tiny_dataset(), cfg).state, cfg)
-        tensors, meta = ogen._tensorio.read_tensor_file(path)
-        meta["config"].update(spelling)
-        ogen._tensorio.write_tensor_file(path, tensors, meta)
-        with pytest.raises(DataError, match="malformed run state"):
-            load_state(path)
 
     def test_state_file_round_trip(self, tmp_path):
         ds = tiny_dataset()
