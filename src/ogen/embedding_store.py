@@ -26,7 +26,6 @@ import numpy as np
 from ._tensorio import check_format, read_tensor_file, write_tensor_file
 from .errors import DataError
 from .objective import _unit_columns
-from .objective import class_probabilities  # noqa: F401  (re-export; the scorer lives in objective)
 
 # |norm - 1| tolerance under which a stored vector counts as unit and is
 # kept bit-identical at load time (keeps file round-trips byte-exact).

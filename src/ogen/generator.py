@@ -7,9 +7,9 @@ columns-as-vectors convention: a (d, K) matrix holds K feature columns.
 
 Two synthesis schemes share the attention core:
 
-  per-class  Z = LN(S + MHCA(w 1^T, E, S))       -> (d, K), one column
-             per neighbor; the residual extrapolates each support toward
-             the conditioning class.
+  per-class  Z = LN(S + MHCA(w, E, S) 1^T)       -> (d, K), one column
+             per neighbor; the class's one attention residual, added to
+             each support, extrapolates it toward the conditioning class.
   joint      z = LN(FFN(w) + MHCA(w, E, S))      -> (d,), a single
              feature attending over all neighbors, anchored at a learned
              text-to-image projection of w.
@@ -137,47 +137,34 @@ def init_params(heads: int, dim: int, d_ff: int, seed: int) -> GeneratorParams:
 # ---------------------------------------------------------------------------
 
 
-def _sum_outer(a, b):
-    """Sum of a @ b.T over any leading batch axes: (..., m, n) and
-    (..., p, n) -> (m, p), the weight gradient of a shared linear map."""
-    axes = [i for i in range(a.ndim) if i != a.ndim - 2]
-    return np.tensordot(a, b, (axes, axes))
-
-
 def _mhca_forward(params: GeneratorParams, query, keys, values):
-    """Scaled dot-product cross-attention, heads as row blocks.
+    """Scaled dot-product cross-attention of one query per batch element.
 
-    query (..., d, Q), keys/values (..., d, K), with the same leading
-    batch axes (none, or U). Per-head projections come from the column
-    blocks of wq/wk/wv (applied transposed); softmax runs over the K key
-    positions; concatenated heads go through the output projection.
+    query (U, d) holds U query rows, keys/values (U, d, K) the K key and
+    value columns each of them attends over; the output (U, d) holds one
+    readout per query. Heads are contiguous blocks of the d features:
+    per-head projections come from the column blocks of wq/wk/wv, softmax
+    runs over the K key positions, and the concatenated heads go through
+    the output projection.
     """
     h, d = params.heads, params.dim
     dh = d // h
-    q = np.asarray(query, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if q.ndim not in (2, 3) or k.ndim != q.ndim or k.shape != v.shape or k.shape[:-2] != q.shape[:-2]:
-        raise DataError("attention inputs must be column matrices with one shared batch shape, keys like values")
-    if q.shape[-2] != d or k.shape[-2] != d:
-        raise DataError(f"attention inputs must have {d} rows")
-    if k.shape[-1] < 1:
-        raise DataError("attention needs at least one key/value column")
-
-    batch, nq, nk = q.shape[:-2], q.shape[-1], k.shape[-1]
-    pq = (params.wq.T @ q).reshape(batch + (h, dh, nq))
-    pk = (params.wk.T @ k).reshape(batch + (h, dh, nk))
-    pv = (params.wv.T @ v).reshape(batch + (h, dh, nk))
+    if not (keys.ndim == 3 and keys.shape == values.shape and keys.shape[1] == d and keys.shape[2] >= 1
+            and query.shape == keys.shape[:2]):
+        raise DataError(f"attention needs (U, {d}) queries with (U, {d}, K >= 1) keys and values")
+    u, nk = keys.shape[0], keys.shape[2]
+    pq = (query @ params.wq).reshape(u, h, dh)
+    pk = (params.wk.T @ keys).reshape(u, h, dh, nk)
+    pv = (params.wv.T @ values).reshape(u, h, dh, nk)
     scale = 1.0 / math.sqrt(dh)
-    logits = scale * np.einsum("...hdk,...hdq->...hkq", pk, pq)
-    logits -= logits.max(axis=-2, keepdims=True)
+    logits = scale * np.einsum("uhdk,uhd->uhk", pk, pq)
+    logits -= logits.max(axis=-1, keepdims=True)
     attn = np.exp(logits)
-    attn /= attn.sum(axis=-2, keepdims=True)
-    heads_out = np.einsum("...hdk,...hkq->...hdq", pv, attn)
-    concat = heads_out.reshape(batch + (d, nq))
-    out = params.wo @ concat
+    attn /= attn.sum(axis=-1, keepdims=True)
+    concat = np.einsum("uhdk,uhk->uhd", pv, attn).reshape(u, d)
+    out = concat @ params.wo.T
     cache = {
-        "query": q, "keys": k, "values": v,
+        "query": query, "keys": keys, "values": values,
         "pq": pq, "pk": pk, "pv": pv,
         "attn": attn, "concat": concat, "scale": scale,
     }
@@ -185,28 +172,25 @@ def _mhca_forward(params: GeneratorParams, query, keys, values):
 
 
 def _mhca_backward(params: GeneratorParams, cache, d_out, grads: GeneratorParams):
+    """d_out is (U, d), like the forward output; returns the (U, d) query
+    and (U, d, K) key and value gradients."""
     attn, scale = cache["attn"], cache["scale"]
 
-    grads.wo += _sum_outer(d_out, cache["concat"])
-    d_heads = (params.wo.T @ d_out).reshape(cache["pq"].shape)
+    grads.wo += d_out.T @ cache["concat"]
+    d_heads = (d_out @ params.wo).reshape(cache["pq"].shape)
 
-    d_pv = np.einsum("...hdq,...hkq->...hdk", d_heads, attn)
-    d_attn = np.einsum("...hdk,...hdq->...hkq", cache["pv"], d_heads)
+    d_pv = np.einsum("uhd,uhk->uhdk", d_heads, attn)
+    d_attn = np.einsum("uhdk,uhd->uhk", cache["pv"], d_heads)
     # softmax over the key axis: dS = A * (dA - sum_k A*dA)
-    d_logits = attn * (d_attn - (attn * d_attn).sum(axis=-2, keepdims=True))
-    d_pq = scale * np.einsum("...hdk,...hkq->...hdq", cache["pk"], d_logits)
-    d_pk = scale * np.einsum("...hdq,...hkq->...hdk", cache["pq"], d_logits)
-
-    d_pq = d_pq.reshape(cache["query"].shape)
-    d_pk = d_pk.reshape(cache["keys"].shape)
+    d_logits = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
+    d_pq = scale * np.einsum("uhdk,uhk->uhd", cache["pk"], d_logits).reshape(d_out.shape)
+    d_pk = scale * np.einsum("uhd,uhk->uhdk", cache["pq"], d_logits).reshape(cache["keys"].shape)
     d_pv = d_pv.reshape(cache["values"].shape)
-    grads.wq += _sum_outer(cache["query"], d_pq)
-    grads.wk += _sum_outer(cache["keys"], d_pk)
-    grads.wv += _sum_outer(cache["values"], d_pv)
-    d_query = params.wq @ d_pq
-    d_keys = params.wk @ d_pk
-    d_values = params.wv @ d_pv
-    return d_query, d_keys, d_values
+    grads.wq += cache["query"].T @ d_pq
+    # the shared key and value maps sum their outer products over U and K
+    grads.wk += np.tensordot(cache["keys"], d_pk, ((0, 2), (0, 2)))
+    grads.wv += np.tensordot(cache["values"], d_pv, ((0, 2), (0, 2)))
+    return d_pq @ params.wq.T, params.wk @ d_pk, params.wv @ d_pv
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +259,11 @@ def _batched_inputs(ctx: NeighborContext, w_n, params: GeneratorParams):
 
 def extrapolate_per_class(ctx: NeighborContext, w_n, params: GeneratorParams):
     """One synthesized feature per neighbor: layer-normalized supports plus
-    an attention residual driven by the conditioning embedding. Output is
-    (d, K), or (U, d, K) for a batched context."""
+    the conditioning embedding's one attention residual, the same for every
+    support. Output is (d, K), or (U, d, K) for a batched context."""
     w, keys, values, single = _batched_inputs(ctx, w_n, params)
-    query = np.broadcast_to(w.T[:, :, None], values.shape)
-    resid, mc = _mhca_forward(params, query, keys, values)
-    out, lc = _ln_forward(params, values + resid)
+    resid, mc = _mhca_forward(params, w.T, keys, values)
+    out, lc = _ln_forward(params, values + resid[:, :, None])
     tape = ForwardTape(kind="per_class", params=params, cache={"mhca": mc, "ln": lc, "single": single})
     return (out[0] if single else out), tape
 
@@ -290,9 +273,9 @@ def extrapolate_jointly(ctx: NeighborContext, w_n, params: GeneratorParams):
     sum of the projected conditioning embedding and a one-query attention
     readout. Output is (d,), or (d, U) for a batched context."""
     w, keys, values, single = _batched_inputs(ctx, w_n, params)
-    resid, mc = _mhca_forward(params, w.T[:, :, None], keys, values)
+    resid, mc = _mhca_forward(params, w.T, keys, values)
     anchor, fc = _ffn_forward(params, w)
-    out, lc = _ln_forward(params, anchor + resid[:, :, 0].T)
+    out, lc = _ln_forward(params, anchor + resid.T)
     tape = ForwardTape(kind="joint", params=params, cache={"mhca": mc, "ffn": fc, "ln": lc, "single": single})
     return (out[:, 0] if single else out), tape
 
@@ -316,13 +299,14 @@ def backward(tape: ForwardTape, upstream):
 
     if tape.kind == "per_class":
         d_pre = _ln_backward(params, cache["ln"], up.reshape(mc["values"].shape), grads)
-        d_query, d_keys, d_values = _mhca_backward(params, mc, d_pre, grads)
-        d_w = d_query.sum(axis=2).T
+        # one residual per class reaches all K supports
+        d_query, d_keys, d_values = _mhca_backward(params, mc, d_pre.sum(axis=2), grads)
+        d_w = d_query.T
         d_values = d_values + d_pre  # residual connection to the supports
     elif tape.kind == "joint":
         d_pre = _ln_backward(params, cache["ln"], up.reshape(params.dim, -1), grads)
-        d_query, d_keys, d_values = _mhca_backward(params, mc, d_pre.T[:, :, None], grads)
-        d_w = _ffn_backward(params, cache["ffn"], d_pre, grads) + d_query[:, :, 0].T
+        d_query, d_keys, d_values = _mhca_backward(params, mc, d_pre.T, grads)
+        d_w = _ffn_backward(params, cache["ffn"], d_pre, grads) + d_query.T
     else:
         raise DataError(f"unknown tape kind {tape.kind!r}")
 

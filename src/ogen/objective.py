@@ -19,11 +19,12 @@ features and class matrix (class embeddings drift off the unit sphere
 while learning).
 
 known_batch_ce, the known-class loss, scores a (d, B) batch of fixed
-unit image features, which the trainer normalizes once per run, against
-the learnable class columns only. Frozen columns join its softmax as a
-(C_f, B) block of cosine scores that gets no gradient; the trainer
-scores all its features against them once per run. Without that block
-the loss is the joint cross-entropy of the normalized batch divided by B.
+unit image features, which the trainer normalizes once per dataset,
+against the learnable class columns only. Frozen columns join its
+softmax as a (C_f, B) block of cosine scores that gets no gradient; the
+trainer scores all its features against them once per dataset. Without
+that block the loss is the joint cross-entropy of the normalized batch
+divided by B.
 """
 
 from __future__ import annotations

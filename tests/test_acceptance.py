@@ -27,7 +27,6 @@ from ogen.distillation import (
 )
 from ogen.embedding_store import (
     SynthConfig,
-    class_probabilities,
     load_embeddings,
     make_synthetic,
     save_embeddings,
@@ -42,6 +41,7 @@ from ogen.generator import (
     save_checkpoint,
 )
 from ogen.objective import (
+    class_probabilities,
     distill_grad_joint,
     distill_grad_per_class,
     known_batch_ce,

@@ -105,21 +105,37 @@ class TestGenData:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def run_cli(*args, **env):
+    """`python -m ogen.cli` with these arguments, in a child process whose
+    environment adds env to this one's."""
+    path = os.pathsep.join([str(pathlib.Path(ogen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "ogen.cli", *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True, timeout=120)
+
+
 def test_python_m_ogen_cli_runs_commands(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(pathlib.Path(ogen.__file__).parents[1]),
-                                                        os.environ.get("PYTHONPATH", "")])}
-
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "ogen.cli", *map(str, args)], env=env,
-                              capture_output=True, text=True, timeout=120)
-
     data = tmp_path / "data.oef"
-    done = run(*gen_args(data))
+    done = run_cli(*gen_args(data))
     assert done.returncode == 0, done.stderr
     assert load_embeddings(data).num_classes == 8
-    done = run("train", "--data", tmp_path / "missing.oef", "--out", tmp_path / "run")
+    done = run_cli("train", "--data", tmp_path / "missing.oef", "--out", tmp_path / "run")
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
+
+
+def test_runs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # desk scale: the default dataset (C=50, d=64)
+    data = tmp_path / "data.oef"
+    assert run_cli("gen-data", "--out", data).returncode == 0
+    for flags in (["--scheme", "joint", "--distill", "almt"], ["--scheme", "per_class", "--distill", "none"]):
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / flags[1] / threads
+            done = run_cli("train", "--data", data, "--out", out, "--epochs", "20", *flags,
+                           OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            trees.append(file_tree(out))
+        assert trees[0] == trees[1], flags
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])

@@ -15,12 +15,12 @@ from ogen.embedding_store import (
     EmbeddingSet,
     SynthConfig,
     _row_norms,
-    class_probabilities,
     load_embeddings,
     make_synthetic,
     save_embeddings,
 )
 from ogen.errors import DataError
+from ogen.objective import class_probabilities
 
 
 def tiny_set(dim=4):

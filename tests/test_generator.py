@@ -41,23 +41,22 @@ def column_layer_norm(params, x):
 
 
 def naive_mhca(params, query, keys, values):
-    """Per-head loop oracle, no batched einsum anywhere."""
+    """Per-head loop oracle for one (d,) query over (d, K) keys and values,
+    no batched einsum anywhere."""
     h, d = params.heads, params.dim
     dh = d // h
-    nq, nk = query.shape[1], keys.shape[1]
-    out_concat = np.zeros((d, nq))
+    nk = keys.shape[1]
+    out_concat = np.zeros(d)
     for i in range(h):
         wq = params.wq[:, i * dh : (i + 1) * dh]
         wk = params.wk[:, i * dh : (i + 1) * dh]
         wv = params.wv[:, i * dh : (i + 1) * dh]
-        for q in range(nq):
-            qv = wq.T @ query[:, q]
-            logits = np.array([(wk.T @ keys[:, j]) @ qv for j in range(nk)]) / np.sqrt(dh)
-            logits -= logits.max()
-            a = np.exp(logits)
-            a /= a.sum()
-            head_out = sum(a[j] * (wv.T @ values[:, j]) for j in range(nk))
-            out_concat[i * dh : (i + 1) * dh, q] = head_out
+        qv = wq.T @ query
+        logits = np.array([(wk.T @ keys[:, j]) @ qv for j in range(nk)]) / np.sqrt(dh)
+        logits -= logits.max()
+        a = np.exp(logits)
+        a /= a.sum()
+        out_concat[i * dh : (i + 1) * dh] = sum(a[j] * (wv.T @ values[:, j]) for j in range(nk))
     return params.wo @ out_concat
 
 
@@ -140,49 +139,58 @@ class TestMhca:
     def test_single_key_attention_weight_is_one(self):
         rng = np.random.default_rng(0)
         p = random_params(rng, heads=2, dim=8, d_ff=16)
-        q = rng.standard_normal((8, 2))
-        k = rng.standard_normal((8, 1))
-        v = rng.standard_normal((8, 1))
+        q = rng.standard_normal((2, 8))
+        k = rng.standard_normal((2, 8, 1))
+        v = rng.standard_normal((2, 8, 1))
         out, cache = _mhca_forward(p, q, k, v)
         np.testing.assert_array_equal(cache["attn"], np.ones_like(cache["attn"]))
-        # output reduces to wo @ (per-head value projection), independent of q
-        expected = p.wo @ np.repeat(p.wv.T @ v, 2, axis=1)
+        # each output row reduces to wo @ (per-head value projection), independent of q
+        expected = (p.wv.T @ v)[:, :, 0] @ p.wo.T
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_zero_output_projection_gives_zero(self):
         rng = np.random.default_rng(1)
         p = init_params(2, 8, 16, seed=3)  # wo == 0
-        out, _ = _mhca_forward(p, rng.standard_normal((8, 3)), rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
-        np.testing.assert_array_equal(out, np.zeros((8, 3)))
+        out, _ = _mhca_forward(
+            p, rng.standard_normal((3, 8)), rng.standard_normal((3, 8, 4)), rng.standard_normal((3, 8, 4))
+        )
+        np.testing.assert_array_equal(out, np.zeros((3, 8)))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             p = random_params(rng, heads=2, dim=8, d_ff=16)
-            q = rng.standard_normal((8, 3))
+            q = rng.standard_normal(8)
             k = rng.standard_normal((8, 3))
             v = rng.standard_normal((8, 3))
-            out, _ = _mhca_forward(p, q, k, v)
-            np.testing.assert_allclose(out, naive_mhca(p, q, k, v), rtol=1e-10, atol=1e-12)
+            out, _ = _mhca_forward(p, q[None], k[None], v[None])
+            np.testing.assert_allclose(out[0], naive_mhca(p, q, k, v), rtol=1e-10, atol=1e-12)
 
     def test_batch_axis_matches_separate_calls(self):
         rng = np.random.default_rng(3)
         p = random_params(rng, heads=2, dim=8, d_ff=16)
-        q = rng.standard_normal((4, 8, 2))
+        q = rng.standard_normal((4, 8))
         k = rng.standard_normal((4, 8, 3))
         v = rng.standard_normal((4, 8, 3))
         out, _ = _mhca_forward(p, q, k, v)
         for u in range(4):
+            one, _ = _mhca_forward(p, q[u : u + 1], k[u : u + 1], v[u : u + 1])
+            np.testing.assert_allclose(out[u], one[0], rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(out[u], naive_mhca(p, q[u], k[u], v[u]), rtol=1e-10, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         p = init_params(2, 8, 16, seed=0)
-        with pytest.raises(DataError):
-            _mhca_forward(p, np.ones((8, 2)), np.ones((8, 3)), np.ones((8, 4)))
-        with pytest.raises(DataError):
-            _mhca_forward(p, np.ones((6, 2)), np.ones((8, 3)), np.ones((8, 3)))
-        with pytest.raises(DataError):
-            _mhca_forward(p, np.ones((2, 8, 2)), np.ones((3, 8, 3)), np.ones((3, 8, 3)))
+        bad = [
+            (np.ones((2, 8)), np.ones((2, 8, 3)), np.ones((2, 8, 4))),  # values unlike keys
+            (np.ones((2, 6)), np.ones((2, 8, 3)), np.ones((2, 8, 3))),  # query of the wrong width
+            (np.ones((2, 6)), np.ones((2, 6, 3)), np.ones((2, 6, 3))),  # keys of the wrong width
+            (np.ones((3, 8)), np.ones((2, 8, 3)), np.ones((2, 8, 3))),  # batch sizes differ
+            (np.ones((2, 8, 1)), np.ones((2, 8, 3)), np.ones((2, 8, 3))),  # a query column, not a row
+            (np.ones((2, 8)), np.ones((2, 8, 0)), np.ones((2, 8, 0))),  # no key to attend over
+        ]
+        for query, keys, values in bad:
+            with pytest.raises(DataError):
+                _mhca_forward(p, query, keys, values)
 
 
 class TestPerClassScheme:

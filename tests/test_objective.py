@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from conftest import central_diff, rel_err
 
-from ogen.embedding_store import class_probabilities
 from ogen.errors import DataError
 from ogen.objective import (
     CosineGraph,
     _softmax,
     _unit_columns,
+    class_probabilities,
     distill_grad_joint,
     distill_grad_per_class,
     distill_mse,
