@@ -21,7 +21,7 @@ from .errors import DataError
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
 
 
-def write_tensor_file(path, tensors: dict, meta: dict, aside=None) -> None:
+def write_tensor_file(path, tensors: dict, meta: dict) -> None:
     """tensors maps name -> ndarray; meta is JSON-serializable metadata."""
     manifest = dict(meta)
     manifest["tensors"] = []
@@ -32,33 +32,43 @@ def write_tensor_file(path, tensors: dict, meta: dict, aside=None) -> None:
         manifest["tensors"].append({"name": name, "shape": list(arr.shape), "dtype": code})
         blobs.append(np.ascontiguousarray(arr, dtype=_DTYPES[code]).data)  # its own buffer, not a copy
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_atomically(path, [struct.pack("<I", len(mbytes)) + mbytes, *blobs], aside)
+    write_atomically(path, [struct.pack("<I", len(mbytes)) + mbytes, *blobs])
 
 
-def write_atomically(path, chunks, aside=None) -> None:
-    """Write the byte chunks to a temp file beside path, then rename it to
-    path: a killed process leaves the old file or the new one, never a torn
-    one, and at worst a stray .<name>.<pid>.tmp beside them. With aside, an
-    existing path is renamed to aside first, for the caller to delete, so no
-    rename lands on a file (on ext4 that starts the new file's writeback at
-    once). With no fsync, a power loss can lose the new file and the old."""
+def write_atomically(path, chunks) -> None:
+    """Replace path by the byte chunks: write a temp file beside it, rename a
+    file at path to aside_path(path) and the temp file to path, and delete
+    the aside, so no rename lands on a file (on ext4 that starts the new
+    file's writeback). A killed process leaves path or its aside whole, and
+    a .<name>.<pid>.tmp; a power loss (no fsync) can lose both."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp, aside = path.with_name(f".{path.name}.{os.getpid()}.tmp"), aside_path(path)
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-        if aside is not None and path.exists():
+        if path.is_file():
+            aside.unlink(missing_ok=True)  # a killed write's, older than path
             os.replace(path, aside)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    aside.unlink(missing_ok=True)
+
+
+def aside_path(path) -> Path:  # .<name>.prev, the old file while write_atomically renames the new one in
+    return Path(path).with_name(f".{Path(path).name}.prev")
+
+
+def current(path) -> Path:  # path, or the old file a killed write set aside if only that is there
+    aside = aside_path(path)
+    return aside if not os.path.exists(path) and aside.is_file() else Path(path)
 
 
 def read_tensor_file(path):
-    """Returns (tensors dict, meta dict without the tensor list)."""
-    p = Path(path)
+    """Returns (tensors dict, meta dict without the tensor list) of current(path)."""
+    p = current(path)
     if not p.is_file():
         raise DataError(f"no such file: {p}")
     with open(p, "rb") as fh:

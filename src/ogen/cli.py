@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from ._tensorio import write_atomically
+from ._tensorio import current, write_atomically
 from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
@@ -84,17 +84,13 @@ def _format_cell(value):
     return str(value)
 
 
-def _append_metrics_row(fh, row):
-    fh.write(",".join(_format_cell(getattr(row, col)) for col in METRIC_COLUMNS) + "\n")
-
-
 def _truncate_metrics(path: Path, next_epoch: int) -> None:
     """Keep the header and the rows of the epochs before next_epoch."""
     try:
-        header, *rows = path.read_text().splitlines()
+        header, *rows = (source := current(path)).read_text().splitlines()
         kept = [header] + [line for line in rows if line and int(line.split(",", 1)[0]) < next_epoch]
     except ValueError as exc:  # no header, an epoch that is no integer, or bytes that are no text
-        raise DataError(f"{path}: not a metrics table ({exc})") from exc
+        raise DataError(f"{source}: not a metrics table ({exc})") from exc
     write_atomically(path, ["\n".join(kept).encode() + b"\n"])
 
 
@@ -182,7 +178,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
     with ExitStack() as held:
         if resume:
             for path in (config_path, metrics_path):
-                if not path.exists():
+                if not current(path).exists():
                     raise DataError(f"cannot resume: {path} does not exist")
             _lock_run(run_dir, held)
             state, stored = load_state(state_path)
@@ -227,7 +223,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
         with open(metrics_path, "a") as fh:
 
             def on_epoch(state, row):
-                _append_metrics_row(fh, row)
+                fh.write(",".join(_format_cell(getattr(row, col)) for col in METRIC_COLUMNS) + "\n")
                 fh.flush()
                 save_state(state_path, state, cfg)
 

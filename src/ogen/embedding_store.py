@@ -19,11 +19,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 
-from ._tensorio import check_format, read_tensor_file, write_tensor_file
+from ._tensorio import check_format, current, read_tensor_file, write_tensor_file
 from .errors import DataError
 from .objective import _unit_columns
 
@@ -319,7 +318,7 @@ def save_embeddings(dataset: EmbeddingSet, path) -> None:
 def load_embeddings(path) -> EmbeddingSet:
     """Read and validate a dataset file; vectors outside unit-norm tolerance
     are renormalized, zero and non-finite vectors are rejected."""
-    p = Path(path)
+    p = current(path)
     try:
         tensors, meta = read_tensor_file(p)
     except DataError:

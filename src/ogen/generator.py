@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._tensorio import check_format, read_tensor_file, write_tensor_file
+from ._tensorio import check_format, current, read_tensor_file, write_tensor_file
 from .errors import ConfigError, DataError
 from .retrieval import NeighborContext
 
@@ -337,6 +337,7 @@ def save_checkpoint(path, params: GeneratorParams, scheme: str, epoch: int) -> N
 def load_checkpoint(path):
     """Returns (GeneratorParams, metadata dict). Tensors come back float64
     in memory; re-saving reproduces the file byte-for-byte."""
+    path = current(path)
     tensors, meta = read_tensor_file(path)
     check_format(path, meta, "ogen-generator", 2, "train the run again to write it")
     # a missing or misshapen vector and bad sizes are the file's fault

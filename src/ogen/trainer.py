@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import objective
-from ._tensorio import check_format, read_tensor_file, write_atomically, write_tensor_file
+from ._tensorio import aside_path, check_format, current, read_tensor_file, write_atomically, write_tensor_file
 from .distillation import (
     ScheduleConfig,
     TeacherQueue,
@@ -496,8 +496,7 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
         tensors["velocity"] = state.gen_velocity.flat
         if state.mt_teacher is not None:
             tensors["mt"] = state.mt_teacher.flat
-    write_tensor_file(path, tensors, meta, aside=_aside_path(path))
-    _aside_path(path).unlink(missing_ok=True)
+    write_tensor_file(path, tensors, meta)
     if queue is not None:
         listed = {f"{epoch}.f8" for epoch in meta["queue_epochs"]}
         for entry in _queue_path(path).iterdir():
@@ -508,7 +507,7 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
 def remove_state(path) -> None:
     """Delete the state file at path, its checkpoint directory and all that killed saves left beside it."""
     path = Path(path)
-    for stray in (path, _aside_path(path), *path.parent.glob(f".{path.name}.*.tmp")):
+    for stray in (path, aside_path(path), *path.parent.glob(f".{path.name}.*.tmp")):
         stray.unlink(missing_ok=True)
     _delete(_queue_path(path))
 
@@ -520,10 +519,6 @@ def _delete(path: Path) -> None:
         shutil.rmtree(path)
     else:
         path.unlink(missing_ok=True)
-
-
-def _aside_path(path) -> Path:  # run/.state.bin.prev, the old state while a save renames the new one in
-    return Path(path).with_name(f".{Path(path).name}.prev")
 
 
 def _queue_path(path) -> Path:
@@ -555,7 +550,7 @@ def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, 
     """Fill queue with the checkpoints of these epochs from their files in
     directory; each file must hold size values with the listed crc32."""
     for epoch, crc in zip(epochs, crcs):
-        file, row = directory / f"{epoch}.f8", np.empty(size, dtype="<f8")
+        file, row = current(directory / f"{epoch}.f8"), np.empty(size, dtype="<f8")
         try:
             with open(file, "rb") as fh:  # no more than a checkpoint's bytes, however long the file
                 whole = fh.readinto(row) == 8 * size and not fh.read(1)
@@ -573,9 +568,8 @@ def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, 
 
 
 def load_state(path):
-    """Returns (TrainState, TrainConfig) reconstructed from a state file (or
-    the one a save moved aside, if only that is there) and its checkpoints."""
-    source = _aside_path(path) if not Path(path).exists() and _aside_path(path).exists() else path
+    """Returns (TrainState, TrainConfig) from the state file at current(path) and its checkpoints."""
+    source = current(path)
     tensors, meta = read_tensor_file(source)
     check_format(source, meta, "ogen-run-state", 5, "start a new run")
     try:

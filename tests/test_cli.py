@@ -584,7 +584,9 @@ class TestResume:
         real_unlink = pathlib.Path.unlink
 
         def killing_unlink(path, *args, **kwargs):
-            if path.parent.name == "state.queue":  # the saves of epochs 3, 4 and 5 delete 0, 1 and 2
+            # the saves of epochs 3, 4 and 5 delete 0, 1 and 2; the unlink of
+            # .<e>.f8.prev that ends each slot write is not counted
+            if path.parent.name == "state.queue" and path.stem.isdigit():
                 calls.append(path)
                 if len(calls) == 3:
                     raise OSError("killed before deleting an evicted checkpoint")
