@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from ._tensorio import current, write_atomically
+from ._tensorio import aside_path, current, write_atomically
 from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
@@ -202,10 +202,15 @@ def cmd_train(ctx, data, out, resume, plot, **_):
         else:
             run_dir.mkdir(parents=True, exist_ok=True)
             _lock_run(run_dir, held)
-            # an earlier run's files that this one does not rewrite at once: a run
-            # stopped before its first save must not eval or resume as that run
+            # an earlier run's files and the old files its killed writes set aside:
+            # a run stopped before its first save must not eval or resume as that run
+            files = [state_path, config_path, metrics_path, run_dir / "checkpoint.bin", run_dir / "curves.svg"]
+            files += [aside_path(path) for path in files]
+            for path in files:
+                if path.is_dir() and not path.is_symlink():
+                    raise DataError(f"{path} is a directory, where the run writes a file")
             remove_state(state_path)
-            for path in (run_dir / "checkpoint.bin", run_dir / "curves.svg"):
+            for path in files:
                 path.unlink(missing_ok=True)
             config = {
                 "config": asdict(cfg),

@@ -19,7 +19,7 @@ import ogen
 from ogen._tensorio import read_tensor_file, write_tensor_file
 from ogen.cli import main
 from ogen.embedding_store import load_embeddings
-from ogen.generator import _TENSOR_FIELDS, GeneratorParams, load_checkpoint
+from ogen.generator import _TENSOR_FIELDS, GeneratorParams, init_params, load_checkpoint, save_checkpoint
 
 
 def gen_args(path, classes=8, dim=16, per_class=6, seed=0):
@@ -72,6 +72,22 @@ def rewrite_manifest(raw, edit):
     edit(manifest)
     mbytes = json.dumps(manifest).encode()
     return struct.pack("<I", len(mbytes)) + mbytes + raw[4 + mlen :]
+
+
+def record_renames(monkeypatch):
+    """A list that gets each later rename's destination, and whether a file was there at the call."""
+    seen = []
+
+    def recorded(real):
+        def rename(src, dst, *args, **kwargs):
+            seen.append((pathlib.Path(dst), os.path.lexists(dst)))
+            return real(src, dst, *args, **kwargs)
+
+        return rename
+
+    monkeypatch.setattr(os, "replace", recorded(os.replace))
+    monkeypatch.setattr(os, "rename", recorded(os.rename))
+    return seen
 
 
 @pytest.fixture()
@@ -284,22 +300,44 @@ class TestTrain:
     def test_no_save_renames_onto_an_existing_file(self, dataset_path, tmp_path, monkeypatch):
         # on ext4 a rename over an existing file starts the new file's
         # writeback at once: a disk write on every epoch's save of state.bin
-        renames = []
-
-        def recorded(real):
-            def rename(src, dst, *args, **kwargs):
-                renames.append((dst, os.path.lexists(dst)))
-                return real(src, dst, *args, **kwargs)
-
-            return rename
-
-        monkeypatch.setattr(os, "replace", recorded(os.replace))
-        monkeypatch.setattr(os, "rename", recorded(os.rename))
+        renames = record_renames(monkeypatch)
         for distill in ("almt", "mt"):
             assert main(train_args(dataset_path, tmp_path / distill, extra=["--distill", distill])) == 0
-        monkeypatch.undo()
-        assert sum(pathlib.Path(dst).name == "state.bin" for dst, _ in renames) == 6
+        assert sum(dst.name == "state.bin" for dst, _ in renames) == 6
         assert [dst for dst, existed in renames if existed] == []
+
+    @pytest.mark.parametrize("job", ["gen_data_twice", "resume", "checkpoint_twice"])
+    def test_no_rewrite_renames_onto_an_existing_file(self, dataset_path, tmp_path, monkeypatch, job):
+        # a rewrite first moves the old file aside to .<name>.prev
+        from ogen.trainer import TrainConfig, save_state, train
+
+        renames = record_renames(monkeypatch)
+        if job == "gen_data_twice":
+            target = tmp_path / "again.oef"
+            assert main(gen_args(target)) == 0
+            assert main(gen_args(target, seed=1)) == 0
+            moved = [target.name, f".{target.name}.prev", target.name]
+        elif job == "resume":  # an almt run rewound by one epoch
+            run = tmp_path / "run"
+            assert main(train_args(dataset_path, run, epochs=3)) == 0
+            cfg = TrainConfig(**json.loads((run / "config.json").read_text())["config"])
+            assert cfg.distill == "almt"
+            train(load_embeddings(dataset_path), cfg,
+                  on_epoch=lambda state, row: row.epoch == 1 and save_state(run / "state.bin", state, cfg))
+            assert main(resume_args(dataset_path, run)) == 0
+            target, moved = run / "metrics.csv", [".metrics.csv.prev", "metrics.csv"]
+        else:
+            target = tmp_path / "checkpoint.bin"
+            params = init_params(2, 16, 32, seed=0)
+            save_checkpoint(target, params, "joint", 1)
+            save_checkpoint(target, params, "joint", 2)
+            moved = [target.name, f".{target.name}.prev", target.name]
+        monkeypatch.undo()
+        assert [dst for dst, existed in renames if existed] == []
+        assert [dst.name for dst, _ in renames if dst.name.endswith((target.name, f"{target.name}.prev"))] == moved
+        if job == "resume":  # the run's three saves, the rewind's and the resumed epoch's
+            states = [dst.name for dst, _ in renames if "state.bin" in dst.name]
+            assert states == ["state.bin"] + [".state.bin.prev", "state.bin"] * 4
 
     def test_fresh_run_over_another_runs_queue_file(self, dataset_path, tmp_path):
         # the other run left checkpoints 0-5; a fresh 4-epoch run writes 0-3
@@ -330,6 +368,21 @@ class TestTrain:
         assert not (run / "state.queue").is_symlink()
         assert file_tree(run) == file_tree(clean)
         assert file_tree(target) == {"0.f8": b"not this run's"}
+
+    @pytest.mark.parametrize("name", ["state.bin", ".state.bin.prev", "checkpoint.bin", "curves.svg"])
+    def test_fresh_run_over_a_directory_at_a_run_file(self, dataset_path, tmp_path, capsys, name):
+        # a fresh run deletes an earlier run's files, but a directory in the
+        # place of one is not the run's: it names it and changes no file
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, extra=["--plot"])) == 0
+        (run / name).unlink(missing_ok=True)
+        (run / name).mkdir()
+        (run / name / "kept").write_bytes(b"not the run's")
+        before = file_tree(run)
+        capsys.readouterr()
+        assert main(train_args(dataset_path, run, epochs=4)) == 2
+        assert f"{run / name} is a directory" in capsys.readouterr().err
+        assert file_tree(run) == before
 
     def test_interrupted_fresh_run_keeps_no_state_of_the_earlier_run(self, dataset_path, tmp_path, monkeypatch):
         run = tmp_path / "run"

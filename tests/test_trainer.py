@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import zlib
 
 import numpy as np
@@ -11,9 +12,9 @@ from conftest import file_tree
 import ogen._tensorio
 import ogen.objective
 import ogen.trainer
-from ogen.embedding_store import SynthConfig, make_synthetic, save_embeddings
+from ogen.embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from ogen.errors import ConfigError, DataError, NumericalError
-from ogen.generator import _TENSOR_FIELDS, extrapolate_per_class, init_params, save_checkpoint
+from ogen.generator import _TENSOR_FIELDS, extrapolate_per_class, init_params, load_checkpoint, save_checkpoint
 from ogen.objective import prob_per_class_scheme
 from ogen.retrieval import build_context, retrieve_knn
 from ogen.trainer import (
@@ -517,21 +518,25 @@ class TestStatePersistence:
         cfg = tiny_config(scheme="joint", distill="almt", epochs=3)
         result = train(ds, cfg)
         path = tmp_path / target
-        first, second = {
+        first, second, read = {
             "state.bin": (
                 lambda: save_state(path, result.state, cfg),
                 lambda: save_state(path, dataclasses.replace(result.state, next_epoch=1), cfg),
+                lambda: load_state(path)[0].next_epoch,
             ),
             "checkpoint.bin": (
                 lambda: save_checkpoint(path, result.params, "joint", 2),
                 lambda: save_checkpoint(path, result.params, "joint", 1),
+                lambda: load_checkpoint(path)[1]["epoch"],
             ),
             "d.oef": (
                 lambda: save_embeddings(ds, path),
                 lambda: save_embeddings(tiny_dataset(seed=1), path),
+                lambda: load_embeddings(path).class_embeddings.tobytes(),
             ),
         }[target]
         first()
+        old = read()
         # an almt state.bin also has its teacher checkpoints, in state.queue/
         before = file_tree(tmp_path)
 
@@ -558,8 +563,25 @@ class TestStatePersistence:
         checkpoints = [f"state.queue/{epoch}.f8" for epoch in range(3)]
         assert sorted(before) == ([target, *checkpoints] if target == "state.bin" else [target])
         monkeypatch.undo()
+
+        # a write killed between its two renames: the old file is set aside,
+        # the new one is not in yet, and the loader reads the one set aside
+        real_replace = os.replace
+
+        def killed_before_the_rename_in(src, dst):
+            if dst == path:
+                raise OSError("killed between the renames")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_before_the_rename_in)
+        with pytest.raises(OSError, match="killed"):
+            second()
+        monkeypatch.undo()
+        assert not path.exists() and ogen._tensorio.aside_path(path).read_bytes() == before[target]
+        assert read() == old
         second()
         assert path.read_bytes() != before[target]
+        assert not ogen._tensorio.aside_path(path).exists()
 
     @pytest.mark.parametrize(
         "distill,window,bundles",
