@@ -43,6 +43,8 @@ def write_atomically(path, chunks) -> None:
     a .<name>.<pid>.tmp; a power loss (no fsync) can lose both."""
     path = Path(path)
     tmp, aside = path.with_name(f".{path.name}.{os.getpid()}.tmp"), aside_path(path)
+    if aside.is_dir() and not aside.is_symlink():
+        raise DataError(f"{aside} is a directory, where the old {path.name} is set aside while it is replaced")
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:

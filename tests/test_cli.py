@@ -120,6 +120,17 @@ class TestGenData:
         main(gen_args(p2, seed=5))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_directory_where_the_old_file_is_set_aside_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.oef"
+        assert main(gen_args(path)) == 0
+        (tmp_path / ".d.oef.prev").mkdir()
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(gen_args(path, seed=1)) == 2
+        assert f"{tmp_path / '.d.oef.prev'} is a directory" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".d.oef.prev", "d.oef"]
+
 
 def run_cli(*args, **env):
     """`python -m ogen.cli` with these arguments, in a child process whose
