@@ -64,8 +64,7 @@ def aside_path(path) -> Path:  # .<name>.prev, the old file while write_atomical
 
 
 def current(path) -> Path:  # path, or the old file a killed write set aside if only that is there
-    aside = aside_path(path)
-    return aside if not os.path.exists(path) and aside.is_file() else Path(path)
+    return aside if not os.path.exists(path) and (aside := aside_path(path)).is_file() else Path(path)
 
 
 def read_tensor_file(path):

@@ -550,7 +550,7 @@ def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, 
     """Fill queue with the checkpoints of these epochs from their files in
     directory; each file must hold size values with the listed crc32."""
     for epoch, crc in zip(epochs, crcs):
-        file, row = current(directory / f"{epoch}.f8"), np.empty(size, dtype="<f8")
+        file, row = directory / f"{epoch}.f8", np.empty(size, dtype="<f8")
         try:
             with open(file, "rb") as fh:  # no more than a checkpoint's bytes, however long the file
                 whole = fh.readinto(row) == 8 * size and not fh.read(1)
