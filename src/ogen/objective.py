@@ -20,11 +20,11 @@ while learning).
 
 known_batch_ce, the known-class loss, scores a (d, B) batch of fixed
 unit image features, which the trainer normalizes once per dataset,
-against the learnable class columns only. Frozen columns join its
-softmax as a (C_f, B) block of cosine scores that gets no gradient; the
-trainer scores all its features against them once per dataset. Without
-that block the loss is the joint cross-entropy of the normalized batch
-divided by B.
+against the learnable class columns only. Frozen columns join each
+feature's softmax denominator as one number, log sum_f exp(cos_f / tau),
+that gets no gradient; the trainer builds it for all its features once
+per run. Without it the loss is the joint cross-entropy of the
+normalized batch divided by B.
 """
 
 from __future__ import annotations
@@ -178,42 +178,49 @@ def distill_mse(p_teacher, p_student):
     return loss, 2.0 * diff / ps.shape[0]
 
 
-def known_batch_ce(features, class_matrix, tau: float, targets, frozen_scores=None):
+def known_batch_ce(features, class_matrix, tau: float, targets, frozen_lse=None):
     """Mean cross-entropy of fixed (d, B) unit feature columns, normalized
     by the caller, toward targets among the learnable (d, C_l) class
-    columns, with no feature gradient. frozen_scores, a (C_f, B) block of
-    cosine scores of the same features against frozen columns, joins the
-    softmax below the learnable scores and gets no gradient. Returns
-    (loss, d class_matrix)."""
+    columns, with no feature gradient. frozen_lse, the (B,) values
+    log sum_f exp(cos_f / tau) of the same features' cosines against
+    frozen columns (-inf for none), joins every softmax denominator and
+    gets no gradient. Returns (loss, d class_matrix)."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     fu = np.asarray(features, dtype=np.float64)
-    wu, wnorms = _unit_columns(class_matrix)
-    if fu.ndim != 2 or fu.shape[0] != wu.shape[0]:
-        raise DataError(f"feature columns {fu.shape} do not match class dim {wu.shape[0]}")
-    c_l, b = wu.shape[1], fu.shape[1]
+    w = np.asarray(class_matrix, dtype=np.float64)
+    if fu.ndim != 2 or w.ndim != 2 or fu.shape[0] != w.shape[0]:
+        raise DataError(f"feature columns {fu.shape} do not match class columns {w.shape}")
+    sq_norms = np.einsum("ij,ij->j", w, w)
+    if not sq_norms.all():
+        raise DataError("zero-norm column in cosine input")
+    c_l, b = w.shape[1], fu.shape[1]
     t = np.asarray(targets)
     if not b or t.shape != (b,) or t.dtype.kind not in "iu" or not 0 <= t.min() <= t.max() < c_l:
         raise DataError(f"targets {t!r} are not {b} indices of the {c_l} learnable columns in a nonempty batch")
-    frozen = np.empty((0, b)) if frozen_scores is None else np.asarray(frozen_scores, dtype=np.float64)
-    if frozen.ndim != 2 or frozen.shape[1] != b:
-        raise DataError(f"frozen scores of shape {frozen.shape} are not (C_f, {b})")
-    # the learnable scores above the frozen block, in one softmax buffer
-    logits = np.empty((c_l + len(frozen), b))
-    np.matmul(wu.T, fu, out=logits[:c_l])
-    logits[c_l:] = frozen
-    logits /= tau
+    lse = np.full(b, -np.inf) if frozen_lse is None else np.asarray(frozen_lse, dtype=np.float64)
+    if lse.shape != (b,):
+        raise DataError(f"frozen log-sum-exp of shape {lse.shape} is not ({b},)")
+    # (W^T F) r / tau with r = 1/|w|, and the frozen log-sum-exp as one more row
+    r = 1.0 / np.sqrt(sq_norms)
+    raw = w.T @ fu
+    logits = np.empty((c_l + 1, b))
+    np.multiply(raw, (r / tau)[:, None], out=logits[:c_l])
+    logits[c_l] = lse
     logits -= logits.max(axis=0)
-    rows = np.arange(b)
-    target_logits = logits[t, rows]
-    e = np.exp(logits, out=logits)
-    total = e.sum(axis=0)
-    loss = float(-(target_logits - np.log(total)).sum() / b)
-    # the learnable rows of d loss / d scores: (p - onehot) / (tau B)
-    d_scores = e[:c_l] / total
-    d_scores[t, rows] -= 1.0
-    d_scores /= tau * b
-    return loss, _unit_columns_vjp(wu, wnorms, fu @ d_scores.T)
+    flat, hit = logits.reshape(-1), np.ravel_multi_index((t, np.arange(b)), logits.shape)
+    target_logits = flat[hit]
+    total = np.exp(logits, out=logits).sum(axis=0)
+    loss = float((np.log(total) - target_logits).sum()) / b
+    # g = d loss / d cos = (p - onehot) / (tau B); through cos = (w . f) r,
+    # d w_c = (F g_c - w_c r_c sum_b g_cb cos_cb) r_c with cos_cb = raw_cb r_c
+    g = logits[:c_l]
+    g /= total * (tau * b)
+    flat[hit] -= 1.0 / (tau * b)
+    grad = fu @ g.T
+    grad -= w * (r * r * np.einsum("cb,cb->c", g, raw))
+    grad *= r
+    return loss, grad
 
 
 def synth_ce_joint(features, class_matrix, tau: float, targets):

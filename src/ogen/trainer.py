@@ -386,9 +386,11 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     # features are fixed, so they are normalized once per dataset and each
     # minibatch takes its (d, B) unit columns from the (N, d) unit rows.
     # Frozen new-class columns join every softmax denominator, as in
-    # synthesis and evaluation; they never receive updates, so the cosines
-    # of every base image feature against them are scored once per dataset
+    # synthesis and evaluation; they never receive updates, so each base
+    # image feature's share of the denominator, log sum_f exp(cos_f / tau),
+    # is built once per run from cosines scored once per dataset
     known_units, frozen_scores = dataset._known_loss_inputs
+    frozen_lse = np.logaddexp.reduce(frozen_scores / cfg.tau, axis=0, initial=-np.inf)
     known_unit_rows, feat_col = known_units.T, eval_cache.base_labels
     frozen_new = eval_cache.frozen_new
     rng = state.rng
@@ -413,7 +415,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
             loss, grad = objective.known_batch_ce(
-                known_unit_rows[batch].T, state.embeddings, cfg.tau, feat_col[batch], frozen_scores[:, batch]
+                known_unit_rows[batch].T, state.embeddings, cfg.tau, feat_col[batch], frozen_lse[batch]
             )
             _sgd_step(state.embeddings, grad, state.emb_velocity, lr_emb, cfg.momentum)
             known_loss_sum += loss * batch.size

@@ -73,11 +73,7 @@ class TestProbabilityHeads:
         loss, dW = known_batch_ce(_unit_columns(F)[0], W, 0.07, targets)
         joint_loss, _, joint_dW = synth_ce_joint(F, W, 0.07, targets)
         assert loss == joint_loss / batch
-        if batch == 8:
-            # dividing by a power of two commutes with every rounding
-            np.testing.assert_array_equal(dW, joint_dW / batch)
-        else:
-            np.testing.assert_allclose(dW, joint_dW / batch, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(dW, joint_dW / batch, rtol=1e-12, atol=1e-15)
 
     def test_identical_columns_collapse(self):
         rng = np.random.default_rng(2)
@@ -124,39 +120,71 @@ def unit(mat):
     return mat / np.linalg.norm(mat, axis=0)
 
 
+def frozen_lse(scores, tau):
+    """log sum_f exp(scores_f / tau) over the rows of (C_f, B) frozen
+    cosine scores, as train builds it: (B,), -inf without rows."""
+    return np.logaddexp.reduce(scores / tau, axis=0, initial=-np.inf)
+
+
 class TestKnownBatchCe:
     """The known-class loss scores only the learnable columns; frozen
-    columns join its softmax as a fixed block of cosine scores."""
+    columns join its softmax as one log-sum-exp per feature."""
 
     @staticmethod
-    def inputs(seed, batch=6, learnable=5, frozen=4):
+    def inputs(seed, batch=6, learnable=5, frozen=4, dim=8):
         rng = np.random.default_rng(seed)
-        F = unit(rng.standard_normal((8, batch)))
-        W = rng.standard_normal((8, learnable)) * 1.5
-        Wn = rng.standard_normal((8, frozen))
+        F = unit(rng.standard_normal((dim, batch)))
+        W = rng.standard_normal((dim, learnable)) * 1.5
+        Wn = rng.standard_normal((dim, frozen))
         targets = rng.integers(0, learnable, size=batch)
         return F, W, Wn, targets
 
     @pytest.mark.parametrize("tau", [0.01, 0.1])
     def test_frozen_block_equals_the_union_matrix(self, tau):
         F, W, Wn, targets = self.inputs(20)
-        loss, dW = known_batch_ce(F, W, tau, targets, frozen_scores=unit(Wn).T @ unit(F))
+        loss, dW = known_batch_ce(F, W, tau, targets, frozen_lse=frozen_lse(unit(Wn).T @ unit(F), tau))
         union_loss, d_union = known_batch_ce(F, np.concatenate([W, Wn], axis=1), tau, targets)
         assert dW.shape == W.shape
         assert abs(loss - union_loss) <= 1e-12 * max(1.0, abs(union_loss))
         np.testing.assert_allclose(dW, d_union[:, : W.shape[1]], rtol=1e-12, atol=1e-12)
 
+    def test_frozen_log_sum_exp_stays_finite_where_exp_overflows(self):
+        # at tau = 1e-3 a frozen column close to a feature scores
+        # exp(cos / tau) > exp(709), past float64; its log-sum-exp does not
+        F, W, Wn, targets = self.inputs(26)
+        Wn[:, :2] = F[:, :2] + 0.01 * Wn[:, :2]
+        scores, tau = unit(Wn).T @ F, 1e-3
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(scores / tau)).any()
+        lse = frozen_lse(scores, tau)
+        assert np.all(np.isfinite(lse)) and lse.max() > 900
+        loss, dW = known_batch_ce(F, W, tau, targets, lse)
+        union_loss, d_union = known_batch_ce(F, np.concatenate([W, Wn], axis=1), tau, targets)
+        assert abs(loss - union_loss) <= 1e-12 * max(1.0, abs(union_loss))
+        np.testing.assert_allclose(dW, d_union[:, : W.shape[1]], rtol=1e-12, atol=1e-12)
+
     def test_class_gradient_with_frozen_block(self):
         F, W, Wn, targets = self.inputs(21)
-        frozen = unit(Wn).T @ F
-        _, dW = known_batch_ce(F, W, 0.1, targets, frozen)
-        fd = central_diff(lambda: known_batch_ce(F, W, 0.1, targets, frozen)[0], W, 1e-4)
+        lse = frozen_lse(unit(Wn).T @ F, 0.1)
+        _, dW = known_batch_ce(F, W, 0.1, targets, lse)
+        fd = central_diff(lambda: known_batch_ce(F, W, 0.1, targets, lse)[0], W, 1e-4)
+        assert rel_err(fd, dW) < 1e-4
+
+    def test_class_gradient_with_more_columns_and_dims_than_features(self):
+        # the shape of runs at scale, C_l > B and d > B: (d, C_l), (C_l, B)
+        # and (d, B) all differ, so no product can be taken over a wrong axis
+        F, W, Wn, targets = self.inputs(27, batch=5, learnable=12, frozen=7, dim=24)
+        lse = frozen_lse(unit(Wn).T @ F, 0.1)
+        _, dW = known_batch_ce(F, W, 0.1, targets, lse)
+        assert dW.shape == (24, 12)
+        fd = central_diff(lambda: known_batch_ce(F, W, 0.1, targets, lse)[0], W, 1e-4)
         assert rel_err(fd, dW) < 1e-4
 
     @staticmethod
     def reference(features, class_matrix, tau, targets, frozen_scores=None):
         """The loss as first written: raw features normalized per batch,
-        the frozen block concatenated, full softmax and log-softmax."""
+        the (C_f, B) frozen score block concatenated, full softmax and
+        log-softmax."""
         graph = CosineGraph(features, class_matrix)
         scores = graph.scores
         c_l, b = scores.shape
@@ -175,7 +203,8 @@ class TestKnownBatchCe:
     def test_unit_rows_equal_the_per_batch_formula_bit_for_bit(self, tau, union):
         # train normalizes the (N, d) base features once and hands each
         # minibatch its rows of the unit matrix; every result must equal
-        # that of normalizing the raw rows of the batch inside the loss
+        # that of normalizing the raw rows of the batch, and agree with the
+        # formula as first written
         rng = np.random.default_rng(25)
         raw_rows = rng.standard_normal((150, 16)) * rng.uniform(0.5, 3.0, size=(150, 1))
         W, Wn = rng.standard_normal((16, 7)) * 1.5, rng.standard_normal((16, 4))
@@ -183,30 +212,40 @@ class TestKnownBatchCe:
         units = _unit_columns(raw_rows.T)[0]
         unit_rows = units.T
         frozen = _unit_columns(Wn)[0].T @ units if union else None
+        lse = frozen_lse(frozen, tau) if union else None
         shuffled = rng.permutation(150)
         batches = [shuffled[start : start + 64] for start in range(0, 150, 64)]
         assert [b.size for b in batches] == [64, 64, 22]
         for batch in batches:
-            block = None if frozen is None else frozen[:, batch]
-            loss, dW = known_batch_ce(unit_rows[batch].T, W, tau, labels[batch], block)
+            block, lse_block = (None, None) if frozen is None else (frozen[:, batch], lse[batch])
+            loss, dW = known_batch_ce(unit_rows[batch].T, W, tau, labels[batch], lse_block)
+            per_batch = known_batch_ce(_unit_columns(raw_rows[batch].T)[0], W, tau, labels[batch], lse_block)
+            assert loss == per_batch[0]
+            np.testing.assert_array_equal(dW, per_batch[1])
+            # targets of any integer dtype index the same scores: t * B
+            # would wrap in int8 or uint8 once it passes 127 or 255
+            for dtype in (np.int8, np.uint8, np.uint64):
+                narrow = known_batch_ce(unit_rows[batch].T, W, tau, labels[batch].astype(dtype), lse_block)
+                assert narrow[0] == loss
+                np.testing.assert_array_equal(narrow[1], dW)
             ref_loss, ref_dW = self.reference(raw_rows[batch].T, W, tau, labels[batch], block)
-            assert loss == ref_loss
-            np.testing.assert_array_equal(dW, ref_dW)
+            assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+            np.testing.assert_allclose(dW, ref_dW, rtol=1e-12, atol=1e-12)
 
     def test_target_outside_the_learnable_columns_is_data_error(self):
         F, W, Wn, targets = self.inputs(22)
-        frozen = unit(Wn).T @ F
+        lse = frozen_lse(unit(Wn).T @ F, 0.1)
         for bad in (W.shape[1], W.shape[1] + Wn.shape[1] - 1, -1):
             wrong = targets.copy()
             wrong[2] = bad
             with pytest.raises(DataError, match="learnable columns"):
-                known_batch_ce(F, W, 0.1, wrong, frozen)
+                known_batch_ce(F, W, 0.1, wrong, lse)
         with pytest.raises(DataError, match="learnable columns"):
-            known_batch_ce(F, W, 0.1, targets[:-1], frozen)
-        with pytest.raises(DataError, match="frozen scores"):
-            known_batch_ce(F, W, 0.1, targets, frozen[:, :-1])
+            known_batch_ce(F, W, 0.1, targets[:-1], lse)
+        with pytest.raises(DataError, match="frozen log-sum-exp"):
+            known_batch_ce(F, W, 0.1, targets, lse[:-1])
         # a mean over an empty batch is undefined
-        for block in (None, frozen[:, :0]):
+        for block in (None, lse[:0]):
             with pytest.raises(DataError, match="learnable columns in a nonempty batch"):
                 known_batch_ce(F[:, :0], W, 0.1, targets[:0], block)
 
@@ -216,7 +255,7 @@ class TestKnownBatchCe:
         with pytest.raises(ValueError, match="temperature"):
             known_batch_ce(F, W, tau, targets)
         with pytest.raises(ValueError, match="temperature"):
-            known_batch_ce(F, W, tau, targets, unit(Wn).T @ F)
+            known_batch_ce(F, W, tau, targets, frozen_lse(unit(Wn).T @ F, 0.1))
 
     def test_zero_class_column_is_data_error(self):
         F, W, _, targets = self.inputs(24)

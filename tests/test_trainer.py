@@ -248,6 +248,25 @@ class TestEvaluate:
         assert units.shape == (ds.dim, n) and frozen_scores.shape == (len(ds.split.new), n)
         assert not (units.flags.writeable or frozen_scores.flags.writeable)
 
+    def test_no_new_classes_leave_the_known_loss_as_without_frozen_columns(self, monkeypatch):
+        # base_fraction 1.0 makes the frozen log-sum-exp -inf: it adds
+        # exp(-inf) = 0 to each denominator with no RuntimeWarning (an error
+        # under the test configuration) and leaves the loss as without it
+        ds = make_synthetic(SynthConfig(num_classes=6, dim=16, per_class=6, base_fraction=1.0, seed=3))
+        assert not ds.split.new
+        real, calls = ogen.objective.known_batch_ce, []
+
+        def spy(*args):
+            calls.append((real(*args), real(*args[:4]), args[4]))
+            return calls[-1][0]
+
+        monkeypatch.setattr(ogen.objective, "known_batch_ce", spy)
+        train(ds, tiny_config(epochs=2))
+        (loss, grad), (plain_loss, plain_grad), lse = calls[0]
+        assert lse.shape == (16,) and np.all(lse == -np.inf)
+        assert loss == plain_loss
+        np.testing.assert_array_equal(grad, plain_grad)
+
     def test_shape_check(self):
         ds = tiny_dataset()
         with pytest.raises(DataError):
