@@ -109,15 +109,21 @@ class EmbeddingSet:
 
     @cached_property
     def _split_features(self) -> tuple:
-        """(base, new): each split's image features stacked in split order
-        as one read-only float64 (n, d) matrix, built once per dataset."""
-        out = []
+        """Each split's image features stacked in split order, built once
+        per dataset, read-only: (base, new, base_pos, new_pos, starts).
+        base and new are float64 (n, d) matrices, base_pos and new_pos the
+        split position of each row's class, starts the C_b + 1 offsets of
+        the base classes' rows in base."""
+        stacks, positions = [], []
         for classes in (self.split.base, self.split.new):
-            feats = [self.image_features[c] for c in classes] or [np.empty((0, self.dim))]
-            stacked = np.concatenate(feats, axis=0, dtype=np.float64)
-            stacked.setflags(write=False)
-            out.append(stacked)
-        return tuple(out)
+            feats = [self.image_features[c] for c in classes]
+            stacks.append(np.concatenate(feats or [np.empty((0, self.dim))], axis=0, dtype=np.float64))
+            positions.append(np.repeat(np.arange(len(classes)), [len(f) for f in feats]))
+        starts = np.searchsorted(positions[0], np.arange(len(self.split.base) + 1))
+        out = (*stacks, *positions, starts)
+        for a in out:
+            a.setflags(write=False)
+        return out
 
     @cached_property
     def _frozen_verdict(self) -> tuple:
@@ -128,14 +134,13 @@ class EmbeddingSet:
         best frozen column is their own class, as one (m, d) float64 matrix,
         and candidate_best their cosine with it; no other new feature can
         be predicted right, whatever the learnable columns are."""
-        base, new = self._split_features
+        base, new, _, own, _ = self._split_features
         if not self.split.new:
             return np.full(len(base), -np.inf), new, np.empty(0)
         # C order, as trainer._EvalCache normalizes the learnable columns
         unit = _unit_columns(np.ascontiguousarray(self.embedding_columns(self.split.new)))[0]
         base_best = (base @ unit).max(axis=1)
         scores = new @ unit
-        own = np.repeat(np.arange(unit.shape[1]), [self.image_features[c].shape[0] for c in self.split.new])
         hit = np.flatnonzero(scores.argmax(axis=1) == own)
         return base_best, new[hit], scores[hit, own[hit]]
 

@@ -3,10 +3,11 @@
 Given conditioning class embeddings, find the K most similar known
 classes of each by text-embedding cosine similarity (exact search; the
 class count is small), and gather one support image feature per
-retrieved class into the two unit-column stacks the generator reads.
-Every function works on one conditioning class or on U of them at once
-along a leading batch axis. Everything here is a pure function; the
-caller draws which support row each neighbor contributes.
+retrieved class, with one index into the stacked base-split rows, into
+the two unit-column stacks the generator reads. Every function works on
+one conditioning class or on U of them at once along a leading batch
+axis. Everything here is a pure function; the caller draws which support
+row each neighbor contributes.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ def retrieve_knn(query, base_embeddings, k: int):
     base_embeddings is (d, C_b) with classes as columns. A (d,) query
     gives a list of indices in descending-similarity order; a (d, U)
     matrix of U queries gives a (U, k) index array, one such row per
-    query. Exact ties break toward the smaller index. k larger than the
-    class count is clamped with a warning.
+    query. Exact ties break toward the smaller index for a (d,) query.
+    The (d, U) form scores in one BLAS product, which may score two equal
+    columns a last bit apart; the higher one then comes first. k larger
+    than the class count is clamped with a warning.
     """
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
@@ -78,18 +81,15 @@ def retrieve_knn(query, base_embeddings, k: int):
     return order.tolist() if w.ndim == 1 else order.T
 
 
-def build_context(neighbor_ids, neighbor_embeddings, features_by_class, sample_ids) -> NeighborContext:
-    """Gather the supports of a NeighborContext.
+def build_context(neighbor_ids, neighbor_embeddings, rows, starts, sample_ids) -> NeighborContext:
+    """Gather the supports of a NeighborContext with one index.
 
-    neighbor_ids holds K class ids, or (U, K) for U conditioning classes;
-    neighbor_embeddings is the matching (d, K) or (U, d, K) stack of unit
-    columns, taken as it is. features_by_class maps a neighbor id to its
-    (n, d) image-feature rows, and sample_ids (shaped like neighbor_ids)
-    picks the support row of each neighbor: support column j is row
-    sample_ids[j] of class neighbor_ids[j].
+    neighbor_ids holds K class positions, or (U, K) for U conditioning
+    classes; neighbor_embeddings is the matching (d, K) or (U, d, K) stack
+    of unit columns, taken as it is. rows stacks the classes' (n, d) image
+    features, class c's from row starts[c] (EmbeddingSet._split_features),
+    and sample_ids, shaped like neighbor_ids, picks each neighbor's row:
+    support column j is rows[starts[neighbor_ids[j]] + sample_ids[j]].
     """
-    ids = np.asarray(neighbor_ids, dtype=int)
-    picks = np.asarray(sample_ids, dtype=int)
-    rows = [features_by_class[c][p] for c, p in zip(ids.flat, picks.flat)]
-    support = np.array(rows, dtype=np.float64).reshape(ids.shape + (neighbor_embeddings.shape[-2],))
+    support = rows[starts[np.asarray(neighbor_ids, dtype=int)] + np.asarray(sample_ids, dtype=int)]
     return NeighborContext(neighbor_embeddings, np.swapaxes(support, -1, -2))

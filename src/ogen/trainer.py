@@ -119,9 +119,7 @@ class TrainConfig:
                 f"pseudo_unknown_fraction must be in (0, 1), got {self.pseudo_unknown_fraction}"
             )
         if dataset is not None:
-            c_b = len(dataset.split.base)
-            if c_b == 0:
-                raise DataError("dataset has no base classes to finetune on")
+            c_b = len(dataset.split.base)  # ClassSplit.validate rejects an empty base split
             if dataset.dim % self.heads != 0:
                 raise ConfigError(f"heads={self.heads} does not divide dim={dataset.dim}")
             n_unk = self.pseudo_unknown_count(dataset)
@@ -204,14 +202,12 @@ class _EvalCache:
     after them, the frozen new-class columns. What the frozen columns
     decide is scored once per dataset (EmbeddingSet._frozen_verdict), so
     each accuracies() call scores against the C_b learnable columns only,
-    into one score matrix filled in place. Argmax takes the first of equal
-    maxima, so a learnable column wins a tie with a frozen one."""
+    into one score matrix filled in place. The base rows and their class
+    positions come from EmbeddingSet._split_features. Argmax takes the
+    first of equal maxima, so a learnable column wins a tie with a frozen one."""
 
     def __init__(self, dataset: EmbeddingSet):
-        base, new = dataset.split.base, dataset.split.new
-        self.frozen_new = dataset.embedding_columns(new)
-        self.base_feats, new_feats = dataset._split_features
-        self.base_labels = np.repeat(np.arange(len(base)), [dataset.image_features[c].shape[0] for c in base])
+        self.base_feats, new_feats, self.base_labels, _, _ = dataset._split_features
         self.n_new = len(new_feats)
         self.frozen_best, self.candidates, self.candidate_best = dataset._frozen_verdict
         # the score matrix is large enough that the C allocator may hand it
@@ -219,7 +215,7 @@ class _EvalCache:
         # so every run and evaluate() of a dataset on one thread shares one
         scratch, thread = dataset._score_scratch, threading.get_ident()
         if thread not in scratch:
-            scratch[thread] = np.empty((max(len(self.base_feats), len(self.candidates)), len(base)))
+            scratch[thread] = np.empty((max(len(self.base_feats), len(self.candidates)), len(dataset.split.base)))
         self._scores = scratch[thread]
 
     def accuracies(self, base_embeddings: np.ndarray):
@@ -263,8 +259,7 @@ def _sgd_step(value: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: flo
 
 def _init_state(dataset: EmbeddingSet, cfg: TrainConfig) -> TrainState:
     init_ss, loop_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    base = list(dataset.split.base)
-    embeddings = dataset.embedding_columns(base).copy()
+    embeddings = dataset.embedding_columns(dataset.split.base).copy()
     params = None
     gen_velocity = None
     if cfg.scheme != "none":
@@ -306,10 +301,11 @@ def _mt_update(state: TrainState, cfg: TrainConfig) -> None:
     state.mt_teacher.flat += (1.0 - cfg.ema_alpha) * state.params.flat
 
 
-def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_cols, unknown_cols, feats_by_col):
+def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_cols, unknown_cols, rows, starts):
     """Synthesized-unknown losses and gradients in one batched pass over
     the U pseudo-unknown classes: one retrieval, one context, one student
-    forward, one teacher forward and one backward.
+    forward, one teacher forward and one backward. The supports are drawn
+    from rows and starts, the base split's (EmbeddingSet._split_features).
 
     Returns (generator grads, embedding grad, synth_ce, distill_mse),
     each averaged over the U classes. Draws from state.rng in the order of
@@ -318,7 +314,7 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     """
     rng, emb = state.rng, state.embeddings
     c_b, n_unk = emb.shape[1], unknown_cols.size
-    counts = np.array([f.shape[0] for f in feats_by_col])
+    counts = np.diff(starts)
     k_eff = min(cfg.k, known_cols.size)
     if cfg.random_neighbors:
         neighbor_cols = np.empty((n_unk, k_eff), dtype=int)
@@ -331,7 +327,7 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
         sample_ids = rng.integers(counts[neighbor_cols])
     # the (U, d, k) neighbor stack, normalized once for the forward and its VJP
     n_unit, n_norms = objective._unit_columns(np.swapaxes(emb.T[neighbor_cols], 1, 2))
-    ctx = build_context(neighbor_cols, n_unit, feats_by_col, sample_ids)
+    ctx = build_context(neighbor_cols, n_unit, rows, starts, sample_ids)
     w_unit, w_norms = objective._unit_columns(emb[:, unknown_cols])
 
     extrapolate = extrapolate_jointly if cfg.scheme == "joint" else extrapolate_per_class
@@ -373,14 +369,12 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     """Run (or continue) a finetuning run; returns the metric rows
     produced by this call along with the final parameters and state."""
     cfg.validate(dataset)
-    base = list(dataset.split.base)
-    c_b = len(base)
+    c_b = len(dataset.split.base)
     if state is None:
         state = _init_state(dataset, cfg)
     else:
         check_state(state, dataset)
     n_unk = cfg.pseudo_unknown_count(dataset)
-    feats_by_col = [dataset.image_features[c] for c in base]
     eval_cache = _EvalCache(dataset)
     # every base image feature and its column in base-split order; the
     # features are fixed, so they are normalized once per dataset and each
@@ -391,8 +385,8 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     # is built once per run from cosines scored once per dataset
     known_units, frozen_scores = dataset._known_loss_inputs
     frozen_lse = np.logaddexp.reduce(frozen_scores / cfg.tau, axis=0, initial=-np.inf)
-    known_unit_rows, feat_col = known_units.T, eval_cache.base_labels
-    frozen_new = eval_cache.frozen_new
+    base_rows, _, feat_col, _, starts = dataset._split_features
+    known_unit_rows, frozen_new = known_units.T, dataset.embedding_columns(dataset.split.new)
     rng = state.rng
     rows = []
 
@@ -426,7 +420,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         m_t, teacher, teacher_range = _resolve_teacher(state, cfg, epoch)
         if cfg.scheme != "none":
             gen_grads, emb_grad, synth_ce, mse = _synthesize(
-                state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
+                state, cfg, teacher, frozen_new, known_cols, unknown_cols, base_rows, starts
             )
             _sgd_step(state.params.flat, gen_grads.flat, state.gen_velocity.flat, lr_gen, cfg.momentum)
             _sgd_step(state.embeddings, emb_grad, state.emb_velocity, lr_emb, cfg.momentum)

@@ -22,7 +22,7 @@ from ogen.generator import (
     extrapolate_jointly,
     extrapolate_per_class,
 )
-from ogen.retrieval import build_context, retrieve_knn
+from ogen.retrieval import NeighborContext, build_context, retrieve_knn
 from ogen.trainer import TrainConfig, _resolve_teacher, _synthesize, train
 
 TOL = 1e-10
@@ -34,10 +34,12 @@ def unit_vector_vjp(raw, d_unit):
     return (d_unit - unit * (unit @ d_unit)) / norm
 
 
-def reference_step(state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col):
+def reference_step(state, cfg, teacher, frozen_new, known_cols, unknown_cols, dataset):
     """One class at a time: retrieval, support draws, student and teacher
-    forward, loss heads and backward per pseudo-unknown class."""
+    forward, loss heads and backward per pseudo-unknown class. Each support
+    is read from the dataset's per-class feature arrays."""
     rng, emb = state.rng, state.embeddings
+    base, feats = dataset.split.base, dataset.image_features
     c_b = emb.shape[1]
     if cfg.scheme == "joint":
         extrapolate = extrapolate_jointly
@@ -61,9 +63,10 @@ def reference_step(state, cfg, teacher, frozen_new, known_cols, unknown_cols, fe
             neighbor_cols = known_cols[rng.choice(known_cols.size, size=k_eff, replace=False)]
         else:
             neighbor_cols = known_cols[retrieve_knn(w_raw, emb[:, known_cols], k_eff)]
-        picks = [int(rng.integers(feats_by_col[c].shape[0])) for c in neighbor_cols]
+        picks = [int(rng.integers(feats[base[c]].shape[0])) for c in neighbor_cols]
         raw = emb[:, neighbor_cols]
-        ctx = build_context(neighbor_cols, raw / np.linalg.norm(raw, axis=0), feats_by_col, picks)
+        support = np.array([feats[base[c]][p] for c, p in zip(neighbor_cols, picks)], dtype=np.float64).T
+        ctx = NeighborContext(raw / np.linalg.norm(raw, axis=0), support)
         neighbors.append(neighbor_cols.tolist())
         samples.append(picks)
         w_unit = w_raw / np.linalg.norm(w_raw)
@@ -94,9 +97,9 @@ def spied_synthesize(monkeypatch, *args):
     context it builds."""
     calls = []
 
-    def spy(neighbor_ids, neighbor_embeddings, features_by_class, sample_ids):
+    def spy(neighbor_ids, neighbor_embeddings, rows, starts, sample_ids):
         calls.append((neighbor_ids.tolist(), sample_ids.tolist()))
-        return build_context(neighbor_ids, neighbor_embeddings, features_by_class, sample_ids)
+        return build_context(neighbor_ids, neighbor_embeddings, rows, starts, sample_ids)
 
     monkeypatch.setattr(ogen.trainer, "build_context", spy)
     result = _synthesize(*args)
@@ -105,8 +108,9 @@ def spied_synthesize(monkeypatch, *args):
 
 
 def mid_run(scheme, distill, random_neighbors):
-    """A dataset, a config and the state after three epochs (trained
-    generator, filled teacher queue), plus one pseudo split."""
+    """A dataset, and _synthesize's arguments: a config and the state after
+    three epochs (trained generator, filled teacher queue), one pseudo
+    split and the base split's stacked rows and offsets."""
     ds = make_synthetic(
         SynthConfig(num_classes=16, dim=16, per_class=6, image_noise=0.15, base_fraction=0.5, seed=3)
     )
@@ -118,28 +122,25 @@ def mid_run(scheme, distill, random_neighbors):
     perm = np.random.default_rng(7).permutation(len(base))
     n_unk = 3
     unknown_cols, known_cols = np.sort(perm[:n_unk]), np.sort(perm[n_unk:])
-    feats_by_col = [ds.image_features[c] for c in base]
+    rows, _, _, _, starts = ds._split_features
     frozen_new = ds.embedding_columns(ds.split.new)
     _, teacher, _ = _resolve_teacher(state, cfg, state.next_epoch)
-    return state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
+    return ds, (state, cfg, teacher, frozen_new, known_cols, unknown_cols, rows, starts)
 
 
 @pytest.mark.parametrize("random_neighbors", [False, True])
 @pytest.mark.parametrize("distill", ["none", "almt", "mt"])
 @pytest.mark.parametrize("scheme", ["joint", "per_class"])
 def test_batched_step_matches_per_class_loop(monkeypatch, scheme, distill, random_neighbors):
-    state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col = mid_run(
-        scheme, distill, random_neighbors
-    )
+    ds, args = mid_run(scheme, distill, random_neighbors)
+    state, cfg, teacher, frozen_new, known_cols, unknown_cols = args[:6]
     assert (teacher is None) == (distill == "none")
     ref_state = dataclasses.replace(state, rng=copy.deepcopy(state.rng))
     emb_before = state.embeddings.copy()
 
-    (gen, emb_grad, synth_ce, mse), (neighbors, samples) = spied_synthesize(
-        monkeypatch, state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
-    )
+    (gen, emb_grad, synth_ce, mse), (neighbors, samples) = spied_synthesize(monkeypatch, *args)
     r_gen, r_emb_grad, r_synth_ce, r_mse, r_neighbors, r_samples = reference_step(
-        ref_state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
+        ref_state, cfg, teacher, frozen_new, known_cols, unknown_cols, ds
     )
 
     assert neighbors == r_neighbors
@@ -158,15 +159,12 @@ def test_batched_step_matches_per_class_loop(monkeypatch, scheme, distill, rando
 def test_shared_neighbors_accumulate(monkeypatch):
     # 3 classes x 3 neighbors out of 5 known classes: some neighbor serves
     # two classes, and its gradient must be the sum of both contributions
-    state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col = mid_run(
-        "joint", "almt", False
-    )
+    ds, args = mid_run("joint", "almt", False)
+    state, cfg, teacher, frozen_new, known_cols, unknown_cols = args[:6]
     assert known_cols.size == 5
     ref_state = dataclasses.replace(state, rng=copy.deepcopy(state.rng))
-    (_, emb_grad, _, _), (neighbors, _) = spied_synthesize(
-        monkeypatch, state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col
-    )
-    _, r_emb_grad, *_ = reference_step(ref_state, cfg, teacher, frozen_new, known_cols, unknown_cols, feats_by_col)
+    (_, emb_grad, _, _), (neighbors, _) = spied_synthesize(monkeypatch, *args)
+    _, r_emb_grad, *_ = reference_step(ref_state, cfg, teacher, frozen_new, known_cols, unknown_cols, ds)
     flat = [c for row in neighbors for c in row]
     shared = sorted({c for c in flat if flat.count(c) > 1})
     assert shared

@@ -141,12 +141,18 @@ class TestValidation:
 
     def test_split_features_stack_each_split_once(self):
         ds = make_synthetic(SynthConfig(num_classes=6, dim=8, per_class=3, seed=2))
-        base, new = ds._split_features
+        base, new, base_pos, new_pos, starts = ds._split_features
         assert ds._split_features[0] is base
         for stacked, classes in ((base, ds.split.base), (new, ds.split.new)):
             assert stacked.dtype == np.float64 and not stacked.flags.writeable
             expected = np.concatenate([ds.image_features[c].astype(np.float64) for c in classes])
             np.testing.assert_array_equal(stacked, expected)
+        # each row's class position in its split, and the base classes' row offsets
+        for pos, classes in ((base_pos, ds.split.base), (new_pos, ds.split.new)):
+            assert not pos.flags.writeable
+            np.testing.assert_array_equal(pos, [j for j, c in enumerate(classes) for _ in ds.image_features[c]])
+        assert not starts.flags.writeable
+        np.testing.assert_array_equal(starts, np.cumsum([0, *(len(ds.image_features[c]) for c in ds.split.base)]))
 
 
 class TestFileFormat:

@@ -95,17 +95,45 @@ class TestNeighborContext:
 
 class TestBuildContext:
     def test_context_shape_and_membership(self):
-        # support column j is row sample_ids[j] of class neighbor_ids[j], for
-        # one conditioning class and for a batch of two
-        ds = make_synthetic(SynthConfig(num_classes=8, dim=12, per_class=5, seed=11))
+        # support column j is row sample_ids[j] of base class neighbor_ids[j],
+        # for one conditioning class and for a batch of two
+        ds = make_synthetic(SynthConfig(num_classes=8, dim=12, per_class=5, base_fraction=1.0, seed=11))
+        rows, _, _, _, starts = ds._split_features
         rng = np.random.default_rng(0)
         for neighbor_ids in ([2, 5, 7], [[2, 5, 7], [0, 2, 1]]):
             ids = np.array(neighbor_ids)
             picks = rng.integers(5, size=ids.shape)
             units = np.swapaxes(ds.class_embeddings[ids], -1, -2).astype(np.float64)  # (d, K) or (U, d, K)
-            ctx = build_context(ids, units, ds.image_features, picks)
+            ctx = build_context(ids, units, rows, starts, picks)
             assert ctx.neighbor_embeddings is units
             assert ctx.support_features.shape == units.shape == ids.shape[:-1] + (12, 3)
             for *u, j in np.ndindex(ids.shape):
                 column = ctx.support_features[(*u, slice(None), j)]
-                np.testing.assert_array_equal(column, ds.image_features[ids[(*u, j)]][picks[(*u, j)]])
+                np.testing.assert_array_equal(column, ds.image_features[ds.split.base[ids[(*u, j)]]][picks[(*u, j)]])
+
+    def test_one_index_reaches_the_offset_edges(self):
+        # base classes of unequal sizes, so no offset is a multiple of one
+        # class size; each case is checked against per-row indexing
+        ds = make_synthetic(SynthConfig(num_classes=12, dim=6, per_class=5, seed=4))
+        ds = dataclasses.replace(ds, image_features=tuple(f[: 1 + c % 5] for c, f in enumerate(ds.image_features)))
+        rows, _, _, _, starts = ds._split_features
+        base = ds.split.base
+        sizes = [len(ds.image_features[c]) for c in base]
+        last, end = len(base) - 1, sizes[-1] - 1
+        assert len(set(sizes)) > 1 and starts[-1] == len(rows)
+        cases = {
+            "first row of the first class, (K,)": ([0, 1], [0, 0]),
+            "last row of the last class, (K,)": ([1, last], [0, end]),
+            "both edges, (U, K)": ([[0, last]], [[0, end]]),
+            "one class drawn by several conditioning classes, (U, K)": (
+                [[last, 0], [1, last], [last, 2]], [[end, 0], [sizes[1] - 1, 0], [end // 2, sizes[2] - 1]]
+            ),
+        }
+        for name, (ids, picks) in cases.items():
+            ids, picks = np.array(ids), np.array(picks)
+            units = np.zeros(ids.shape[:-1] + (ds.dim, ids.shape[-1]))
+            ctx = build_context(ids, units, rows, starts, picks)
+            assert ctx.support_features.shape == units.shape, name
+            for *u, j in np.ndindex(ids.shape):
+                expected = ds.image_features[base[ids[(*u, j)]]][picks[(*u, j)]]
+                np.testing.assert_array_equal(ctx.support_features[(*u, slice(None), j)], expected, err_msg=name)

@@ -458,6 +458,7 @@ class TestTrainedGeneratorImproves:
         base = list(ds.split.base)
         base_emb = result.embeddings
         union = np.concatenate([base_emb, ds.embedding_columns(ds.split.new)], axis=1)
+        rows, _, _, _, starts = ds._split_features
         rng = np.random.default_rng(99)
         wins = []
         gains = []
@@ -470,9 +471,7 @@ class TestTrainedGeneratorImproves:
                 classes = [base[i] for i in ocols]
                 picks = rng.integers([ds.image_features[c].shape[0] for c in classes])
                 raw = base_emb[:, ocols]
-                ctx = build_context(
-                    classes, raw / np.linalg.norm(raw, axis=0), {c: ds.image_features[c] for c in classes}, picks
-                )
+                ctx = build_context(ocols, raw / np.linalg.norm(raw, axis=0), rows, starts, picks)
                 wq = w / np.linalg.norm(w)
                 z_tr, _ = extrapolate_per_class(ctx, wq, result.params)
                 z_ln, _ = extrapolate_per_class(ctx, wq, params_init)
@@ -761,6 +760,15 @@ class TestAblate:
         assert r1.tables() == r2.tables()
         # the joint/no-distill cell appears in three tables; identical runs
         assert r1.component[1]["h_mean"] == r1.schemes[2]["h_mean"] == r1.distill[0]["h_mean"]
+
+    def test_tables_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # results do not depend on scheduling; two workers also build and
+        # share a fresh dataset's stacked rows and offsets
+        tables = {}
+        for threads in ("2", "1"):
+            monkeypatch.setenv("OGEN_THREADS", threads)
+            tables[threads] = ablate(tiny_dataset(), tiny_config(epochs=2), seeds=2).tables()
+        assert tables["1"] == tables["2"]
 
     def test_worker_cap_env(self, monkeypatch):
         monkeypatch.setenv("OGEN_THREADS", "1")
