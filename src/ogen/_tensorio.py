@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from .errors import DataError
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
 
 
-def write_tensor_file(path, tensors: dict, meta: dict) -> None:
-    """tensors maps name -> ndarray; meta is JSON-serializable metadata."""
+def write_tensor_file(path, tensors: dict, meta: dict, reuse_aside: bool = False) -> None:
+    """tensors maps name -> ndarray; meta is JSON-serializable metadata;
+    reuse_aside as for write_atomically."""
     manifest = dict(meta)
     manifest["tensors"] = []
     blobs = []
@@ -32,34 +34,83 @@ def write_tensor_file(path, tensors: dict, meta: dict) -> None:
         manifest["tensors"].append({"name": name, "shape": list(arr.shape), "dtype": code})
         blobs.append(np.ascontiguousarray(arr, dtype=_DTYPES[code]).data)  # its own buffer, not a copy
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_atomically(path, [struct.pack("<I", len(mbytes)) + mbytes, *blobs])
+    write_atomically(path, [struct.pack("<I", len(mbytes)) + mbytes, *blobs], reuse_aside)
 
 
-def write_atomically(path, chunks) -> None:
-    """Replace path by the byte chunks: write a temp file beside it, rename a
-    file at path to aside_path(path) and the temp file to path, and delete
-    the aside, so no rename lands on a file (on ext4 that starts the new
-    file's writeback). A killed process leaves path or its aside whole, and
-    a .<name>.<pid>.tmp; a power loss (no fsync) can lose both."""
-    path = Path(path)
-    tmp, aside = path.with_name(f".{path.name}.{os.getpid()}.tmp"), aside_path(path)
-    if aside.is_dir() and not aside.is_symlink():
-        raise DataError(f"{aside} is a directory, where the old {path.name} is set aside while it is replaced")
+def write_atomically(path, chunks, reuse_aside: bool = False) -> None:
+    """Replace path by the byte chunks: write a temp file .<name>.<pid>.tmp
+    beside it, rename a file at path to its aside, aside_path(path), and
+    the temp file to path, and delete the aside. No rename lands on an
+    existing file (on ext4 that starts the new file's writeback). A killed
+    process leaves path or the aside whole, and maybe the temp file; a
+    power loss (no fsync) can lose both. Each step is an os call on a str
+    path, as this runs for every epoch's state and teacher checkpoint.
+
+    reuse_aside, for the one file rewritten every epoch, keeps the aside,
+    and a later write, while path is a regular file and the aside a
+    regular file of one link, rewrites the aside in place and swaps it in
+    with three renames onto free names (path to the temp name, the aside
+    to path, the temp to the aside): it creates and deletes no file. The
+    caller deletes the aside after its last write."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp, aside = os.path.join(head, f".{name}.{os.getpid()}.tmp"), os.path.join(head, f".{name}.prev")
+    if reuse_aside and _rewrite_aside(path, aside, chunks):
+        os.replace(path, tmp)
+        os.replace(aside, path)
+        os.replace(tmp, aside)
+        return
+    if os.path.isdir(aside) and not os.path.islink(aside):
+        raise DataError(f"{aside} is a directory, where the old {name} is set aside while it is replaced")
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-        if path.is_file():
-            aside.unlink(missing_ok=True)  # a killed write's, older than path
+        if os.path.isfile(path):
+            _unlink(aside)  # a killed write's, older than path, or what _rewrite_aside would not write to
             os.replace(path, aside)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        _unlink(tmp)
         raise
-    aside.unlink(missing_ok=True)
+    if not reuse_aside:
+        _unlink(aside)
 
 
-def aside_path(path) -> Path:  # .<name>.prev, the old file while write_atomically renames the new one in
+def _rewrite_aside(path: str, aside: str, chunks) -> bool:
+    """Write chunks over the aside from its first byte and cut it to their
+    length, if path is a regular file and the aside a regular file of one
+    link, neither reached through a symlink; else write nothing and return
+    False. A write that fails part-way deletes the torn aside."""
+    try:
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return False
+        fd = os.open(aside, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)  # a FIFO without reader fails at once
+    except OSError:
+        return False
+    info = os.fstat(fd)
+    if not (stat.S_ISREG(info.st_mode) and info.st_nlink == 1):  # another link: a file outside the run
+        os.close(fd)
+        return False
+    try:
+        with open(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.truncate()
+    except BaseException:
+        _unlink(aside)
+        raise
+    return True
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def aside_path(path) -> Path:  # .<name>.prev, where write_atomically sets the old file aside
     return Path(path).with_name(f".{Path(path).name}.prev")
 
 

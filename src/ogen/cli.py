@@ -202,10 +202,11 @@ def cmd_train(ctx, data, out, resume, plot, **_):
         else:
             run_dir.mkdir(parents=True, exist_ok=True)
             _lock_run(run_dir, held)
-            # an earlier run's files and the old files its killed writes set aside:
+            # an earlier run's files, and the old files and temp files its killed writes left:
             # a run stopped before its first save must not eval or resume as that run
             files = [state_path, config_path, metrics_path, run_dir / "checkpoint.bin", run_dir / "curves.svg"]
-            files += [aside_path(path) for path in files]
+            files += [aside_path(path) for path in files] + [
+                tmp for path in files for tmp in run_dir.glob(f".{path.name}.*.tmp")]
             for path in files:
                 if path.is_dir() and not path.is_symlink():
                     raise DataError(f"{path} is a directory, where the run writes a file")
@@ -232,7 +233,11 @@ def cmd_train(ctx, data, out, resume, plot, **_):
                 fh.flush()
                 save_state(state_path, state, cfg)
 
-            result = train(dataset, cfg, state=state, on_epoch=on_epoch)
+            try:
+                result = train(dataset, cfg, state=state, on_epoch=on_epoch)
+            finally:  # the old state the saves kept aside, unless a killed save left it in place of state.bin
+                if state_path.is_file() and (aside := aside_path(state_path)).is_file():
+                    aside.unlink()
 
         if result.params is not None:
             save_checkpoint(run_dir / "checkpoint.bin", result.params, cfg.scheme, cfg.epochs - 1)

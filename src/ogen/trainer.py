@@ -25,7 +25,7 @@ import shutil
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -472,7 +472,10 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
     Each checkpoint is a file of its own in the directory beside path
     (run/state.queue/ for run/state.bin), written once, before the state
     file that lists it; the state file then replaces the old one, and last
-    the directory loses every entry it does not list."""
+    the directory loses every entry it does not list. The old state file
+    stays set aside (run/.state.bin.prev), and the next save rewrites it in
+    place (write_atomically's reuse_aside): a caller that saves no more
+    deletes it, or remove_state deletes it with the rest."""
     tensors = {"embeddings": state.embeddings, "emb_velocity": state.emb_velocity}
     queue = state.queue
     meta = {
@@ -480,7 +483,7 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
         "version": 5,
         "next_epoch": state.next_epoch,
         "rng": state.rng.bit_generator.state,
-        "config": asdict(cfg),
+        "config": vars(cfg),  # scalar fields, which asdict would deep-copy one by one, every epoch
         "queue_epochs": None if queue is None else [e for e, _ in queue.entries],
         "queue_crc32": None if queue is None else _save_queue(_queue_path(path), queue),
         "gen_meta": None,
@@ -492,7 +495,7 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
         tensors["velocity"] = state.gen_velocity.flat
         if state.mt_teacher is not None:
             tensors["mt"] = state.mt_teacher.flat
-    write_tensor_file(path, tensors, meta)
+    write_tensor_file(path, tensors, meta, reuse_aside=True)
     if queue is not None:
         listed = {f"{epoch}.f8" for epoch in meta["queue_epochs"]}
         for entry in _queue_path(path).iterdir():
@@ -501,7 +504,8 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
 
 
 def remove_state(path) -> None:
-    """Delete the state file at path, its checkpoint directory and all that killed saves left beside it."""
+    """Delete the state file at path, its checkpoint directory, the old
+    state file that saves keep set aside and the temp files of killed saves."""
     path = Path(path)
     for stray in (path, aside_path(path), *path.parent.glob(f".{path.name}.*.tmp")):
         stray.unlink(missing_ok=True)

@@ -132,12 +132,18 @@ class TestGenData:
         assert sorted(p.name for p in tmp_path.iterdir()) == [".d.oef.prev", "d.oef"]
 
 
+def cli_command(*args, **env):
+    """The argv of `python -m ogen.cli` with these arguments, and an
+    environment that adds env to this one's."""
+    path = os.pathsep.join([str(pathlib.Path(ogen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    return [sys.executable, "-m", "ogen.cli", *map(str, args)], {**os.environ, "PYTHONPATH": path, **env}
+
+
 def run_cli(*args, **env):
     """`python -m ogen.cli` with these arguments, in a child process whose
     environment adds env to this one's."""
-    path = os.pathsep.join([str(pathlib.Path(ogen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-m", "ogen.cli", *map(str, args)],
-                          env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True, timeout=120)
+    argv, environ = cli_command(*args, **env)
+    return subprocess.run(argv, env=environ, capture_output=True, text=True, timeout=120)
 
 
 def test_python_m_ogen_cli_runs_commands(tmp_path):
@@ -346,9 +352,13 @@ class TestTrain:
         monkeypatch.undo()
         assert [dst for dst, existed in renames if existed] == []
         assert [dst.name for dst, _ in renames if dst.name.endswith((target.name, f"{target.name}.prev"))] == moved
-        if job == "resume":  # the run's three saves, the rewind's and the resumed epoch's
+        if job == "resume":
+            # the run's three saves: to a new file, setting the old one aside,
+            # and swapping in the kept aside, rewritten; the run then deletes
+            # the aside, so the rewind sets one aside and the resumed epoch swaps
             states = [dst.name for dst, _ in renames if "state.bin" in dst.name]
-            assert states == ["state.bin"] + [".state.bin.prev", "state.bin"] * 4
+            set_aside, swap = [".state.bin.prev", "state.bin"], [f".state.bin.{os.getpid()}.tmp", "state.bin", ".state.bin.prev"]
+            assert states == ["state.bin"] + set_aside + swap + set_aside + swap
 
     def test_fresh_run_over_another_runs_queue_file(self, dataset_path, tmp_path):
         # the other run left checkpoints 0-5; a fresh 4-epoch run writes 0-3
@@ -380,7 +390,8 @@ class TestTrain:
         assert file_tree(run) == file_tree(clean)
         assert file_tree(target) == {"0.f8": b"not this run's"}
 
-    @pytest.mark.parametrize("name", ["state.bin", ".state.bin.prev", "checkpoint.bin", "curves.svg"])
+    @pytest.mark.parametrize("name", ["state.bin", ".state.bin.prev", "checkpoint.bin", "curves.svg",
+                                      ".metrics.csv.99999.tmp"])
     def test_fresh_run_over_a_directory_at_a_run_file(self, dataset_path, tmp_path, capsys, name):
         # a fresh run deletes an earlier run's files, but a directory in the
         # place of one is not the run's: it names it and changes no file
@@ -411,6 +422,16 @@ class TestTrain:
         assert sorted(p.name for p in run.iterdir()) == ["config.json", "metrics.csv"]
         assert main(["eval", "--run", str(run)]) == 2
         assert main(resume_args(dataset_path, run)) == 2
+
+    def test_fresh_run_deletes_the_temp_files_of_killed_writes(self, dataset_path, tmp_path):
+        # a killed write leaves .NAME.<pid>.tmp beside each file it replaces
+        clean, run = tmp_path / "clean", tmp_path / "run"
+        assert main(train_args(dataset_path, clean, extra=["--plot"])) == 0
+        assert main(train_args(dataset_path, run, extra=["--plot"])) == 0
+        for name in ("state.bin", "checkpoint.bin", "metrics.csv"):
+            (run / f".{name}.99999.tmp").write_bytes(b"\0" * 100)
+        assert main(train_args(dataset_path, run, extra=["--plot"])) == 0
+        assert file_tree(run) == file_tree(clean)
 
     def test_plot_writes_svg(self, dataset_path, tmp_path):
         run = tmp_path / "run"
@@ -593,13 +614,18 @@ class TestResume:
         assert main(resume_args(dataset_path, run)) == 2
         assert "gen_meta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("step", ["slot_write", "state_write", "moved_aside", "cleanup"])
+    @pytest.mark.parametrize("step", ["slot_write", "state_write", "moved_aside", "rewrite",
+                                      "renamed_away", "renamed_in", "renamed_aside", "cleanup"])
     def test_killed_save_keeps_the_resume_point(self, dataset_path, tmp_path, monkeypatch, step):
         # a window of 2 keeps 3 checkpoints; the sixth save (epoch 5, which
         # evicts epoch 2) dies in one of its steps: half way through writing
-        # checkpoint 5 or the new state.bin, after it moved the old state.bin
-        # aside but before it renamed the new one in, or before it deletes
-        # checkpoint 2
+        # checkpoint 5 or rewriting the kept .state.bin.prev in place, after
+        # one of the three renames that swap it in (state.bin to a temp name,
+        # the aside to state.bin, the temp name to the aside), or before it
+        # deletes checkpoint 2. The second save (epoch 1), the first to set an
+        # old state.bin aside, dies half way through writing its temp file or
+        # after it moved the old state.bin aside but before it renamed the new
+        # one in
         import builtins
 
         import ogen._tensorio
@@ -607,7 +633,6 @@ class TestResume:
 
         full, run, window = tmp_path / "full", tmp_path / "run", ["--m-min", "2", "--m-max", "2"]
         assert main(train_args(dataset_path, full, epochs=8, extra=window)) == 0
-        name = "state.queue" if step == "slot_write" else ".state.bin."
         calls = []
 
         class Killed:
@@ -628,28 +653,40 @@ class TestResume:
                 self.fh.write(data[: len(data) // 2])
                 raise OSError("killed mid-write")
 
+        # write_atomically opens a temp file by its name, and rewrites a kept
+        # aside through a descriptor; each save from the third on rewrites one
+        opened, nth = {
+            "slot_write": (lambda path: "state.queue" in str(path), 6),
+            "state_write": (lambda path: ".state.bin." in str(path), 2),
+            "rewrite": (lambda path: isinstance(path, int), 4),
+        }.get(step, (None, 0))
+
         def killing_open(path, how="r", *args):
             fh = builtins.open(path, how, *args)
-            if how == "wb" and name in str(path):
+            if how == "wb" and opened(path):
                 calls.append(path)
-                if len(calls) == 6:
+                if len(calls) == nth:
                     return Killed(fh)
             return fh
 
-        real_replace = os.replace
+        # the first save renames one state file, the second two, each later one three
+        real_replace, renamed = os.replace, {"moved_aside": 3, "renamed_away": 13, "renamed_in": 14,
+                                             "renamed_aside": 15}.get(step)
 
         def killing_replace(src, dst):
-            if pathlib.Path(dst).name == "state.bin":
+            if "state.bin" in os.path.basename(dst):
                 calls.append(dst)
-                if len(calls) == 6:
-                    raise OSError("killed between the renames")
+                if len(calls) == renamed:
+                    if step == "moved_aside":
+                        raise OSError("killed between the renames")
+                    real_replace(src, dst)
+                    raise OSError("killed after a rename")
             return real_replace(src, dst)
 
         real_unlink = pathlib.Path.unlink
 
         def killing_unlink(path, *args, **kwargs):
-            # the saves of epochs 3, 4 and 5 delete 0, 1 and 2; the unlink of
-            # .<e>.f8.prev that ends each slot write is not counted
+            # the saves of epochs 3, 4 and 5 delete 0, 1 and 2
             if path.parent.name == "state.queue" and path.stem.isdigit():
                 calls.append(path)
                 if len(calls) == 3:
@@ -658,7 +695,7 @@ class TestResume:
 
         if step == "cleanup":
             monkeypatch.setattr(pathlib.Path, "unlink", killing_unlink)
-        elif step == "moved_aside":
+        elif renamed:
             monkeypatch.setattr(os, "replace", killing_replace)
         else:
             monkeypatch.setattr(ogen._tensorio, "open", killing_open, raising=False)
@@ -668,13 +705,87 @@ class TestResume:
         if step == "slot_write":
             # a process killed outright also skips write_atomically's cleanup
             (run / "state.queue" / ".5.f8.99999.tmp").write_bytes(b"\0" * 100)
-        # the cleanup runs after the new state.bin is in place
-        assert load_state(run / "state.bin")[0].next_epoch == (6 if step == "cleanup" else 5)
-        assert (run / "state.bin").exists() == (step != "moved_aside")
-        assert (run / "state.queue" / "2.f8").exists()
+        # the new state is whole from the end of the rewrite on, in the aside
+        # until the second rename; the cleanup runs after it is swapped in
+        killed_epoch = 1 if step in ("state_write", "moved_aside") else 5
+        saved = step in ("renamed_away", "renamed_in", "renamed_aside", "cleanup")
+        assert load_state(run / "state.bin")[0].next_epoch == killed_epoch + saved
+        assert (run / "state.bin").exists() == (step not in ("moved_aside", "renamed_away"))
+        if killed_epoch == 5:
+            assert (run / "state.queue" / "2.f8").exists()
         assert main(["eval", "--run", str(run)]) == 0
         assert main(resume_args(dataset_path, run)) == 0
         assert file_tree(run) == file_tree(full)
+
+    @pytest.mark.parametrize("hostile", ["symlink", "hard_link", "fifo", "directory"])
+    def test_save_rewrites_only_its_own_aside(self, dataset_path, tmp_path, capsys, hostile):
+        # a save rewrites .state.bin.prev in place only if it is a regular
+        # file of one link, not followed through a symlink; any other file
+        # there is unlinked, the file outside the run is left as it was, and
+        # no save waits on a FIFO
+        import signal
+
+        full, run, outside = tmp_path / "full", tmp_path / "run", tmp_path / "outside.bin"
+        assert main(train_args(dataset_path, full, epochs=4)) == 0
+        self.rewound_run(dataset_path, run)
+        outside.write_bytes(b"not the run's")
+        aside = run / ".state.bin.prev"
+        aside.unlink()
+        if hostile == "symlink":
+            aside.symlink_to(outside)
+        elif hostile == "hard_link":
+            os.link(outside, aside)
+        elif hostile == "fifo":
+            os.mkfifo(aside)
+        else:
+            aside.mkdir()
+            (aside / "kept").write_bytes(b"not the run's")
+
+        def waited(signum, frame):  # no OSError, which the save would take for a failed open
+            pytest.fail("a save waited on .state.bin.prev")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(10)
+        try:
+            code = main(resume_args(dataset_path, run))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert outside.read_bytes() == b"not the run's"
+        if hostile == "directory":
+            assert code == 2
+            assert f"{aside} is a directory" in capsys.readouterr().err
+            assert file_tree(aside) == {"kept": b"not the run's"}
+            return
+        assert code == 0
+        assert file_tree(run) == file_tree(full)
+
+    def test_process_killed_at_any_moment_resumes_as_the_unbroken_run(self, dataset_path, tmp_path):
+        # SIGKILL reaches steps that no monkeypatch names; a run killed
+        # before its first save has nothing to resume. Starting Python is
+        # about half of the run's lifetime, so most kills land in training
+        import time
+
+        full = tmp_path / "full"
+        start = time.monotonic()
+        assert run_cli(*train_args(dataset_path, full, epochs=150)).returncode == 0
+        lifetime = time.monotonic() - start
+        resumed = set()
+        for k in range(6):
+            run = tmp_path / f"killed{k}"
+            argv, environ = cli_command(*train_args(dataset_path, run, epochs=150))
+            child = subprocess.Popen(argv, env=environ, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            time.sleep(lifetime * (0.4 + 0.1 * k))
+            child.kill()
+            child.wait(timeout=60)
+            saved = any((run / name).exists() for name in ("state.bin", ".state.bin.prev"))
+            code = main(resume_args(dataset_path, run))
+            assert code == (0 if saved else 2), k
+            if saved:
+                resumed.add(k)
+                for name in ("metrics.csv", "state.bin"):
+                    assert (run / name).read_bytes() == (full / name).read_bytes(), (k, name)
+        assert resumed, "no kill came after the first save"
 
     @pytest.mark.parametrize(
         "text",
@@ -703,8 +814,9 @@ class TestResume:
         with pytest.raises(OSError, match="killed"):
             main(resume_args(dataset_path, run))
         assert (run / "metrics.csv").read_bytes() == before
+        # and no file beside it; the rewind's save keeps the old state aside
         assert sorted(p.name for p in run.iterdir()) == [
-            "checkpoint.bin", "config.json", "metrics.csv", "state.bin", "state.queue"
+            ".state.bin.prev", "checkpoint.bin", "config.json", "metrics.csv", "state.bin", "state.queue"
         ]
 
     @pytest.mark.parametrize(

@@ -290,7 +290,7 @@ class TestFileFormat:
         # a contiguous array of the stored dtype is written as it is, with no
         # staging copy; any other is converted once, and the bytes are the same
         chunks = []
-        monkeypatch.setattr(ogen._tensorio, "write_atomically", lambda path, parts: chunks.extend(parts))
+        monkeypatch.setattr(ogen._tensorio, "write_atomically", lambda path, parts, reuse_aside: chunks.extend(parts))
         f8, f4 = np.arange(6.0).reshape(2, 3), np.arange(4, dtype=np.float32)
         write_tensor_file(tmp_path / "t.bin", {"f8": f8, "f4": f4, "strided": f8.T}, {})
         assert chunks[1].obj is f8 and chunks[2].obj is f4

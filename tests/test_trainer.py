@@ -587,19 +587,39 @@ class TestStatePersistence:
         real_replace = os.replace
 
         def killed_before_the_rename_in(src, dst):
-            if dst == path:
+            if os.fspath(dst) == os.fspath(path):
                 raise OSError("killed between the renames")
             return real_replace(src, dst)
 
+        aside = ogen._tensorio.aside_path(path)
         monkeypatch.setattr(os, "replace", killed_before_the_rename_in)
         with pytest.raises(OSError, match="killed"):
             second()
         monkeypatch.undo()
-        assert not path.exists() and ogen._tensorio.aside_path(path).read_bytes() == before[target]
+        assert not path.exists() and aside.read_bytes() == before[target]
         assert read() == old
         second()
-        assert path.read_bytes() != before[target]
-        assert not ogen._tensorio.aside_path(path).exists()
+        new = path.read_bytes()
+        assert new != before[target]
+        if target != "state.bin":
+            assert not aside.exists()
+            return
+
+        # a save keeps the old state aside and rewrites it in place the next
+        # time; a rewrite that fails part-way deletes the torn aside
+        assert aside.read_bytes() == before[target]
+        kept = file_tree(tmp_path)
+        monkeypatch.setattr(ogen._tensorio, "open", lambda p, mode: Torn(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            first()
+        monkeypatch.undo()
+        del kept[aside.name]
+        assert file_tree(tmp_path) == kept
+        # then a save sets state.bin aside again, and the next one swaps the
+        # rewritten aside in, the old state.bin becoming the aside
+        first()
+        second()
+        assert (path.read_bytes(), aside.read_bytes()) == (new, before[target])
 
     @pytest.mark.parametrize(
         "distill,window,bundles",
