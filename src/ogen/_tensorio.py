@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DataError
 
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
+_TEMP = ".{name}.{pid}.tmp"  # what write_atomically writes before it renames it to path
 
 
 def write_tensor_file(path, tensors: dict, meta: dict, reuse_aside: bool = False) -> None:
@@ -54,7 +55,7 @@ def write_atomically(path, chunks, reuse_aside: bool = False) -> None:
     caller deletes the aside after its last write."""
     path = os.fspath(path)
     head, name = os.path.split(path)
-    tmp, aside = os.path.join(head, f".{name}.{os.getpid()}.tmp"), os.path.join(head, f".{name}.prev")
+    tmp, aside = os.path.join(head, _TEMP.format(name=name, pid=os.getpid())), os.path.join(head, f".{name}.prev")
     if reuse_aside and _rewrite_aside(path, aside, chunks):
         os.replace(path, tmp)
         os.replace(aside, path)
@@ -112,6 +113,21 @@ def _unlink(path: str) -> None:
 
 def aside_path(path) -> Path:  # .<name>.prev, where write_atomically sets the old file aside
     return Path(path).with_name(f".{Path(path).name}.prev")
+
+
+def temp_paths(*paths) -> list:  # the temp files that killed writes of each path left beside it
+    return [tmp for p in map(Path, paths) for tmp in p.parent.glob(_TEMP.format(name=p.name, pid="*"))]
+
+
+def open_regular(path):
+    """A binary reader of path, opened without waiting for a writer if it
+    is a FIFO; anything but a regular file there is a DataError naming it.
+    A failed open raises its OSError."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise DataError(f"{path} is not a regular file")
+    return open(fd, "rb")
 
 
 def current(path) -> Path:  # path, or the old file a killed write set aside if only that is there

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from ._tensorio import aside_path, current, write_atomically
+from ._tensorio import aside_path, current, open_regular, temp_paths, write_atomically
 from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
@@ -68,10 +68,9 @@ def gen_data(out, **params):
     if out_path.parent and not out_path.parent.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
     save_embeddings(dataset, out_path)
-    counts = [f.shape[0] for f in dataset.image_features]
     click.echo(
         f"wrote {out_path}: {dataset.num_classes} classes, dim {dataset.dim}, "
-        f"{min(counts)}-{max(counts)} features/class, "
+        f"{min(dataset.counts)}-{max(dataset.counts)} features/class, "
         f"split base={len(dataset.split.base)} new={len(dataset.split.new)}"
     )
 
@@ -87,7 +86,8 @@ def _format_cell(value):
 def _truncate_metrics(path: Path, next_epoch: int) -> None:
     """Keep the header and the rows of the epochs before next_epoch."""
     try:
-        header, *rows = (source := current(path)).read_text().splitlines()
+        with open_regular(source := current(path)) as fh:
+            header, *rows = fh.read().decode().splitlines()
         kept = [header] + [line for line in rows if line and int(line.split(",", 1)[0]) < next_epoch]
     except ValueError as exc:  # no header, an epoch that is no integer, or bytes that are no text
         raise DataError(f"{source}: not a metrics table ({exc})") from exc
@@ -97,7 +97,8 @@ def _truncate_metrics(path: Path, next_epoch: int) -> None:
 def _run_data(config_path: Path) -> str:
     """The dataset path that a run's config.json records."""
     try:
-        config = json.loads(config_path.read_text())
+        with open_regular(config_path) as fh:
+            config = json.loads(fh.read())
     except ValueError as exc:
         raise DataError(f"{config_path}: not JSON ({exc})") from exc
     if not (isinstance(config, dict) and isinstance(config.get("data"), str)):
@@ -124,6 +125,15 @@ def _train_config(ctx, stored: TrainConfig | None = None) -> TrainConfig:
     if bounds and cfg.distill != "almt":
         raise ConfigError(f"{', '.join(bounds)} bound the window of distill=almt, not distill={cfg.distill}")
     return cfg
+
+
+def _files_only(paths: list) -> list:
+    """paths, if none of them is a directory; else a DataError, as a run
+    deletes no directory and writes no file in its place."""
+    for path in paths:
+        if path.is_dir() and not path.is_symlink():
+            raise DataError(f"{path} is a directory, where the run writes a file")
+    return paths
 
 
 def _lock_run(run_dir: Path, held: ExitStack) -> None:
@@ -174,6 +184,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
     state_path = run_dir / "state.bin"
     metrics_path = run_dir / "metrics.csv"
     config_path = run_dir / "config.json"
+    run_files = [state_path, config_path, metrics_path, run_dir / "checkpoint.bin", run_dir / "curves.svg"]
 
     with ExitStack() as held:
         if resume:
@@ -197,6 +208,8 @@ def cmd_train(ctx, data, out, resume, plot, **_):
 
         if resume:
             check_state(state, dataset)  # before metrics.csv loses the rows past the state
+            for tmp in _files_only(temp_paths(*run_files)):  # not the asides: one may hold the only state
+                tmp.unlink()
             _truncate_metrics(metrics_path, state.next_epoch)
             click.echo(f"resuming from epoch {state.next_epoch}")
         else:
@@ -204,12 +217,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
             _lock_run(run_dir, held)
             # an earlier run's files, and the old files and temp files its killed writes left:
             # a run stopped before its first save must not eval or resume as that run
-            files = [state_path, config_path, metrics_path, run_dir / "checkpoint.bin", run_dir / "curves.svg"]
-            files += [aside_path(path) for path in files] + [
-                tmp for path in files for tmp in run_dir.glob(f".{path.name}.*.tmp")]
-            for path in files:
-                if path.is_dir() and not path.is_symlink():
-                    raise DataError(f"{path} is a directory, where the run writes a file")
+            files = _files_only(run_files + [aside_path(path) for path in run_files] + temp_paths(*run_files))
             remove_state(state_path)
             for path in files:
                 path.unlink(missing_ok=True)

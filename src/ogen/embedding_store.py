@@ -2,6 +2,8 @@
 
 A dataset pairs one class ("text") embedding per class with a bag of
 image-feature vectors per class, plus a disjoint base/new class split.
+The image features of all classes are one (sum(counts), d) block, class
+0's counts[0] rows first, as the file stores them.
 Vectors are stored L2-normalized in float32, so cosine similarity reduces
 to a dot product downstream; score accumulation happens in float64.
 
@@ -15,10 +17,8 @@ two float32 tensors are class_embeddings (C, d) and image_features
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -60,21 +60,22 @@ class ClassSplit:
 class EmbeddingSet:
     """Immutable labeled embedding collection with a base/new class split.
 
-    class_embeddings has shape (C, d); image_features holds one (n_i, d)
-    array per class. All rows are unit-norm float32.
+    class_embeddings has shape (C, d); image_features is one (sum(counts), d)
+    block holding class c's counts[c] >= 1 rows after those of the classes
+    before it. All rows are unit-norm float32; both arrays become read-only.
     """
 
     dim: int
     class_names: tuple[str, ...]
     class_embeddings: np.ndarray
-    image_features: tuple[np.ndarray, ...]
+    image_features: np.ndarray
+    counts: tuple[int, ...]
     split: ClassSplit
 
     def __post_init__(self):
         self._validate()
         self.class_embeddings.setflags(write=False)
-        for feats in self.image_features:
-            feats.setflags(write=False)
+        self.image_features.setflags(write=False)
 
     def _validate(self) -> None:
         C = len(self.class_names)
@@ -92,15 +93,15 @@ class EmbeddingSet:
             raise DataError(
                 f"class_embeddings shape {self.class_embeddings.shape} != ({C}, {self.dim})"
             )
-        if len(self.image_features) != C:
-            raise DataError("image_features must provide one array per class")
-        _check_unit_rows([self.class_embeddings], "class embedding {i}")
-        for c, feats in enumerate(self.image_features):
-            if feats.ndim != 2 or feats.shape[1] != self.dim:
-                raise DataError(f"class {c} ({self.class_names[c]!r}): feature shape {feats.shape}")
-            if feats.shape[0] < 1:
-                raise DataError(f"class {c} ({self.class_names[c]!r}) has no image features")
-        _check_unit_rows(self.image_features, "class {c} image feature {i}")
+        if len(self.counts) != C:
+            raise DataError(f"counts has {len(self.counts)} entries, not one per class ({C})")
+        if (empty := np.flatnonzero(np.less(self.counts, 1))).size:
+            raise DataError(f"class {empty[0]} ({self.class_names[empty[0]]!r}) has no image features")
+        if self.image_features.shape != (sum(self.counts), self.dim):
+            raise DataError(f"image_features shape {self.image_features.shape} != "
+                            f"(sum(counts), d) = ({sum(self.counts)}, {self.dim})")
+        _check_unit_rows(self.class_embeddings, (1,) * C, "class embedding {c}")
+        _check_unit_rows(self.image_features, self.counts, "class {c} image feature {i}")
         self.split.validate(C)
 
     @property
@@ -114,13 +115,16 @@ class EmbeddingSet:
         base and new are float64 (n, d) matrices, base_pos and new_pos the
         split position of each row's class, starts the C_b + 1 offsets of
         the base classes' rows in base."""
-        stacks, positions = [], []
-        for classes in (self.split.base, self.split.new):
-            feats = [self.image_features[c] for c in classes]
-            stacks.append(np.concatenate(feats or [np.empty((0, self.dim))], axis=0, dtype=np.float64))
-            positions.append(np.repeat(np.arange(len(classes)), [len(f) for f in feats]))
-        starts = np.searchsorted(positions[0], np.arange(len(self.split.base) + 1))
-        out = (*stacks, *positions, starts)
+        counts = np.asarray(self.counts, dtype=int)
+        firsts = np.cumsum(counts) - counts  # each class's first row in image_features
+        stacks, positions, offsets = [], [], []
+        for classes in (list(self.split.base), list(self.split.new)):
+            sizes = counts[classes]
+            offsets.append(starts := np.concatenate(([0], np.cumsum(sizes))))
+            rows = np.arange(starts[-1]) + np.repeat(firsts[classes] - starts[:-1], sizes)
+            stacks.append(self.image_features[rows].astype(np.float64))
+            positions.append(np.repeat(np.arange(len(classes)), sizes))
+        out = (*stacks, *positions, offsets[0])
         for a in out:
             a.setflags(write=False)
         return out
@@ -168,41 +172,27 @@ class EmbeddingSet:
         return self.class_embeddings[idx].astype(np.float64).T
 
 
-def _row_norms(blocks) -> np.ndarray:
-    """Float64 norms of the rows of a sequence of (n_i, d) blocks, all
-    rows in order, equal bit for bit to np.linalg.norm(b.astype(np.float64),
-    axis=-1) of each block; casts at most _CHUNK_ROWS rows at a time."""
-    total = sum(len(b) for b in blocks)
-    norms = np.empty(total)
-    if total == 0:
-        return norms
-    buf = np.empty((min(total, _CHUNK_ROWS), blocks[0].shape[1]))
-    pieces, start, filled = [], 0, 0
-    for b in blocks:
-        taken = 0
-        while taken < len(b):
-            m = min(len(b) - taken, len(buf) - filled)
-            pieces.append(b[taken:taken + m])
-            taken += m
-            filled += m
-            if filled == len(buf) or start + filled == total:
-                chunk = np.concatenate(pieces, out=buf[:filled])
-                np.multiply(chunk, chunk, out=chunk)
-                np.add.reduce(chunk, axis=-1, out=norms[start:start + filled])
-                pieces, start, filled = [], start + filled, 0
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """Float64 norms of the rows of an (n, d) block, equal bit for bit to
+    np.linalg.norm(block.astype(np.float64), axis=-1); casts at most
+    _CHUNK_ROWS rows at a time."""
+    norms = np.empty(len(block))
+    for s in range(0, len(block), _CHUNK_ROWS):
+        chunk = block[s:s + _CHUNK_ROWS].astype(np.float64)
+        np.multiply(chunk, chunk, out=chunk)
+        np.add.reduce(chunk, axis=-1, out=norms[s:s + len(chunk)])
     return np.sqrt(norms, out=norms)
 
 
-def _check_unit_rows(blocks, what: str) -> None:
-    """Reject the first row of blocks that is not unit-norm; what names it
-    from its block index c and its row index i in that block."""
-    norms = _row_norms(blocks)
+def _check_unit_rows(block: np.ndarray, counts, what: str) -> None:
+    """Reject the first row of block that is not unit-norm; what names it
+    from its class c and its index i among the counts[c] rows of c."""
+    norms = _row_norms(block)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL))  # a NaN norm is not unit
     if bad.size:
-        row = int(bad[0])
-        ends = list(accumulate(len(b) for b in blocks))
-        c = bisect_right(ends, row)
-        i = row - (ends[c - 1] if c else 0)
+        row, ends = int(bad[0]), np.cumsum(counts)
+        c = int(np.searchsorted(ends, row, side="right"))
+        i = row - int(ends[c]) + counts[c]
         raise DataError(f"{what.format(c=c, i=i)} is not unit-norm (|v| = {norms[row]:.6g})")
 
 
@@ -210,7 +200,7 @@ def _normalize_block(arr: np.ndarray, what: str) -> np.ndarray:
     """Unit-normalize the rows of a freshly read block in place, as float32,
     preserving already-unit rows."""
     out = arr.astype(np.float32, copy=False)
-    norms = _row_norms([out])
+    norms = _row_norms(out)
     for i in np.flatnonzero(norms < ZERO_NORM_EPS):
         raise DataError(f"{what} {i} has zero norm")
     # non-finite rows are kept as they are, for EmbeddingSet to reject
@@ -280,7 +270,6 @@ def make_synthetic(cfg: SynthConfig) -> EmbeddingSet:
             feats[c:c + group] = block
     else:
         feats[...] = mu[:, None]
-    feats.setflags(write=False)
 
     order = rng.permutation(C)
     n_base = math.ceil(cfg.base_fraction * C)
@@ -293,7 +282,8 @@ def make_synthetic(cfg: SynthConfig) -> EmbeddingSet:
         dim=d,
         class_names=names,
         class_embeddings=text.astype(np.float32),
-        image_features=tuple(feats),
+        image_features=feats.reshape(C * n, d),
+        counts=(n,) * C,
         split=split,
     )
 
@@ -309,13 +299,13 @@ def save_embeddings(dataset: EmbeddingSet, path) -> None:
         "format": "ogen-embeddings",
         "version": 2,
         "class_names": list(dataset.class_names),
-        "counts": [feats.shape[0] for feats in dataset.image_features],
+        "counts": list(dataset.counts),
         "base": list(map(int, dataset.split.base)),
         "new": list(map(int, dataset.split.new)),
     }
     tensors = {
         "class_embeddings": np.asarray(dataset.class_embeddings, dtype=np.float32),
-        "image_features": np.concatenate(dataset.image_features, dtype=np.float32),
+        "image_features": np.asarray(dataset.image_features, dtype=np.float32),
     }
     write_tensor_file(path, tensors, meta)
 
@@ -347,12 +337,12 @@ def load_embeddings(path) -> EmbeddingSet:
     if feats is None or feats.shape != (sum(counts), emb.shape[1]):
         raise DataError(f"{p}: image_features is not (sum(counts), d) = ({sum(counts)}, {emb.shape[1]})")
     feats = _normalize_block(feats, "image feature")
-    ends = list(accumulate(counts))
     return EmbeddingSet(
         dim=emb.shape[1],
         class_names=tuple(names),
         class_embeddings=_normalize_block(emb, "class embedding"),
-        image_features=tuple(feats[a:b] for a, b in zip([0, *ends], ends)),
+        image_features=feats,
+        counts=tuple(counts),
         split=ClassSplit(base=tuple(meta["base"]), new=tuple(meta["new"])),
     )
 

@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import objective
-from ._tensorio import aside_path, check_format, current, read_tensor_file, write_atomically, write_tensor_file
+from ._tensorio import aside_path, check_format, current, open_regular, read_tensor_file, temp_paths
+from ._tensorio import write_atomically, write_tensor_file
 from .distillation import (
     ScheduleConfig,
     TeacherQueue,
@@ -128,10 +129,8 @@ class TrainConfig:
                     f"pseudo split leaves no known classes ({n_unk} of {c_b} unknown)"
                 )
             for c in dataset.split.base:
-                if dataset.image_features[c].shape[0] < 2:
-                    raise DataError(
-                        f"base class {c} ({dataset.class_names[c]!r}) needs >= 2 image features"
-                    )
+                if dataset.counts[c] < 2:
+                    raise DataError(f"base class {c} ({dataset.class_names[c]!r}) needs >= 2 image features")
 
     def schedule(self) -> ScheduleConfig:
         """The teacher's window schedule over the run's epochs."""
@@ -507,7 +506,7 @@ def remove_state(path) -> None:
     """Delete the state file at path, its checkpoint directory, the old
     state file that saves keep set aside and the temp files of killed saves."""
     path = Path(path)
-    for stray in (path, aside_path(path), *path.parent.glob(f".{path.name}.*.tmp")):
+    for stray in (path, aside_path(path), *temp_paths(path)):
         stray.unlink(missing_ok=True)
     _delete(_queue_path(path))
 
@@ -548,11 +547,14 @@ def _save_queue(directory: Path, queue: TeacherQueue) -> list:
 
 def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, bundle, size: int) -> None:
     """Fill queue with the checkpoints of these epochs from their files in
-    directory; each file must hold size values with the listed crc32."""
+    directory, which must be a directory, not a symlink to one; each file
+    must hold size values with the listed crc32."""
+    if os.path.islink(directory) or not os.path.isdir(directory):  # a save deletes what it does not list
+        raise DataError(f"{directory} is not a directory of the run's own, where it keeps its checkpoints")
     for epoch, crc in zip(epochs, crcs):
         file, row = directory / f"{epoch}.f8", np.empty(size, dtype="<f8")
         try:
-            with open(file, "rb") as fh:  # no more than a checkpoint's bytes, however long the file
+            with open_regular(file) as fh:  # no more than a checkpoint's bytes, however long the file
                 whole = fh.readinto(row) == 8 * size and not fh.read(1)
         except OSError as exc:
             raise DataError(f"no teacher checkpoint {file} ({exc.strerror})") from exc

@@ -12,6 +12,12 @@ def file_tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def class_rows(dataset, c):
+    """Class c's rows of the dataset's image-feature block."""
+    start = sum(dataset.counts[:c])
+    return dataset.image_features[start:start + dataset.counts[c]]
+
+
 def rel_err(a, b):
     """Guarded per-coordinate relative error between two gradient arrays.
 

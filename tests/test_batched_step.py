@@ -12,6 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import class_rows
 
 import ogen.trainer
 from ogen import objective
@@ -37,9 +38,9 @@ def unit_vector_vjp(raw, d_unit):
 def reference_step(state, cfg, teacher, frozen_new, known_cols, unknown_cols, dataset):
     """One class at a time: retrieval, support draws, student and teacher
     forward, loss heads and backward per pseudo-unknown class. Each support
-    is read from the dataset's per-class feature arrays."""
+    is read from its class's rows of the dataset's feature block."""
     rng, emb = state.rng, state.embeddings
-    base, feats = dataset.split.base, dataset.image_features
+    base = dataset.split.base
     c_b = emb.shape[1]
     if cfg.scheme == "joint":
         extrapolate = extrapolate_jointly
@@ -63,9 +64,9 @@ def reference_step(state, cfg, teacher, frozen_new, known_cols, unknown_cols, da
             neighbor_cols = known_cols[rng.choice(known_cols.size, size=k_eff, replace=False)]
         else:
             neighbor_cols = known_cols[retrieve_knn(w_raw, emb[:, known_cols], k_eff)]
-        picks = [int(rng.integers(feats[base[c]].shape[0])) for c in neighbor_cols]
+        picks = [int(rng.integers(dataset.counts[base[c]])) for c in neighbor_cols]
         raw = emb[:, neighbor_cols]
-        support = np.array([feats[base[c]][p] for c, p in zip(neighbor_cols, picks)], dtype=np.float64).T
+        support = np.array([class_rows(dataset, base[c])[p] for c, p in zip(neighbor_cols, picks)], dtype=np.float64).T
         ctx = NeighborContext(raw / np.linalg.norm(raw, axis=0), support)
         neighbors.append(neighbor_cols.tolist())
         samples.append(picks)

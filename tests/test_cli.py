@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -494,6 +495,31 @@ class TestResume:
         assert "resuming from epoch 3" in capsys.readouterr().out
         assert file_tree(part) == file_tree(full)
 
+    @pytest.mark.parametrize("state_in_aside", [False, True], ids=["state", "aside"])
+    def test_resume_deletes_the_temp_files_of_killed_writes(self, dataset_path, tmp_path, monkeypatch,
+                                                            state_in_aside):
+        # a killed write leaves .NAME.<pid>.tmp, and maybe the state only in
+        # its aside, which the resume must read, not delete
+        full, run = tmp_path / "full", tmp_path / "run"
+        assert main(train_args(dataset_path, full, epochs=4)) == 0
+        self.rewound_run(dataset_path, run)
+        for name in ("state.bin", "metrics.csv", "checkpoint.bin", "config.json"):
+            (run / f".{name}.12345.tmp").write_bytes(b"\0" * 100)
+        if state_in_aside:
+            os.replace(run / "state.bin", run / ".state.bin.prev")
+
+            def killed(*args):
+                raise OSError("killed")
+
+            # a resume killed right after its clean-up leaves the state where it was
+            monkeypatch.setattr("ogen.cli._truncate_metrics", killed)
+            with pytest.raises(OSError, match="killed"):
+                main(resume_args(dataset_path, run))
+            monkeypatch.undo()
+            assert sorted(p.name for p in run.glob(".*")) == [".state.bin.prev"]
+        assert main(resume_args(dataset_path, run)) == 0
+        assert file_tree(run) == file_tree(full)
+
     def test_resume_without_state_fails(self, dataset_path, tmp_path):
         assert main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "nope"), "--resume"]) == 2
 
@@ -923,6 +949,7 @@ def test_second_writer_of_a_run_is_data_error_and_changes_no_file(dataset_path, 
         assert file_tree(run) == before
     finally:
         holder.stdin.close()
+        holder.stdout.close()
         holder.wait(timeout=30)
     assert main(args) == 0
 
@@ -1197,6 +1224,54 @@ class TestHostileRunFiles:
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
         assert "config.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("eval", "config.json"), ("eval", "state.queue/1.f8"),
+         ("resume", "config.json"), ("resume", "metrics.csv"), ("resume", "state.queue/1.f8")],
+    )
+    def test_fifo_run_file_is_data_error_without_waiting(self, dataset_path, tmp_path, capsys, command, name):
+        # a plain open of a FIFO waits for a writer that never comes; eval
+        # reads no metrics.csv
+        import signal
+
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run)
+        (run / name).unlink()
+        os.mkfifo(run / name)
+        before = file_tree(run)
+
+        def waited(signum, frame):  # no OSError, which a reader could take for a failed open
+            pytest.fail(f"a reader waited on {name}")
+
+        capsys.readouterr()
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(10)
+        try:
+            code = main(self.command(command, dataset_path, run))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert f"{run / name} is not a regular file" in capsys.readouterr().err
+        assert file_tree(run) == before and stat.S_ISFIFO(os.lstat(run / name).st_mode)
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_symlinked_queue_is_data_error_and_changes_no_file(self, dataset_path, tmp_path, capsys, command):
+        # a save deletes each entry of state.queue that it does not list:
+        # through a symlink, that would be another directory's files
+        run, target = tmp_path / "run", tmp_path / "target"
+        TestResume.rewound_run(dataset_path, run)
+        shutil.move(run / "state.queue", target)
+        (target / "precious.txt").write_bytes(b"not the run's")
+        (run / "state.queue").symlink_to(target)
+        before, outside = file_tree(run), file_tree(target)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        err = capsys.readouterr().err
+        assert f"{run / 'state.queue'} is not a directory of the run's own" in err
+        assert file_tree(target) == outside and sorted(outside) == ["0.f8", "1.f8", "precious.txt"]
+        assert file_tree(run) == before and os.readlink(run / "state.queue") == str(target)
 
 
 class TestHmean:

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import class_rows
 
 import ogen._tensorio
 from ogen._tensorio import read_tensor_file, write_tensor_file
@@ -28,13 +29,12 @@ def tiny_set(dim=4):
     e0[0] = 1.0
     e1 = np.zeros(dim, dtype=np.float32)
     e1[1] = 1.0
-    feats0 = np.stack([e0, e0])
-    feats1 = np.stack([e1])
     return EmbeddingSet(
         dim=dim,
         class_names=("a", "b"),
         class_embeddings=np.stack([e0, e1]),
-        image_features=(feats0, feats1),
+        image_features=np.stack([e0, e0, e1]),
+        counts=(2, 1),
         split=ClassSplit(base=(0,), new=(1,)),
     )
 
@@ -68,7 +68,8 @@ class TestValidation:
                 dim=4,
                 class_names=("a", "b"),
                 class_embeddings=bad,
-                image_features=(bad[:1], bad[1:]),
+                image_features=bad,
+                counts=(1, 1),
                 split=ClassSplit(base=(0,), new=(1,)),
             )
 
@@ -76,14 +77,15 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_rejected(self, where, bad):
         ds = tiny_set()
-        arrays = {"class_embeddings": ds.class_embeddings.copy(), "image_features": ds.image_features[0].copy()}
+        arrays = {"class_embeddings": ds.class_embeddings.copy(), "image_features": ds.image_features.copy()}
         arrays[where][0, 0] = bad
         with pytest.raises(DataError, match="0 is not unit-norm"):
             EmbeddingSet(
                 dim=ds.dim,
                 class_names=ds.class_names,
                 class_embeddings=arrays["class_embeddings"],
-                image_features=(arrays["image_features"], ds.image_features[1]),
+                image_features=arrays["image_features"],
+                counts=ds.counts,
                 split=ds.split,
             )
 
@@ -93,12 +95,13 @@ class TestValidation:
         ids=["middle_class", "last_row_of_last_class", "nan_row"],
     )
     def test_bad_row_is_named_by_class_and_row(self, c, i, value, shown):
-        # one norm pass over all classes still names the class and the row in it
-        feats = [np.tile(np.eye(4, dtype=np.float32)[k], (n, 1)) for k, n in enumerate((3, 4, 5))]
-        feats[c][i] *= value
+        # one norm pass over the block still names the class and the row in it
+        counts = (3, 4, 5)
+        feats = np.repeat(np.eye(4, dtype=np.float32)[:3], counts, axis=0)
+        feats[sum(counts[:c]) + i] *= value
         with pytest.raises(DataError) as exc:
             EmbeddingSet(dim=4, class_names=("a", "b", "c"), class_embeddings=np.eye(4, dtype=np.float32)[:3],
-                         image_features=tuple(feats), split=ClassSplit(base=(0,), new=(1, 2)))
+                         image_features=feats, counts=counts, split=ClassSplit(base=(0,), new=(1, 2)))
         assert str(exc.value) == f"class {c} image feature {i} is not unit-norm (|v| = {shown})"
 
     def test_duplicate_names_rejected(self):
@@ -109,6 +112,7 @@ class TestValidation:
                 class_names=("a", "a"),
                 class_embeddings=ds.class_embeddings,
                 image_features=ds.image_features,
+                counts=ds.counts,
                 split=ds.split,
             )
 
@@ -120,24 +124,46 @@ class TestValidation:
                 class_names=ds.class_names,
                 class_embeddings=ds.class_embeddings,
                 image_features=ds.image_features,
+                counts=ds.counts,
                 split=ClassSplit(base=(0, 7), new=()),
             )
 
     def test_every_class_needs_features(self):
         ds = tiny_set()
-        with pytest.raises(DataError, match="no image features"):
+        with pytest.raises(DataError) as exc:
             EmbeddingSet(
                 dim=ds.dim,
                 class_names=ds.class_names,
                 class_embeddings=ds.class_embeddings,
-                image_features=(ds.image_features[0], np.empty((0, 4), dtype=np.float32)),
+                image_features=ds.image_features[:2],
+                counts=(2, 0),
                 split=ds.split,
             )
+        assert str(exc.value) == "class 1 ('b') has no image features"
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((3,), "counts has 1 entries, not one per class (2)"),
+            ((2, 1, 1), "counts has 3 entries, not one per class (2)"),
+            ((2, 2), "image_features shape (3, 4) != (sum(counts), d) = (4, 4)"),
+            ((1, 1), "image_features shape (3, 4) != (sum(counts), d) = (2, 4)"),
+        ],
+        ids=["too_few", "too_many", "sum_above_rows", "sum_below_rows"],
+    )
+    def test_counts_must_describe_the_block(self, counts, message):
+        ds = tiny_set()
+        with pytest.raises(DataError) as exc:
+            EmbeddingSet(dim=ds.dim, class_names=ds.class_names, class_embeddings=ds.class_embeddings,
+                         image_features=ds.image_features, counts=counts, split=ds.split)
+        assert str(exc.value) == message
 
     def test_immutable_after_construction(self):
         ds = tiny_set()
         with pytest.raises(ValueError):
             ds.class_embeddings[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            ds.image_features[0, 0] = 5.0
 
     def test_split_features_stack_each_split_once(self):
         ds = make_synthetic(SynthConfig(num_classes=6, dim=8, per_class=3, seed=2))
@@ -145,14 +171,14 @@ class TestValidation:
         assert ds._split_features[0] is base
         for stacked, classes in ((base, ds.split.base), (new, ds.split.new)):
             assert stacked.dtype == np.float64 and not stacked.flags.writeable
-            expected = np.concatenate([ds.image_features[c].astype(np.float64) for c in classes])
+            expected = np.concatenate([class_rows(ds, c).astype(np.float64) for c in classes])
             np.testing.assert_array_equal(stacked, expected)
         # each row's class position in its split, and the base classes' row offsets
         for pos, classes in ((base_pos, ds.split.base), (new_pos, ds.split.new)):
             assert not pos.flags.writeable
-            np.testing.assert_array_equal(pos, [j for j, c in enumerate(classes) for _ in ds.image_features[c]])
+            np.testing.assert_array_equal(pos, [j for j, c in enumerate(classes) for _ in range(ds.counts[c])])
         assert not starts.flags.writeable
-        np.testing.assert_array_equal(starts, np.cumsum([0, *(len(ds.image_features[c]) for c in ds.split.base)]))
+        np.testing.assert_array_equal(starts, np.cumsum([0, *(ds.counts[c] for c in ds.split.base)]))
 
 
 class TestFileFormat:
@@ -164,8 +190,8 @@ class TestFileFormat:
         assert loaded.class_names == ds.class_names
         assert loaded.split == ds.split
         np.testing.assert_array_equal(loaded.class_embeddings, ds.class_embeddings)
-        for a, b in zip(loaded.image_features, ds.image_features):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.image_features, ds.image_features)
+        assert loaded.counts == ds.counts
 
     def test_round_trip_bytes_identical(self, tmp_path):
         ds = make_synthetic(SynthConfig(num_classes=5, dim=16, per_class=4, seed=9))
@@ -184,10 +210,7 @@ class TestFileFormat:
         assert ds.num_classes == 2
         norms = np.linalg.norm(ds.class_embeddings.astype(np.float64), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-        for feats in ds.image_features:
-            np.testing.assert_allclose(
-                np.linalg.norm(feats.astype(np.float64), axis=1), 1.0, atol=1e-6
-            )
+        np.testing.assert_allclose(np.linalg.norm(ds.image_features.astype(np.float64), axis=1), 1.0, atol=1e-6)
 
     def test_short_record_names_the_record(self, tmp_path):
         # the manifest declares (1, 8) class embeddings but the file
@@ -299,7 +322,8 @@ class TestFileFormat:
     def test_numpy_split_indices_are_written(self, tmp_path):
         ds = tiny_set()
         ds = EmbeddingSet(dim=ds.dim, class_names=ds.class_names, class_embeddings=ds.class_embeddings,
-                          image_features=ds.image_features, split=ClassSplit(base=(np.int64(0),), new=(np.int64(1),)))
+                          image_features=ds.image_features, counts=ds.counts,
+                          split=ClassSplit(base=(np.int64(0),), new=(np.int64(1),)))
         save_embeddings(ds, tmp_path / "np.oef")
         assert load_embeddings(tmp_path / "np.oef").split == ClassSplit(base=(0,), new=(1,))
 
@@ -311,11 +335,11 @@ class TestFileFormat:
         assert meta["counts"] == [3] * 5 and meta["class_names"] == list(ds.class_names)
         assert (meta["base"], meta["new"]) == (list(ds.split.base), list(ds.split.new))
         np.testing.assert_array_equal(tensors["class_embeddings"], ds.class_embeddings)
-        np.testing.assert_array_equal(tensors["image_features"], np.concatenate(ds.image_features))
-        # the loaded per-class arrays are views of one block
+        assert tensors["image_features"].tobytes() == ds.image_features.tobytes()
+        # the loaded set holds the stored block and its counts
         loaded = load_embeddings(tmp_path / "d.oef")
-        block = loaded.image_features[0].base
-        assert block.shape == (15, 8) and all(f.base is block for f in loaded.image_features)
+        assert loaded.image_features.shape == (15, 8) and not loaded.image_features.flags.writeable
+        assert loaded.image_features.tobytes() == tensors["image_features"].tobytes() and loaded.counts == (3,) * 5
 
 
 def _reference_synthetic(cfg):
@@ -344,18 +368,27 @@ def _reference_synthetic(cfg):
 
 
 class TestChunkedRows:
-    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 2000])
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 2000])
     def test_row_norms_equal_linalg_norm(self, rows):
         x = (np.random.default_rng(rows).standard_normal((rows, 64)) * 3).astype(np.float32)
         expected = np.linalg.norm(x.astype(np.float64), axis=-1)
-        assert _row_norms([x]).tobytes() == expected.tobytes()
+        assert _row_norms(x).tobytes() == expected.tobytes()
+        assert _row_norms(x.astype(np.float64)).tobytes() == expected.tobytes()
 
     def test_row_norms_of_blocks_straddling_chunks(self):
+        # class edges fall on both sides of the 256-row chunk edges; a bad
+        # row past the third chunk is still named by its class and its row
+        counts = (100, 200, 3, 256, 1, 300, 52)
         rng = np.random.default_rng(5)
-        blocks = [rng.standard_normal((n, 24)).astype(np.float32) for n in (100, 200, 3, 256, 1, 300, 52)]
-        expected = np.concatenate([np.linalg.norm(b.astype(np.float64), axis=-1) for b in blocks])
-        assert _row_norms(blocks).tobytes() == expected.tobytes()
-        assert _row_norms([b.astype(np.float64) for b in blocks]).tobytes() == expected.tobytes()
+        feats = rng.standard_normal((sum(counts), 24)).astype(np.float32)
+        expected = np.linalg.norm(feats.astype(np.float64), axis=-1)
+        assert _row_norms(feats).tobytes() == expected.tobytes()
+        unit = np.eye(24, dtype=np.float32)[np.arange(sum(counts)) % 24]
+        unit[sum(counts[:5]) + 7] *= 2  # row 567, in the third chunk: class 5, row 7
+        with pytest.raises(DataError) as exc:
+            EmbeddingSet(dim=24, class_names=tuple("abcdefg"), class_embeddings=np.eye(7, 24, dtype=np.float32),
+                         image_features=unit, counts=counts, split=ClassSplit(base=(0,), new=(1,)))
+        assert str(exc.value).startswith("class 5 image feature 7 is not unit-norm")
 
     @pytest.mark.parametrize(
         "cfg",
@@ -372,14 +405,14 @@ class TestChunkedRows:
         text, feats, (base, new) = _reference_synthetic(cfg)
         ds = make_synthetic(cfg)
         assert ds.class_embeddings.tobytes() == text.tobytes()
-        assert len(ds.image_features) == len(feats)
-        for got, want in zip(ds.image_features, feats):
+        assert ds.counts == (cfg.per_class,) * cfg.num_classes
+        for c, want in enumerate(feats):
+            got = class_rows(ds, c)
             assert got.dtype == np.float32 and got.shape == want.shape and got.tobytes() == want.tobytes()
         assert ds.split == ClassSplit(base=tuple(map(int, base)), new=tuple(map(int, new)))
-        # read-only views of one (C, n, d) block
-        block = ds.image_features[0].base
-        assert block.shape == (cfg.num_classes, cfg.per_class, cfg.dim) and not block.flags.writeable
-        assert all(f.base is block for f in ds.image_features)
+        # one read-only (C * n, d) block
+        assert ds.image_features.shape == (cfg.num_classes * cfg.per_class, cfg.dim)
+        assert not ds.image_features.flags.writeable
 
     def test_renormalized_file_equals_per_row_division(self, tmp_path):
         # rows off the sphere are divided by their float64 norm; unit rows are kept as stored
@@ -398,7 +431,7 @@ class TestChunkedRows:
         expected[off] = (feats[off].astype(np.float64) / norms[off, None]).astype(np.float32)
         ds = load_embeddings(path)
         assert off.sum() >= 350
-        assert np.concatenate(ds.image_features).tobytes() == expected.tobytes()
+        assert ds.image_features.tobytes() == expected.tobytes() and ds.counts == tuple(counts)
         assert ds.class_embeddings.tobytes() == np.eye(3, 16, dtype=np.float32).tobytes()
 
     def test_peak_memory_stays_within_twice_the_feature_block(self, tmp_path):
@@ -424,7 +457,7 @@ class TestSynthetic:
             SynthConfig(num_classes=4, dim=8, per_class=3, image_noise=0.0, text_noise=0.0, seed=1)
         )
         for c in range(4):
-            for row in ds.image_features[c]:
+            for row in class_rows(ds, c):
                 np.testing.assert_array_equal(row, ds.class_embeddings[c])
 
     def test_zero_noise_nearest_centroid_perfect(self):
@@ -434,7 +467,7 @@ class TestSynthetic:
         emb = ds.class_embeddings.astype(np.float64)
         hits = total = 0
         for c in range(ds.num_classes):
-            for row in ds.image_features[c]:
+            for row in class_rows(ds, c):
                 hits += int(np.argmax(emb @ row.astype(np.float64)) == c)
                 total += 1
         assert hits == total
@@ -443,8 +476,7 @@ class TestSynthetic:
         cfg = SynthConfig(num_classes=7, dim=12, per_class=5, seed=42)
         a, b = make_synthetic(cfg), make_synthetic(cfg)
         np.testing.assert_array_equal(a.class_embeddings, b.class_embeddings)
-        for fa, fb in zip(a.image_features, b.image_features):
-            np.testing.assert_array_equal(fa, fb)
+        np.testing.assert_array_equal(a.image_features, b.image_features)
         assert a.split == b.split
 
     def test_split_sizes(self):
@@ -461,14 +493,14 @@ class TestSynthetic:
         emb = ds.class_embeddings.astype(np.float64)
         hits = total = 0
         for c in range(ds.num_classes):
-            for row in ds.image_features[c]:
+            for row in class_rows(ds, c):
                 scores = [float(emb[j] @ row.astype(np.float64)) for j in range(ds.num_classes)]
                 hits += int(max(range(ds.num_classes), key=lambda j: scores[j]) == c)
                 total += 1
         oracle_acc = hits / total
         # vectorized pass must agree with the explicit loop
-        all_feats = np.concatenate([f.astype(np.float64) for f in ds.image_features])
-        labels = np.repeat(np.arange(ds.num_classes), [f.shape[0] for f in ds.image_features])
+        all_feats = ds.image_features.astype(np.float64)
+        labels = np.repeat(np.arange(ds.num_classes), ds.counts)
         vec_acc = float(np.mean(np.argmax(all_feats @ emb.T, axis=1) == labels))
         assert vec_acc == oracle_acc
         # frozen from the oracle pass above (text_noise default 0.4)

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from conftest import class_rows
+
 from ogen import retrieve_knn
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,6 +23,6 @@ def test_library_example_samples_the_retrieved_classes():
     columns = retrieve_knn(dataset.class_embeddings[0], result.embeddings, k=3)
     # each support column is a row of the class retrieved for that column
     for j, col in enumerate(columns):
-        rows = dataset.image_features[dataset.split.base[col]]
+        rows = class_rows(dataset, dataset.split.base[col])
         assert (rows == ctx.support_features[:, j]).all(axis=1).any()
     assert ns["feature"].shape == (dataset.dim,)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import class_rows
 
 from ogen.embedding_store import SynthConfig, make_synthetic
 from ogen.errors import DataError
@@ -109,16 +110,18 @@ class TestBuildContext:
             assert ctx.support_features.shape == units.shape == ids.shape[:-1] + (12, 3)
             for *u, j in np.ndindex(ids.shape):
                 column = ctx.support_features[(*u, slice(None), j)]
-                np.testing.assert_array_equal(column, ds.image_features[ds.split.base[ids[(*u, j)]]][picks[(*u, j)]])
+                np.testing.assert_array_equal(column, class_rows(ds, ds.split.base[ids[(*u, j)]])[picks[(*u, j)]])
 
     def test_one_index_reaches_the_offset_edges(self):
         # base classes of unequal sizes, so no offset is a multiple of one
         # class size; each case is checked against per-row indexing
         ds = make_synthetic(SynthConfig(num_classes=12, dim=6, per_class=5, seed=4))
-        ds = dataclasses.replace(ds, image_features=tuple(f[: 1 + c % 5] for c, f in enumerate(ds.image_features)))
+        counts = tuple(1 + c % 5 for c in range(ds.num_classes))
+        keep = np.concatenate([np.arange(5 * c, 5 * c + n) for c, n in enumerate(counts)])
+        ds = dataclasses.replace(ds, image_features=ds.image_features[keep], counts=counts)
         rows, _, _, _, starts = ds._split_features
         base = ds.split.base
-        sizes = [len(ds.image_features[c]) for c in base]
+        sizes = [ds.counts[c] for c in base]
         last, end = len(base) - 1, sizes[-1] - 1
         assert len(set(sizes)) > 1 and starts[-1] == len(rows)
         cases = {
@@ -135,5 +138,5 @@ class TestBuildContext:
             ctx = build_context(ids, units, rows, starts, picks)
             assert ctx.support_features.shape == units.shape, name
             for *u, j in np.ndindex(ids.shape):
-                expected = ds.image_features[base[ids[(*u, j)]]][picks[(*u, j)]]
+                expected = class_rows(ds, base[ids[(*u, j)]])[picks[(*u, j)]]
                 np.testing.assert_array_equal(ctx.support_features[(*u, slice(None), j)], expected, err_msg=name)

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import file_tree
+from conftest import class_rows, file_tree
 
 import ogen._tensorio
 import ogen.objective
@@ -86,8 +86,8 @@ def union_accuracies(ds, emb):
     unit = union / np.linalg.norm(union, axis=0)
     accs, preds = [], []
     for classes, offset in ((base, 0), (new, len(base))):
-        feats = np.concatenate([ds.image_features[c] for c in classes] or [np.empty((0, ds.dim))], dtype=np.float64)
-        labels = np.repeat(np.arange(offset, offset + len(classes)), [len(ds.image_features[c]) for c in classes])
+        feats = np.concatenate([class_rows(ds, c) for c in classes] or [np.empty((0, ds.dim))], dtype=np.float64)
+        labels = np.repeat(np.arange(offset, offset + len(classes)), [ds.counts[c] for c in classes])
         pred = np.argmax(feats @ unit, axis=1)
         accs.append(float(np.mean(pred == labels)) if len(pred) else 0.0)
         preds.append((pred, labels))
@@ -108,7 +108,7 @@ class TestEvaluate:
         def split_acc(classes, offset):
             hits = total = 0
             for pos, c in enumerate(classes):
-                for row in ds.image_features[c]:
+                for row in class_rows(ds, c):
                     scores = unit.T @ row.astype(np.float64)
                     hits += int(int(np.argmax(scores)) == offset + pos)
                     total += 1
@@ -469,7 +469,7 @@ class TestTrainedGeneratorImproves:
                 picks = retrieve_knn(w, base_emb[:, others], 3)
                 ocols = [others[i] for i in picks]
                 classes = [base[i] for i in ocols]
-                picks = rng.integers([ds.image_features[c].shape[0] for c in classes])
+                picks = rng.integers([ds.counts[c] for c in classes])
                 raw = base_emb[:, ocols]
                 ctx = build_context(ocols, raw / np.linalg.norm(raw, axis=0), rows, starts, picks)
                 wq = w / np.linalg.norm(w)
