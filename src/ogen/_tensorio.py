@@ -61,8 +61,7 @@ def write_atomically(path, chunks, reuse_aside: bool = False) -> None:
         os.replace(aside, path)
         os.replace(tmp, aside)
         return
-    if os.path.isdir(aside) and not os.path.islink(aside):
-        raise DataError(f"{aside} is a directory, where the old {name} is set aside while it is replaced")
+    files_only([aside])
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
@@ -121,13 +120,25 @@ def temp_paths(*paths) -> list:  # the temp files that killed writes of each pat
 
 def open_regular(path):
     """A binary reader of path, opened without waiting for a writer if it
-    is a FIFO; anything but a regular file there is a DataError naming it.
-    A failed open raises its OSError."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    is a FIFO; no file or anything but a regular file there is a DataError
+    naming it. Any other failed open raises its OSError."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError):
+        raise DataError(f"no such file: {path}") from None
     if not stat.S_ISREG(os.fstat(fd).st_mode):
         os.close(fd)
         raise DataError(f"{path} is not a regular file")
     return open(fd, "rb")
+
+
+def files_only(paths: list) -> list:
+    """paths, if none of them is a directory; else a DataError, as ogen
+    deletes no directory and writes no file in its place."""
+    for path in paths:
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise DataError(f"{path} is a directory, where ogen writes a file")
+    return paths
 
 
 def current(path) -> Path:  # path, or the old file a killed write set aside if only that is there
@@ -137,9 +148,7 @@ def current(path) -> Path:  # path, or the old file a killed write set aside if 
 def read_tensor_file(path):
     """Returns (tensors dict, meta dict without the tensor list) of current(path)."""
     p = current(path)
-    if not p.is_file():
-        raise DataError(f"no such file: {p}")
-    with open(p, "rb") as fh:
+    with open_regular(p) as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < 4:
             raise DataError(f"{p}: too short to hold a manifest")

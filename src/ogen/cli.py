@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from ._tensorio import aside_path, current, open_regular, temp_paths, write_atomically
+from ._tensorio import aside_path, current, files_only, open_regular, temp_paths, write_atomically
 from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
@@ -127,15 +127,6 @@ def _train_config(ctx, stored: TrainConfig | None = None) -> TrainConfig:
     return cfg
 
 
-def _files_only(paths: list) -> list:
-    """paths, if none of them is a directory; else a DataError, as a run
-    deletes no directory and writes no file in its place."""
-    for path in paths:
-        if path.is_dir() and not path.is_symlink():
-            raise DataError(f"{path} is a directory, where the run writes a file")
-    return paths
-
-
 def _lock_run(run_dir: Path, held: ExitStack) -> None:
     """Hold an exclusive flock on the run directory itself, which leaves no
     lock file in the run, until held closes; another holder is a DataError."""
@@ -208,7 +199,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
 
         if resume:
             check_state(state, dataset)  # before metrics.csv loses the rows past the state
-            for tmp in _files_only(temp_paths(*run_files)):  # not the asides: one may hold the only state
+            for tmp in files_only(temp_paths(*run_files)):  # not the asides: one may hold the only state
                 tmp.unlink()
             _truncate_metrics(metrics_path, state.next_epoch)
             click.echo(f"resuming from epoch {state.next_epoch}")
@@ -217,7 +208,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
             _lock_run(run_dir, held)
             # an earlier run's files, and the old files and temp files its killed writes left:
             # a run stopped before its first save must not eval or resume as that run
-            files = _files_only(run_files + [aside_path(path) for path in run_files] + temp_paths(*run_files))
+            files = files_only(run_files + [aside_path(path) for path in run_files] + temp_paths(*run_files))
             remove_state(state_path)
             for path in files:
                 path.unlink(missing_ok=True)

@@ -17,12 +17,13 @@ two float32 tensors are class_embeddings (C, d) and image_features
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._tensorio import check_format, current, read_tensor_file, write_tensor_file
+from ._tensorio import check_format, current, open_regular, read_tensor_file, write_tensor_file
 from .errors import DataError
 from .objective import _unit_columns
 
@@ -34,6 +35,7 @@ ZERO_NORM_EPS = 1e-6
 # Rows per pass of the row-norm and synthesis loops (128 KB of float64 at
 # d=64): their float64 temporaries do not grow with the number of classes.
 _CHUNK_ROWS = 256
+SplitCache = namedtuple("SplitCache", "base positions starts base_best candidates candidate_best n_new")
 
 
 @dataclass(frozen=True)
@@ -109,53 +111,47 @@ class EmbeddingSet:
         return len(self.class_names)
 
     @cached_property
-    def _split_features(self) -> tuple:
-        """Each split's image features stacked in split order, built once
-        per dataset, read-only: (base, new, base_pos, new_pos, starts).
-        base and new are float64 (n, d) matrices, base_pos and new_pos the
-        split position of each row's class, starts the C_b + 1 offsets of
-        the base classes' rows in base."""
+    def _split_cache(self) -> SplitCache:
+        """What training and evaluation read of the image features, built in
+        one pass per dataset, read-only. base holds the base split's features
+        as float64 rows in split order, positions each row's class position
+        and starts the C_b + 1 offsets of the classes' rows. base_best holds
+        each base row's best cosine against the unit new-class columns (-inf
+        without new classes). candidates are those of the n_new new-split
+        features whose first best frozen column is their own class, as
+        float64 rows, and candidate_best their cosine with it; no other new
+        feature can be predicted right, whatever the learnable columns are,
+        so the new split's stack is a local of the pass."""
         counts = np.asarray(self.counts, dtype=int)
         firsts = np.cumsum(counts) - counts  # each class's first row in image_features
-        stacks, positions, offsets = [], [], []
-        for classes in (list(self.split.base), list(self.split.new)):
-            sizes = counts[classes]
-            offsets.append(starts := np.concatenate(([0], np.cumsum(sizes))))
-            rows = np.arange(starts[-1]) + np.repeat(firsts[classes] - starts[:-1], sizes)
-            stacks.append(self.image_features[rows].astype(np.float64))
-            positions.append(np.repeat(np.arange(len(classes)), sizes))
-        out = (*stacks, *positions, offsets[0])
-        for a in out:
-            a.setflags(write=False)
-        return out
 
-    @cached_property
-    def _frozen_verdict(self) -> tuple:
-        """What the frozen new-class columns decide, scored once per dataset:
-        (base_best, candidates, candidate_best). base_best holds each base
-        feature's best cosine against the unit new-class columns (-inf
-        without new classes). candidates are the new features whose first
-        best frozen column is their own class, as one (m, d) float64 matrix,
-        and candidate_best their cosine with it; no other new feature can
-        be predicted right, whatever the learnable columns are."""
-        base, new, _, own, _ = self._split_features
-        if not self.split.new:
-            return np.full(len(base), -np.inf), new, np.empty(0)
-        # C order, as trainer._EvalCache normalizes the learnable columns
-        unit = _unit_columns(np.ascontiguousarray(self.embedding_columns(self.split.new)))[0]
-        base_best = (base @ unit).max(axis=1)
-        scores = new @ unit
-        hit = np.flatnonzero(scores.argmax(axis=1) == own)
-        return base_best, new[hit], scores[hit, own[hit]]
+        def stack(classes):  # the classes' features in split order, each row's class position, the offsets
+            sizes = counts[classes]
+            starts = np.concatenate(([0], np.cumsum(sizes)))
+            rows = np.arange(starts[-1]) + np.repeat(firsts[classes] - starts[:-1], sizes)
+            return self.image_features[rows].astype(np.float64), np.repeat(np.arange(len(classes)), sizes), starts
+        (base, positions, starts), (new, own, _) = stack(list(self.split.base)), stack(list(self.split.new))
+        base_best, candidates, candidate_best = np.full(len(base), -np.inf), new, np.empty(0)
+        if self.split.new:
+            # C order, as trainer._EvalCache normalizes the learnable columns
+            unit = _unit_columns(np.ascontiguousarray(self.embedding_columns(self.split.new)))[0]
+            base_best = (base @ unit).max(axis=1)
+            scores = new @ unit
+            hit = np.flatnonzero(scores.argmax(axis=1) == own)
+            candidates, candidate_best = new[hit], scores[hit, own[hit]]
+        cache = SplitCache(base, positions, starts, base_best, candidates, candidate_best, len(new))
+        for a in cache[:-1]:
+            a.setflags(write=False)
+        return cache
 
     @cached_property
     def _known_loss_inputs(self) -> tuple:
         """What the known loss reads of the dataset, built once per dataset,
         read-only: (units, frozen_scores). units holds the base-split
-        features of _split_features as (d, N) unit columns; frozen_scores
+        features of _split_cache as (d, N) unit columns; frozen_scores
         is the (C_f, N) block of their cosines against the unit new-class
         columns, with no rows when the dataset has no new classes."""
-        units = _unit_columns(self._split_features[0].T)[0]
+        units = _unit_columns(self._split_cache.base.T)[0]
         frozen_scores = _unit_columns(self.embedding_columns(self.split.new))[0].T @ units
         for out in (units, frozen_scores):
             out.setflags(write=False)
@@ -317,11 +313,10 @@ def load_embeddings(path) -> EmbeddingSet:
     try:
         tensors, meta = read_tensor_file(p)
     except DataError:
-        if p.is_file():
-            with open(p, "rb") as fh:
-                if fh.read(4) == b"OGEN":
-                    raise DataError(f"{p}: a version-1 dataset, which this ogen no longer reads; "
-                                    "write it again with `ogen gen-data`") from None
+        with open_regular(p) as fh:  # no file or no regular one: the same DataError again
+            if fh.read(4) == b"OGEN":
+                raise DataError(f"{p}: a version-1 dataset, which this ogen no longer reads; "
+                                "write it again with `ogen gen-data`") from None
         raise
     check_format(p, meta, "ogen-embeddings", 2, "write it again with `ogen gen-data`")
     names = meta.get("class_names")

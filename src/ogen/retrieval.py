@@ -87,7 +87,7 @@ def build_context(neighbor_ids, neighbor_embeddings, rows, starts, sample_ids) -
     neighbor_ids holds K class positions, or (U, K) for U conditioning
     classes; neighbor_embeddings is the matching (d, K) or (U, d, K) stack
     of unit columns, taken as it is. rows stacks the classes' (n, d) image
-    features, class c's from row starts[c] (EmbeddingSet._split_features),
+    features, class c's from row starts[c] (EmbeddingSet._split_cache),
     and sample_ids, shaped like neighbor_ids, picks each neighbor's row:
     support column j is rows[starts[neighbor_ids[j]] + sample_ids[j]].
     """

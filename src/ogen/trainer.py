@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import objective
-from ._tensorio import aside_path, check_format, current, open_regular, read_tensor_file, temp_paths
-from ._tensorio import write_atomically, write_tensor_file
+from ._tensorio import aside_path, check_format, current, files_only, open_regular, read_tensor_file
+from ._tensorio import temp_paths, write_atomically, write_tensor_file
 from .distillation import (
     ScheduleConfig,
     TeacherQueue,
@@ -199,22 +199,20 @@ def harmonic_mean(a: float, b: float) -> float:
 class _EvalCache:
     """Argmax accuracy of each split over the learnable base columns and,
     after them, the frozen new-class columns. What the frozen columns
-    decide is scored once per dataset (EmbeddingSet._frozen_verdict), so
-    each accuracies() call scores against the C_b learnable columns only,
-    into one score matrix filled in place. The base rows and their class
-    positions come from EmbeddingSet._split_features. Argmax takes the
-    first of equal maxima, so a learnable column wins a tie with a frozen one."""
+    decide is scored once per dataset (EmbeddingSet._split_cache, which
+    also holds the base rows and their class positions), so each
+    accuracies() call scores against the C_b learnable columns only, into
+    one score matrix filled in place. Argmax takes the first of equal
+    maxima, so a learnable column wins a tie with a frozen one."""
 
     def __init__(self, dataset: EmbeddingSet):
-        self.base_feats, new_feats, self.base_labels, _, _ = dataset._split_features
-        self.n_new = len(new_feats)
-        self.frozen_best, self.candidates, self.candidate_best = dataset._frozen_verdict
+        self.cache = cache = dataset._split_cache
         # the score matrix is large enough that the C allocator may hand it
         # back to the OS on free, and a fresh one faults its pages in again;
         # so every run and evaluate() of a dataset on one thread shares one
         scratch, thread = dataset._score_scratch, threading.get_ident()
         if thread not in scratch:
-            scratch[thread] = np.empty((max(len(self.base_feats), len(self.candidates)), len(dataset.split.base)))
+            scratch[thread] = np.empty((max(len(cache.base), len(cache.candidates)), len(dataset.split.base)))
         self._scores = scratch[thread]
 
     def accuracies(self, base_embeddings: np.ndarray):
@@ -222,14 +220,14 @@ class _EvalCache:
         # the d rows in turn, a transposed matrix's pairwise, and equal
         # columns must score equal bits for the tie rule to hold
         unit, _ = objective._unit_columns(np.ascontiguousarray(base_embeddings))
-        scores = np.matmul(self.base_feats, unit, out=self._scores[: len(self.base_feats)])
+        scores = np.matmul(self.cache.base, unit, out=self._scores[: len(self.cache.base)])
         pred = np.argmax(scores, axis=1)
         best = np.take_along_axis(scores, pred[:, None], axis=1)[:, 0]
-        base_acc = float(np.count_nonzero((pred == self.base_labels) & (best >= self.frozen_best)) / len(pred))
-        if not len(self.candidates):
+        base_acc = float(np.count_nonzero((pred == self.cache.positions) & (best >= self.cache.base_best)) / len(pred))
+        if not len(self.cache.candidates):
             return base_acc, 0.0
-        scores = np.matmul(self.candidates, unit, out=self._scores[: len(self.candidates)])
-        return base_acc, float(np.count_nonzero(scores.max(axis=1) < self.candidate_best) / self.n_new)
+        scores = np.matmul(self.cache.candidates, unit, out=self._scores[: len(self.cache.candidates)])
+        return base_acc, float(np.count_nonzero(scores.max(axis=1) < self.cache.candidate_best) / self.cache.n_new)
 
 
 def evaluate(params, embeddings, dataset: EmbeddingSet):
@@ -304,7 +302,7 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     """Synthesized-unknown losses and gradients in one batched pass over
     the U pseudo-unknown classes: one retrieval, one context, one student
     forward, one teacher forward and one backward. The supports are drawn
-    from rows and starts, the base split's (EmbeddingSet._split_features).
+    from rows and starts, the base split's (EmbeddingSet._split_cache).
 
     Returns (generator grads, embedding grad, synth_ce, distill_mse),
     each averaged over the U classes. Draws from state.rng in the order of
@@ -384,7 +382,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     # is built once per run from cosines scored once per dataset
     known_units, frozen_scores = dataset._known_loss_inputs
     frozen_lse = np.logaddexp.reduce(frozen_scores / cfg.tau, axis=0, initial=-np.inf)
-    base_rows, _, feat_col, _, starts = dataset._split_features
+    cache = dataset._split_cache
     known_unit_rows, frozen_new = known_units.T, dataset.embedding_columns(dataset.split.new)
     rng = state.rng
     rows = []
@@ -402,13 +400,13 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         # -- known-class cross-entropy, minibatch SGD on the embeddings --
         is_known = np.zeros(c_b, dtype=bool)
         is_known[known_cols] = True
-        rows_known = np.flatnonzero(is_known[feat_col])
+        rows_known = np.flatnonzero(is_known[cache.positions])
         shuffled = rows_known[rng.permutation(rows_known.size)]
         known_loss_sum = 0.0
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
             loss, grad = objective.known_batch_ce(
-                known_unit_rows[batch].T, state.embeddings, cfg.tau, feat_col[batch], frozen_lse[batch]
+                known_unit_rows[batch].T, state.embeddings, cfg.tau, cache.positions[batch], frozen_lse[batch]
             )
             _sgd_step(state.embeddings, grad, state.emb_velocity, lr_emb, cfg.momentum)
             known_loss_sum += loss * batch.size
@@ -419,7 +417,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         m_t, teacher, teacher_range = _resolve_teacher(state, cfg, epoch)
         if cfg.scheme != "none":
             gen_grads, emb_grad, synth_ce, mse = _synthesize(
-                state, cfg, teacher, frozen_new, known_cols, unknown_cols, base_rows, starts
+                state, cfg, teacher, frozen_new, known_cols, unknown_cols, cache.base, cache.starts
             )
             _sgd_step(state.params.flat, gen_grads.flat, state.gen_velocity.flat, lr_gen, cfg.momentum)
             _sgd_step(state.embeddings, emb_grad, state.emb_velocity, lr_emb, cfg.momentum)
@@ -504,9 +502,10 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
 
 def remove_state(path) -> None:
     """Delete the state file at path, its checkpoint directory, the old
-    state file that saves keep set aside and the temp files of killed saves."""
+    state file that saves keep set aside and the temp files of killed saves.
+    A directory at any of these files is a DataError, and deletes nothing."""
     path = Path(path)
-    for stray in (path, aside_path(path), *temp_paths(path)):
+    for stray in files_only([path, aside_path(path), *temp_paths(path)]):
         stray.unlink(missing_ok=True)
     _delete(_queue_path(path))
 
@@ -527,13 +526,20 @@ def _queue_path(path) -> Path:
     return path.with_name(f"{path.stem}.queue")
 
 
+def _own_directory(directory: Path) -> None:  # a save deletes each entry that it does not list
+    if os.path.islink(directory) or not os.path.isdir(directory):
+        raise DataError(f"{directory} is not a directory of the run's own, where it keeps its checkpoints")
+
+
 def _save_queue(directory: Path, queue: TeacherQueue) -> list:
     """Write each checkpoint of the queue that has no file in directory
     yet to one, <epoch>.f8: its 8 * P bytes of little-endian float64, with
     no header. Returns the crc32s, oldest first. A checkpoint has a crc32
     once this process has written it to queue.crc_dir or read it whole
     from there, so a save to any other directory writes every one."""
-    directory.mkdir(exist_ok=True)
+    if not os.path.lexists(directory):
+        directory.mkdir()
+    _own_directory(directory)  # before the first write, and before save_state deletes what it does not list
     if queue.crc_dir != directory:
         queue.crcs.clear()
         queue.crc_dir = directory
@@ -547,10 +553,8 @@ def _save_queue(directory: Path, queue: TeacherQueue) -> list:
 
 def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, bundle, size: int) -> None:
     """Fill queue with the checkpoints of these epochs from their files in
-    directory, which must be a directory, not a symlink to one; each file
-    must hold size values with the listed crc32."""
-    if os.path.islink(directory) or not os.path.isdir(directory):  # a save deletes what it does not list
-        raise DataError(f"{directory} is not a directory of the run's own, where it keeps its checkpoints")
+    directory; each file must hold size values with the listed crc32."""
+    _own_directory(directory)
     for epoch, crc in zip(epochs, crcs):
         file, row = directory / f"{epoch}.f8", np.empty(size, dtype="<f8")
         try:

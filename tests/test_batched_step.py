@@ -123,7 +123,7 @@ def mid_run(scheme, distill, random_neighbors):
     perm = np.random.default_rng(7).permutation(len(base))
     n_unk = 3
     unknown_cols, known_cols = np.sort(perm[:n_unk]), np.sort(perm[n_unk:])
-    rows, _, _, _, starts = ds._split_features
+    rows, starts = ds._split_cache.base, ds._split_cache.starts
     frozen_new = ds.embedding_columns(ds.split.new)
     _, teacher, _ = _resolve_teacher(state, cfg, state.next_epoch)
     return ds, (state, cfg, teacher, frozen_new, known_cols, unknown_cols, rows, starts)

@@ -1054,6 +1054,8 @@ class TestHostileRunFiles:
 
     @staticmethod
     def command(name, dataset_path, run):
+        if name == "train":  # a fresh run over the run's files, of the dataset at run/data.oef
+            return train_args(run / "data.oef", run)
         return ["eval", "--run", str(run)] if name == "eval" else resume_args(dataset_path, run)
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
@@ -1227,17 +1229,19 @@ class TestHostileRunFiles:
 
     @pytest.mark.parametrize(
         "command, name",
-        [("eval", "config.json"), ("eval", "state.queue/1.f8"),
-         ("resume", "config.json"), ("resume", "metrics.csv"), ("resume", "state.queue/1.f8")],
+        [("eval", "config.json"), ("eval", "state.bin"), ("eval", "state.queue/1.f8"),
+         ("resume", "config.json"), ("resume", "metrics.csv"), ("resume", "state.bin"),
+         ("resume", "state.queue/1.f8"), ("train", "data.oef")],
     )
     def test_fifo_run_file_is_data_error_without_waiting(self, dataset_path, tmp_path, capsys, command, name):
         # a plain open of a FIFO waits for a writer that never comes; eval
-        # reads no metrics.csv
+        # reads no metrics.csv, and a fresh run reads its --data before it
+        # deletes an earlier run's files
         import signal
 
         run = tmp_path / "run"
         TestResume.rewound_run(dataset_path, run)
-        (run / name).unlink()
+        (run / name).unlink(missing_ok=True)
         os.mkfifo(run / name)
         before = file_tree(run)
 

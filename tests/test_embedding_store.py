@@ -2,6 +2,7 @@
 
 import builtins
 import math
+import os
 import struct
 import tracemalloc
 
@@ -166,19 +167,27 @@ class TestValidation:
             ds.image_features[0, 0] = 5.0
 
     def test_split_features_stack_each_split_once(self):
-        ds = make_synthetic(SynthConfig(num_classes=6, dim=8, per_class=3, seed=2))
-        base, new, base_pos, new_pos, starts = ds._split_features
-        assert ds._split_features[0] is base
-        for stacked, classes in ((base, ds.split.base), (new, ds.split.new)):
-            assert stacked.dtype == np.float64 and not stacked.flags.writeable
-            expected = np.concatenate([class_rows(ds, c).astype(np.float64) for c in classes])
-            np.testing.assert_array_equal(stacked, expected)
-        # each row's class position in its split, and the base classes' row offsets
-        for pos, classes in ((base_pos, ds.split.base), (new_pos, ds.split.new)):
-            assert not pos.flags.writeable
-            np.testing.assert_array_equal(pos, [j for j, c in enumerate(classes) for _ in range(ds.counts[c])])
-        assert not starts.flags.writeable
-        np.testing.assert_array_equal(starts, np.cumsum([0, *(ds.counts[c] for c in ds.split.base)]))
+        ds = make_synthetic(SynthConfig(num_classes=6, dim=8, per_class=3, seed=3))  # 6 of 9 new rows are candidates
+        split = ds._split_cache
+        assert ds._split_cache is split
+        stacks = [np.concatenate([class_rows(ds, c).astype(np.float64) for c in classes])
+                  for classes in (ds.split.base, ds.split.new)]
+        assert split.base.dtype == np.float64 and not split.base.flags.writeable
+        np.testing.assert_array_equal(split.base, stacks[0])
+        # each base row's class position in the split, and the base classes' row offsets
+        for a in (split.positions, split.starts):
+            assert not a.flags.writeable
+        positions = [j for j, c in enumerate(ds.split.base) for _ in range(ds.counts[c])]
+        np.testing.assert_array_equal(split.positions, positions)
+        np.testing.assert_array_equal(split.starts, np.cumsum([0, *(ds.counts[c] for c in ds.split.base)]))
+        # of the new split, the rows whose own class is their first best frozen column
+        own = np.repeat(np.arange(len(ds.split.new)), [ds.counts[c] for c in ds.split.new])
+        cols = ds.embedding_columns(ds.split.new)
+        unit = cols / np.linalg.norm(cols, axis=0)
+        hit = (stacks[1] @ unit).argmax(axis=1) == own
+        assert split.n_new == len(stacks[1]) and 0 < hit.sum() < split.n_new
+        assert split.candidates.dtype == np.float64 and not split.candidates.flags.writeable
+        np.testing.assert_array_equal(split.candidates, stacks[1][hit])
 
 
 class TestFileFormat:
@@ -298,15 +307,19 @@ class TestFileFormat:
         path = tmp_path / "d.oef"
         save_embeddings(tiny_set(), path)
         opened = []
-        real_open = builtins.open
-        monkeypatch.setattr(builtins, "open", lambda f, *a, **k: opened.append(f) or real_open(f, *a, **k))
+        for module in (os, builtins):  # the path is opened by os.open, its descriptor by open
+            def spy(f, *a, real_open=module.open, **k):
+                opened.append(f)
+                return real_open(f, *a, **k)
+
+            monkeypatch.setattr(module, "open", spy)
         load_embeddings(path)
-        assert opened == [path]
+        assert [f for f in opened if not isinstance(f, int)] == [path] and len(opened) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_embeddings(tmp_path / "absent.oef")
-        with pytest.raises(DataError, match="no such file"):
+        with pytest.raises(DataError, match="is not a regular file"):
             load_embeddings(tmp_path)  # a directory
 
     def test_tensors_are_written_from_their_own_buffers(self, tmp_path, monkeypatch):

@@ -99,7 +99,7 @@ class TestBuildContext:
         # support column j is row sample_ids[j] of base class neighbor_ids[j],
         # for one conditioning class and for a batch of two
         ds = make_synthetic(SynthConfig(num_classes=8, dim=12, per_class=5, base_fraction=1.0, seed=11))
-        rows, _, _, _, starts = ds._split_features
+        rows, starts = ds._split_cache.base, ds._split_cache.starts
         rng = np.random.default_rng(0)
         for neighbor_ids in ([2, 5, 7], [[2, 5, 7], [0, 2, 1]]):
             ids = np.array(neighbor_ids)
@@ -119,7 +119,7 @@ class TestBuildContext:
         counts = tuple(1 + c % 5 for c in range(ds.num_classes))
         keep = np.concatenate([np.arange(5 * c, 5 * c + n) for c, n in enumerate(counts)])
         ds = dataclasses.replace(ds, image_features=ds.image_features[keep], counts=counts)
-        rows, _, _, _, starts = ds._split_features
+        rows, starts = ds._split_cache.base, ds._split_cache.starts
         base = ds.split.base
         sizes = [ds.counts[c] for c in base]
         last, end = len(base) - 1, sizes[-1] - 1

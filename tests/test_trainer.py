@@ -24,6 +24,7 @@ from ogen.trainer import (
     evaluate,
     harmonic_mean,
     load_state,
+    remove_state,
     save_state,
     train,
 )
@@ -180,7 +181,7 @@ class TestEvaluate:
         (base_acc, new_acc), _ = union_accuracies(ds, emb)
         assert 0.0 < base_acc < 1.0
         assert evaluate(None, emb, ds)[:2] == (base_acc, 0.0) and new_acc == 0.0
-        assert len(ogen.trainer._EvalCache(ds).candidates) == 0
+        assert len(ds._split_cache.candidates) == 0
 
     def test_no_frozen_argmax_is_right(self):
         ds = tiny_dataset(seed=4, text_noise=0.0)
@@ -193,23 +194,25 @@ class TestEvaluate:
         cols = ds.embedding_columns(list(ds.split.base))
         (base_acc, new_acc), _ = union_accuracies(ds, cols)
         assert new_acc == 0.0
-        assert len(ogen.trainer._EvalCache(ds).candidates) == 0
+        assert len(ds._split_cache.candidates) == 0
         assert evaluate(None, cols, ds)[:2] == (base_acc, 0.0)
 
-    def test_frozen_verdict_is_computed_once_per_dataset(self, monkeypatch):
+    def test_split_cache_is_built_once_per_dataset(self, monkeypatch):
+        # the base stack and the frozen verdict serve every run and
+        # evaluate() of the dataset
         from functools import cached_property
 
         from ogen.embedding_store import EmbeddingSet
 
-        verdict, calls = EmbeddingSet.__dict__["_frozen_verdict"].func, []
+        build, calls = EmbeddingSet.__dict__["_split_cache"].func, []
 
         def spy(dataset):
             calls.append(dataset)
-            return verdict(dataset)
+            return build(dataset)
 
         prop = cached_property(spy)
-        prop.__set_name__(EmbeddingSet, "_frozen_verdict")
-        monkeypatch.setattr(EmbeddingSet, "_frozen_verdict", prop)
+        prop.__set_name__(EmbeddingSet, "_split_cache")
+        monkeypatch.setattr(EmbeddingSet, "_split_cache", prop)
         ds = tiny_dataset(seed=2)
         cfg = tiny_config(epochs=3)
         train(ds, cfg)
@@ -219,6 +222,28 @@ class TestEvaluate:
         # the per-epoch score matrix has the learnable columns only
         (scores,) = ds._score_scratch.values()
         assert scores.shape[1] == len(ds.split.base)
+
+    def test_caches_hold_no_array_of_the_new_split(self):
+        # the new split is stacked once, for the frozen verdict, and of its
+        # features the dataset keeps only the candidates; splits of unequal
+        # size tell a new-split array from a base-split one
+        ds = make_synthetic(SynthConfig(num_classes=10, per_class=6, base_fraction=0.3))
+        n_base, n_new = (sum(ds.counts[c] for c in classes) for classes in (ds.split.base, ds.split.new))
+        evaluate(None, train(ds, tiny_config(epochs=2)).embeddings, ds)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, dict)):
+                for item in value.values() if isinstance(value, dict) else value:
+                    yield from arrays(item)
+
+        fields = {f.name for f in dataclasses.fields(ds)}
+        caches = {name: value for name, value in vars(ds).items() if name not in fields}
+        cached = list(arrays(tuple(caches.values())))
+        assert n_base != n_new and [a.shape for a in cached if a.shape[:1] == (n_new,)] == []
+        assert set(caches) == {"_split_cache", "_known_loss_inputs", "_score_scratch"} and len(cached) == 9
+        assert ds._split_cache.n_new == n_new and 0 < len(ds._split_cache.candidates) < n_new
 
     def test_known_loss_inputs_are_computed_once_per_dataset(self, monkeypatch):
         # the base features' unit columns and their frozen-column scores
@@ -244,7 +269,7 @@ class TestEvaluate:
         ablate(ds, cfg, seeds=1)
         assert len(calls) == 1 and calls[0] is ds
         units, frozen_scores = ds._known_loss_inputs
-        n = len(ds._split_features[0])
+        n = len(ds._split_cache.base)
         assert units.shape == (ds.dim, n) and frozen_scores.shape == (len(ds.split.new), n)
         assert not (units.flags.writeable or frozen_scores.flags.writeable)
 
@@ -458,7 +483,7 @@ class TestTrainedGeneratorImproves:
         base = list(ds.split.base)
         base_emb = result.embeddings
         union = np.concatenate([base_emb, ds.embedding_columns(ds.split.new)], axis=1)
-        rows, _, _, _, starts = ds._split_features
+        rows, starts = ds._split_cache.base, ds._split_cache.starts
         rng = np.random.default_rng(99)
         wins = []
         gains = []
@@ -726,6 +751,37 @@ class TestStatePersistence:
         assert len(crcs) == cfg.epochs
         assert len(written) == cfg.epochs
         assert written == [size + row for size in sizes]
+
+    @pytest.mark.parametrize("occupant", ["symlink", "file"])
+    def test_save_into_a_queue_path_of_no_directory_is_data_error_and_changes_no_file(self, tmp_path, occupant):
+        # a save deletes each entry of state.queue that it does not list:
+        # through a symlink, that would be another directory's files
+        ds = tiny_dataset()
+        cfg = tiny_config(distill="almt", epochs=2)
+        lib, target = tmp_path / "lib", tmp_path / "target"
+        lib.mkdir()
+        target.mkdir()
+        (target / "precious.txt").write_bytes(b"not a checkpoint")
+        if occupant == "symlink":
+            (lib / "state.queue").symlink_to(target, target_is_directory=True)
+        else:
+            (lib / "state.queue").write_bytes(b"not a directory")
+        before = file_tree(lib), file_tree(target)
+        with pytest.raises(DataError, match=f"{lib / 'state.queue'} is not a directory of the run's own"):
+            train(ds, cfg, on_epoch=lambda state, row: save_state(lib / "state.bin", state, cfg))
+        assert (file_tree(lib), file_tree(target)) == before
+        assert [p.name for p in lib.iterdir()] == ["state.queue"]
+
+    @pytest.mark.parametrize("name", [".state.bin.prev", ".state.bin.123.tmp"])
+    def test_remove_state_refuses_a_directory_and_deletes_nothing(self, tmp_path, name):
+        cfg = tiny_config(distill="almt", epochs=2)
+        save_state(tmp_path / "state.bin", train(tiny_dataset(), cfg).state, cfg)
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "kept").write_bytes(b"a file of another program")
+        before = file_tree(tmp_path)
+        with pytest.raises(DataError, match=f"{tmp_path / name} is a directory"):
+            remove_state(tmp_path / "state.bin")
+        assert file_tree(tmp_path) == before
 
     def test_state_file_round_trip(self, tmp_path):
         ds = tiny_dataset()
