@@ -71,7 +71,7 @@ def write_atomically(path, chunks, reuse_aside: bool = False) -> None:
             os.replace(path, aside)
         os.replace(tmp, path)
     except BaseException:
-        _unlink(tmp)
+        _unlink(tmp, OSError)
         raise
     if not reuse_aside:
         _unlink(aside)
@@ -98,15 +98,15 @@ def _rewrite_aside(path: str, aside: str, chunks) -> bool:
                 fh.write(chunk)
             fh.truncate()
     except BaseException:
-        _unlink(aside)
+        _unlink(aside, OSError)
         raise
     return True
 
 
-def _unlink(path: str) -> None:
+def _unlink(path: str, ignored=FileNotFoundError) -> None:  # a clean-up ignores any OSError, to raise the first
     try:
         os.unlink(path)
-    except FileNotFoundError:
+    except ignored:
         pass
 
 

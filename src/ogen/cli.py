@@ -63,16 +63,23 @@ def cli():
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output .oef path.")
 def gen_data(out, **params):
     """Generate a synthetic embedding dataset and write it to disk."""
-    dataset = make_synthetic(SynthConfig(**params))
     out_path = Path(out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    _makeable(out_path.parent, out_path)
+    dataset = make_synthetic(SynthConfig(**params))
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_embeddings(dataset, out_path)
     click.echo(
         f"wrote {out_path}: {dataset.num_classes} classes, dim {dataset.dim}, "
         f"{min(dataset.counts)}-{max(dataset.counts)} features/class, "
         f"split base={len(dataset.split.base)} new={len(dataset.split.new)}"
     )
+
+
+def _makeable(directory: Path, out: Path) -> None:
+    """A DataError naming out if the nearest existing one of directory and its
+    parents is no directory; a command checks this before any work."""
+    if not (nearest := next(p for p in (directory, *directory.parents) if p.exists())).is_dir():
+        raise DataError(f"cannot write {out}: {nearest} is not a directory")
 
 
 def _format_cell(value):
@@ -106,6 +113,16 @@ def _run_data(config_path: Path) -> str:
     return config["data"]
 
 
+# training flags that act only in some runs, each group with the config field and values it acts under and what it
+# does there; _train_config rejects a flag given for a run that ignores it
+_ACTS_ONLY = (
+    (("k", "generator_lr", "lambda_syn", "heads", "d_ff", "random_neighbors"),
+     "scheme", ("per_class", "joint"), "configure the generator of scheme=per_class or joint"),
+    (("lambda_distill", "ema_alpha"), "distill", ("mt", "almt"), "configure the teacher of distill=mt or almt"),
+    (("m_min", "m_max"), "distill", ("almt",), "bound the window of distill=almt"),
+)
+
+
 def _train_config(ctx, stored: TrainConfig | None = None) -> TrainConfig:
     """The configuration of a command's run: on a resume the stored one,
     which each training flag given on the command line must equal; else
@@ -121,9 +138,10 @@ def _train_config(ctx, stored: TrainConfig | None = None) -> TrainConfig:
                      for p in given if ctx.params[p.name] != getattr(cfg, p.name)]
         if conflicts:
             raise ConfigError("--resume continues the stored run; conflicting flags: " + ", ".join(conflicts))
-    bounds = [p.opts[0] for p in given if p.name in ("m_min", "m_max")]
-    if bounds and cfg.distill != "almt":
-        raise ConfigError(f"{', '.join(bounds)} bound the window of distill=almt, not distill={cfg.distill}")
+    for names, field, values, what in _ACTS_ONLY:
+        ignored = [p.opts[0] for p in given if p.name in names]
+        if ignored and getattr(cfg, field) not in values:
+            raise ConfigError(f"{', '.join(ignored)} {what}, not {field}={getattr(cfg, field)}")
     return cfg
 
 
@@ -193,6 +211,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
                 return
         else:
             state, cfg = None, _train_config(ctx)
+            _makeable(run_dir, run_dir)
 
         dataset = load_embeddings(data)
         cfg.validate(dataset)
@@ -290,10 +309,11 @@ def cmd_hmean(base, new):
 @click.pass_context
 def cmd_ablate(ctx, data, out, seeds, **_):
     """Run the ablation grid and write one CSV per table."""
+    out_dir = Path(out)
+    _makeable(out_dir, out_dir)
     dataset = load_embeddings(data)
     base_cfg = _train_config(ctx)
     report = ablate(dataset, base_cfg, seeds=seeds)
-    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in report.tables().items():
         path = out_dir / f"{name}.csv"

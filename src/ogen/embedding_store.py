@@ -32,10 +32,10 @@ from .objective import _unit_columns
 UNIT_NORM_ATOL = 1e-6
 # Below this norm a vector is rejected as zero rather than renormalized.
 ZERO_NORM_EPS = 1e-6
-# Rows per pass of the row-norm and synthesis loops (128 KB of float64 at
-# d=64): their float64 temporaries do not grow with the number of classes.
+# Rows per pass of the row-norm, base-split and synthesis loops (128 KB at
+# d=64): their temporaries do not grow with the number of classes.
 _CHUNK_ROWS = 256
-SplitCache = namedtuple("SplitCache", "base positions starts base_best candidates candidate_best n_new")
+SplitCache = namedtuple("SplitCache", "units positions firsts counts base_best candidates candidate_best n_new")
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ class EmbeddingSet:
         if self.image_features.shape != (sum(self.counts), self.dim):
             raise DataError(f"image_features shape {self.image_features.shape} != "
                             f"(sum(counts), d) = ({sum(self.counts)}, {self.dim})")
-        _check_unit_rows(self.class_embeddings, (1,) * C, "class embedding {c}")
-        _check_unit_rows(self.image_features, self.counts, "class {c} image feature {i}")
+        _check_unit_rows(_row_norms(self.class_embeddings), (1,) * C, "class embedding {c}")
+        _check_unit_rows(self._feature_norms, self.counts, "class {c} image feature {i}")
         self.split.validate(C)
 
     @property
@@ -111,51 +111,49 @@ class EmbeddingSet:
         return len(self.class_names)
 
     @cached_property
+    def _feature_norms(self) -> np.ndarray:
+        """Each image_features row's float64 norm: validation checks them, and _split_cache divides by them."""
+        return _row_norms(self.image_features)
+
+    @cached_property
     def _split_cache(self) -> SplitCache:
         """What training and evaluation read of the image features, built in
-        one pass per dataset, read-only. base holds the base split's features
-        as float64 rows in split order, positions each row's class position
-        and starts the C_b + 1 offsets of the classes' rows. base_best holds
-        each base row's best cosine against the unit new-class columns (-inf
-        without new classes). candidates are those of the n_new new-split
-        features whose first best frozen column is their own class, as
-        float64 rows, and candidate_best their cosine with it; no other new
-        feature can be predicted right, whatever the learnable columns are,
-        so the new split's stack is a local of the pass."""
+        one pass per dataset, read-only. units holds the base split's
+        features, their one float64 copy, as unit rows in split order, and
+        positions each row's class position; firsts and counts hold each
+        base class's first row in image_features and its row count. base_best
+        holds each unit row's best cosine against the unit new-class columns
+        (-inf without new classes). candidates are those of the n_new
+        new-split features whose first best frozen column is their own class,
+        as float64 rows, and candidate_best their cosine with it; no other
+        new feature can be predicted right, whatever the learnable columns
+        are, so the new split's stack is a local of the pass."""
         counts = np.asarray(self.counts, dtype=int)
         firsts = np.cumsum(counts) - counts  # each class's first row in image_features
 
-        def stack(classes):  # the classes' features in split order, each row's class position, the offsets
+        def rows(classes):  # the classes' rows of image_features in split order, and each row's class position
             sizes = counts[classes]
-            starts = np.concatenate(([0], np.cumsum(sizes)))
-            rows = np.arange(starts[-1]) + np.repeat(firsts[classes] - starts[:-1], sizes)
-            return self.image_features[rows].astype(np.float64), np.repeat(np.arange(len(classes)), sizes), starts
-        (base, positions, starts), (new, own, _) = stack(list(self.split.base)), stack(list(self.split.new))
-        base_best, candidates, candidate_best = np.full(len(base), -np.inf), new, np.empty(0)
-        if self.split.new:
+            shift = np.repeat(firsts[classes] - np.cumsum(sizes) + sizes, sizes)
+            return np.arange(sizes.sum()) + shift, np.repeat(np.arange(len(classes)), sizes)
+        base, new = list(self.split.base), list(self.split.new)
+        (picks, positions), (new_rows, own) = rows(base), rows(new)
+        units = np.empty((len(picks), self.dim))
+        for s in range(0, len(picks), _CHUNK_ROWS):  # cast a chunk at a time: no second copy of the rows
+            units[s:s + _CHUNK_ROWS] = self.image_features[picks[s:s + _CHUNK_ROWS]]
+        units /= self._feature_norms[picks, None]  # objective._unit_columns's unit rows, bit for bit
+        stack = self.image_features[new_rows].astype(np.float64)
+        base_best, candidates, candidate_best = np.full(len(units), -np.inf), stack, np.empty(0)
+        if new:
             # C order, as trainer._EvalCache normalizes the learnable columns
-            unit = _unit_columns(np.ascontiguousarray(self.embedding_columns(self.split.new)))[0]
-            base_best = (base @ unit).max(axis=1)
-            scores = new @ unit
+            unit = _unit_columns(np.ascontiguousarray(self.embedding_columns(new)))[0]
+            base_best = (units @ unit).max(axis=1)
+            scores = stack @ unit
             hit = np.flatnonzero(scores.argmax(axis=1) == own)
-            candidates, candidate_best = new[hit], scores[hit, own[hit]]
-        cache = SplitCache(base, positions, starts, base_best, candidates, candidate_best, len(new))
+            candidates, candidate_best = stack[hit], scores[hit, own[hit]]
+        cache = SplitCache(units, positions, firsts[base], counts[base], base_best, candidates, candidate_best, len(own))
         for a in cache[:-1]:
             a.setflags(write=False)
         return cache
-
-    @cached_property
-    def _known_loss_inputs(self) -> tuple:
-        """What the known loss reads of the dataset, built once per dataset,
-        read-only: (units, frozen_scores). units holds the base-split
-        features of _split_cache as (d, N) unit columns; frozen_scores
-        is the (C_f, N) block of their cosines against the unit new-class
-        columns, with no rows when the dataset has no new classes."""
-        units = _unit_columns(self._split_cache.base.T)[0]
-        frozen_scores = _unit_columns(self.embedding_columns(self.split.new))[0].T @ units
-        for out in (units, frozen_scores):
-            out.setflags(write=False)
-        return units, frozen_scores
 
     @cached_property
     def _score_scratch(self) -> dict:
@@ -180,10 +178,9 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _check_unit_rows(block: np.ndarray, counts, what: str) -> None:
-    """Reject the first row of block that is not unit-norm; what names it
-    from its class c and its index i among the counts[c] rows of c."""
-    norms = _row_norms(block)
+def _check_unit_rows(norms: np.ndarray, counts, what: str) -> None:
+    """Reject the first row of a block whose norm in norms is not unit; what
+    names it from its class c and its index i among the counts[c] rows of c."""
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL))  # a NaN norm is not unit
     if bad.size:
         row, ends = int(bad[0]), np.cumsum(counts)

@@ -3,7 +3,7 @@
 Given conditioning class embeddings, find the K most similar known
 classes of each by text-embedding cosine similarity (exact search; the
 class count is small), and gather one support image feature per
-retrieved class, with one index into the stacked base-split rows, into
+retrieved class, with one index into the dataset's image features, into
 the two unit-column stacks the generator reads. Every function works on
 one conditioning class or on U of them at once along a leading batch
 axis. Everything here is a pure function; the caller draws which support
@@ -81,15 +81,16 @@ def retrieve_knn(query, base_embeddings, k: int):
     return order.tolist() if w.ndim == 1 else order.T
 
 
-def build_context(neighbor_ids, neighbor_embeddings, rows, starts, sample_ids) -> NeighborContext:
+def build_context(neighbor_ids, neighbor_embeddings, features, firsts, sample_ids) -> NeighborContext:
     """Gather the supports of a NeighborContext with one index.
 
     neighbor_ids holds K class positions, or (U, K) for U conditioning
     classes; neighbor_embeddings is the matching (d, K) or (U, d, K) stack
-    of unit columns, taken as it is. rows stacks the classes' (n, d) image
-    features, class c's from row starts[c] (EmbeddingSet._split_cache),
+    of unit columns, taken as it is. features is a dataset's image-feature
+    block, class c's rows from row firsts[c] (EmbeddingSet._split_cache),
     and sample_ids, shaped like neighbor_ids, picks each neighbor's row:
-    support column j is rows[starts[neighbor_ids[j]] + sample_ids[j]].
+    support column j is features[firsts[neighbor_ids[j]] + sample_ids[j]],
+    cast to float64, which is exact.
     """
-    support = rows[starts[np.asarray(neighbor_ids, dtype=int)] + np.asarray(sample_ids, dtype=int)]
-    return NeighborContext(neighbor_embeddings, np.swapaxes(support, -1, -2))
+    support = features[firsts[np.asarray(neighbor_ids, dtype=int)] + np.asarray(sample_ids, dtype=int)]
+    return NeighborContext(neighbor_embeddings, np.swapaxes(support.astype(np.float64), -1, -2))

@@ -200,7 +200,7 @@ class _EvalCache:
     """Argmax accuracy of each split over the learnable base columns and,
     after them, the frozen new-class columns. What the frozen columns
     decide is scored once per dataset (EmbeddingSet._split_cache, which
-    also holds the base rows and their class positions), so each
+    also holds the base split's unit rows and their positions), so each
     accuracies() call scores against the C_b learnable columns only, into
     one score matrix filled in place. Argmax takes the first of equal
     maxima, so a learnable column wins a tie with a frozen one."""
@@ -212,7 +212,7 @@ class _EvalCache:
         # so every run and evaluate() of a dataset on one thread shares one
         scratch, thread = dataset._score_scratch, threading.get_ident()
         if thread not in scratch:
-            scratch[thread] = np.empty((max(len(cache.base), len(cache.candidates)), len(dataset.split.base)))
+            scratch[thread] = np.empty((max(len(cache.units), len(cache.candidates)), len(dataset.split.base)))
         self._scores = scratch[thread]
 
     def accuracies(self, base_embeddings: np.ndarray):
@@ -220,7 +220,7 @@ class _EvalCache:
         # the d rows in turn, a transposed matrix's pairwise, and equal
         # columns must score equal bits for the tie rule to hold
         unit, _ = objective._unit_columns(np.ascontiguousarray(base_embeddings))
-        scores = np.matmul(self.cache.base, unit, out=self._scores[: len(self.cache.base)])
+        scores = np.matmul(self.cache.units, unit, out=self._scores[: len(self.cache.units)])
         pred = np.argmax(scores, axis=1)
         best = np.take_along_axis(scores, pred[:, None], axis=1)[:, 0]
         base_acc = float(np.count_nonzero((pred == self.cache.positions) & (best >= self.cache.base_best)) / len(pred))
@@ -298,11 +298,11 @@ def _mt_update(state: TrainState, cfg: TrainConfig) -> None:
     state.mt_teacher.flat += (1.0 - cfg.ema_alpha) * state.params.flat
 
 
-def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_cols, unknown_cols, rows, starts):
+def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_cols, unknown_cols, dataset):
     """Synthesized-unknown losses and gradients in one batched pass over
     the U pseudo-unknown classes: one retrieval, one context, one student
-    forward, one teacher forward and one backward. The supports are drawn
-    from rows and starts, the base split's (EmbeddingSet._split_cache).
+    forward, one teacher forward and one backward. The supports are rows
+    of dataset.image_features (EmbeddingSet._split_cache's firsts, counts).
 
     Returns (generator grads, embedding grad, synth_ce, distill_mse),
     each averaged over the U classes. Draws from state.rng in the order of
@@ -311,20 +311,20 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     """
     rng, emb = state.rng, state.embeddings
     c_b, n_unk = emb.shape[1], unknown_cols.size
-    counts = np.diff(starts)
+    cache = dataset._split_cache
     k_eff = min(cfg.k, known_cols.size)
     if cfg.random_neighbors:
         neighbor_cols = np.empty((n_unk, k_eff), dtype=int)
         sample_ids = np.empty_like(neighbor_cols)
         for i in range(n_unk):
             neighbor_cols[i] = known_cols[rng.choice(known_cols.size, size=k_eff, replace=False)]
-            sample_ids[i] = rng.integers(counts[neighbor_cols[i]])
+            sample_ids[i] = rng.integers(cache.counts[neighbor_cols[i]])
     else:
         neighbor_cols = known_cols[retrieve_knn(emb[:, unknown_cols], emb[:, known_cols], k_eff)]
-        sample_ids = rng.integers(counts[neighbor_cols])
+        sample_ids = rng.integers(cache.counts[neighbor_cols])
     # the (U, d, k) neighbor stack, normalized once for the forward and its VJP
     n_unit, n_norms = objective._unit_columns(np.swapaxes(emb.T[neighbor_cols], 1, 2))
-    ctx = build_context(neighbor_cols, n_unit, rows, starts, sample_ids)
+    ctx = build_context(neighbor_cols, n_unit, dataset.image_features, cache.firsts, sample_ids)
     w_unit, w_norms = objective._unit_columns(emb[:, unknown_cols])
 
     extrapolate = extrapolate_jointly if cfg.scheme == "joint" else extrapolate_per_class
@@ -373,17 +373,18 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         check_state(state, dataset)
     n_unk = cfg.pseudo_unknown_count(dataset)
     eval_cache = _EvalCache(dataset)
-    # every base image feature and its column in base-split order; the
-    # features are fixed, so they are normalized once per dataset and each
-    # minibatch takes its (d, B) unit columns from the (N, d) unit rows.
-    # Frozen new-class columns join every softmax denominator, as in
-    # synthesis and evaluation; they never receive updates, so each base
-    # image feature's share of the denominator, log sum_f exp(cos_f / tau),
-    # is built once per run from cosines scored once per dataset
-    known_units, frozen_scores = dataset._known_loss_inputs
-    frozen_lse = np.logaddexp.reduce(frozen_scores / cfg.tau, axis=0, initial=-np.inf)
+    # the base image features are fixed, so each minibatch takes its (d, B)
+    # unit columns from the dataset's (N, d) unit rows. Frozen new-class
+    # columns join every softmax denominator, as in synthesis and evaluation;
+    # they never receive updates, so each base feature's share of the
+    # denominator, log sum_f exp(cos_f / tau), is built once per run from
+    # (C_f, N) cosines that the run does not keep
     cache = dataset._split_cache
-    known_unit_rows, frozen_new = known_units.T, dataset.embedding_columns(dataset.split.new)
+    frozen_new = dataset.embedding_columns(dataset.split.new)
+    frozen_scores = objective._unit_columns(frozen_new)[0].T @ cache.units.T
+    frozen_scores /= cfg.tau
+    frozen_lse = np.logaddexp.reduce(frozen_scores, axis=0, initial=-np.inf)
+    del frozen_scores
     rng = state.rng
     rows = []
 
@@ -406,7 +407,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
             loss, grad = objective.known_batch_ce(
-                known_unit_rows[batch].T, state.embeddings, cfg.tau, cache.positions[batch], frozen_lse[batch]
+                cache.units[batch].T, state.embeddings, cfg.tau, cache.positions[batch], frozen_lse[batch]
             )
             _sgd_step(state.embeddings, grad, state.emb_velocity, lr_emb, cfg.momentum)
             known_loss_sum += loss * batch.size
@@ -417,7 +418,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         m_t, teacher, teacher_range = _resolve_teacher(state, cfg, epoch)
         if cfg.scheme != "none":
             gen_grads, emb_grad, synth_ce, mse = _synthesize(
-                state, cfg, teacher, frozen_new, known_cols, unknown_cols, cache.base, cache.starts
+                state, cfg, teacher, frozen_new, known_cols, unknown_cols, dataset
             )
             _sgd_step(state.params.flat, gen_grads.flat, state.gen_velocity.flat, lr_gen, cfg.momentum)
             _sgd_step(state.embeddings, emb_grad, state.emb_velocity, lr_emb, cfg.momentum)

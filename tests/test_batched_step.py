@@ -98,9 +98,9 @@ def spied_synthesize(monkeypatch, *args):
     context it builds."""
     calls = []
 
-    def spy(neighbor_ids, neighbor_embeddings, rows, starts, sample_ids):
+    def spy(neighbor_ids, neighbor_embeddings, features, firsts, sample_ids):
         calls.append((neighbor_ids.tolist(), sample_ids.tolist()))
-        return build_context(neighbor_ids, neighbor_embeddings, rows, starts, sample_ids)
+        return build_context(neighbor_ids, neighbor_embeddings, features, firsts, sample_ids)
 
     monkeypatch.setattr(ogen.trainer, "build_context", spy)
     result = _synthesize(*args)
@@ -111,7 +111,7 @@ def spied_synthesize(monkeypatch, *args):
 def mid_run(scheme, distill, random_neighbors):
     """A dataset, and _synthesize's arguments: a config and the state after
     three epochs (trained generator, filled teacher queue), one pseudo
-    split and the base split's stacked rows and offsets."""
+    split and the dataset, whose image features give the supports."""
     ds = make_synthetic(
         SynthConfig(num_classes=16, dim=16, per_class=6, image_noise=0.15, base_fraction=0.5, seed=3)
     )
@@ -123,10 +123,9 @@ def mid_run(scheme, distill, random_neighbors):
     perm = np.random.default_rng(7).permutation(len(base))
     n_unk = 3
     unknown_cols, known_cols = np.sort(perm[:n_unk]), np.sort(perm[n_unk:])
-    rows, starts = ds._split_cache.base, ds._split_cache.starts
     frozen_new = ds.embedding_columns(ds.split.new)
     _, teacher, _ = _resolve_teacher(state, cfg, state.next_epoch)
-    return ds, (state, cfg, teacher, frozen_new, known_cols, unknown_cols, rows, starts)
+    return ds, (state, cfg, teacher, frozen_new, known_cols, unknown_cols, ds)
 
 
 @pytest.mark.parametrize("random_neighbors", [False, True])

@@ -232,6 +232,24 @@ def test_teacher_defaults_are_the_schedule_defaults():
     assert ScheduleConfig(t_max=1).ema_alpha == 0.9
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+def test_output_under_a_regular_file_is_data_error_before_any_work(dataset_path, tmp_path, capsys, monkeypatch,
+                                                                   command):
+    # a path through a regular file can be no directory: the command names
+    # it before it computes or writes anything, with no traceback
+    (tmp_path / "afile").write_bytes(b"")
+    out = tmp_path / "afile" / "out"
+    for name in ("make_synthetic", "load_embeddings"):
+        monkeypatch.setattr(ogen.cli, name, lambda *args: pytest.fail(f"{command} went on to work"))
+    before = file_tree(tmp_path)
+    args = {"gen-data": gen_args(out), "train": train_args(dataset_path, out),
+            "ablate": ["ablate", "--data", str(dataset_path), "--out", str(out), "--seeds", "1", "--epochs", "1"]}
+    assert main(args[command]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: {tmp_path / 'afile'} is not a directory" in err and "Traceback" not in err
+    assert file_tree(tmp_path) == before
+
+
 class TestTrain:
     def test_run_directory_contents(self, dataset_path, tmp_path):
         run = tmp_path / "run"
@@ -258,14 +276,29 @@ class TestTrain:
         assert code == 2
         assert "distill" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("distill", ["none", "mt"])
-    @pytest.mark.parametrize("flag", ["--m-min", "--m-max"])
-    def test_window_bounds_require_almt(self, dataset_path, tmp_path, capsys, flag, distill):
+    @pytest.mark.parametrize(
+        "scheme,distill,flag",
+        [pytest.param("none" if distill == "none" else "joint", distill, [flag, "9"], id=f"{flag}-{distill}")
+         for distill in ("none", "mt") for flag in ("--m-min", "--m-max")]
+        + [pytest.param("joint", "none", flag, id=f"{flag[0]}-none")
+           for flag in (["--ema-alpha", "0.5"], ["--lambda-distill", "5"])]
+        + [pytest.param("none", "none", flag, id=f"{flag[0]}-scheme-none")
+           for flag in (["--random-neighbors"], ["--gen-lr", "0.5"], ["--k", "2"], ["--lambda-syn", "1"],
+                        ["--heads", "2"], ["--d-ff", "8"])],
+    )
+    def test_window_bounds_require_almt(self, dataset_path, tmp_path, capsys, scheme, distill, flag):
+        # a training flag that the run's scheme or distill mode ignores is
+        # rejected before the run directory is made, as --m-min and --m-max
+        # are without almt's window
         run = tmp_path / "run"
-        scheme = "none" if distill == "none" else "joint"
-        args = train_args(dataset_path, run, extra=["--scheme", scheme, "--distill", distill, flag, "9"])
+        args = train_args(dataset_path, run, extra=["--scheme", scheme, "--distill", distill, *flag])
         assert main(args) == 2
-        assert f"{flag} bound the window of distill=almt, not distill={distill}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {flag[0]} " in err and "Traceback" not in err
+        if flag[0] in ("--m-min", "--m-max"):
+            assert f"{flag[0]} bound the window of distill=almt, not distill={distill}" in err
+        else:
+            assert f"not {'scheme' if scheme == 'none' else 'distill'}=none" in err
         assert not run.exists()
 
     @pytest.mark.parametrize("flag", ["--heads", "--d-ff"])
@@ -1329,7 +1362,10 @@ class TestAblateCommand:
         args = ["ablate", "--data", str(dataset_path), "--out", str(tmp_path / "reports")]
         assert main(args) == 0
         assert main([*args, "--lr", "0.05", "--seed", "3"]) == 0
-        assert base_cfgs == [TrainConfig(), replace(TrainConfig(), learning_rate=0.05, seed=3)]
+        # the base run is joint+almt, so the generator's flags act in it
+        assert main([*args, "--k", "2", "--gen-lr", "0.05"]) == 0
+        assert base_cfgs == [TrainConfig(), replace(TrainConfig(), learning_rate=0.05, seed=3),
+                             replace(TrainConfig(), k=2, generator_lr=0.05)]
 
     def test_non_integer_thread_cap_is_config_error(self, dataset_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OGEN_THREADS", "two")

@@ -22,7 +22,7 @@ from ogen.embedding_store import (
     save_embeddings,
 )
 from ogen.errors import DataError
-from ogen.objective import class_probabilities
+from ogen.objective import _unit_columns, class_probabilities
 
 
 def tiny_set(dim=4):
@@ -172,14 +172,16 @@ class TestValidation:
         assert ds._split_cache is split
         stacks = [np.concatenate([class_rows(ds, c).astype(np.float64) for c in classes])
                   for classes in (ds.split.base, ds.split.new)]
-        assert split.base.dtype == np.float64 and not split.base.flags.writeable
-        np.testing.assert_array_equal(split.base, stacks[0])
-        # each base row's class position in the split, and the base classes' row offsets
-        for a in (split.positions, split.starts):
+        # the base rows once, as unit rows equal bit for bit to the unit columns the known loss normalized
+        assert split.units.dtype == np.float64 and not split.units.flags.writeable
+        np.testing.assert_array_equal(split.units, _unit_columns(stacks[0].T)[0].T)
+        # each base row's class position in the split, and each base class's first row and row count
+        for a in (split.positions, split.firsts, split.counts):
             assert not a.flags.writeable
         positions = [j for j, c in enumerate(ds.split.base) for _ in range(ds.counts[c])]
         np.testing.assert_array_equal(split.positions, positions)
-        np.testing.assert_array_equal(split.starts, np.cumsum([0, *(ds.counts[c] for c in ds.split.base)]))
+        np.testing.assert_array_equal(split.counts, [ds.counts[c] for c in ds.split.base])
+        np.testing.assert_array_equal(split.firsts, [sum(ds.counts[:c]) for c in ds.split.base])
         # of the new split, the rows whose own class is their first best frozen column
         own = np.repeat(np.arange(len(ds.split.new)), [ds.counts[c] for c in ds.split.new])
         cols = ds.embedding_columns(ds.split.new)
@@ -321,6 +323,15 @@ class TestFileFormat:
             load_embeddings(tmp_path / "absent.oef")
         with pytest.raises(DataError, match="is not a regular file"):
             load_embeddings(tmp_path)  # a directory
+
+    def test_failed_write_raises_its_own_error(self, tmp_path):
+        # the temp file cannot be made under a regular file, nor deleted after:
+        # the clean-up's error must not stand in for the write's
+        (tmp_path / "afile").write_bytes(b"")
+        with pytest.raises(NotADirectoryError) as failed:
+            write_tensor_file(tmp_path / "afile" / "t.bin", {"x": np.zeros(2)}, {})
+        assert failed.value.__context__ is None
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
     def test_tensors_are_written_from_their_own_buffers(self, tmp_path, monkeypatch):
         # a contiguous array of the stored dtype is written as it is, with no

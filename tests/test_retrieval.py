@@ -99,14 +99,14 @@ class TestBuildContext:
         # support column j is row sample_ids[j] of base class neighbor_ids[j],
         # for one conditioning class and for a batch of two
         ds = make_synthetic(SynthConfig(num_classes=8, dim=12, per_class=5, base_fraction=1.0, seed=11))
-        rows, starts = ds._split_cache.base, ds._split_cache.starts
+        rows, firsts = ds.image_features, ds._split_cache.firsts
         rng = np.random.default_rng(0)
         for neighbor_ids in ([2, 5, 7], [[2, 5, 7], [0, 2, 1]]):
             ids = np.array(neighbor_ids)
             picks = rng.integers(5, size=ids.shape)
             units = np.swapaxes(ds.class_embeddings[ids], -1, -2).astype(np.float64)  # (d, K) or (U, d, K)
-            ctx = build_context(ids, units, rows, starts, picks)
-            assert ctx.neighbor_embeddings is units
+            ctx = build_context(ids, units, rows, firsts, picks)
+            assert ctx.neighbor_embeddings is units and ctx.support_features.dtype == np.float64
             assert ctx.support_features.shape == units.shape == ids.shape[:-1] + (12, 3)
             for *u, j in np.ndindex(ids.shape):
                 column = ctx.support_features[(*u, slice(None), j)]
@@ -119,11 +119,12 @@ class TestBuildContext:
         counts = tuple(1 + c % 5 for c in range(ds.num_classes))
         keep = np.concatenate([np.arange(5 * c, 5 * c + n) for c, n in enumerate(counts)])
         ds = dataclasses.replace(ds, image_features=ds.image_features[keep], counts=counts)
-        rows, starts = ds._split_cache.base, ds._split_cache.starts
+        rows, firsts = ds.image_features, ds._split_cache.firsts
         base = ds.split.base
         sizes = [ds.counts[c] for c in base]
         last, end = len(base) - 1, sizes[-1] - 1
-        assert len(set(sizes)) > 1 and starts[-1] == len(rows)
+        assert len(set(sizes)) > 1 and list(ds._split_cache.counts) == sizes
+        assert list(firsts) == [sum(ds.counts[:c]) for c in base]
         cases = {
             "first row of the first class, (K,)": ([0, 1], [0, 0]),
             "last row of the last class, (K,)": ([1, last], [0, end]),
@@ -135,7 +136,7 @@ class TestBuildContext:
         for name, (ids, picks) in cases.items():
             ids, picks = np.array(ids), np.array(picks)
             units = np.zeros(ids.shape[:-1] + (ds.dim, ids.shape[-1]))
-            ctx = build_context(ids, units, rows, starts, picks)
+            ctx = build_context(ids, units, rows, firsts, picks)
             assert ctx.support_features.shape == units.shape, name
             for *u, j in np.ndindex(ids.shape):
                 expected = class_rows(ds, base[ids[(*u, j)]])[picks[(*u, j)]]

@@ -225,11 +225,15 @@ class TestEvaluate:
 
     def test_caches_hold_no_array_of_the_new_split(self):
         # the new split is stacked once, for the frozen verdict, and of its
-        # features the dataset keeps only the candidates; splits of unequal
-        # size tell a new-split array from a base-split one
+        # features the dataset keeps only the candidates; of the base split
+        # it keeps one float64 copy, the unit rows, and no run leaves its
+        # (C_f, N_base) frozen cosines behind (the validated row norms are
+        # one value per row). Splits of unequal size tell a new-split array
+        # from a base-split one
         ds = make_synthetic(SynthConfig(num_classes=10, per_class=6, base_fraction=0.3))
         n_base, n_new = (sum(ds.counts[c] for c in classes) for classes in (ds.split.base, ds.split.new))
         evaluate(None, train(ds, tiny_config(epochs=2)).embeddings, ds)
+        train(ds, tiny_config(epochs=1, scheme="none", distill="none"))
 
         def arrays(value):
             if isinstance(value, np.ndarray):
@@ -242,36 +246,50 @@ class TestEvaluate:
         caches = {name: value for name, value in vars(ds).items() if name not in fields}
         cached = list(arrays(tuple(caches.values())))
         assert n_base != n_new and [a.shape for a in cached if a.shape[:1] == (n_new,)] == []
-        assert set(caches) == {"_split_cache", "_known_loss_inputs", "_score_scratch"} and len(cached) == 9
+        assert set(caches) == {"_feature_norms", "_split_cache", "_score_scratch"} and len(cached) == 9
         assert ds._split_cache.n_new == n_new and 0 < len(ds._split_cache.candidates) < n_new
+        (rows,) = [a for a in cached if a.shape == (n_base, ds.dim)]
+        assert rows is ds._split_cache.units and rows.dtype == np.float64 and not rows.flags.writeable
+        assert [a for a in cached if a.shape == (len(ds.split.new), n_base)] == []
 
-    def test_known_loss_inputs_are_computed_once_per_dataset(self, monkeypatch):
-        # the base features' unit columns and their frozen-column scores
-        # serve every run of the dataset, the ablation grid's included
+    def test_unit_rows_are_built_once_and_each_run_takes_its_frozen_lse(self, monkeypatch):
+        # the base features' unit rows serve every run of the dataset, the
+        # ablation grid's included; each run builds the frozen columns' share
+        # of the known loss's denominators at its own tau
         from functools import cached_property
 
         from ogen.embedding_store import EmbeddingSet
 
-        inputs, calls = EmbeddingSet.__dict__["_known_loss_inputs"].func, []
+        build, calls, batches = EmbeddingSet.__dict__["_split_cache"].func, [], []
+        known_batch_ce = ogen.objective.known_batch_ce
 
         def spy(dataset):
             calls.append(dataset)
-            return inputs(dataset)
+            return build(dataset)
+
+        def known_spy(features, class_matrix, tau, targets, frozen_lse):
+            batches.append((features, tau, frozen_lse))
+            return known_batch_ce(features, class_matrix, tau, targets, frozen_lse)
 
         prop = cached_property(spy)
-        prop.__set_name__(EmbeddingSet, "_known_loss_inputs")
-        monkeypatch.setattr(EmbeddingSet, "_known_loss_inputs", prop)
+        prop.__set_name__(EmbeddingSet, "_split_cache")
+        monkeypatch.setattr(EmbeddingSet, "_split_cache", prop)
+        monkeypatch.setattr(ogen.objective, "known_batch_ce", known_spy)
         monkeypatch.setenv("OGEN_THREADS", "2")
         ds = tiny_dataset(seed=2)
         cfg = tiny_config(epochs=2)
         first = train(ds, cfg)
         assert train(ds, cfg).metrics == first.metrics
+        assert train(ds, dataclasses.replace(cfg, tau=0.05)).metrics != first.metrics
         ablate(ds, cfg, seeds=1)
         assert len(calls) == 1 and calls[0] is ds
-        units, frozen_scores = ds._known_loss_inputs
-        n = len(ds._split_cache.base)
-        assert units.shape == (ds.dim, n) and frozen_scores.shape == (len(ds.split.new), n)
-        assert not (units.flags.writeable or frozen_scores.flags.writeable)
+        # log sum_f exp(cos_f / tau) over the frozen columns, one feature at a time
+        frozen = ds.embedding_columns(ds.split.new)
+        frozen = frozen / np.linalg.norm(frozen, axis=0)
+        assert {tau for _, tau, _ in batches} == {cfg.tau, 0.05}
+        for features, tau, frozen_lse in batches:
+            brute = [np.logaddexp.reduce(frozen.T @ f / tau) for f in features.T]
+            np.testing.assert_allclose(frozen_lse, brute, rtol=1e-13)
 
     def test_no_new_classes_leave_the_known_loss_as_without_frozen_columns(self, monkeypatch):
         # base_fraction 1.0 makes the frozen log-sum-exp -inf: it adds
@@ -483,7 +501,7 @@ class TestTrainedGeneratorImproves:
         base = list(ds.split.base)
         base_emb = result.embeddings
         union = np.concatenate([base_emb, ds.embedding_columns(ds.split.new)], axis=1)
-        rows, starts = ds._split_cache.base, ds._split_cache.starts
+        rows, firsts = ds.image_features, ds._split_cache.firsts
         rng = np.random.default_rng(99)
         wins = []
         gains = []
@@ -496,7 +514,7 @@ class TestTrainedGeneratorImproves:
                 classes = [base[i] for i in ocols]
                 picks = rng.integers([ds.counts[c] for c in classes])
                 raw = base_emb[:, ocols]
-                ctx = build_context(ocols, raw / np.linalg.norm(raw, axis=0), rows, starts, picks)
+                ctx = build_context(ocols, raw / np.linalg.norm(raw, axis=0), rows, firsts, picks)
                 wq = w / np.linalg.norm(w)
                 z_tr, _ = extrapolate_per_class(ctx, wq, result.params)
                 z_ln, _ = extrapolate_per_class(ctx, wq, params_init)
