@@ -44,30 +44,30 @@ def write_atomically(path, chunks, reuse_aside: bool = False) -> None:
     the temp file to path, and delete the aside. No rename lands on an
     existing file (on ext4 that starts the new file's writeback). A killed
     process leaves path or the aside whole, and maybe the temp file; a
-    power loss (no fsync) can lose both. Each step is an os call on a str
-    path, as this runs for every epoch's state and teacher checkpoint.
+    power loss (no fsync) can lose both. A directory at either is a
+    DataError. Each step is an os call on a str path: this runs every epoch.
 
     reuse_aside, for the one file rewritten every epoch, keeps the aside,
-    and a later write, while path is a regular file and the aside a
-    regular file of one link, rewrites the aside in place and swaps it in
-    with three renames onto free names (path to the temp name, the aside
-    to path, the temp to the aside): it creates and deletes no file. The
-    caller deletes the aside after its last write."""
+    and a later write, while path is a regular file, rewrites the aside
+    (write_in_place) and swaps it in with three renames onto free names
+    (path to the temp name, the aside to path, the temp to the aside): it
+    creates and deletes no file. The caller deletes the aside after its
+    last write."""
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp, aside = os.path.join(head, _TEMP.format(name=name, pid=os.getpid())), os.path.join(head, f".{name}.prev")
-    if reuse_aside and _rewrite_aside(path, aside, chunks):
+    if reuse_aside and os.path.isfile(path) and not os.path.islink(path) and write_in_place(aside, chunks):
         os.replace(path, tmp)
         os.replace(aside, path)
         os.replace(tmp, aside)
         return
-    files_only([aside])
+    files_only([path, aside])
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         if os.path.isfile(path):
-            _unlink(aside)  # a killed write's, older than path, or what _rewrite_aside would not write to
+            _unlink(aside)  # a killed write's, older than path, or what write_in_place would not write to
             os.replace(path, aside)
         os.replace(tmp, path)
     except BaseException:
@@ -77,15 +77,13 @@ def write_atomically(path, chunks, reuse_aside: bool = False) -> None:
         _unlink(aside)
 
 
-def _rewrite_aside(path: str, aside: str, chunks) -> bool:
-    """Write chunks over the aside from its first byte and cut it to their
-    length, if path is a regular file and the aside a regular file of one
-    link, neither reached through a symlink; else write nothing and return
-    False. A write that fails part-way deletes the torn aside."""
+def write_in_place(path, chunks) -> bool:
+    """Write chunks over the file at path from its first byte and cut it to
+    their length, if it is a regular file of one link not reached through
+    a symlink: no file is created, renamed or deleted. Else write nothing
+    and return False. A write that fails part-way deletes the torn file."""
     try:
-        if not stat.S_ISREG(os.lstat(path).st_mode):
-            return False
-        fd = os.open(aside, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)  # a FIFO without reader fails at once
+        fd = os.open(path, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)  # a FIFO without reader fails at once
     except OSError:
         return False
     info = os.fstat(fd)
@@ -98,7 +96,7 @@ def _rewrite_aside(path: str, aside: str, chunks) -> bool:
                 fh.write(chunk)
             fh.truncate()
     except BaseException:
-        _unlink(aside, OSError)
+        _unlink(path, OSError)
         raise
     return True
 

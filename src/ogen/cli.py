@@ -32,6 +32,7 @@ from .trainer import (
     evaluate,
     harmonic_mean,
     load_state,
+    prune_queue,
     remove_state,
     save_state,
     train,
@@ -60,11 +61,12 @@ def cli():
 @click.option("--text-noise", type=float, default=SynthConfig.text_noise, show_default=True)
 @click.option("--base-frac", "base_fraction", type=float, default=SynthConfig.base_fraction, show_default=True)
 @click.option("--seed", type=int, default=SynthConfig.seed, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output .oef path.")
+@click.option("--out", type=click.Path(), required=True, help="Output .oef path.")
 def gen_data(out, **params):
     """Generate a synthetic embedding dataset and write it to disk."""
     out_path = Path(out)
     _makeable(out_path.parent, out_path)
+    files_only([out_path])
     dataset = make_synthetic(SynthConfig(**params))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_embeddings(dataset, out_path)
@@ -77,7 +79,8 @@ def gen_data(out, **params):
 
 def _makeable(directory: Path, out: Path) -> None:
     """A DataError naming out if the nearest existing one of directory and its
-    parents is no directory; a command checks this before any work."""
+    parents is no directory; a command checks this before any work, in place
+    of click's own check of a path's kind, which exits 1."""
     if not (nearest := next(p for p in (directory, *directory.parents) if p.exists())).is_dir():
         raise DataError(f"cannot write {out}: {nearest} is not a directory")
 
@@ -158,7 +161,7 @@ def _lock_run(run_dir: Path, held: ExitStack) -> None:
 
 @cli.command("train")
 @click.option("--data", type=click.Path(exists=False), required=True, help="Dataset (.oef).")
-@click.option("--out", type=click.Path(file_okay=False), default="ogen-run", show_default=True)
+@click.option("--out", type=click.Path(), default="ogen-run", show_default=True)
 @click.option("--epochs", type=int, default=TrainConfig.epochs, show_default=True)
 @click.option("--batch-size", type=int, default=TrainConfig.batch_size, show_default=True)
 @click.option("--k", type=int, default=TrainConfig.k, show_default=True, help="Neighbor classes per synthesis.")
@@ -195,6 +198,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
     config_path = run_dir / "config.json"
     run_files = [state_path, config_path, metrics_path, run_dir / "checkpoint.bin", run_dir / "curves.svg"]
 
+    _makeable(run_dir, run_dir)
     with ExitStack() as held:
         if resume:
             for path in (config_path, metrics_path):
@@ -211,7 +215,6 @@ def cmd_train(ctx, data, out, resume, plot, **_):
                 return
         else:
             state, cfg = None, _train_config(ctx)
-            _makeable(run_dir, run_dir)
 
         dataset = load_embeddings(data)
         cfg.validate(dataset)
@@ -221,6 +224,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
             for tmp in files_only(temp_paths(*run_files)):  # not the asides: one may hold the only state
                 tmp.unlink()
             _truncate_metrics(metrics_path, state.next_epoch)
+            prune_queue(state_path, state)
             click.echo(f"resuming from epoch {state.next_epoch}")
         else:
             run_dir.mkdir(parents=True, exist_ok=True)
@@ -270,12 +274,14 @@ def cmd_train(ctx, data, out, resume, plot, **_):
 
 
 @cli.command("eval")
-@click.option("--run", "run_dir", type=click.Path(file_okay=False), required=True)
+@click.option("--run", "run_dir", type=click.Path(), required=True)
 @click.option("--data", type=click.Path(), default=None, help="Override the dataset path.")
 @click.option("--csv", "as_csv", is_flag=True, help="Emit a machine-readable row.")
 def cmd_eval(run_dir, data, as_csv):
     """Evaluate the checkpoint of a finished (or partial) run."""
     run = Path(run_dir)
+    if run.exists() and not run.is_dir():
+        raise DataError(f"{run} is not a run directory")
     state, cfg = load_state(run / "state.bin")
     if data is None:
         config_path = run / "config.json"
@@ -304,7 +310,7 @@ def cmd_hmean(base, new):
 
 @cli.command("ablate")
 @click.option("--data", type=click.Path(), required=True)
-@click.option("--out", type=click.Path(file_okay=False), default="ogen-ablation", show_default=True)
+@click.option("--out", type=click.Path(), default="ogen-ablation", show_default=True)
 @click.option("--seeds", type=int, default=3, show_default=True)
 @click.pass_context
 def cmd_ablate(ctx, data, out, seeds, **_):

@@ -45,9 +45,11 @@ def window_size(t: int, cfg: ScheduleConfig) -> int:
 @dataclass
 class TeacherQueue:
     """FIFO of the (epoch, params) checkpoints of the last m_max + 1 epochs,
-    newest last. crcs maps the epoch of a checkpoint to the crc32 of its
-    bytes once a save has written it to the directory crc_dir, or a load
-    has read it from there, until the checkpoint is evicted."""
+    newest last; a save keeps them in a ring of m_max + 2 files, epoch e's
+    in file e mod (m_max + 2) (trainer.save_state). crcs maps the epoch of
+    a checkpoint to the crc32 of its bytes once a save has written it to
+    the directory crc_dir, or a load has read it from there, until the
+    checkpoint is evicted."""
 
     schedule: ScheduleConfig
     entries: list = field(default_factory=list)

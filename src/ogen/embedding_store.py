@@ -156,6 +156,12 @@ class EmbeddingSet:
         return cache
 
     @cached_property
+    def _frozen_lse(self) -> dict:
+        """tau -> the known loss's frozen share of each unit row's softmax
+        denominator at that tau, an (N,) vector (trainer._frozen_lse)."""
+        return {}
+
+    @cached_property
     def _score_scratch(self) -> dict:
         """Thread id -> the score matrix trainer._EvalCache fills."""
         return {}

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import objective
 from ._tensorio import aside_path, check_format, current, files_only, open_regular, read_tensor_file
-from ._tensorio import temp_paths, write_atomically, write_tensor_file
+from ._tensorio import temp_paths, write_atomically, write_in_place, write_tensor_file
 from .distillation import (
     ScheduleConfig,
     TeacherQueue,
@@ -57,6 +57,7 @@ SCHEMES = ("none", "per_class", "joint")
 DISTILL_MODES = ("none", "mt", "almt")
 # the Python types each TrainConfig annotation admits: a bool is no int, an int is a float
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)}
+_FROZEN_LSE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -355,6 +356,19 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     return gen_grads, emb_grad, synth_ce / n_unk, mse / n_unk
 
 
+def _frozen_lse(dataset: EmbeddingSet, frozen_new: np.ndarray, tau: float) -> np.ndarray:
+    """Each unit row's log sum_f exp(cos_f / tau) over the frozen columns
+    frozen_new, from (C_f, N) cosines that no one keeps: the dataset keeps
+    the (N,) vector of each tau, read-only, for every later run."""
+    with _FROZEN_LSE_LOCK:  # one build per tau, also when ablate's runs start together
+        if (lse := dataset._frozen_lse.get(tau)) is None:
+            scores = objective._unit_columns(frozen_new)[0].T @ dataset._split_cache.units.T
+            scores /= tau
+            lse = dataset._frozen_lse[tau] = np.logaddexp.reduce(scores, axis=0, initial=-np.inf)
+            lse.setflags(write=False)
+    return lse
+
+
 def check_state(state: TrainState, dataset: EmbeddingSet) -> None:
     """Reject a run state whose embeddings are not (dim, C_base) of the dataset."""
     expected = (dataset.dim, len(dataset.split.base))
@@ -377,14 +391,10 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     # unit columns from the dataset's (N, d) unit rows. Frozen new-class
     # columns join every softmax denominator, as in synthesis and evaluation;
     # they never receive updates, so each base feature's share of the
-    # denominator, log sum_f exp(cos_f / tau), is built once per run from
-    # (C_f, N) cosines that the run does not keep
+    # denominator, log sum_f exp(cos_f / tau), is built once per dataset and tau
     cache = dataset._split_cache
     frozen_new = dataset.embedding_columns(dataset.split.new)
-    frozen_scores = objective._unit_columns(frozen_new)[0].T @ cache.units.T
-    frozen_scores /= cfg.tau
-    frozen_lse = np.logaddexp.reduce(frozen_scores, axis=0, initial=-np.inf)
-    del frozen_scores
+    frozen_lse = _frozen_lse(dataset, frozen_new, cfg.tau)
     rng = state.rng
     rows = []
 
@@ -465,20 +475,23 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
 
 
 def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
-    """Version 5: one tensor per generator bundle, holding its flat vector,
+    """Version 6: one tensor per generator bundle, holding its flat vector,
     but for an almt run's params, which its newest teacher checkpoint holds.
-    Each checkpoint is a file of its own in the directory beside path
-    (run/state.queue/ for run/state.bin), written once, before the state
-    file that lists it; the state file then replaces the old one, and last
-    the directory loses every entry it does not list. The old state file
-    stays set aside (run/.state.bin.prev), and the next save rewrites it in
-    place (write_atomically's reuse_aside): a caller that saves no more
-    deletes it, or remove_state deletes it with the rest."""
+    The checkpoints are a ring of m_max + 2 files in the directory beside
+    path (run/state.queue/ for run/state.bin), epoch e's in <e mod
+    (m_max + 2)>.f8, each written before the state file that lists it,
+    which then replaces the old one. Writing epoch n's overwrites epoch
+    n - m_max - 2's, which no state on disk lists: state.bin lists epochs
+    >= n - m_max - 1, and between the swap renames, while it is missing,
+    the aside already holds the new state, listing epochs >= n - m_max. The
+    old state file stays set aside (run/.state.bin.prev), and the next save
+    rewrites it in place (write_atomically's reuse_aside): a caller that
+    saves no more deletes it, or remove_state deletes it with the rest."""
     tensors = {"embeddings": state.embeddings, "emb_velocity": state.emb_velocity}
     queue = state.queue
     meta = {
         "format": "ogen-run-state",
-        "version": 5,
+        "version": 6,
         "next_epoch": state.next_epoch,
         "rng": state.rng.bit_generator.state,
         "config": vars(cfg),  # scalar fields, which asdict would deep-copy one by one, every epoch
@@ -494,11 +507,17 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
         if state.mt_teacher is not None:
             tensors["mt"] = state.mt_teacher.flat
     write_tensor_file(path, tensors, meta, reuse_aside=True)
-    if queue is not None:
-        listed = {f"{epoch}.f8" for epoch in meta["queue_epochs"]}
-        for entry in _queue_path(path).iterdir():
-            if entry.name not in listed:
-                _delete(entry)
+
+
+def prune_queue(path, state: TrainState) -> None:
+    """Delete each entry of the checkpoint directory of the state file at path
+    that state does not list, a directory too: a resume keeps only its own."""
+    directory = _queue_path(path)
+    if state.queue is not None:
+        _own_directory(directory)
+        listed = {_ring_file(directory, state.queue, epoch) for epoch, _ in state.queue.entries}
+        for entry in set(directory.iterdir()) - listed:  # listed before the first delete
+            _delete(entry)
 
 
 def remove_state(path) -> None:
@@ -527,37 +546,42 @@ def _queue_path(path) -> Path:
     return path.with_name(f"{path.stem}.queue")
 
 
-def _own_directory(directory: Path) -> None:  # a save deletes each entry that it does not list
+def _ring_file(directory: Path, queue: TeacherQueue, epoch: int) -> Path:  # one of m_max + 2, reused in turn
+    return directory / f"{epoch % (queue.capacity + 1)}.f8"
+
+
+def _own_directory(directory: Path) -> None:  # a save writes into it, and a resume deletes from it
     if os.path.islink(directory) or not os.path.isdir(directory):
         raise DataError(f"{directory} is not a directory of the run's own, where it keeps its checkpoints")
 
 
 def _save_queue(directory: Path, queue: TeacherQueue) -> list:
-    """Write each checkpoint of the queue that has no file in directory
-    yet to one, <epoch>.f8: its 8 * P bytes of little-endian float64, with
-    no header. Returns the crc32s, oldest first. A checkpoint has a crc32
-    once this process has written it to queue.crc_dir or read it whole
-    from there, so a save to any other directory writes every one."""
+    """Write each checkpoint of the queue not in directory yet over its ring
+    file (write_in_place), or in its place: its 8 * P bytes of little-endian
+    float64, with no header. Returns the crc32s, oldest first. A checkpoint
+    has a crc32 once this process has written it to queue.crc_dir or read
+    it whole from there, so a save to any other directory writes every one."""
     if not os.path.lexists(directory):
         directory.mkdir()
-    _own_directory(directory)  # before the first write, and before save_state deletes what it does not list
+    _own_directory(directory)  # before the first write
     if queue.crc_dir != directory:
         queue.crcs.clear()
         queue.crc_dir = directory
     for epoch, params in queue.entries:
         if epoch not in queue.crcs:
-            row = params.flat.astype("<f8", copy=False)
-            write_atomically(directory / f"{epoch}.f8", [row.data])
+            row, file = params.flat.astype("<f8", copy=False), _ring_file(directory, queue, epoch)
+            if not write_in_place(file, [row.data]):
+                write_atomically(file, [row.data])
             queue.crcs[epoch] = zlib.crc32(row)
     return [queue.crcs[epoch] for epoch, _ in queue.entries]
 
 
 def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, bundle, size: int) -> None:
-    """Fill queue with the checkpoints of these epochs from their files in
-    directory; each file must hold size values with the listed crc32."""
+    """Fill queue with the checkpoints of these epochs from their ring files
+    in directory; each file must hold size values with the listed crc32."""
     _own_directory(directory)
     for epoch, crc in zip(epochs, crcs):
-        file, row = directory / f"{epoch}.f8", np.empty(size, dtype="<f8")
+        file, row = _ring_file(directory, queue, epoch), np.empty(size, dtype="<f8")
         try:
             with open_regular(file) as fh:  # no more than a checkpoint's bytes, however long the file
                 whole = fh.readinto(row) == 8 * size and not fh.read(1)
@@ -578,7 +602,7 @@ def load_state(path):
     """Returns (TrainState, TrainConfig) from the state file at current(path) and its checkpoints."""
     source = current(path)
     tensors, meta = read_tensor_file(source)
-    check_format(source, meta, "ogen-run-state", 5, "start a new run")
+    check_format(source, meta, "ogen-run-state", 6, "start a new run")
     try:
         return _state_from(tensors, meta, _queue_path(path))
     except DataError as exc:

@@ -250,6 +250,25 @@ def test_output_under_a_regular_file_is_data_error_before_any_work(dataset_path,
     assert file_tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("command", ["train", "resume", "ablate", "eval", "gen-data"])
+def test_path_of_the_wrong_kind_is_data_error_before_any_work(dataset_path, tmp_path, capsys, monkeypatch, command):
+    # a regular file where a command takes a directory, or a directory where
+    # it writes a file, is a data error that names the path (click's own
+    # check exits 1), found before the command computes or writes anything
+    wrong = tmp_path / ("adir" if command == "gen-data" else "afile")
+    wrong.mkdir() if command == "gen-data" else wrong.write_bytes(b"")
+    for name in ("make_synthetic", "load_embeddings", "load_state"):
+        monkeypatch.setattr(ogen.cli, name, lambda *args: pytest.fail(f"{command} went on to work"))
+    before = file_tree(tmp_path)
+    args = {"train": train_args(dataset_path, wrong), "resume": resume_args(dataset_path, wrong),
+            "ablate": ["ablate", "--data", str(dataset_path), "--out", str(wrong), "--seeds", "1", "--epochs", "1"],
+            "eval": ["eval", "--run", str(wrong)], "gen-data": gen_args(wrong)}
+    assert main(args[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{wrong} is" in err and "Traceback" not in err
+    assert file_tree(tmp_path) == before and sorted(p.name for p in tmp_path.iterdir()) == sorted(["d.oef", wrong.name])
+
+
 class TestTrain:
     def test_run_directory_contents(self, dataset_path, tmp_path):
         run = tmp_path / "run"
@@ -674,17 +693,18 @@ class TestResume:
         assert "gen_meta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("step", ["slot_write", "state_write", "moved_aside", "rewrite",
-                                      "renamed_away", "renamed_in", "renamed_aside", "cleanup"])
+                                      "renamed_away", "renamed_in", "renamed_aside", "slot_create"])
     def test_killed_save_keeps_the_resume_point(self, dataset_path, tmp_path, monkeypatch, step):
-        # a window of 2 keeps 3 checkpoints; the sixth save (epoch 5, which
-        # evicts epoch 2) dies in one of its steps: half way through writing
-        # checkpoint 5 or rewriting the kept .state.bin.prev in place, after
-        # one of the three renames that swap it in (state.bin to a temp name,
-        # the aside to state.bin, the temp name to the aside), or before it
-        # deletes checkpoint 2. The second save (epoch 1), the first to set an
-        # old state.bin aside, dies half way through writing its temp file or
-        # after it moved the old state.bin aside but before it renamed the new
-        # one in
+        # a window of 2 keeps 3 checkpoints in a ring of 4 files; the sixth
+        # save (epoch 5) dies in one of its steps: half way through rewriting
+        # ring file 1 (epoch 1's) with checkpoint 5 or rewriting the kept
+        # .state.bin.prev in place, or after one of the three renames that
+        # swap it in (state.bin to a temp name, the aside to state.bin, the
+        # temp name to the aside). The fourth save (epoch 3) dies half way
+        # through writing the temp file of ring file 3, its first write. The
+        # second save (epoch 1), the first to set an old state.bin aside,
+        # dies half way through writing its temp file or after it moved the
+        # old state.bin aside but before it renamed the new one in
         import builtins
 
         import ogen._tensorio
@@ -712,12 +732,14 @@ class TestResume:
                 self.fh.write(data[: len(data) // 2])
                 raise OSError("killed mid-write")
 
-        # write_atomically opens a temp file by its name, and rewrites a kept
-        # aside through a descriptor; each save from the third on rewrites one
+        # write_atomically opens a temp file by its name, and write_in_place
+        # a file through a descriptor: each save from the third on rewrites
+        # the kept aside, and from the fifth on first a ring file
         opened, nth = {
-            "slot_write": (lambda path: "state.queue" in str(path), 6),
+            "slot_create": (lambda path: "state.queue" in str(path), 4),
             "state_write": (lambda path: ".state.bin." in str(path), 2),
-            "rewrite": (lambda path: isinstance(path, int), 4),
+            "slot_write": (lambda path: isinstance(path, int), 5),
+            "rewrite": (lambda path: isinstance(path, int), 6),
         }.get(step, (None, 0))
 
         def killing_open(path, how="r", *args):
@@ -742,36 +764,29 @@ class TestResume:
                     raise OSError("killed after a rename")
             return real_replace(src, dst)
 
-        real_unlink = pathlib.Path.unlink
-
-        def killing_unlink(path, *args, **kwargs):
-            # the saves of epochs 3, 4 and 5 delete 0, 1 and 2
-            if path.parent.name == "state.queue" and path.stem.isdigit():
-                calls.append(path)
-                if len(calls) == 3:
-                    raise OSError("killed before deleting an evicted checkpoint")
-            return real_unlink(path, *args, **kwargs)
-
-        if step == "cleanup":
-            monkeypatch.setattr(pathlib.Path, "unlink", killing_unlink)
-        elif renamed:
+        if renamed:
             monkeypatch.setattr(os, "replace", killing_replace)
         else:
             monkeypatch.setattr(ogen._tensorio, "open", killing_open, raising=False)
         with pytest.raises(OSError, match="killed"):
             main(train_args(dataset_path, run, epochs=8, extra=window))
         monkeypatch.undo()
+        # a torn write deletes its file: the ring file, the temp file or the aside
+        queue = run / "state.queue"
+        assert not {"slot_write": queue / "1.f8", "slot_create": queue / "3.f8",
+                    "rewrite": run / ".state.bin.prev"}.get(step, run / "absent").exists()
         if step == "slot_write":
-            # a process killed outright also skips write_atomically's cleanup
-            (run / "state.queue" / ".5.f8.99999.tmp").write_bytes(b"\0" * 100)
+            # a process killed outright leaves the torn ring file
+            (queue / "1.f8").write_bytes(b"\0" * 100)
+        if step == "slot_create":
+            # and skips write_atomically's cleanup
+            (queue / ".3.f8.99999.tmp").write_bytes(b"\0" * 100)
         # the new state is whole from the end of the rewrite on, in the aside
-        # until the second rename; the cleanup runs after it is swapped in
-        killed_epoch = 1 if step in ("state_write", "moved_aside") else 5
-        saved = step in ("renamed_away", "renamed_in", "renamed_aside", "cleanup")
+        # until the second rename
+        killed_epoch = {"state_write": 1, "moved_aside": 1, "slot_create": 3}.get(step, 5)
+        saved = step in ("renamed_away", "renamed_in", "renamed_aside")
         assert load_state(run / "state.bin")[0].next_epoch == killed_epoch + saved
         assert (run / "state.bin").exists() == (step not in ("moved_aside", "renamed_away"))
-        if killed_epoch == 5:
-            assert (run / "state.queue" / "2.f8").exists()
         assert main(["eval", "--run", str(run)]) == 0
         assert main(resume_args(dataset_path, run)) == 0
         assert file_tree(run) == file_tree(full)
@@ -914,8 +929,8 @@ class TestResume:
         assert {name: (run / name).read_bytes() for name in before} == before
 
     def test_resume_deletes_an_unlisted_subdirectory_of_the_queue(self, dataset_path, tmp_path):
-        # the save after the resumed epoch deletes every entry of state.queue/
-        # that the new state.bin does not list, a directory with all it holds too
+        # a resume deletes every entry of state.queue/ that the resumed state
+        # does not list, a directory with all it holds too
         run, full = tmp_path / "run", tmp_path / "full"
         assert main(train_args(dataset_path, full, epochs=4)) == 0
         self.rewound_run(dataset_path, run)
@@ -1110,7 +1125,7 @@ class TestHostileRunFiles:
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
-        assert "version 2 is not version 5" in capsys.readouterr().err
+        assert "version 2 is not version 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_version_3_state_is_data_error(self, dataset_path, tmp_path, capsys, command):
@@ -1122,7 +1137,7 @@ class TestHostileRunFiles:
         write_tensor_file(run / "state.bin", tensors, meta)
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
-        assert "version 3 is not version 5, the only one this ogen reads; start a new run" in capsys.readouterr().err
+        assert "version 3 is not version 6, the only one this ogen reads; start a new run" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_version_4_state_is_data_error(self, dataset_path, tmp_path, capsys, command):
@@ -1138,7 +1153,24 @@ class TestHostileRunFiles:
         before = file_tree(run)
         capsys.readouterr()
         assert main(self.command(command, dataset_path, run)) == 2
-        assert "version 4 is not version 5, the only one this ogen reads; start a new run" in capsys.readouterr().err
+        assert "version 4 is not version 6, the only one this ogen reads; start a new run" in capsys.readouterr().err
+        assert file_tree(run) == before
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_version_5_state_is_data_error(self, dataset_path, tmp_path, capsys, command):
+        # version 5 kept epoch e's checkpoint in state.queue/<e>.f8, and only
+        # the listed ones, where version 6 keeps it in ring file e mod (m_max + 2)
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, epochs=5, extra=["--m-min", "2", "--m-max", "2"])) == 0
+        tensors, meta = read_tensor_file(run / "state.bin")
+        meta["version"] = 5
+        write_tensor_file(run / "state.bin", tensors, meta)
+        (run / "state.queue" / "1.f8").unlink()
+        (run / "state.queue" / "0.f8").rename(run / "state.queue" / "4.f8")
+        before = file_tree(run)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert "version 5 is not version 6, the only one this ogen reads; start a new run" in capsys.readouterr().err
         assert file_tree(run) == before
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
@@ -1184,9 +1216,11 @@ class TestHostileRunFiles:
         elif damage.startswith("oversized"):
             os.truncate(bad, 64 * 2**20)  # sparse: the extra zeros take no disk
         elif damage in ("another_run", "other_window"):
-            # the run with a constant window of 2 keeps epochs 1-3, so it has no 0.f8
+            # 6 epochs with a constant window of 2 leave epochs 4, 5, 2, 3 in its ring of 4 files,
+            # so its 0.f8 holds epoch 4
             extra = ["--lr", "0.05"] if damage == "another_run" else ["--m-min", "2", "--m-max", "2"]
-            assert main(train_args(dataset_path, other, epochs=4, extra=extra)) == 0
+            epochs = 4 if damage == "another_run" else 6
+            assert main(train_args(dataset_path, other, epochs=epochs, extra=extra)) == 0
             shutil.rmtree(queue)
             shutil.copytree(other / "state.queue", queue)
         elif damage == "wrong_epoch_tag":  # another epoch's checkpoint under this epoch's name
@@ -1295,8 +1329,9 @@ class TestHostileRunFiles:
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_symlinked_queue_is_data_error_and_changes_no_file(self, dataset_path, tmp_path, capsys, command):
-        # a save deletes each entry of state.queue that it does not list:
-        # through a symlink, that would be another directory's files
+        # a save writes its ring files into state.queue, and a resume deletes
+        # each entry that its state does not list: through a symlink, those
+        # would be another directory's files
         run, target = tmp_path / "run", tmp_path / "target"
         TestResume.rewound_run(dataset_path, run)
         shutil.move(run / "state.queue", target)
@@ -1307,7 +1342,7 @@ class TestHostileRunFiles:
         assert main(self.command(command, dataset_path, run)) == 2
         err = capsys.readouterr().err
         assert f"{run / 'state.queue'} is not a directory of the run's own" in err
-        assert file_tree(target) == outside and sorted(outside) == ["0.f8", "1.f8", "precious.txt"]
+        assert file_tree(target) == outside and sorted(outside) == ["0.f8", "1.f8", "2.f8", "3.f8", "precious.txt"]
         assert file_tree(run) == before and os.readlink(run / "state.queue") == str(target)
 
 

@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import os
+import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -227,9 +229,10 @@ class TestEvaluate:
         # the new split is stacked once, for the frozen verdict, and of its
         # features the dataset keeps only the candidates; of the base split
         # it keeps one float64 copy, the unit rows, and no run leaves its
-        # (C_f, N_base) frozen cosines behind (the validated row norms are
-        # one value per row). Splits of unequal size tell a new-split array
-        # from a base-split one
+        # (C_f, N_base) frozen cosines behind, only their log-sum-exp at the
+        # runs' one tau (the validated row norms and that vector are one
+        # value per row). Splits of unequal size tell a new-split array from
+        # a base-split one
         ds = make_synthetic(SynthConfig(num_classes=10, per_class=6, base_fraction=0.3))
         n_base, n_new = (sum(ds.counts[c] for c in classes) for classes in (ds.split.base, ds.split.new))
         evaluate(None, train(ds, tiny_config(epochs=2)).embeddings, ds)
@@ -246,7 +249,8 @@ class TestEvaluate:
         caches = {name: value for name, value in vars(ds).items() if name not in fields}
         cached = list(arrays(tuple(caches.values())))
         assert n_base != n_new and [a.shape for a in cached if a.shape[:1] == (n_new,)] == []
-        assert set(caches) == {"_feature_norms", "_split_cache", "_score_scratch"} and len(cached) == 9
+        assert set(caches) == {"_feature_norms", "_split_cache", "_frozen_lse", "_score_scratch"} and len(cached) == 10
+        assert list(ds._frozen_lse) == [tiny_config().tau] and ds._frozen_lse[tiny_config().tau].shape == (n_base,)
         assert ds._split_cache.n_new == n_new and 0 < len(ds._split_cache.candidates) < n_new
         (rows,) = [a for a in cached if a.shape == (n_base, ds.dim)]
         assert rows is ds._split_cache.units and rows.dtype == np.float64 and not rows.flags.writeable
@@ -254,13 +258,13 @@ class TestEvaluate:
 
     def test_unit_rows_are_built_once_and_each_run_takes_its_frozen_lse(self, monkeypatch):
         # the base features' unit rows serve every run of the dataset, the
-        # ablation grid's included; each run builds the frozen columns' share
-        # of the known loss's denominators at its own tau
+        # ablation grid's included; the frozen columns' share of the known
+        # loss's denominators is built once per tau and serves every run at it
         from functools import cached_property
 
         from ogen.embedding_store import EmbeddingSet
 
-        build, calls, batches = EmbeddingSet.__dict__["_split_cache"].func, [], []
+        build, calls, batches, built = EmbeddingSet.__dict__["_split_cache"].func, [], [], []
         known_batch_ce = ogen.objective.known_batch_ce
 
         def spy(dataset):
@@ -271,18 +275,41 @@ class TestEvaluate:
             batches.append((features, tau, frozen_lse))
             return known_batch_ce(features, class_matrix, tau, targets, frozen_lse)
 
-        prop = cached_property(spy)
-        prop.__set_name__(EmbeddingSet, "_split_cache")
-        monkeypatch.setattr(EmbeddingSet, "_split_cache", prop)
+        class Built(dict):
+            def __setitem__(self, tau, lse):
+                built.append(tau)
+                super().__setitem__(tau, lse)
+
+        for name, func in (("_split_cache", spy), ("_frozen_lse", lambda dataset: Built())):
+            prop = cached_property(func)
+            prop.__set_name__(EmbeddingSet, name)
+            monkeypatch.setattr(EmbeddingSet, name, prop)
         monkeypatch.setattr(ogen.objective, "known_batch_ce", known_spy)
         monkeypatch.setenv("OGEN_THREADS", "2")
         ds = tiny_dataset(seed=2)
         cfg = tiny_config(epochs=2)
+        # runs that start together, as ablate's do, on a dataset with nothing
+        # built yet, and a build slow enough for each of them to start one
+        frozen_new, unit_columns = ds.embedding_columns(ds.split.new), ogen.objective._unit_columns
+        monkeypatch.setattr(ogen.objective, "_unit_columns", lambda a: time.sleep(0.01) or unit_columns(a))
+        with ThreadPoolExecutor(8) as pool:
+            lses = list(pool.map(lambda _: ogen.trainer._frozen_lse(ds, frozen_new, cfg.tau), range(8)))
+        monkeypatch.setattr(ogen.objective, "_unit_columns", unit_columns)
+        assert all(lse is lses[0] for lse in lses)
         first = train(ds, cfg)
         assert train(ds, cfg).metrics == first.metrics
         assert train(ds, dataclasses.replace(cfg, tau=0.05)).metrics != first.metrics
         ablate(ds, cfg, seeds=1)
         assert len(calls) == 1 and calls[0] is ds
+        assert built == [cfg.tau, 0.05]
+        # each kept vector has the bits of the one each run built for itself:
+        # the (C_f, N) frozen cosines over tau, reduced along the frozen axis
+        unit = ogen.objective._unit_columns(ds.embedding_columns(ds.split.new))[0]
+        for tau, lse in ds._frozen_lse.items():
+            assert not lse.flags.writeable
+            scores = unit.T @ ds._split_cache.units.T
+            scores /= tau
+            assert np.array_equal(lse, np.logaddexp.reduce(scores, axis=0, initial=-np.inf))
         # log sum_f exp(cos_f / tau) over the frozen columns, one feature at a time
         frozen = ds.embedding_columns(ds.split.new)
         frozen = frozen / np.linalg.norm(frozen, axis=0)
@@ -679,7 +706,7 @@ class TestStatePersistence:
         result = train(ds, cfg)
         save_state(tmp_path / "state.bin", result.state, cfg)
         tensors, meta = ogen._tensorio.read_tensor_file(tmp_path / "state.bin")
-        assert meta["version"] == 5
+        assert meta["version"] == 6
         # an almt run's params are its newest checkpoint, stored in state.queue/ only
         params = [] if distill == "almt" else ["params"]
         assert list(tensors) == ["embeddings", "emb_velocity", *params, "velocity", *bundles]
@@ -695,18 +722,20 @@ class TestStatePersistence:
             return
         # the queue holds its teacher's widest window, m_max + 1: 4 for the
         # window growing to 3 and 3 for the constant window of 2, one
-        # headerless file of little-endian float64 per checkpoint
+        # headerless file of little-endian float64 per checkpoint, epoch e's
+        # in ring file e mod (m_max + 2)
         capacity = 3 if window == 2 else 4
         epochs = list(range(7 - capacity, 7))
         assert meta["queue_epochs"] == epochs == [e for e, _ in state.queue.entries]
         files = file_tree(tmp_path)
-        assert sorted(files) == ["state.bin", *(f"state.queue/{e}.f8" for e in epochs)]
+        ring = {epoch: f"state.queue/{epoch % (capacity + 1)}.f8" for epoch in epochs}
+        assert sorted(files) == sorted(["state.bin", *ring.values()])
         for (epoch, saved), (_, params), crc in zip(result.state.queue.entries, state.queue.entries, meta["queue_crc32"]):
-            raw = files[f"state.queue/{epoch}.f8"]
+            raw = files[ring[epoch]]
             assert raw == saved.flat.astype("<f8").tobytes()
             assert zlib.crc32(raw) == crc
             assert np.array_equal(params.flat, saved.flat)
-        assert files[f"state.queue/{state.next_epoch - 1}.f8"] == state.params.flat.astype("<f8").tobytes()
+        assert files[ring[state.next_epoch - 1]] == state.params.flat.astype("<f8").tobytes()
         # the loaded params are a copy: training them leaves the teacher's checkpoint as it was
         assert not np.shares_memory(state.params.flat, state.queue.entries[-1][1].flat)
         # before its first checkpoint, an almt state stores its params itself
@@ -731,11 +760,13 @@ class TestStatePersistence:
 
     def test_almt_epoch_writes_the_state_and_one_slot(self, tmp_path, monkeypatch):
         # every epoch writes state.bin and the new checkpoint's 8 * P bytes,
-        # nothing more, and computes one crc32: that of the new checkpoint
+        # nothing more, and computes one crc32: that of the new checkpoint.
+        # Once the first m_max + 2 saves have made the ring of m_max + 2
+        # files, a save creates, renames and deletes no file in state.queue/,
+        # and lists no directory, for a growing window and a fixed one
         ds = tiny_dataset()
-        cfg = tiny_config(scheme="joint", distill="almt", m_max=3, epochs=9)
         real_open, real_crc32 = open, zlib.crc32
-        written, crcs = [], []
+        written, crcs, churn = [], [], []
 
         class Counted:
             def __init__(self, fh):
@@ -754,26 +785,55 @@ class TestStatePersistence:
                 written[-1] += memoryview(data).nbytes
                 return self.fh.write(data)
 
+        def opened(file, *args):
+            if not isinstance(file, int):  # by name: a new file, as write_in_place opens a descriptor
+                churn.append(("open", file))
+            return Counted(real_open(file, *args))
+
+        def spied(name, real):
+            def call(*args, **kwargs):
+                churn.append((name, *args[:2]))
+                return real(*args, **kwargs)
+            return call
+
         for module in (ogen._tensorio, ogen.trainer):
-            monkeypatch.setattr(module, "open", lambda *args: Counted(real_open(*args)), raising=False)
+            monkeypatch.setattr(module, "open", opened, raising=False)
         monkeypatch.setattr(zlib, "crc32", lambda data: crcs.append(1) or real_crc32(data))
-        path, sizes = tmp_path / "state.bin", []
+        for name in ("replace", "rename", "unlink", "remove", "rmdir", "mkdir", "listdir", "scandir"):
+            monkeypatch.setattr(os, name, spied(name, getattr(os, name)))
+        real_os_open = os.open
+        monkeypatch.setattr(os, "open", lambda file, flags, *args: (
+            flags & os.O_CREAT and churn.append(("create", file))) or real_os_open(file, flags, *args))
+        for m_min, m_max in ((2, 3), (2, 2)):
+            cfg = tiny_config(scheme="joint", distill="almt", m_min=m_min, m_max=m_max, epochs=9)
+            path, sizes, inodes = tmp_path / f"{m_max}" / "state.bin", [], []
+            queue = path.parent / "state.queue"
+            path.parent.mkdir()
+            written.clear()
+            crcs.clear()
 
-        def save(state, row):
-            written.append(0)
-            save_state(path, state, cfg)
-            sizes.append(path.stat().st_size)
+            def save(state, row):
+                written.append(0)
+                churn.clear()
+                save_state(path, state, cfg)
+                sizes.append(path.stat().st_size)
+                if row.epoch >= m_max + 2:
+                    assert [call for call in churn if "state.queue" in str(call) or call[0] in ("listdir", "scandir")] == []
+                    inodes.append({entry.name: entry.stat().st_ino for entry in os.scandir(queue)})
 
-        result = train(ds, cfg, on_epoch=save)
-        row = 8 * result.params.flat.size
-        assert len(crcs) == cfg.epochs
-        assert len(written) == cfg.epochs
-        assert written == [size + row for size in sizes]
+            result = train(ds, cfg, on_epoch=save)
+            row = 8 * result.params.flat.size
+            assert len(crcs) == cfg.epochs
+            assert len(written) == cfg.epochs
+            assert written == [size + row for size in sizes]
+            # the saves of the full ring kept its files, by name and inode
+            assert len(inodes) == cfg.epochs - m_max - 2 and all(names == inodes[0] for names in inodes)
+            assert sorted(inodes[0]) == [f"{slot}.f8" for slot in range(m_max + 2)]
 
     @pytest.mark.parametrize("occupant", ["symlink", "file"])
     def test_save_into_a_queue_path_of_no_directory_is_data_error_and_changes_no_file(self, tmp_path, occupant):
-        # a save deletes each entry of state.queue that it does not list:
-        # through a symlink, that would be another directory's files
+        # a save writes its ring files into state.queue: through a symlink,
+        # they would land in another directory
         ds = tiny_dataset()
         cfg = tiny_config(distill="almt", epochs=2)
         lib, target = tmp_path / "lib", tmp_path / "target"
