@@ -210,9 +210,6 @@ def cmd_train(ctx, data, out, resume, plot, **_):
             run_data = _run_data(config_path)
             if Path(data).resolve() != Path(run_data).resolve():
                 raise ConfigError(f"--data {data} is not the run's dataset {run_data}")
-            if state.next_epoch >= cfg.epochs:
-                click.echo(f"run already complete at epoch {cfg.epochs}; nothing to do")
-                return
         else:
             state, cfg = None, _train_config(ctx)
 
@@ -225,7 +222,9 @@ def cmd_train(ctx, data, out, resume, plot, **_):
                 tmp.unlink()
             _truncate_metrics(metrics_path, state.next_epoch)
             prune_queue(state_path, state)
-            click.echo(f"resuming from epoch {state.next_epoch}")
+            # a complete state trains no epoch but makes the last writes, which a stopped process may have missed
+            click.echo(f"resuming from epoch {state.next_epoch}" if state.next_epoch < cfg.epochs
+                       else f"run already complete at epoch {cfg.epochs}; writing its last files")
         else:
             run_dir.mkdir(parents=True, exist_ok=True)
             _lock_run(run_dir, held)

@@ -35,7 +35,7 @@ ZERO_NORM_EPS = 1e-6
 # Rows per pass of the row-norm, base-split and synthesis loops (128 KB at
 # d=64): their temporaries do not grow with the number of classes.
 _CHUNK_ROWS = 256
-SplitCache = namedtuple("SplitCache", "units positions firsts counts base_best candidates candidate_best n_new")
+SplitCache = namedtuple("SplitCache", "units positions own_index firsts counts base_best candidates candidate_best n_new")
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,16 @@ class EmbeddingSet:
     def _split_cache(self) -> SplitCache:
         """What training and evaluation read of the image features, built in
         one pass per dataset, read-only. units holds the base split's
-        features, their one float64 copy, as unit rows in split order, and
-        positions each row's class position; firsts and counts hold each
-        base class's first row in image_features and its row count. base_best
-        holds each unit row's best cosine against the unit new-class columns
-        (-inf without new classes). candidates are those of the n_new
-        new-split features whose first best frozen column is their own class,
-        as float64 rows, and candidate_best their cosine with it; no other
-        new feature can be predicted right, whatever the learnable columns
-        are, so the new split's stack is a local of the pass."""
+        features, their one float64 copy, as unit rows in split order,
+        positions each row's class position and own_index the flat index of its
+        own score in a class-major (C_b, N) block; firsts and counts hold
+        each base class's first row in image_features and its row count.
+        base_best holds each unit row's best cosine against the unit
+        new-class columns (-inf without new classes). candidates are those
+        of the n_new new-split features whose first best frozen column is
+        their own class, as float64 rows, and candidate_best their cosine
+        with it; no other new feature can be predicted right, whatever the
+        learnable columns are, so the new split's stack is a local of the pass."""
         counts = np.asarray(self.counts, dtype=int)
         firsts = np.cumsum(counts) - counts  # each class's first row in image_features
 
@@ -144,13 +145,15 @@ class EmbeddingSet:
         stack = self.image_features[new_rows].astype(np.float64)
         base_best, candidates, candidate_best = np.full(len(units), -np.inf), stack, np.empty(0)
         if new:
-            # C order, as trainer._EvalCache normalizes the learnable columns
+            # C order and class-major, as trainer._EvalCache scores the learnable columns: equal columns, equal bits
             unit = _unit_columns(np.ascontiguousarray(self.embedding_columns(new)))[0]
-            base_best = (units @ unit).max(axis=1)
-            scores = stack @ unit
-            hit = np.flatnonzero(scores.argmax(axis=1) == own)
-            candidates, candidate_best = stack[hit], scores[hit, own[hit]]
-        cache = SplitCache(units, positions, firsts[base], counts[base], base_best, candidates, candidate_best, len(own))
+            base_best = (unit.T @ units.T).max(axis=0)
+            scores = unit.T @ stack.T
+            hit = np.flatnonzero(scores.argmax(axis=0) == own)
+            candidates, candidate_best = stack[hit], scores[own[hit], hit]
+        own_index = positions * len(units) + np.arange(len(units))
+        cache = SplitCache(units, positions, own_index, firsts[base], counts[base], base_best, candidates,
+                           candidate_best, len(own))
         for a in cache[:-1]:
             a.setflags(write=False)
         return cache
@@ -163,7 +166,7 @@ class EmbeddingSet:
 
     @cached_property
     def _score_scratch(self) -> dict:
-        """Thread id -> the score matrix trainer._EvalCache fills."""
+        """Thread id -> the class-major score blocks trainer._EvalCache fills, views of one buffer."""
         return {}
 
     def embedding_columns(self, indices) -> np.ndarray:

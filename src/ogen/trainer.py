@@ -200,35 +200,41 @@ def harmonic_mean(a: float, b: float) -> float:
 class _EvalCache:
     """Argmax accuracy of each split over the learnable base columns and,
     after them, the frozen new-class columns. What the frozen columns
-    decide is scored once per dataset (EmbeddingSet._split_cache, which
-    also holds the base split's unit rows and their positions), so each
-    accuracies() call scores against the C_b learnable columns only, into
-    one score matrix filled in place. Argmax takes the first of equal
-    maxima, so a learnable column wins a tie with a frozen one."""
+    decide is scored once per dataset (EmbeddingSet._split_cache), so each
+    accuracies() call scores the C_b learnable columns only, class-major:
+    one (C_b, N) block per split, filled in place and reduced along its
+    contiguous axis 0. Argmax takes the first of equal maxima, so a
+    learnable column wins a tie with a frozen one."""
 
     def __init__(self, dataset: EmbeddingSet):
         self.cache = cache = dataset._split_cache
-        # the score matrix is large enough that the C allocator may hand it
+        # the score block is large enough that the C allocator may hand it
         # back to the OS on free, and a fresh one faults its pages in again;
         # so every run and evaluate() of a dataset on one thread shares one
-        scratch, thread = dataset._score_scratch, threading.get_ident()
-        if thread not in scratch:
-            scratch[thread] = np.empty((max(len(cache.units), len(cache.candidates)), len(dataset.split.base)))
-        self._scores = scratch[thread]
+        scratch, thread, c_b = dataset._score_scratch, threading.get_ident(), len(dataset.split.base)
+        if thread not in scratch:  # the base split's block and the candidates', at its start
+            flat = np.empty(c_b * max(len(cache.units), len(cache.candidates)))
+            scratch[thread] = tuple(flat[: c_b * len(rows)].reshape(c_b, -1) for rows in (cache.units, cache.candidates))
+        self._base, self._new = scratch[thread]
 
     def accuracies(self, base_embeddings: np.ndarray):
         # C order, as the frozen columns are normalized: its column norms sum
         # the d rows in turn, a transposed matrix's pairwise, and equal
         # columns must score equal bits for the tie rule to hold
         unit, _ = objective._unit_columns(np.ascontiguousarray(base_embeddings))
-        scores = np.matmul(self.cache.units, unit, out=self._scores[: len(self.cache.units)])
-        pred = np.argmax(scores, axis=1)
-        best = np.take_along_axis(scores, pred[:, None], axis=1)[:, 0]
-        base_acc = float(np.count_nonzero((pred == self.cache.positions) & (best >= self.cache.base_best)) / len(pred))
+        scores = np.matmul(unit.T, self.cache.units.T, out=self._base)
+        flat = scores.ravel()
+        own = flat[self.cache.own_index]
+        flat[self.cache.own_index] = -np.inf
+        other = scores.max(axis=0)  # each row's best score at another learnable column
+        right = own > other
+        if (tied := np.flatnonzero(own == other)).size:  # an earlier tied column wins; own's entry is -inf here
+            right[tied] = np.argmax(scores[:, tied] == own[tied], axis=0) > self.cache.positions[tied]
+        base_acc = float(np.count_nonzero(right & (own >= self.cache.base_best)) / len(own))
         if not len(self.cache.candidates):
             return base_acc, 0.0
-        scores = np.matmul(self.cache.candidates, unit, out=self._scores[: len(self.cache.candidates)])
-        return base_acc, float(np.count_nonzero(scores.max(axis=1) < self.cache.candidate_best) / self.cache.n_new)
+        scores = np.matmul(unit.T, self.cache.candidates.T, out=self._new)
+        return base_acc, float(np.count_nonzero(scores.max(axis=0) < self.cache.candidate_best) / self.cache.n_new)
 
 
 def evaluate(params, embeddings, dataset: EmbeddingSet):

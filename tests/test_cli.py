@@ -964,11 +964,38 @@ class TestResume:
 
     def test_resume_of_complete_run_is_noop(self, dataset_path, tmp_path, capsys):
         run = tmp_path / "run"
-        assert main(train_args(dataset_path, run, epochs=2)) == 0
-        before = (run / "metrics.csv").read_bytes()
-        assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume"]) == 0
+        assert main(train_args(dataset_path, run, epochs=2, extra=["--plot"])) == 0
+        before = file_tree(run)
+        assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume", "--plot"]) == 0
         assert "already complete" in capsys.readouterr().out
-        assert (run / "metrics.csv").read_bytes() == before
+        assert file_tree(run) == before
+
+    @pytest.mark.parametrize("stop, extra", [
+        ("save_checkpoint", ["--plot"]),
+        ("save_checkpoint", ["--distill", "mt"]),
+        ("_render_curves_svg", ["--plot", "--scheme", "none", "--distill", "none"]),
+    ], ids=["checkpoint", "checkpoint_mt", "plot"])
+    def test_run_stopped_before_its_last_writes_resumes_to_the_unbroken_run(
+        self, dataset_path, tmp_path, monkeypatch, capsys, stop, extra
+    ):
+        # a process stopped after its last save but before checkpoint.bin or
+        # curves.svg: the state is complete, and its resume makes those writes
+        run, full = tmp_path / "run", tmp_path / "full"
+        assert main(train_args(dataset_path, full, extra=extra)) == 0
+
+        def stopped(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(f"ogen.cli.{stop}", stopped)
+        assert main(train_args(dataset_path, run, extra=extra)) == 1
+        monkeypatch.undo()
+        missing = {"save_checkpoint": "checkpoint.bin", "_render_curves_svg": "curves.svg"}[stop]
+        assert not (run / missing).exists() and (full / missing).exists()
+        capsys.readouterr()
+        assert main(resume_args(dataset_path, run) + [a for a in extra if a == "--plot"]) == 0
+        assert "already complete" in capsys.readouterr().out
+        assert (run / missing).read_bytes() == (full / missing).read_bytes()
+        assert file_tree(run) == file_tree(full)
 
 
 # holds the flock of the directory argv[1] until its stdin closes

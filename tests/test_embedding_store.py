@@ -175,11 +175,14 @@ class TestValidation:
         # the base rows once, as unit rows equal bit for bit to the unit columns the known loss normalized
         assert split.units.dtype == np.float64 and not split.units.flags.writeable
         np.testing.assert_array_equal(split.units, _unit_columns(stacks[0].T)[0].T)
-        # each base row's class position in the split, and each base class's first row and row count
-        for a in (split.positions, split.firsts, split.counts):
+        # each base row's class position in the split, the flat index of its own score in a class-major
+        # (C_b, N) block, and each base class's first row and row count
+        for a in (split.positions, split.own_index, split.firsts, split.counts):
             assert not a.flags.writeable
         positions = [j for j, c in enumerate(ds.split.base) for _ in range(ds.counts[c])]
         np.testing.assert_array_equal(split.positions, positions)
+        block = np.arange(len(ds.split.base) * len(positions)).reshape(len(ds.split.base), len(positions))
+        np.testing.assert_array_equal(split.own_index, block[positions, np.arange(len(positions))])
         np.testing.assert_array_equal(split.counts, [ds.counts[c] for c in ds.split.base])
         np.testing.assert_array_equal(split.firsts, [sum(ds.counts[:c]) for c in ds.split.base])
         # of the new split, the rows whose own class is their first best frozen column

@@ -97,6 +97,32 @@ def union_accuracies(ds, emb):
     return tuple(accs), preds
 
 
+def row_major_reference(ds, emb):
+    """The frozen verdict and the accuracies as evaluation scored them
+    row-major, (N, C) blocks reduced along axis 1, before it went
+    class-major: (base_best, candidates, candidate_best, (base_acc, new_acc))."""
+    cache = ds._split_cache
+    units, new = cache.units, list(ds.split.new)
+    stack = np.concatenate([class_rows(ds, c) for c in new] or [np.empty((0, ds.dim))]).astype(np.float64)
+    own = np.repeat(np.arange(len(new)), [ds.counts[c] for c in new]).astype(int)
+    base_best, candidates, candidate_best = np.full(len(units), -np.inf), stack, np.empty(0)
+    if new:
+        unit = ogen.objective._unit_columns(np.ascontiguousarray(ds.embedding_columns(new)))[0]
+        base_best = (units @ unit).max(axis=1)
+        scores = stack @ unit
+        hit = np.flatnonzero(scores.argmax(axis=1) == own)
+        candidates, candidate_best = stack[hit], scores[hit, own[hit]]
+    unit, _ = ogen.objective._unit_columns(np.ascontiguousarray(emb))
+    scores = units @ unit
+    pred = np.argmax(scores, axis=1)
+    best = np.take_along_axis(scores, pred[:, None], axis=1)[:, 0]
+    base_acc = float(np.count_nonzero((pred == cache.positions) & (best >= base_best)) / len(pred))
+    new_acc = 0.0
+    if len(candidates):
+        new_acc = float(np.count_nonzero((candidates @ unit).max(axis=1) < candidate_best) / len(stack))
+    return base_best, candidates, candidate_best, (base_acc, new_acc)
+
+
 class TestEvaluate:
     def test_matches_brute_force_oracle(self):
         ds = tiny_dataset(seed=4)
@@ -178,12 +204,82 @@ class TestEvaluate:
         assert evaluate(None, emb, ds)[:2] == accs
 
     def test_no_new_classes(self):
+        # base_fraction=1.0: base_best is -inf, there are no candidates, and
+        # the tie rule holds among the learnable columns alone
         ds = make_synthetic(SynthConfig(num_classes=8, dim=16, per_class=6, base_fraction=1.0, seed=1))
         emb = ds.embedding_columns(list(ds.split.base)) + 0.3 * np.random.default_rng(0).standard_normal((16, 8))
-        (base_acc, new_acc), _ = union_accuracies(ds, emb)
-        assert 0.0 < base_acc < 1.0
-        assert evaluate(None, emb, ds)[:2] == (base_acc, 0.0) and new_acc == 0.0
-        assert len(ds._split_cache.candidates) == 0
+        for tie in (False, True):
+            if tie:
+                emb[:, 5] = emb[:, 2]
+            (base_acc, new_acc), ((pred, labels), _) = union_accuracies(ds, emb)
+            assert 0.0 < base_acc < 1.0
+            assert not tie or (not np.any(pred == 5) and np.any((labels == 2) & (pred == 2)))
+            assert evaluate(None, emb, ds)[:2] == (base_acc, 0.0) and new_acc == 0.0
+        cache = ds._split_cache
+        assert cache.n_new == 0 and cache.candidates.shape == (0, ds.dim)
+        assert len(cache.base_best) == len(cache.units) and np.all(cache.base_best == -np.inf)
+
+    def test_two_equal_learnable_columns_the_first_ones_rows_count_right(self):
+        # base class 3 takes class 1's embedding and, as its only feature, a
+        # copy of a feature of class 1 that class 1's column wins: the tie
+        # goes to column 1, so that row counts right for class 1 and wrong
+        # for class 3. Had it gone to the later column, class 1's right rows
+        # would count wrong and class 3's one row right
+        ds = tiny_dataset(seed=4, text_noise=0.0)
+        base = list(ds.split.base)
+        (pred, labels), _ = union_accuracies(ds, ds.embedding_columns(base))[1]
+        right = np.flatnonzero((labels == 1) & (pred == 1))
+        assert right.size >= 2
+        rows = [class_rows(ds, c) for c in range(ds.num_classes)]
+        rows[base[3]] = rows[base[1]][right[:1] - np.flatnonzero(labels == 1)[0]]
+        classes = ds.class_embeddings.copy()
+        classes[base[3]] = classes[base[1]]
+        ds = dataclasses.replace(ds, class_embeddings=classes, image_features=np.concatenate(rows),
+                                 counts=tuple(len(r) for r in rows))
+        emb = ds.embedding_columns(base)
+        accs, ((pred, labels), _) = union_accuracies(ds, emb)
+        ones = np.count_nonzero((labels == 1) & (pred == 1))
+        assert np.all(pred[labels == 3] == 1) and ones >= right.size
+        first_wins = np.count_nonzero(pred == labels)
+        last_wins = first_wins - ones + 1
+        assert evaluate(None, emb, ds)[0] == accs[0] == first_wins / len(labels) != last_wins / len(labels)
+
+    def test_matches_the_union_argmax_at_the_wide_shape(self):
+        # C=300, d=128, 4 per class: 150 learnable columns against 600 base rows
+        ds = make_synthetic(SynthConfig(num_classes=300, dim=128, per_class=4, seed=2))
+        rng = np.random.default_rng(0)
+        base, new = list(ds.split.base), list(ds.split.new)
+        for trial in range(6):
+            emb = ds.embedding_columns(base) + 0.02 * trial * rng.standard_normal((128, len(base)))
+            emb[:, 7] = emb[:, 3]  # equal learnable columns
+            emb[:, 9] = 2.0 * ds.embedding_columns(new[:1])[:, 0]  # a learnable column equal to a frozen one
+            (base_acc, new_acc), _ = union_accuracies(ds, emb)
+            assert evaluate(None, emb, ds) == (base_acc, new_acc, harmonic_mean(base_acc, new_acc))
+
+    @pytest.mark.parametrize("shape", [(50, 64, 40), (300, 128, 4)], ids=["desk", "wide"])
+    def test_class_major_scores_equal_the_row_major_reference(self, shape):
+        # perturbed class and learnable embeddings, each trial with two equal
+        # frozen columns, two equal learnable columns and a learnable column
+        # equal to a frozen one: the frozen verdict has the reference's bits
+        # and every accuracy is the reference's
+        classes, dim, per_class = shape
+        ds = make_synthetic(SynthConfig(num_classes=classes, dim=dim, per_class=per_class, seed=5))
+        base, new = list(ds.split.base), list(ds.split.new)
+        rng = np.random.default_rng(1)
+        for trial in range(100):
+            ce = ds.class_embeddings + 0.002 * (trial % 10) * rng.standard_normal(ds.class_embeddings.shape)
+            ce[new[1]] = ce[new[0]]
+            ce = (ce / np.linalg.norm(ce, axis=1, keepdims=True)).astype(np.float32)
+            trial_ds = dataclasses.replace(ds, class_embeddings=ce)
+            emb = trial_ds.embedding_columns(base) + 0.01 * (trial % 7) * rng.standard_normal((dim, len(base)))
+            emb[:, trial % 5 + 5] = emb[:, trial % 5]
+            emb[:, trial % 3 + 1] = 2.0 * trial_ds.embedding_columns(new[trial % 2:trial % 2 + 1])[:, 0]
+            base_best, candidates, candidate_best, accs = row_major_reference(trial_ds, emb)
+            cache = trial_ds._split_cache
+            assert cache.base_best.tobytes() == base_best.tobytes()
+            assert cache.candidates.tobytes() == candidates.tobytes()
+            assert cache.candidate_best.tobytes() == candidate_best.tobytes()
+            assert evaluate(None, emb, trial_ds)[:2] == accs
 
     def test_no_frozen_argmax_is_right(self):
         ds = tiny_dataset(seed=4, text_noise=0.0)
@@ -221,18 +317,21 @@ class TestEvaluate:
         result = train(ds, dataclasses.replace(cfg, scheme="none", distill="none"))
         evaluate(None, result.embeddings, ds)
         assert len(calls) == 1 and calls[0] is ds
-        # the per-epoch score matrix has the learnable columns only
-        (scores,) = ds._score_scratch.values()
-        assert scores.shape[1] == len(ds.split.base)
+        # the per-epoch score blocks have the learnable columns only, class-major,
+        # the base split's and the candidates' at the start of one buffer
+        ((scores, candidates),) = ds._score_scratch.values()
+        assert scores.shape == (len(ds.split.base), len(ds._split_cache.units))
+        assert candidates.shape == (len(ds.split.base), len(ds._split_cache.candidates))
+        assert np.shares_memory(scores, candidates) and scores.flags.c_contiguous and candidates.flags.c_contiguous
 
     def test_caches_hold_no_array_of_the_new_split(self):
         # the new split is stacked once, for the frozen verdict, and of its
         # features the dataset keeps only the candidates; of the base split
         # it keeps one float64 copy, the unit rows, and no run leaves its
         # (C_f, N_base) frozen cosines behind, only their log-sum-exp at the
-        # runs' one tau (the validated row norms and that vector are one
-        # value per row). Splits of unequal size tell a new-split array from
-        # a base-split one
+        # runs' one tau (the validated row norms, that vector, the positions
+        # and the flat index of each row's own score are one value per row).
+        # Splits of unequal size tell a new-split array from a base-split one
         ds = make_synthetic(SynthConfig(num_classes=10, per_class=6, base_fraction=0.3))
         n_base, n_new = (sum(ds.counts[c] for c in classes) for classes in (ds.split.base, ds.split.new))
         evaluate(None, train(ds, tiny_config(epochs=2)).embeddings, ds)
@@ -249,7 +348,7 @@ class TestEvaluate:
         caches = {name: value for name, value in vars(ds).items() if name not in fields}
         cached = list(arrays(tuple(caches.values())))
         assert n_base != n_new and [a.shape for a in cached if a.shape[:1] == (n_new,)] == []
-        assert set(caches) == {"_feature_norms", "_split_cache", "_frozen_lse", "_score_scratch"} and len(cached) == 10
+        assert set(caches) == {"_feature_norms", "_split_cache", "_frozen_lse", "_score_scratch"} and len(cached) == 12
         assert list(ds._frozen_lse) == [tiny_config().tau] and ds._frozen_lse[tiny_config().tau].shape == (n_base,)
         assert ds._split_cache.n_new == n_new and 0 < len(ds._split_cache.candidates) < n_new
         (rows,) = [a for a in cached if a.shape == (n_base, ds.dim)]
