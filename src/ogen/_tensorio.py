@@ -61,11 +61,12 @@ def write_atomically(path, chunks, reuse_aside: bool = False) -> None:
         os.replace(aside, path)
         os.replace(tmp, aside)
         return
-    files_only([path, aside])
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "wb") as fh:  # first, so that a path under a file fails as the write it is
             for chunk in chunks:
                 fh.write(chunk)
+        check_kind(path)
+        check_kind(aside)
         if os.path.isfile(path):
             _unlink(aside)  # a killed write's, older than path, or what write_in_place would not write to
             os.replace(path, aside)
@@ -130,13 +131,26 @@ def open_regular(path):
     return open(fd, "rb")
 
 
-def files_only(paths: list) -> list:
-    """paths, if none of them is a directory; else a DataError, as ogen
-    deletes no directory and writes no file in its place."""
-    for path in paths:
-        if os.path.isdir(path) and not os.path.islink(path):
-            raise DataError(f"{path} is a directory, where ogen writes a file")
-    return paths
+def check_kind(path, kind: str = "file") -> bool:
+    """The one check of a path ogen writes, before any work: whether
+    anything is there, or a DataError naming a directory where ogen writes
+    a file (kind "file"; it deletes no directory), anything but a directory
+    where it writes into one ("directory", a symlink to one taken, or
+    "own", which a save writes into and a resume deletes from: none taken),
+    or a file that the path passes through."""
+    try:
+        mode = (os.stat if kind == "directory" else os.lstat)(path).st_mode
+    except FileNotFoundError:
+        return False
+    except NotADirectoryError:
+        above = next(p for p in Path(path).parents if p.exists())
+        raise DataError(f"cannot write {path}: {above} is not a directory") from None
+    if kind == "file" and stat.S_ISDIR(mode):
+        raise DataError(f"{path} is a directory, where ogen writes a file")
+    if kind != "file" and not stat.S_ISDIR(mode):
+        own = " of the run's own, where it keeps its checkpoints" if kind == "own" else ""
+        raise DataError(f"{path} is not a directory{own}")
+    return True
 
 
 def current(path) -> Path:  # path, or the old file a killed write set aside if only that is there

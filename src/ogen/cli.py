@@ -8,23 +8,23 @@ timestamps), so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import fcntl
+import io
 import json
-import os
 from contextlib import ExitStack
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
 
-from . import __version__
-from ._tensorio import aside_path, current, files_only, open_regular, temp_paths, write_atomically
+from . import __version__, rundir
+from ._tensorio import aside_path, check_kind, open_regular, write_atomically
 from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
 from .trainer import (
     DISTILL_MODES,
     SCHEMES,
+    AblationReport,
     EpochMetrics,
     TrainConfig,
     ablate,
@@ -32,8 +32,6 @@ from .trainer import (
     evaluate,
     harmonic_mean,
     load_state,
-    prune_queue,
-    remove_state,
     save_state,
     train,
 )
@@ -65,8 +63,7 @@ def cli():
 def gen_data(out, **params):
     """Generate a synthetic embedding dataset and write it to disk."""
     out_path = Path(out)
-    _makeable(out_path.parent, out_path)
-    files_only([out_path])
+    check_kind(out_path)
     dataset = make_synthetic(SynthConfig(**params))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_embeddings(dataset, out_path)
@@ -77,31 +74,12 @@ def gen_data(out, **params):
     )
 
 
-def _makeable(directory: Path, out: Path) -> None:
-    """A DataError naming out if the nearest existing one of directory and its
-    parents is no directory; a command checks this before any work, in place
-    of click's own check of a path's kind, which exits 1."""
-    if not (nearest := next(p for p in (directory, *directory.parents) if p.exists())).is_dir():
-        raise DataError(f"cannot write {out}: {nearest} is not a directory")
-
-
 def _format_cell(value):
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _truncate_metrics(path: Path, next_epoch: int) -> None:
-    """Keep the header and the rows of the epochs before next_epoch."""
-    try:
-        with open_regular(source := current(path)) as fh:
-            header, *rows = fh.read().decode().splitlines()
-        kept = [header] + [line for line in rows if line and int(line.split(",", 1)[0]) < next_epoch]
-    except ValueError as exc:  # no header, an epoch that is no integer, or bytes that are no text
-        raise DataError(f"{source}: not a metrics table ({exc})") from exc
-    write_atomically(path, ["\n".join(kept).encode() + b"\n"])
 
 
 def _run_data(config_path: Path) -> str:
@@ -148,17 +126,6 @@ def _train_config(ctx, stored: TrainConfig | None = None) -> TrainConfig:
     return cfg
 
 
-def _lock_run(run_dir: Path, held: ExitStack) -> None:
-    """Hold an exclusive flock on the run directory itself, which leaves no
-    lock file in the run, until held closes; another holder is a DataError."""
-    fd = os.open(run_dir, os.O_RDONLY)
-    held.callback(os.close, fd)  # closing the descriptor releases the lock
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        raise DataError(f"run directory {run_dir} is in use by another ogen train") from None
-
-
 @cli.command("train")
 @click.option("--data", type=click.Path(exists=False), required=True, help="Dataset (.oef).")
 @click.option("--out", type=click.Path(), default="ogen-run", show_default=True)
@@ -195,19 +162,14 @@ def cmd_train(ctx, data, out, resume, plot, **_):
     run_dir = Path(out)
     state_path = run_dir / "state.bin"
     metrics_path = run_dir / "metrics.csv"
-    config_path = run_dir / "config.json"
-    run_files = [state_path, config_path, metrics_path, run_dir / "checkpoint.bin", run_dir / "curves.svg"]
-
-    _makeable(run_dir, run_dir)
+    if not check_kind(run_dir, "directory") and resume:
+        raise DataError(f"cannot resume: no run directory {run_dir}")
     with ExitStack() as held:
         if resume:
-            for path in (config_path, metrics_path):
-                if not current(path).exists():
-                    raise DataError(f"cannot resume: {path} does not exist")
-            _lock_run(run_dir, held)
+            rundir.lock(run_dir, held)
             state, stored = load_state(state_path)
             cfg = _train_config(ctx, stored)
-            run_data = _run_data(config_path)
+            run_data = _run_data(run_dir / "config.json")
             if Path(data).resolve() != Path(run_data).resolve():
                 raise ConfigError(f"--data {data} is not the run's dataset {run_data}")
         else:
@@ -218,22 +180,14 @@ def cmd_train(ctx, data, out, resume, plot, **_):
 
         if resume:
             check_state(state, dataset)  # before metrics.csv loses the rows past the state
-            for tmp in files_only(temp_paths(*run_files)):  # not the asides: one may hold the only state
-                tmp.unlink()
-            _truncate_metrics(metrics_path, state.next_epoch)
-            prune_queue(state_path, state)
-            # a complete state trains no epoch but makes the last writes, which a stopped process may have missed
+            rundir.resume(run_dir, state)
+            # a complete state goes straight to the last writes, which a stopped process may have missed
             click.echo(f"resuming from epoch {state.next_epoch}" if state.next_epoch < cfg.epochs
                        else f"run already complete at epoch {cfg.epochs}; writing its last files")
         else:
             run_dir.mkdir(parents=True, exist_ok=True)
-            _lock_run(run_dir, held)
-            # an earlier run's files, and the old files and temp files its killed writes left:
-            # a run stopped before its first save must not eval or resume as that run
-            files = files_only(run_files + [aside_path(path) for path in run_files] + temp_paths(*run_files))
-            remove_state(state_path)
-            for path in files:
-                path.unlink(missing_ok=True)
+            rundir.lock(run_dir, held)
+            rundir.clear(run_dir)
             config = {
                 "config": asdict(cfg),
                 "data": str(data),
@@ -244,28 +198,30 @@ def cmd_train(ctx, data, out, resume, plot, **_):
                 config["warnings"] = [
                     f"k clamped from {cfg.k} to {config['k_effective']} (pseudo-known classes)"
                 ]
-            config_path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n")
+            write_atomically(run_dir / "config.json", [(json.dumps(config, sort_keys=True, indent=2) + "\n").encode()])
             metrics_path.write_text(",".join(METRIC_COLUMNS) + "\n")
 
-        with open(metrics_path, "a") as fh:
+        result = None
+        try:
+            if state is None or state.next_epoch < cfg.epochs:
+                with open(metrics_path, "a") as fh:
 
-            def on_epoch(state, row):
-                fh.write(",".join(_format_cell(getattr(row, col)) for col in METRIC_COLUMNS) + "\n")
-                fh.flush()
-                save_state(state_path, state, cfg)
+                    def on_epoch(state, row):
+                        fh.write(",".join(_format_cell(getattr(row, col)) for col in METRIC_COLUMNS) + "\n")
+                        fh.flush()
+                        save_state(state_path, state, cfg)
 
-            try:
-                result = train(dataset, cfg, state=state, on_epoch=on_epoch)
-            finally:  # the old state the saves kept aside, unless a killed save left it in place of state.bin
-                if state_path.is_file() and (aside := aside_path(state_path)).is_file():
-                    aside.unlink()
+                    result = train(dataset, cfg, state=state, on_epoch=on_epoch)
+                state = result.state
+        finally:  # the old state the saves kept aside, unless a killed save left it in place of state.bin
+            if state_path.is_file() and (aside := aside_path(state_path)).is_file():
+                aside.unlink()
 
-        if result.params is not None:
-            save_checkpoint(run_dir / "checkpoint.bin", result.params, cfg.scheme, cfg.epochs - 1)
-        if plot:
-            (run_dir / "curves.svg").write_text(_render_curves_svg(metrics_path))
-        final = result.metrics[-1] if result.metrics else None
-        if final is not None:
+        params = state.params
+        rundir.finish(run_dir, plot, None if params is None else
+                      lambda path: save_checkpoint(path, params, cfg.scheme, cfg.epochs - 1))
+        if result is not None:
+            final = result.metrics[-1]
             click.echo(
                 f"done: epoch {final.epoch} base={final.base_acc:.4f} "
                 f"new={final.new_acc:.4f} H={final.harmonic_mean:.4f}"
@@ -279,8 +235,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
 def cmd_eval(run_dir, data, as_csv):
     """Evaluate the checkpoint of a finished (or partial) run."""
     run = Path(run_dir)
-    if run.exists() and not run.is_dir():
-        raise DataError(f"{run} is not a run directory")
+    check_kind(run, "directory")
     state, cfg = load_state(run / "state.bin")
     if data is None:
         config_path = run / "config.json"
@@ -315,18 +270,20 @@ def cmd_hmean(base, new):
 def cmd_ablate(ctx, data, out, seeds, **_):
     """Run the ablation grid and write one CSV per table."""
     out_dir = Path(out)
-    _makeable(out_dir, out_dir)
+    check_kind(out_dir, "directory")
+    for table in fields(AblationReport):
+        check_kind(out_dir / f"{table.name}.csv")
     dataset = load_embeddings(data)
     base_cfg = _train_config(ctx)
     report = ablate(dataset, base_cfg, seeds=seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in report.tables().items():
-        path = out_dir / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ABLATION_COLUMNS)
-            for row in rows:
-                writer.writerow([_format_cell(row[col]) for col in ABLATION_COLUMNS])
+        path, text = out_dir / f"{name}.csv", io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(ABLATION_COLUMNS)
+        for row in rows:
+            writer.writerow([_format_cell(row[col]) for col in ABLATION_COLUMNS])
+        write_atomically(path, [text.getvalue().encode()])
         click.echo(f"wrote {path}")
 
 
@@ -335,51 +292,6 @@ cmd_ablate.params += [
     p for p in cmd_train.params
     if p.name in ("epochs", "batch_size", "k", "tau", "learning_rate", "generator_lr", "seed")
 ]
-
-
-def _render_curves_svg(metrics_path) -> str:
-    """Minimal SVG line chart of base/new accuracy over epochs."""
-    epochs, base, new = [], [], []
-    with open(metrics_path) as fh:
-        for record in csv.DictReader(fh):
-            epochs.append(int(record["epoch"]))
-            base.append(float(record["base_acc"]))
-            new.append(float(record["new_acc"]))
-    width, height, margin = 720, 440, 56
-    x_span = max(max(epochs), 1) if epochs else 1
-    plot_w, plot_h = width - 2 * margin, height - 2 * margin
-
-    def xy(e, acc):
-        x = margin + plot_w * (e / x_span)
-        y = margin + plot_h * (1.0 - acc)
-        return f"{x:.2f},{y:.2f}"
-
-    def polyline(values, color):
-        pts = " ".join(xy(e, v) for e, v in zip(epochs, values))
-        return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
-
-    ticks = []
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = margin + plot_h * (1.0 - frac)
-        ticks.append(
-            f'<line x1="{margin}" y1="{y:.2f}" x2="{width - margin}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="0.5"/>'
-            f'<text x="{margin - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="11">{frac:.2f}</text>'
-        )
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-        *ticks,
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
-        polyline(base, "#1f77b4"),
-        polyline(new, "#ff7f0e"),
-        f'<text x="{width - margin - 150}" y="{margin}" font-size="12" fill="#1f77b4">base accuracy</text>',
-        f'<text x="{width - margin - 150}" y="{margin + 16}" font-size="12" fill="#ff7f0e">new accuracy</text>',
-        f'<text x="{width / 2:.0f}" y="{height - 14}" text-anchor="middle" font-size="12">epoch</text>',
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
 
 
 def main(argv=None) -> int:

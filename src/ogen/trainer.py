@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import shutil
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -32,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import objective
-from ._tensorio import aside_path, check_format, current, files_only, open_regular, read_tensor_file
-from ._tensorio import temp_paths, write_atomically, write_in_place, write_tensor_file
+from ._tensorio import check_format, check_kind, current, open_regular, read_tensor_file
+from ._tensorio import write_atomically, write_in_place, write_tensor_file
 from .distillation import (
     ScheduleConfig,
     TeacherQueue,
@@ -492,7 +491,7 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
     the aside already holds the new state, listing epochs >= n - m_max. The
     old state file stays set aside (run/.state.bin.prev), and the next save
     rewrites it in place (write_atomically's reuse_aside): a caller that
-    saves no more deletes it, or remove_state deletes it with the rest."""
+    saves no more deletes it, as `ogen train` does after its last save."""
     tensors = {"embeddings": state.embeddings, "emb_velocity": state.emb_velocity}
     queue = state.queue
     meta = {
@@ -515,36 +514,6 @@ def save_state(path, state: TrainState, cfg: TrainConfig) -> None:
     write_tensor_file(path, tensors, meta, reuse_aside=True)
 
 
-def prune_queue(path, state: TrainState) -> None:
-    """Delete each entry of the checkpoint directory of the state file at path
-    that state does not list, a directory too: a resume keeps only its own."""
-    directory = _queue_path(path)
-    if state.queue is not None:
-        _own_directory(directory)
-        listed = {_ring_file(directory, state.queue, epoch) for epoch, _ in state.queue.entries}
-        for entry in set(directory.iterdir()) - listed:  # listed before the first delete
-            _delete(entry)
-
-
-def remove_state(path) -> None:
-    """Delete the state file at path, its checkpoint directory, the old
-    state file that saves keep set aside and the temp files of killed saves.
-    A directory at any of these files is a DataError, and deletes nothing."""
-    path = Path(path)
-    for stray in files_only([path, aside_path(path), *temp_paths(path)]):
-        stray.unlink(missing_ok=True)
-    _delete(_queue_path(path))
-
-
-def _delete(path: Path) -> None:
-    """Remove whatever occupies path: a real directory with all it holds,
-    anything else (a file, a symlink, a dangling one) by unlinking it."""
-    if path.is_dir() and not path.is_symlink():
-        shutil.rmtree(path)
-    else:
-        path.unlink(missing_ok=True)
-
-
 def _queue_path(path) -> Path:
     """The teacher-checkpoint directory of the state file at path: run/state.bin
     has run/state.queue, so state files in one directory never share one."""
@@ -556,20 +525,14 @@ def _ring_file(directory: Path, queue: TeacherQueue, epoch: int) -> Path:  # one
     return directory / f"{epoch % (queue.capacity + 1)}.f8"
 
 
-def _own_directory(directory: Path) -> None:  # a save writes into it, and a resume deletes from it
-    if os.path.islink(directory) or not os.path.isdir(directory):
-        raise DataError(f"{directory} is not a directory of the run's own, where it keeps its checkpoints")
-
-
 def _save_queue(directory: Path, queue: TeacherQueue) -> list:
     """Write each checkpoint of the queue not in directory yet over its ring
     file (write_in_place), or in its place: its 8 * P bytes of little-endian
     float64, with no header. Returns the crc32s, oldest first. A checkpoint
     has a crc32 once this process has written it to queue.crc_dir or read
     it whole from there, so a save to any other directory writes every one."""
-    if not os.path.lexists(directory):
+    if not check_kind(directory, "own"):  # before the first write
         directory.mkdir()
-    _own_directory(directory)  # before the first write
     if queue.crc_dir != directory:
         queue.crcs.clear()
         queue.crc_dir = directory
@@ -585,7 +548,7 @@ def _save_queue(directory: Path, queue: TeacherQueue) -> list:
 def _load_queue(directory: Path, queue: TeacherQueue, epochs: list, crcs: list, bundle, size: int) -> None:
     """Fill queue with the checkpoints of these epochs from their ring files
     in directory; each file must hold size values with the listed crc32."""
-    _own_directory(directory)
+    check_kind(directory, "own")
     for epoch, crc in zip(epochs, crcs):
         file, row = _ring_file(directory, queue, epoch), np.empty(size, dtype="<f8")
         try:

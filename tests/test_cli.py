@@ -563,8 +563,9 @@ class TestResume:
             def killed(*args):
                 raise OSError("killed")
 
-            # a resume killed right after its clean-up leaves the state where it was
-            monkeypatch.setattr("ogen.cli._truncate_metrics", killed)
+            # a resume killed right after its clean-up, at the write that cuts
+            # metrics.csv back, leaves the state where it was
+            monkeypatch.setattr("ogen.rundir.write_atomically", killed)
             with pytest.raises(OSError, match="killed"):
                 main(resume_args(dataset_path, run))
             monkeypatch.undo()
@@ -863,16 +864,22 @@ class TestResume:
 
     @pytest.mark.parametrize(
         "text",
-        [b"epoch,base_acc\n0,0.5\none,0.5\n", b"", b"epoch,base_acc\n\xff\n"],
-        ids=["epoch_not_an_integer", "empty", "not_text"],
+        [b"epoch,base_acc\n0,0.5\none,0.5\n", b"", b"epoch,base_acc\n\xff\n",
+         b"epoch,base_acc\n0,0.5\n2,0.5\n3,0.5\n", b"epoch,base_acc\n0,0.5\n0,0.5\n1,0.5\n"],
+        ids=["epoch_not_an_integer", "empty", "not_text", "missing_row", "duplicated_row"],
     )
     def test_bad_metrics_table_is_data_error(self, dataset_path, tmp_path, capsys, text):
+        # the state is at epoch 2, so the table must begin with one row each of
+        # epochs 0 and 1; a rejected resume changes no file, temp files included
         run = tmp_path / "run"
         self.rewound_run(dataset_path, run)
         (run / "metrics.csv").write_bytes(text)
+        (run / ".metrics.csv.12345.tmp").write_bytes(b"\0" * 100)
+        before = file_tree(run)
         capsys.readouterr()
         assert main(resume_args(dataset_path, run)) == 2
-        assert "metrics.csv" in capsys.readouterr().err
+        assert f"error: {run / 'metrics.csv'}: " in capsys.readouterr().err
+        assert file_tree(run) == before
 
     def test_killed_truncation_leaves_metrics_intact(self, dataset_path, tmp_path, monkeypatch):
         # the kept rows go to a temp file that replaces metrics.csv; a kill
@@ -928,6 +935,47 @@ class TestResume:
         assert f"{flags[0]} bound the window of distill=almt, not distill={distill}" in capsys.readouterr().err
         assert {name: (run / name).read_bytes() for name in before} == before
 
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize("name", ["curves.svg", "checkpoint.bin"])
+    def test_resume_over_a_run_file_of_another_kind(self, dataset_path, tmp_path, capsys, monkeypatch, name, kind):
+        # a resume writes curves.svg and checkpoint.bin by the atomic rule, so
+        # a FIFO there is replaced, never opened; a directory there is found
+        # before any work, and the resume trains nothing and changes no file
+        import signal
+
+        full, run = tmp_path / "full", tmp_path / "run"
+        assert main(train_args(dataset_path, full, epochs=4, extra=["--plot"])) == 0
+        self.rewound_run(dataset_path, run, extra=["--plot"])
+        (run / name).unlink()
+        if kind == "fifo":
+            os.mkfifo(run / name)
+        else:
+            (run / name).mkdir()
+            (run / name / "kept").write_bytes(b"not the run's")
+            monkeypatch.setattr(ogen.cli, "train", lambda *args, **kwargs: pytest.fail("the resume trained"))
+        before = file_tree(run)
+
+        def waited(signum, frame):
+            pytest.fail(f"the resume waited on {name}")
+
+        capsys.readouterr()
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(10)
+        try:
+            code = main([*resume_args(dataset_path, run), "--plot"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        if kind == "directory":
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{run / name} is a directory" in err and "Traceback" not in err
+            assert file_tree(run) == before
+            return
+        assert code == 0
+        assert stat.S_ISREG(os.lstat(run / name).st_mode)
+        assert file_tree(run) == file_tree(full)
+
     def test_resume_deletes_an_unlisted_subdirectory_of_the_queue(self, dataset_path, tmp_path):
         # a resume deletes every entry of state.queue/ that the resumed state
         # does not list, a directory with all it holds too
@@ -962,18 +1010,19 @@ class TestResume:
         assert "resuming from epoch 2" in capsys.readouterr().out
         assert (run / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
 
-    def test_resume_of_complete_run_is_noop(self, dataset_path, tmp_path, capsys):
+    def test_resume_of_complete_run_is_noop(self, dataset_path, tmp_path, capsys, monkeypatch):
         run = tmp_path / "run"
         assert main(train_args(dataset_path, run, epochs=2, extra=["--plot"])) == 0
         before = file_tree(run)
+        monkeypatch.setattr(ogen.cli, "train", lambda *args, **kwargs: pytest.fail("a complete run trained"))
         assert main(["train", "--data", str(dataset_path), "--out", str(run), "--resume", "--plot"]) == 0
         assert "already complete" in capsys.readouterr().out
         assert file_tree(run) == before
 
     @pytest.mark.parametrize("stop, extra", [
-        ("save_checkpoint", ["--plot"]),
-        ("save_checkpoint", ["--distill", "mt"]),
-        ("_render_curves_svg", ["--plot", "--scheme", "none", "--distill", "none"]),
+        ("ogen.cli.save_checkpoint", ["--plot"]),
+        ("ogen.cli.save_checkpoint", ["--distill", "mt"]),
+        ("ogen.rundir._render_curves_svg", ["--plot", "--scheme", "none", "--distill", "none"]),
     ], ids=["checkpoint", "checkpoint_mt", "plot"])
     def test_run_stopped_before_its_last_writes_resumes_to_the_unbroken_run(
         self, dataset_path, tmp_path, monkeypatch, capsys, stop, extra
@@ -986,11 +1035,13 @@ class TestResume:
         def stopped(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(f"ogen.cli.{stop}", stopped)
+        monkeypatch.setattr(stop, stopped)
         assert main(train_args(dataset_path, run, extra=extra)) == 1
         monkeypatch.undo()
-        missing = {"save_checkpoint": "checkpoint.bin", "_render_curves_svg": "curves.svg"}[stop]
+        missing = "curves.svg" if stop.endswith("svg") else "checkpoint.bin"
         assert not (run / missing).exists() and (full / missing).exists()
+        # the resume goes straight to the last writes, with no training set-up
+        monkeypatch.setattr(ogen.cli, "train", lambda *args, **kwargs: pytest.fail("a complete run trained"))
         capsys.readouterr()
         assert main(resume_args(dataset_path, run) + [a for a in extra if a == "--plot"]) == 0
         assert "already complete" in capsys.readouterr().out
@@ -1408,6 +1459,42 @@ class TestAblateCommand:
             "knn k=1", "knn k=2", "knn k=3", "knn k=4", "random k=3",
         ]
         assert all(int(r["seeds"]) == 2 for r in rows)
+
+    @pytest.mark.parametrize("table", ["component", "distill"])
+    def test_directory_at_a_table_is_data_error_before_any_work(self, dataset_path, tmp_path, capsys, monkeypatch,
+                                                                table):
+        out = tmp_path / "reports"
+        (out / f"{table}.csv" / "kept").mkdir(parents=True)
+        for name in ("load_embeddings", "ablate"):
+            monkeypatch.setattr(ogen.cli, name, lambda *args: pytest.fail("ablate went on to work"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["ablate", "--data", str(dataset_path), "--out", str(out), "--seeds", "1", "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {out / f'{table}.csv'} is a directory" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_fifo_at_a_table_is_replaced_without_waiting(self, dataset_path, tmp_path):
+        import signal
+
+        clean, out = tmp_path / "clean", tmp_path / "reports"
+        args = ["ablate", "--data", str(dataset_path), "--seeds", "1", "--epochs", "2", "--batch-size", "16"]
+        assert main([*args, "--out", str(clean)]) == 0
+        out.mkdir()
+        os.mkfifo(out / "schemes.csv")
+
+        def waited(signum, frame):
+            pytest.fail("ablate waited on schemes.csv")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(30)
+        try:
+            code = main([*args, "--out", str(out)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        assert stat.S_ISREG(os.lstat(out / "schemes.csv").st_mode)
+        assert file_tree(out) == file_tree(clean)
 
     def test_base_run_takes_train_defaults(self, dataset_path, tmp_path, monkeypatch):
         from dataclasses import replace
