@@ -65,8 +65,7 @@ def write_atomically(path, chunks, reuse_aside: bool = False) -> None:
         with open(tmp, "wb") as fh:  # first, so that a path under a file fails as the write it is
             for chunk in chunks:
                 fh.write(chunk)
-        check_kind(path)
-        check_kind(aside)
+        check_outputs(path)
         if os.path.isfile(path):
             _unlink(aside)  # a killed write's, older than path, or what write_in_place would not write to
             os.replace(path, aside)
@@ -137,10 +136,13 @@ def check_kind(path, kind: str = "file") -> bool:
     a file (kind "file"; it deletes no directory), anything but a directory
     where it writes into one ("directory", a symlink to one taken, or
     "own", which a save writes into and a resume deletes from: none taken),
-    or a file that the path passes through."""
+    a dangling symlink at or above a "directory", or a file the path passes through."""
     try:
         mode = (os.stat if kind == "directory" else os.lstat)(path).st_mode
     except FileNotFoundError:
+        for link in (Path(path), *Path(path).parents) if kind == "directory" else ():
+            if link.is_symlink() and not link.exists():  # no mkdir makes a directory there
+                raise DataError(f"{link} is a dangling symlink, where ogen needs a directory") from None
         return False
     except NotADirectoryError:
         above = next(p for p in Path(path).parents if p.exists())
@@ -151,6 +153,13 @@ def check_kind(path, kind: str = "file") -> bool:
         own = " of the run's own, where it keeps its checkpoints" if kind == "own" else ""
         raise DataError(f"{path} is not a directory{own}")
     return True
+
+
+def check_outputs(*paths) -> None:
+    """check_kind of each file that write_atomically writes and of its aside."""
+    for path in paths:
+        check_kind(path)
+        check_kind(aside_path(path))
 
 
 def current(path) -> Path:  # path, or the old file a killed write set aside if only that is there

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import __version__, rundir
-from ._tensorio import aside_path, check_kind, open_regular, write_atomically
+from ._tensorio import aside_path, check_kind, check_outputs, open_regular, write_atomically
 from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from .errors import ConfigError, DataError, NumericalError
 from .generator import save_checkpoint
@@ -63,7 +63,8 @@ def cli():
 def gen_data(out, **params):
     """Generate a synthetic embedding dataset and write it to disk."""
     out_path = Path(out)
-    check_kind(out_path)
+    check_outputs(out_path)
+    check_kind(out_path.parent, "directory")
     dataset = make_synthetic(SynthConfig(**params))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_embeddings(dataset, out_path)
@@ -271,8 +272,7 @@ def cmd_ablate(ctx, data, out, seeds, **_):
     """Run the ablation grid and write one CSV per table."""
     out_dir = Path(out)
     check_kind(out_dir, "directory")
-    for table in fields(AblationReport):
-        check_kind(out_dir / f"{table.name}.csv")
+    check_outputs(*(out_dir / f"{table.name}.csv" for table in fields(AblationReport)))
     dataset = load_embeddings(data)
     base_cfg = _train_config(ctx)
     report = ablate(dataset, base_cfg, seeds=seeds)

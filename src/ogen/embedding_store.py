@@ -165,9 +165,16 @@ class EmbeddingSet:
         return {}
 
     @cached_property
-    def _score_scratch(self) -> dict:
-        """Thread id -> the class-major score blocks trainer._EvalCache fills, views of one buffer."""
-        return {}
+    def _score_scratch(self) -> tuple:
+        """The class-major (C_b, N) and (C_b, M) blocks that trainer._EvalCache
+        fills with the scores of the N unit rows and the M candidates, both at
+        the start of one buffer. The buffer is large enough that the C
+        allocator may hand it back to the OS on free, and a fresh one faults
+        its pages in again; so every run and evaluate() of the dataset fills
+        this one, and a dataset's caches serve one thread at a time."""
+        cache, c_b = self._split_cache, len(self.split.base)
+        flat = np.empty(c_b * max(len(cache.units), len(cache.candidates)))
+        return tuple(flat[: c_b * len(rows)].reshape(c_b, -1) for rows in (cache.units, cache.candidates))
 
     def embedding_columns(self, indices) -> np.ndarray:
         """Class embeddings as float64 columns, shape (d, len(indices))."""

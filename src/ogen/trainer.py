@@ -20,12 +20,9 @@ each evaluation scores only the C_b learnable ones (see _EvalCache).
 from __future__ import annotations
 
 import math
-import os
-import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +53,6 @@ SCHEMES = ("none", "per_class", "joint")
 DISTILL_MODES = ("none", "mt", "almt")
 # the Python types each TrainConfig annotation admits: a bool is no int, an int is a float
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)}
-_FROZEN_LSE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -202,19 +198,13 @@ class _EvalCache:
     decide is scored once per dataset (EmbeddingSet._split_cache), so each
     accuracies() call scores the C_b learnable columns only, class-major:
     one (C_b, N) block per split, filled in place and reduced along its
-    contiguous axis 0. Argmax takes the first of equal maxima, so a
-    learnable column wins a tie with a frozen one."""
+    contiguous axis 0, the dataset's one pair (EmbeddingSet._score_scratch).
+    Argmax takes the first of equal maxima, so a learnable column wins a
+    tie with a frozen one."""
 
     def __init__(self, dataset: EmbeddingSet):
-        self.cache = cache = dataset._split_cache
-        # the score block is large enough that the C allocator may hand it
-        # back to the OS on free, and a fresh one faults its pages in again;
-        # so every run and evaluate() of a dataset on one thread shares one
-        scratch, thread, c_b = dataset._score_scratch, threading.get_ident(), len(dataset.split.base)
-        if thread not in scratch:  # the base split's block and the candidates', at its start
-            flat = np.empty(c_b * max(len(cache.units), len(cache.candidates)))
-            scratch[thread] = tuple(flat[: c_b * len(rows)].reshape(c_b, -1) for rows in (cache.units, cache.candidates))
-        self._base, self._new = scratch[thread]
+        self.cache = dataset._split_cache
+        self._base, self._new = dataset._score_scratch
 
     def accuracies(self, base_embeddings: np.ndarray):
         # C order, as the frozen columns are normalized: its column norms sum
@@ -363,14 +353,14 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
 
 def _frozen_lse(dataset: EmbeddingSet, frozen_new: np.ndarray, tau: float) -> np.ndarray:
     """Each unit row's log sum_f exp(cos_f / tau) over the frozen columns
-    frozen_new, from (C_f, N) cosines that no one keeps: the dataset keeps
-    the (N,) vector of each tau, read-only, for every later run."""
-    with _FROZEN_LSE_LOCK:  # one build per tau, also when ablate's runs start together
-        if (lse := dataset._frozen_lse.get(tau)) is None:
-            scores = objective._unit_columns(frozen_new)[0].T @ dataset._split_cache.units.T
-            scores /= tau
-            lse = dataset._frozen_lse[tau] = np.logaddexp.reduce(scores, axis=0, initial=-np.inf)
-            lse.setflags(write=False)
+    frozen_new, from (C_f, N) cosines that no one keeps: the first run at a
+    tau builds the (N,) vector, which the dataset keeps, read-only, for the
+    later ones."""
+    if (lse := dataset._frozen_lse.get(tau)) is None:
+        scores = objective._unit_columns(frozen_new)[0].T @ dataset._split_cache.units.T
+        scores /= tau
+        lse = dataset._frozen_lse[tau] = np.logaddexp.reduce(scores, axis=0, initial=-np.inf)
+        lse.setflags(write=False)
     return lse
 
 
@@ -673,14 +663,8 @@ def _cell_stats(finals):
     }
 
 
-def ablation_workers(requested: "int | None" = None) -> int:
-    cap = os.environ.get("OGEN_THREADS")
-    if cap and not cap.strip().isdigit():
-        raise ConfigError(f"OGEN_THREADS must be an integer, got {cap!r}")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    if limit < 1:
-        raise ConfigError(f"OGEN_THREADS must be >= 1, got {limit}")
-    return max(1, min(requested or limit, limit))
+def ablation_workers() -> int:  # the grid's one thread; the benchmark wraps this name until it times the library's own phases
+    return 1
 
 
 def ablate(dataset: EmbeddingSet, base_cfg: TrainConfig, seeds: int = 3) -> AblationReport:
@@ -688,8 +672,8 @@ def ablate(dataset: EmbeddingSet, base_cfg: TrainConfig, seeds: int = 3) -> Abla
 
     Tables: component on/off, extrapolation schemes, neighbor-count sweep
     with a random-neighbor row, and distillation variants. Cells sharing a
-    configuration reuse the same runs. Runs execute in parallel worker
-    threads (capped by OGEN_THREADS); results do not depend on scheduling.
+    configuration reuse the same runs. The runs go one after another, in
+    the calling thread and in table order, and share the dataset's caches.
     """
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
@@ -722,25 +706,15 @@ def ablate(dataset: EmbeddingSet, base_cfg: TrainConfig, seeds: int = 3) -> Abla
         ],
     }
 
-    jobs = {}
-    for rows in plan.values():
-        for _, cfg in rows:
-            for i in range(seeds):
-                run_cfg = replace(cfg, seed=base_cfg.seed + i)
-                jobs.setdefault(run_cfg, None)
+    @lru_cache(maxsize=None)  # one run per configuration, started by the first cell that needs it
+    def final(cfg: TrainConfig) -> tuple:
+        last = train(dataset, cfg).metrics[-1]
+        return last.base_acc, last.new_acc, last.harmonic_mean
 
-    def run_one(cfg: TrainConfig):
-        final = train(dataset, cfg).metrics[-1]
-        return (final.base_acc, final.new_acc, final.harmonic_mean)
-
-    with ThreadPoolExecutor(ablation_workers()) as pool:
-        futures = {cfg: pool.submit(run_one, cfg) for cfg in jobs}
-        results = {cfg: fut.result() for cfg, fut in futures.items()}
-
+    ablation_workers()  # once per grid, for the benchmark's record of it
     report = AblationReport()
     for table, rows in plan.items():
-        out = getattr(report, table)
         for label, cfg in rows:
-            finals = [results[replace(cfg, seed=base_cfg.seed + i)] for i in range(seeds)]
-            out.append({"variant": label, **_cell_stats(finals)})
+            finals = [final(replace(cfg, seed=base_cfg.seed + i)) for i in range(seeds)]
+            getattr(report, table).append({"variant": label, **_cell_stats(finals)})
     return report

@@ -250,23 +250,44 @@ def test_output_under_a_regular_file_is_data_error_before_any_work(dataset_path,
     assert file_tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("command", ["train", "resume", "ablate", "eval", "gen-data"])
-def test_path_of_the_wrong_kind_is_data_error_before_any_work(dataset_path, tmp_path, capsys, monkeypatch, command):
-    # a regular file where a command takes a directory, or a directory where
-    # it writes a file, is a data error that names the path (click's own
-    # check exits 1), found before the command computes or writes anything
-    wrong = tmp_path / ("adir" if command == "gen-data" else "afile")
-    wrong.mkdir() if command == "gen-data" else wrong.write_bytes(b"")
+@pytest.mark.parametrize("command,wrong,out", [
+    pytest.param("train", "afile", "afile", id="train"),
+    pytest.param("resume", "afile", "afile", id="resume"),
+    pytest.param("ablate", "afile", "afile", id="ablate"),
+    pytest.param("eval", "afile", "afile", id="eval"),
+    pytest.param("gen-data", "adir/", "adir", id="gen-data"),
+    pytest.param("gen-data", ".d.oef.prev/", "d.oef", id="gen-data-aside"),
+    pytest.param("ablate", "reports/.schemes.csv.prev/", "reports", id="ablate-aside"),
+    pytest.param("train", "dangling@", "dangling", id="train-dangling"),
+    pytest.param("ablate", "dangling@", "dangling", id="ablate-dangling"),
+    pytest.param("eval", "dangling@", "dangling", id="eval-dangling"),
+    pytest.param("train", "dangling@", "dangling/run", id="train-under-dangling"),
+    pytest.param("gen-data", "dangling@", "dangling/d.oef", id="gen-data-under-dangling"),
+])
+def test_path_of_the_wrong_kind_is_data_error_before_any_work(dataset_path, tmp_path, capsys, monkeypatch, command,
+                                                              wrong, out):
+    # a regular file where a command takes a directory, a directory (a
+    # trailing /) where it writes a file or sets an old one aside, or a
+    # dangling symlink (@) where it makes a directory or one above it, is a
+    # data error that names the path (click's own check exits 1), found
+    # before the command computes or writes anything
+    path, out = tmp_path / wrong.rstrip("/@"), tmp_path / out
+    if wrong.endswith("/"):
+        path.mkdir(parents=True)
+    elif wrong.endswith("@"):
+        path.symlink_to(tmp_path / "nowhere")
+    else:
+        path.write_bytes(b"")
     for name in ("make_synthetic", "load_embeddings", "load_state"):
         monkeypatch.setattr(ogen.cli, name, lambda *args: pytest.fail(f"{command} went on to work"))
-    before = file_tree(tmp_path)
-    args = {"train": train_args(dataset_path, wrong), "resume": resume_args(dataset_path, wrong),
-            "ablate": ["ablate", "--data", str(dataset_path), "--out", str(wrong), "--seeds", "1", "--epochs", "1"],
-            "eval": ["eval", "--run", str(wrong)], "gen-data": gen_args(wrong)}
+    before, entries = file_tree(tmp_path), sorted(tmp_path.rglob("*"))
+    args = {"train": train_args(dataset_path, out), "resume": resume_args(dataset_path, out),
+            "ablate": ["ablate", "--data", str(dataset_path), "--out", str(out), "--seeds", "1", "--epochs", "1"],
+            "eval": ["eval", "--run", str(out)], "gen-data": gen_args(out)}
     assert main(args[command]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{wrong} is" in err and "Traceback" not in err
-    assert file_tree(tmp_path) == before and sorted(p.name for p in tmp_path.iterdir()) == sorted(["d.oef", wrong.name])
+    assert err.startswith("error: ") and f"{path} is" in err and "Traceback" not in err
+    assert file_tree(tmp_path) == before and sorted(tmp_path.rglob("*")) == entries
 
 
 class TestTrain:
@@ -1443,8 +1464,7 @@ class TestHmean:
 
 
 class TestAblateCommand:
-    def test_writes_four_reports(self, dataset_path, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("OGEN_THREADS", "2")
+    def test_writes_four_reports(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "reports"
         code = main([
             "ablate", "--data", str(dataset_path), "--out", str(out),
@@ -1515,12 +1535,3 @@ class TestAblateCommand:
         assert main([*args, "--k", "2", "--gen-lr", "0.05"]) == 0
         assert base_cfgs == [TrainConfig(), replace(TrainConfig(), learning_rate=0.05, seed=3),
                              replace(TrainConfig(), k=2, generator_lr=0.05)]
-
-    def test_non_integer_thread_cap_is_config_error(self, dataset_path, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("OGEN_THREADS", "two")
-        code = main([
-            "ablate", "--data", str(dataset_path), "--out", str(tmp_path / "reports"),
-            "--seeds", "1", "--epochs", "1", "--batch-size", "16",
-        ])
-        assert code == 2
-        assert "OGEN_THREADS" in capsys.readouterr().err

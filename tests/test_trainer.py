@@ -3,9 +3,7 @@
 import dataclasses
 import math
 import os
-import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -318,7 +316,7 @@ class TestEvaluate:
         assert len(calls) == 1 and calls[0] is ds
         # the per-epoch score blocks have the learnable columns only, class-major,
         # the base split's and the candidates' at the start of one buffer
-        ((scores, candidates),) = ds._score_scratch.values()
+        scores, candidates = ds._score_scratch
         assert scores.shape == (len(ds.split.base), len(ds._split_cache.units))
         assert candidates.shape == (len(ds.split.base), len(ds._split_cache.candidates))
         assert np.shares_memory(scores, candidates) and scores.flags.c_contiguous and candidates.flags.c_contiguous
@@ -383,17 +381,11 @@ class TestEvaluate:
             prop.__set_name__(EmbeddingSet, name)
             monkeypatch.setattr(EmbeddingSet, name, prop)
         monkeypatch.setattr(ogen.objective, "known_batch_ce", known_spy)
-        monkeypatch.setenv("OGEN_THREADS", "2")
         ds = tiny_dataset(seed=2)
         cfg = tiny_config(epochs=2)
-        # runs that start together, as ablate's do, on a dataset with nothing
-        # built yet, and a build slow enough for each of them to start one
-        frozen_new, unit_columns = ds.embedding_columns(ds.split.new), ogen.objective._unit_columns
-        monkeypatch.setattr(ogen.objective, "_unit_columns", lambda a: time.sleep(0.01) or unit_columns(a))
-        with ThreadPoolExecutor(8) as pool:
-            lses = list(pool.map(lambda _: ogen.trainer._frozen_lse(ds, frozen_new, cfg.tau), range(8)))
-        monkeypatch.setattr(ogen.objective, "_unit_columns", unit_columns)
-        assert all(lse is lses[0] for lse in lses)
+        frozen_new = ds.embedding_columns(ds.split.new)
+        lse = ogen.trainer._frozen_lse(ds, frozen_new, cfg.tau)
+        assert ogen.trainer._frozen_lse(ds, frozen_new, cfg.tau) is lse
         first = train(ds, cfg)
         assert train(ds, cfg).metrics == first.metrics
         assert train(ds, dataclasses.replace(cfg, tau=0.05)).metrics != first.metrics
@@ -1032,23 +1024,29 @@ class TestAblate:
         assert r1.tables() == r2.tables()
         # the joint/no-distill cell appears in three tables; identical runs
         assert r1.component[1]["h_mean"] == r1.schemes[2]["h_mean"] == r1.distill[0]["h_mean"]
+        # r1 built the fresh dataset's caches and r2 reused them; a second
+        # fresh dataset of the same content gives the same tables too
+        assert ablate(tiny_dataset(), base_cfg, seeds=2).tables() == r1.tables()
 
-    def test_tables_do_not_depend_on_the_thread_count(self, monkeypatch):
-        # results do not depend on scheduling; two workers also build and
-        # share a fresh dataset's stacked rows and offsets
-        tables = {}
-        for threads in ("2", "1"):
-            monkeypatch.setenv("OGEN_THREADS", threads)
-            tables[threads] = ablate(tiny_dataset(), tiny_config(epochs=2), seeds=2).tables()
-        assert tables["1"] == tables["2"]
+    def test_grid_runs_serially_and_fills_one_score_buffer(self, monkeypatch):
+        # ablate starts no thread: its runs go one after another in the
+        # caller's, and every run and evaluate() of the dataset fills the
+        # dataset's one pair of score blocks, built once
+        import threading
 
-    def test_worker_cap_env(self, monkeypatch):
-        monkeypatch.setenv("OGEN_THREADS", "1")
-        assert ablation_workers() == 1
-        assert ablation_workers(8) == 1
-        monkeypatch.setenv("OGEN_THREADS", "0")
-        with pytest.raises(ConfigError):
-            ablation_workers()
-        monkeypatch.setenv("OGEN_THREADS", "two")
-        with pytest.raises(ConfigError, match="integer"):
-            ablation_workers()
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("ablate started a thread"))
+        workers, filled, accuracies = [], [], ogen.trainer._EvalCache.accuracies
+        monkeypatch.setattr(ogen.trainer, "ablation_workers", lambda: workers.append(ablation_workers()) or 1)
+
+        def spy(self, base_embeddings):
+            filled.append((self._base, self._new))
+            return accuracies(self, base_embeddings)
+
+        monkeypatch.setattr(ogen.trainer._EvalCache, "accuracies", spy)
+        ds = tiny_dataset()
+        ablate(ds, tiny_config(epochs=2), seeds=1)
+        evaluate(None, ds.embedding_columns(ds.split.base), ds)
+        assert workers == [1]  # one call per grid: the benchmark records its result
+        assert len(filled) == 11 * 2 + 1
+        scores, candidates = ds._score_scratch
+        assert all(base is scores and new is candidates for base, new in filled)
