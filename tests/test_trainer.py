@@ -1024,9 +1024,19 @@ class TestAblate:
         assert r1.tables() == r2.tables()
         # the joint/no-distill cell appears in three tables; identical runs
         assert r1.component[1]["h_mean"] == r1.schemes[2]["h_mean"] == r1.distill[0]["h_mean"]
-        # r1 built the fresh dataset's caches and r2 reused them; a second
-        # fresh dataset of the same content gives the same tables too
-        assert ablate(tiny_dataset(), base_cfg, seeds=2).tables() == r1.tables()
+
+    def test_tables_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # the grid runs serially whatever OGEN_THREADS once asked for; each
+        # fresh dataset builds its own stacked rows and offsets, and reusing
+        # the built ones gives the same tables
+        ds = tiny_dataset()
+        tables = {}
+        for threads in ("2", "1"):
+            monkeypatch.setenv("OGEN_THREADS", threads)
+            tables[threads] = ablate(tiny_dataset(), tiny_config(epochs=2), seeds=2).tables()
+        tables["reused"] = ablate(ds, tiny_config(epochs=2), seeds=2).tables()
+        assert ablate(ds, tiny_config(epochs=2), seeds=2).tables() == tables["reused"]
+        assert tables["1"] == tables["2"] == tables["reused"]
 
     def test_grid_runs_serially_and_fills_one_score_buffer(self, monkeypatch):
         # ablate starts no thread: its runs go one after another in the
