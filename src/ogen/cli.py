@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from contextlib import ExitStack
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -84,7 +85,8 @@ def _format_cell(value):
 
 
 def _run_data(config_path: Path) -> str:
-    """The dataset path that a run's config.json records."""
+    """The dataset path that a run's config.json records: absolute, or, in
+    runs of older versions, as typed, and then read from the current directory."""
     try:
         with open_regular(config_path) as fh:
             config = json.loads(fh.read())
@@ -191,7 +193,7 @@ def cmd_train(ctx, data, out, resume, plot, **_):
             rundir.clear(run_dir)
             config = {
                 "config": asdict(cfg),
-                "data": str(data),
+                "data": os.path.abspath(data),  # the same file from any directory
                 "k_requested": cfg.k,
                 "k_effective": cfg.effective_k(dataset),
             }

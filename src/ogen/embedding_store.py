@@ -17,7 +17,6 @@ two float32 tensors are class_embeddings (C, d) and image_features
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from ._tensorio import check_format, current, open_regular, read_tensor_file, write_tensor_file
 from .errors import DataError
-from .objective import _unit_columns
 
 # |norm - 1| tolerance under which a stored vector counts as unit and is
 # kept bit-identical at load time (keeps file round-trips byte-exact).
@@ -35,7 +33,6 @@ ZERO_NORM_EPS = 1e-6
 # Rows per pass of the row-norm, base-split and synthesis loops (128 KB at
 # d=64): their temporaries do not grow with the number of classes.
 _CHUNK_ROWS = 256
-SplitCache = namedtuple("SplitCache", "units positions own_index firsts counts base_best candidates candidate_best n_new")
 
 
 @dataclass(frozen=True)
@@ -112,69 +109,14 @@ class EmbeddingSet:
 
     @cached_property
     def _feature_norms(self) -> np.ndarray:
-        """Each image_features row's float64 norm: validation checks them, and _split_cache divides by them."""
+        """Each image_features row's float64 norm: validation checks them, and trainer._EvalCache divides by them."""
         return _row_norms(self.image_features)
 
     @cached_property
-    def _split_cache(self) -> SplitCache:
-        """What training and evaluation read of the image features, built in
-        one pass per dataset, read-only. units holds the base split's
-        features, their one float64 copy, as unit rows in split order,
-        positions each row's class position and own_index the flat index of its
-        own score in a class-major (C_b, N) block; firsts and counts hold
-        each base class's first row in image_features and its row count.
-        base_best holds each unit row's best cosine against the unit
-        new-class columns (-inf without new classes). candidates are those
-        of the n_new new-split features whose first best frozen column is
-        their own class, as float64 rows, and candidate_best their cosine
-        with it; no other new feature can be predicted right, whatever the
-        learnable columns are, so the new split's stack is a local of the pass."""
-        counts = np.asarray(self.counts, dtype=int)
-        firsts = np.cumsum(counts) - counts  # each class's first row in image_features
-
-        def rows(classes):  # the classes' rows of image_features in split order, and each row's class position
-            sizes = counts[classes]
-            shift = np.repeat(firsts[classes] - np.cumsum(sizes) + sizes, sizes)
-            return np.arange(sizes.sum()) + shift, np.repeat(np.arange(len(classes)), sizes)
-        base, new = list(self.split.base), list(self.split.new)
-        (picks, positions), (new_rows, own) = rows(base), rows(new)
-        units = np.empty((len(picks), self.dim))
-        for s in range(0, len(picks), _CHUNK_ROWS):  # cast a chunk at a time: no second copy of the rows
-            units[s:s + _CHUNK_ROWS] = self.image_features[picks[s:s + _CHUNK_ROWS]]
-        units /= self._feature_norms[picks, None]  # objective._unit_columns's unit rows, bit for bit
-        stack = self.image_features[new_rows].astype(np.float64)
-        base_best, candidates, candidate_best = np.full(len(units), -np.inf), stack, np.empty(0)
-        if new:
-            # C order and class-major, as trainer._EvalCache scores the learnable columns: equal columns, equal bits
-            unit = _unit_columns(np.ascontiguousarray(self.embedding_columns(new)))[0]
-            base_best = (unit.T @ units.T).max(axis=0)
-            scores = unit.T @ stack.T
-            hit = np.flatnonzero(scores.argmax(axis=0) == own)
-            candidates, candidate_best = stack[hit], scores[own[hit], hit]
-        own_index = positions * len(units) + np.arange(len(units))
-        cache = SplitCache(units, positions, own_index, firsts[base], counts[base], base_best, candidates,
-                           candidate_best, len(own))
-        for a in cache[:-1]:
-            a.setflags(write=False)
-        return cache
-
-    @cached_property
-    def _frozen_lse(self) -> dict:
-        """tau -> the known loss's frozen share of each unit row's softmax
-        denominator at that tau, an (N,) vector (trainer._frozen_lse)."""
+    def _caches(self) -> dict:
+        """What training derives from the dataset, kept for its later runs
+        and evaluations (trainer._EvalCache)."""
         return {}
-
-    @cached_property
-    def _score_scratch(self) -> tuple:
-        """The class-major (C_b, N) and (C_b, M) blocks that trainer._EvalCache
-        fills with the scores of the N unit rows and the M candidates, both at
-        the start of one buffer. The buffer is large enough that the C
-        allocator may hand it back to the OS on free, and a fresh one faults
-        its pages in again; so every run and evaluate() of the dataset fills
-        this one, and a dataset's caches serve one thread at a time."""
-        cache, c_b = self._split_cache, len(self.split.base)
-        flat = np.empty(c_b * max(len(cache.units), len(cache.candidates)))
-        return tuple(flat[: c_b * len(rows)].reshape(c_b, -1) for rows in (cache.units, cache.candidates))
 
     def embedding_columns(self, indices) -> np.ndarray:
         """Class embeddings as float64 columns, shape (d, len(indices))."""

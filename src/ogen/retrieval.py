@@ -87,7 +87,7 @@ def build_context(neighbor_ids, neighbor_embeddings, features, firsts, sample_id
     neighbor_ids holds K class positions, or (U, K) for U conditioning
     classes; neighbor_embeddings is the matching (d, K) or (U, d, K) stack
     of unit columns, taken as it is. features is a dataset's image-feature
-    block, class c's rows from row firsts[c] (EmbeddingSet._split_cache),
+    block, class c's rows from row firsts[c] (trainer._EvalCache.firsts),
     and sample_ids, shaped like neighbor_ids, picks each neighbor's row:
     support column j is features[firsts[neighbor_ids[j]] + sample_ids[j]],
     cast to float64, which is exact.

@@ -38,7 +38,7 @@ from .distillation import (
     push_checkpoint,
     window_size,
 )
-from .embedding_store import EmbeddingSet
+from .embedding_store import _CHUNK_ROWS, EmbeddingSet
 from .errors import ConfigError, DataError, NumericalError
 from .generator import (
     GeneratorParams,
@@ -193,37 +193,86 @@ def harmonic_mean(a: float, b: float) -> float:
 
 
 class _EvalCache:
-    """Argmax accuracy of each split over the learnable base columns and,
-    after them, the frozen new-class columns. What the frozen columns
-    decide is scored once per dataset (EmbeddingSet._split_cache), so each
-    accuracies() call scores the C_b learnable columns only, class-major:
-    one (C_b, N) block per split, filled in place and reduced along its
-    contiguous axis 0, the dataset's one pair (EmbeddingSet._score_scratch).
-    Argmax takes the first of equal maxima, so a learnable column wins a
-    tie with a frozen one."""
+    """What training and evaluation derive from a dataset, built in one
+    pass and kept, read-only, for all its runs and evaluations (of()).
+    units holds the base split's features, their one float64 copy, as unit
+    rows in split order, positions each row's class position and own_index
+    the flat index of its own score in a class-major (C_b, N) block; firsts
+    and counts hold each base class's first row in image_features and its
+    row count. base_best holds each unit row's best cosine against the unit
+    frozen columns (-inf without new classes). candidates are those of the
+    n_new new-split features whose first best frozen column is their own
+    class, as float64 rows, and candidate_best their cosine with it; no
+    other new feature can be predicted right, whatever the learnable
+    columns are, so the new split's stack is a local of the pass.
+    frozen_lse maps tau to an (N,) vector (_frozen_lse).
+
+    accuracies() is the argmax accuracy of each split over the learnable
+    base columns and, after them, the frozen ones. It scores the C_b
+    learnable columns only, class-major: one (C_b, N) block per split,
+    filled in place and reduced along its contiguous axis 0. Both blocks
+    start one buffer, large enough that the C allocator may hand it back to
+    the OS on free, and a fresh one faults its pages in again; so every run
+    and evaluate() of the dataset fills this one. Argmax takes the first of
+    equal maxima, so a learnable column wins a tie with a frozen one."""
 
     def __init__(self, dataset: EmbeddingSet):
-        self.cache = dataset._split_cache
-        self._base, self._new = dataset._score_scratch
+        counts = np.asarray(dataset.counts, dtype=int)
+        firsts = np.cumsum(counts) - counts  # each class's first row in image_features
+
+        def rows(classes):  # the classes' rows of image_features in split order, and each row's class position
+            sizes = counts[classes]
+            shift = np.repeat(firsts[classes] - np.cumsum(sizes) + sizes, sizes)
+            return np.arange(sizes.sum()) + shift, np.repeat(np.arange(len(classes)), sizes)
+        base, new = list(dataset.split.base), list(dataset.split.new)
+        (picks, positions), (new_rows, own) = rows(base), rows(new)
+        units = np.empty((len(picks), dataset.dim))
+        for s in range(0, len(picks), _CHUNK_ROWS):  # cast a chunk at a time: no second copy of the rows
+            units[s:s + _CHUNK_ROWS] = dataset.image_features[picks[s:s + _CHUNK_ROWS]]
+        units /= dataset._feature_norms[picks, None]  # objective._unit_columns's unit rows, bit for bit
+        stack = dataset.image_features[new_rows].astype(np.float64)
+        base_best, candidates, candidate_best = np.full(len(units), -np.inf), stack, np.empty(0)
+        if new:
+            # C order and class-major, as accuracies() scores the learnable columns: equal columns, equal bits
+            unit = objective._unit_columns(np.ascontiguousarray(dataset.embedding_columns(new)))[0]
+            base_best = (unit.T @ units.T).max(axis=0)
+            scores = unit.T @ stack.T
+            hit = np.flatnonzero(scores.argmax(axis=0) == own)
+            candidates, candidate_best = stack[hit], scores[own[hit], hit]
+        self.units, self.positions, self.own_index = units, positions, positions * len(units) + np.arange(len(units))
+        self.firsts, self.counts, self.base_best = firsts[base], counts[base], base_best
+        self.candidates, self.candidate_best = candidates, candidate_best
+        for a in vars(self).values():
+            a.setflags(write=False)
+        self.n_new, self.frozen_lse = len(own), {}
+        flat = np.empty(len(base) * max(len(units), len(candidates)))
+        self._base, self._new = (flat[: len(base) * len(r)].reshape(len(base), -1) for r in (units, candidates))
+
+    @classmethod
+    def of(cls, dataset: EmbeddingSet) -> "_EvalCache":
+        """The dataset's one cache, built by the first run or evaluate() that asks."""
+        if (cache := dataset._caches.get(cls)) is None:
+            cache = dataset._caches[cls] = cls(dataset)
+        return cache
 
     def accuracies(self, base_embeddings: np.ndarray):
         # C order, as the frozen columns are normalized: its column norms sum
         # the d rows in turn, a transposed matrix's pairwise, and equal
         # columns must score equal bits for the tie rule to hold
         unit, _ = objective._unit_columns(np.ascontiguousarray(base_embeddings))
-        scores = np.matmul(unit.T, self.cache.units.T, out=self._base)
+        scores = np.matmul(unit.T, self.units.T, out=self._base)
         flat = scores.ravel()
-        own = flat[self.cache.own_index]
-        flat[self.cache.own_index] = -np.inf
+        own = flat[self.own_index]
+        flat[self.own_index] = -np.inf
         other = scores.max(axis=0)  # each row's best score at another learnable column
         right = own > other
         if (tied := np.flatnonzero(own == other)).size:  # an earlier tied column wins; own's entry is -inf here
-            right[tied] = np.argmax(scores[:, tied] == own[tied], axis=0) > self.cache.positions[tied]
-        base_acc = float(np.count_nonzero(right & (own >= self.cache.base_best)) / len(own))
-        if not len(self.cache.candidates):
+            right[tied] = np.argmax(scores[:, tied] == own[tied], axis=0) > self.positions[tied]
+        base_acc = float(np.count_nonzero(right & (own >= self.base_best)) / len(own))
+        if not len(self.candidates):
             return base_acc, 0.0
-        scores = np.matmul(unit.T, self.cache.candidates.T, out=self._new)
-        return base_acc, float(np.count_nonzero(scores.max(axis=0) < self.cache.candidate_best) / self.cache.n_new)
+        scores = np.matmul(unit.T, self.candidates.T, out=self._new)
+        return base_acc, float(np.count_nonzero(scores.max(axis=0) < self.candidate_best) / self.n_new)
 
 
 def evaluate(params, embeddings, dataset: EmbeddingSet):
@@ -240,7 +289,7 @@ def evaluate(params, embeddings, dataset: EmbeddingSet):
         )
     if not np.all(np.isfinite(emb)):
         raise DataError("embeddings hold non-finite values")
-    base_acc, new_acc = _EvalCache(dataset).accuracies(emb)
+    base_acc, new_acc = _EvalCache.of(dataset).accuracies(emb)
     return base_acc, new_acc, harmonic_mean(base_acc, new_acc)
 
 
@@ -298,7 +347,7 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     """Synthesized-unknown losses and gradients in one batched pass over
     the U pseudo-unknown classes: one retrieval, one context, one student
     forward, one teacher forward and one backward. The supports are rows
-    of dataset.image_features (EmbeddingSet._split_cache's firsts, counts).
+    of dataset.image_features (_EvalCache's firsts, counts).
 
     Returns (generator grads, embedding grad, synth_ce, distill_mse),
     each averaged over the U classes. Draws from state.rng in the order of
@@ -307,7 +356,7 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     """
     rng, emb = state.rng, state.embeddings
     c_b, n_unk = emb.shape[1], unknown_cols.size
-    cache = dataset._split_cache
+    cache = _EvalCache.of(dataset)
     k_eff = min(cfg.k, known_cols.size)
     if cfg.random_neighbors:
         neighbor_cols = np.empty((n_unk, k_eff), dtype=int)
@@ -351,17 +400,27 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     return gen_grads, emb_grad, synth_ce / n_unk, mse / n_unk
 
 
-def _frozen_lse(dataset: EmbeddingSet, frozen_new: np.ndarray, tau: float) -> np.ndarray:
+def _frozen_lse(cache: _EvalCache, frozen_new: np.ndarray, tau: float) -> np.ndarray:
     """Each unit row's log sum_f exp(cos_f / tau) over the frozen columns
     frozen_new, from (C_f, N) cosines that no one keeps: the first run at a
-    tau builds the (N,) vector, which the dataset keeps, read-only, for the
+    tau builds the (N,) vector, which the cache keeps, read-only, for the
     later ones."""
-    if (lse := dataset._frozen_lse.get(tau)) is None:
-        scores = objective._unit_columns(frozen_new)[0].T @ dataset._split_cache.units.T
+    if (lse := cache.frozen_lse.get(tau)) is None:
+        scores = objective._unit_columns(frozen_new)[0].T @ cache.units.T
         scores /= tau
-        lse = dataset._frozen_lse[tau] = np.logaddexp.reduce(scores, axis=0, initial=-np.inf)
+        lse = cache.frozen_lse[tau] = np.logaddexp.reduce(scores, axis=0, initial=-np.inf)
         lse.setflags(write=False)
     return lse
+
+
+def _check_finite(epoch: int, embeddings: np.ndarray, **losses) -> None:
+    """Raise NumericalError, naming the epoch, unless the losses are finite
+    and so is each class column's squared norm, which the cosine heads
+    divide by: a finite entry beyond about 1e154 squares to inf."""
+    sq_norm = float(np.einsum("ij,ij->j", embeddings, embeddings).max())  # NaN if any is NaN
+    if not all(map(math.isfinite, (sq_norm, *losses.values()))):
+        terms = " ".join(f"{name}={value!r}" for name, value in losses.items())
+        raise NumericalError(f"non-finite state at epoch {epoch}: {terms} largest squared column norm={sq_norm!r}")
 
 
 def check_state(state: TrainState, dataset: EmbeddingSet) -> None:
@@ -381,15 +440,14 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
     else:
         check_state(state, dataset)
     n_unk = cfg.pseudo_unknown_count(dataset)
-    eval_cache = _EvalCache(dataset)
     # the base image features are fixed, so each minibatch takes its (d, B)
     # unit columns from the dataset's (N, d) unit rows. Frozen new-class
     # columns join every softmax denominator, as in synthesis and evaluation;
     # they never receive updates, so each base feature's share of the
     # denominator, log sum_f exp(cos_f / tau), is built once per dataset and tau
-    cache = dataset._split_cache
+    cache = _EvalCache.of(dataset)
     frozen_new = dataset.embedding_columns(dataset.split.new)
-    frozen_lse = _frozen_lse(dataset, frozen_new, cfg.tau)
+    frozen_lse = _frozen_lse(cache, frozen_new, cfg.tau)
     rng = state.rng
     rows = []
 
@@ -422,6 +480,7 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         synth_ce = mse = 0.0
         m_t, teacher, teacher_range = _resolve_teacher(state, cfg, epoch)
         if cfg.scheme != "none":
+            _check_finite(epoch, state.embeddings, known_ce=known_ce)  # before synthesis reads the columns
             gen_grads, emb_grad, synth_ce, mse = _synthesize(
                 state, cfg, teacher, frozen_new, known_cols, unknown_cols, dataset
             )
@@ -434,14 +493,8 @@ def train(dataset: EmbeddingSet, cfg: TrainConfig, state: "TrainState | None" = 
         elif cfg.distill == "mt":
             _mt_update(state, cfg)
 
-        if not (
-            np.all(np.isfinite((known_ce, synth_ce, mse))) and np.all(np.isfinite(state.embeddings))
-        ):
-            raise NumericalError(
-                f"non-finite state at epoch {epoch}: known_ce={known_ce!r} "
-                f"synth_ce={synth_ce!r} distill_mse={mse!r}"
-            )
-        base_acc, new_acc = eval_cache.accuracies(state.embeddings)
+        _check_finite(epoch, state.embeddings, known_ce=known_ce, synth_ce=synth_ce, distill_mse=mse)
+        base_acc, new_acc = cache.accuracies(state.embeddings)
         row = EpochMetrics(
             epoch=epoch,
             base_acc=base_acc,

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import shutil
 import stat
 import struct
@@ -528,6 +529,21 @@ class TestTrain:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("scheme, distill", [("none", "none"), ("joint", "almt")], ids=["none", "joint"])
+    def test_diverging_run_is_numerical_failure(self, dataset_path, tmp_path, capsys, scheme, distill):
+        # --lr 1e160 is finite, but the first steps take the class columns
+        # past 1e154, where their squared norms overflow: the run stops with
+        # exit 3 before synthesis or evaluation reads them, and writes no row
+        # for the failing epoch
+        run = tmp_path / "run"
+        code = main(train_args(dataset_path, run, extra=["--lr", "1e160", "--scheme", scheme, "--distill", distill]))
+        err = capsys.readouterr().err
+        assert code == 3 and "numerical failure" in err and "squared column norm=inf" in err
+        epoch = int(re.search(r"at epoch (\d+)", err).group(1))
+        with open(run / "metrics.csv") as fh:
+            assert [int(row["epoch"]) for row in csv.DictReader(fh)] == list(range(epoch))
+
+
 class TestResume:
     @staticmethod
     def rewound_run(dataset_path, run, extra=()):
@@ -1017,6 +1033,32 @@ class TestResume:
         capsys.readouterr()
         assert main(["train", "--data", str(other), "--out", str(run), "--resume"]) == 2
         assert "--data" in capsys.readouterr().err
+
+    def test_run_reads_its_dataset_from_any_directory(self, tmp_path, monkeypatch, capsys):
+        # config.json records where the dataset is, not the path as typed:
+        # from a sibling directory that holds another d.oef, eval scores the
+        # run's own dataset, a resume that names the other file is refused,
+        # and one that names the run's own file continues the run
+        home, sibling = tmp_path / "home", tmp_path / "sibling"
+        home.mkdir()
+        sibling.mkdir()
+        monkeypatch.chdir(home)
+        assert main(gen_args("d.oef")) == 0
+        assert main(train_args("d.oef", "full", epochs=4)) == 0
+        self.rewound_run(pathlib.Path("d.oef"), pathlib.Path("run"))
+        capsys.readouterr()
+        assert main(["eval", "--run", "run", "--csv"]) == 0
+        here = capsys.readouterr().out
+        monkeypatch.chdir(sibling)
+        assert main(gen_args("d.oef", seed=7)) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run", "../home/run", "--csv"]) == 0
+        assert capsys.readouterr().out == here
+        assert main(resume_args("d.oef", "../home/run")) == 2
+        assert "is not the run's dataset" in capsys.readouterr().err
+        assert main(resume_args("../home/d.oef", "../home/run")) == 0
+        assert "resuming from epoch 2" in capsys.readouterr().out
+        assert (home / "run" / "metrics.csv").read_bytes() == (home / "full" / "metrics.csv").read_bytes()
 
     def test_flags_equal_to_the_stored_run_are_accepted(self, dataset_path, tmp_path, capsys):
         run, full = tmp_path / "run", tmp_path / "full"

@@ -23,6 +23,7 @@ from ogen.embedding_store import (
 )
 from ogen.errors import DataError
 from ogen.objective import _unit_columns, class_probabilities
+from ogen.trainer import _EvalCache
 
 
 def tiny_set(dim=4):
@@ -168,8 +169,8 @@ class TestValidation:
 
     def test_split_features_stack_each_split_once(self):
         ds = make_synthetic(SynthConfig(num_classes=6, dim=8, per_class=3, seed=3))  # 6 of 9 new rows are candidates
-        split = ds._split_cache
-        assert ds._split_cache is split
+        split = _EvalCache.of(ds)
+        assert _EvalCache.of(ds) is split and ds._caches == {_EvalCache: split}
         stacks = [np.concatenate([class_rows(ds, c).astype(np.float64) for c in classes])
                   for classes in (ds.split.base, ds.split.new)]
         # the base rows once, as unit rows equal bit for bit to the unit columns the known loss normalized

@@ -9,6 +9,7 @@ from conftest import class_rows
 from ogen.embedding_store import SynthConfig, make_synthetic
 from ogen.errors import DataError
 from ogen.retrieval import NeighborContext, build_context, retrieve_knn
+from ogen.trainer import _EvalCache
 
 
 def brute_force_topk(query, emb, k):
@@ -99,7 +100,7 @@ class TestBuildContext:
         # support column j is row sample_ids[j] of base class neighbor_ids[j],
         # for one conditioning class and for a batch of two
         ds = make_synthetic(SynthConfig(num_classes=8, dim=12, per_class=5, base_fraction=1.0, seed=11))
-        rows, firsts = ds.image_features, ds._split_cache.firsts
+        rows, firsts = ds.image_features, _EvalCache.of(ds).firsts
         rng = np.random.default_rng(0)
         for neighbor_ids in ([2, 5, 7], [[2, 5, 7], [0, 2, 1]]):
             ids = np.array(neighbor_ids)
@@ -119,11 +120,11 @@ class TestBuildContext:
         counts = tuple(1 + c % 5 for c in range(ds.num_classes))
         keep = np.concatenate([np.arange(5 * c, 5 * c + n) for c, n in enumerate(counts)])
         ds = dataclasses.replace(ds, image_features=ds.image_features[keep], counts=counts)
-        rows, firsts = ds.image_features, ds._split_cache.firsts
+        rows, firsts = ds.image_features, _EvalCache.of(ds).firsts
         base = ds.split.base
         sizes = [ds.counts[c] for c in base]
         last, end = len(base) - 1, sizes[-1] - 1
-        assert len(set(sizes)) > 1 and list(ds._split_cache.counts) == sizes
+        assert len(set(sizes)) > 1 and list(_EvalCache.of(ds).counts) == sizes
         assert list(firsts) == [sum(ds.counts[:c]) for c in base]
         cases = {
             "first row of the first class, (K,)": ([0, 1], [0, 0]),

@@ -19,6 +19,7 @@ from ogen.objective import prob_per_class_scheme
 from ogen.retrieval import build_context, retrieve_knn
 from ogen.trainer import (
     TrainConfig,
+    _EvalCache,
     ablate,
     ablation_workers,
     evaluate,
@@ -98,7 +99,7 @@ def row_major_reference(ds, emb):
     """The frozen verdict and the accuracies as evaluation scored them
     row-major, (N, C) blocks reduced along axis 1, before it went
     class-major: (base_best, candidates, candidate_best, (base_acc, new_acc))."""
-    cache = ds._split_cache
+    cache = _EvalCache.of(ds)
     units, new = cache.units, list(ds.split.new)
     stack = np.concatenate([class_rows(ds, c) for c in new] or [np.empty((0, ds.dim))]).astype(np.float64)
     own = np.repeat(np.arange(len(new)), [ds.counts[c] for c in new]).astype(int)
@@ -212,7 +213,7 @@ class TestEvaluate:
             assert 0.0 < base_acc < 1.0
             assert not tie or (not np.any(pred == 5) and np.any((labels == 2) & (pred == 2)))
             assert evaluate(None, emb, ds)[:2] == (base_acc, 0.0) and new_acc == 0.0
-        cache = ds._split_cache
+        cache = _EvalCache.of(ds)
         assert cache.n_new == 0 and cache.candidates.shape == (0, ds.dim)
         assert len(cache.base_best) == len(cache.units) and np.all(cache.base_best == -np.inf)
 
@@ -272,7 +273,7 @@ class TestEvaluate:
             emb[:, trial % 5 + 5] = emb[:, trial % 5]
             emb[:, trial % 3 + 1] = 2.0 * trial_ds.embedding_columns(new[trial % 2:trial % 2 + 1])[:, 0]
             base_best, candidates, candidate_best, accs = row_major_reference(trial_ds, emb)
-            cache = trial_ds._split_cache
+            cache = _EvalCache.of(trial_ds)
             assert cache.base_best.tobytes() == base_best.tobytes()
             assert cache.candidates.tobytes() == candidates.tobytes()
             assert cache.candidate_best.tobytes() == candidate_best.tobytes()
@@ -289,37 +290,46 @@ class TestEvaluate:
         cols = ds.embedding_columns(list(ds.split.base))
         (base_acc, new_acc), _ = union_accuracies(ds, cols)
         assert new_acc == 0.0
-        assert len(ds._split_cache.candidates) == 0
+        assert len(_EvalCache.of(ds).candidates) == 0
         assert evaluate(None, cols, ds)[:2] == (base_acc, 0.0)
 
-    def test_split_cache_is_built_once_per_dataset(self, monkeypatch):
-        # the base stack and the frozen verdict serve every run and
-        # evaluate() of the dataset
-        from functools import cached_property
-
-        from ogen.embedding_store import EmbeddingSet
-
-        build, calls = EmbeddingSet.__dict__["_split_cache"].func, []
-
-        def spy(dataset):
-            calls.append(dataset)
-            return build(dataset)
-
-        prop = cached_property(spy)
-        prop.__set_name__(EmbeddingSet, "_split_cache")
-        monkeypatch.setattr(EmbeddingSet, "_split_cache", prop)
+    def test_split_cache_is_built_once_per_dataset(self):
+        # the base stack, the frozen verdict and the score blocks serve every
+        # run and evaluate() of the dataset: the one cache the dataset keeps
         ds = tiny_dataset(seed=2)
         cfg = tiny_config(epochs=3)
         train(ds, cfg)
+        (cache,) = ds._caches.values()
         result = train(ds, dataclasses.replace(cfg, scheme="none", distill="none"))
         evaluate(None, result.embeddings, ds)
-        assert len(calls) == 1 and calls[0] is ds
+        assert ds._caches == {_EvalCache: cache} and _EvalCache.of(ds) is cache
+        # a dataset of other class embeddings builds its own
+        other = dataclasses.replace(ds, class_embeddings=ds.class_embeddings[::-1].copy())
+        assert _EvalCache.of(other) is not cache and ds._caches == {_EvalCache: cache}
         # the per-epoch score blocks have the learnable columns only, class-major,
         # the base split's and the candidates' at the start of one buffer
-        scores, candidates = ds._score_scratch
-        assert scores.shape == (len(ds.split.base), len(ds._split_cache.units))
-        assert candidates.shape == (len(ds.split.base), len(ds._split_cache.candidates))
+        scores, candidates = cache._base, cache._new
+        assert scores.shape == (len(ds.split.base), len(cache.units))
+        assert candidates.shape == (len(ds.split.base), len(cache.candidates))
         assert np.shares_memory(scores, candidates) and scores.flags.c_contiguous and candidates.flags.c_contiguous
+
+    def test_eval_cache_is_built_once_per_dataset(self, monkeypatch):
+        # a run, a second run of another configuration and a later
+        # evaluate() of one dataset build its cache once, in the first run
+        init, calls = _EvalCache.__init__, []
+
+        def spy(self, dataset):
+            calls.append(dataset)
+            init(self, dataset)
+
+        monkeypatch.setattr(_EvalCache, "__init__", spy)
+        ds = tiny_dataset(seed=2)
+        cfg = tiny_config(epochs=2)
+        train(ds, cfg)
+        assert calls == [ds]
+        result = train(ds, dataclasses.replace(cfg, scheme="none", distill="none", tau=0.05))
+        evaluate(None, result.embeddings, ds)
+        assert len(calls) == 1 and calls[0] is ds
 
     def test_caches_hold_no_array_of_the_new_split(self):
         # the new split is stacked once, for the frozen verdict, and of its
@@ -337,55 +347,53 @@ class TestEvaluate:
         def arrays(value):
             if isinstance(value, np.ndarray):
                 yield value
-            elif isinstance(value, (tuple, dict)):
-                for item in value.values() if isinstance(value, dict) else value:
+            elif isinstance(value, (tuple, dict, _EvalCache)):
+                items = vars(value) if isinstance(value, _EvalCache) else value
+                for item in items.values() if isinstance(items, dict) else items:
                     yield from arrays(item)
 
         fields = {f.name for f in dataclasses.fields(ds)}
         caches = {name: value for name, value in vars(ds).items() if name not in fields}
         cached = list(arrays(tuple(caches.values())))
+        cache = _EvalCache.of(ds)
         assert n_base != n_new and [a.shape for a in cached if a.shape[:1] == (n_new,)] == []
-        assert set(caches) == {"_feature_norms", "_split_cache", "_frozen_lse", "_score_scratch"} and len(cached) == 12
-        assert list(ds._frozen_lse) == [tiny_config().tau] and ds._frozen_lse[tiny_config().tau].shape == (n_base,)
-        assert ds._split_cache.n_new == n_new and 0 < len(ds._split_cache.candidates) < n_new
+        assert set(caches) == {"_feature_norms", "_caches"} and list(ds._caches.values()) == [cache]
+        assert len(cached) == 12  # the row norms, eight split arrays, two score blocks and one tau's vector
+        assert list(cache.frozen_lse) == [tiny_config().tau] and cache.frozen_lse[tiny_config().tau].shape == (n_base,)
+        assert cache.n_new == n_new and 0 < len(cache.candidates) < n_new
         (rows,) = [a for a in cached if a.shape == (n_base, ds.dim)]
-        assert rows is ds._split_cache.units and rows.dtype == np.float64 and not rows.flags.writeable
+        assert rows is cache.units and rows.dtype == np.float64 and not rows.flags.writeable
         assert [a for a in cached if a.shape == (len(ds.split.new), n_base)] == []
 
     def test_unit_rows_are_built_once_and_each_run_takes_its_frozen_lse(self, monkeypatch):
         # the base features' unit rows serve every run of the dataset, the
         # ablation grid's included; the frozen columns' share of the known
         # loss's denominators is built once per tau and serves every run at it
-        from functools import cached_property
-
-        from ogen.embedding_store import EmbeddingSet
-
-        build, calls, batches, built = EmbeddingSet.__dict__["_split_cache"].func, [], [], []
+        init, calls, batches, built = _EvalCache.__init__, [], [], []
         known_batch_ce = ogen.objective.known_batch_ce
-
-        def spy(dataset):
-            calls.append(dataset)
-            return build(dataset)
-
-        def known_spy(features, class_matrix, tau, targets, frozen_lse):
-            batches.append((features, tau, frozen_lse))
-            return known_batch_ce(features, class_matrix, tau, targets, frozen_lse)
 
         class Built(dict):
             def __setitem__(self, tau, lse):
                 built.append(tau)
                 super().__setitem__(tau, lse)
 
-        for name, func in (("_split_cache", spy), ("_frozen_lse", lambda dataset: Built())):
-            prop = cached_property(func)
-            prop.__set_name__(EmbeddingSet, name)
-            monkeypatch.setattr(EmbeddingSet, name, prop)
+        def spy(self, dataset):
+            calls.append(dataset)
+            init(self, dataset)
+            self.frozen_lse = Built()
+
+        def known_spy(features, class_matrix, tau, targets, frozen_lse):
+            batches.append((features, tau, frozen_lse))
+            return known_batch_ce(features, class_matrix, tau, targets, frozen_lse)
+
+        monkeypatch.setattr(_EvalCache, "__init__", spy)
         monkeypatch.setattr(ogen.objective, "known_batch_ce", known_spy)
         ds = tiny_dataset(seed=2)
         cfg = tiny_config(epochs=2)
+        cache = _EvalCache.of(ds)
         frozen_new = ds.embedding_columns(ds.split.new)
-        lse = ogen.trainer._frozen_lse(ds, frozen_new, cfg.tau)
-        assert ogen.trainer._frozen_lse(ds, frozen_new, cfg.tau) is lse
+        lse = ogen.trainer._frozen_lse(cache, frozen_new, cfg.tau)
+        assert ogen.trainer._frozen_lse(cache, frozen_new, cfg.tau) is lse
         first = train(ds, cfg)
         assert train(ds, cfg).metrics == first.metrics
         assert train(ds, dataclasses.replace(cfg, tau=0.05)).metrics != first.metrics
@@ -395,9 +403,9 @@ class TestEvaluate:
         # each kept vector has the bits of the one each run built for itself:
         # the (C_f, N) frozen cosines over tau, reduced along the frozen axis
         unit = ogen.objective._unit_columns(ds.embedding_columns(ds.split.new))[0]
-        for tau, lse in ds._frozen_lse.items():
+        for tau, lse in cache.frozen_lse.items():
             assert not lse.flags.writeable
-            scores = unit.T @ ds._split_cache.units.T
+            scores = unit.T @ cache.units.T
             scores /= tau
             assert np.array_equal(lse, np.logaddexp.reduce(scores, axis=0, initial=-np.inf))
         # log sum_f exp(cos_f / tau) over the frozen columns, one feature at a time
@@ -618,7 +626,7 @@ class TestTrainedGeneratorImproves:
         base = list(ds.split.base)
         base_emb = result.embeddings
         union = np.concatenate([base_emb, ds.embedding_columns(ds.split.new)], axis=1)
-        rows, firsts = ds.image_features, ds._split_cache.firsts
+        rows, firsts = ds.image_features, _EvalCache.of(ds).firsts
         rng = np.random.default_rng(99)
         wins = []
         gains = []
@@ -1058,5 +1066,5 @@ class TestAblate:
         evaluate(None, ds.embedding_columns(ds.split.base), ds)
         assert workers == [1]  # one call per grid: the benchmark records its result
         assert len(filled) == 11 * 2 + 1
-        scores, candidates = ds._score_scratch
-        assert all(base is scores and new is candidates for base, new in filled)
+        cache = _EvalCache.of(ds)
+        assert all(base is cache._base and new is cache._new for base, new in filled)
