@@ -18,6 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__, rundir
+from .rundir import METRIC_COLUMNS, format_cell  # METRIC_COLUMNS: unused here; the benchmark reads it from ogen.cli
 from ._tensorio import aside_path, check_kind, check_outputs, open_regular, write_atomically
 from .embedding_store import SynthConfig, load_embeddings, make_synthetic, save_embeddings
 from .errors import ConfigError, DataError, NumericalError
@@ -26,7 +27,6 @@ from .trainer import (
     DISTILL_MODES,
     SCHEMES,
     AblationReport,
-    EpochMetrics,
     TrainConfig,
     ablate,
     check_state,
@@ -36,8 +36,6 @@ from .trainer import (
     save_state,
     train,
 )
-
-METRIC_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
 
 ABLATION_COLUMNS = (
     "variant", "base_mean", "base_std", "new_mean", "new_std", "h_mean", "h_std", "seeds",
@@ -74,14 +72,6 @@ def gen_data(out, **params):
         f"{min(dataset.counts)}-{max(dataset.counts)} features/class, "
         f"split base={len(dataset.split.base)} new={len(dataset.split.new)}"
     )
-
-
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _run_data(config_path: Path) -> str:
@@ -164,7 +154,6 @@ def cmd_train(ctx, data, out, resume, plot, **_):
     lock from before its first write to its end."""
     run_dir = Path(out)
     state_path = run_dir / "state.bin"
-    metrics_path = run_dir / "metrics.csv"
     if not check_kind(run_dir, "directory") and resume:
         raise DataError(f"cannot resume: no run directory {run_dir}")
     with ExitStack() as held:
@@ -202,15 +191,15 @@ def cmd_train(ctx, data, out, resume, plot, **_):
                     f"k clamped from {cfg.k} to {config['k_effective']} (pseudo-known classes)"
                 ]
             write_atomically(run_dir / "config.json", [(json.dumps(config, sort_keys=True, indent=2) + "\n").encode()])
-            metrics_path.write_text(",".join(METRIC_COLUMNS) + "\n")
+            (run_dir / "metrics.csv").write_text(rundir.metrics_line())
 
         result = None
         try:
             if state is None or state.next_epoch < cfg.epochs:
-                with open(metrics_path, "a") as fh:
+                with open(run_dir / "metrics.csv", "a") as fh:
 
                     def on_epoch(state, row):
-                        fh.write(",".join(_format_cell(getattr(row, col)) for col in METRIC_COLUMNS) + "\n")
+                        fh.write(rundir.metrics_line(row))
                         fh.flush()
                         save_state(state_path, state, cfg)
 
@@ -284,7 +273,7 @@ def cmd_ablate(ctx, data, out, seeds, **_):
         writer = csv.writer(text)
         writer.writerow(ABLATION_COLUMNS)
         for row in rows:
-            writer.writerow([_format_cell(row[col]) for col in ABLATION_COLUMNS])
+            writer.writerow([format_cell(row[col]) for col in ABLATION_COLUMNS])
         write_atomically(path, [text.getvalue().encode()])
         click.echo(f"wrote {path}")
 

@@ -1,18 +1,18 @@
-"""The run directory of `ogen train`: one table of its files, each with
-the rule that writes it, and the four operations on it: lock, clear (a
-fresh run), resume(state) and finish, the last writes of every run."""
+"""The run directory of `ogen train`: a table of its files, each with its
+write rule; metrics.csv's columns, cell format and one reader; and the four
+operations on it: lock, clear (a fresh run), resume(state) and finish."""
 
 from __future__ import annotations
 
-import csv
 import fcntl
 import os
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 from ._tensorio import aside_path, check_kind, current, open_regular, temp_paths, write_atomically
 from .errors import DataError
-from .trainer import _ring_file
+from .trainer import EpochMetrics, _ring_file
 
 # each file of a run and its write rule. aside: write_atomically, keeping the
 # old file aside for the next save to rewrite (ogen train deletes the last
@@ -21,6 +21,36 @@ from .trainer import _ring_file
 # resume; ring: a directory of ring files rewritten in place (trainer._save_queue)
 FILES = {"state.bin": "aside", "state.queue": "ring", "config.json": "atomic", "metrics.csv": "append",
          "checkpoint.bin": "atomic", "curves.svg": "atomic"}
+METRIC_COLUMNS = tuple(f.name for f in fields(EpochMetrics))  # metrics.csv's header, a column per field
+_PARSE = {"int": int, "float": float, "int | None": lambda cell: int(cell) if cell else None}  # by field type
+
+
+def format_cell(value) -> str:  # a cell of metrics.csv or of an ablation table: "" for None, a float's repr
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+def metrics_line(row: EpochMetrics | None = None) -> str:  # the header line of metrics.csv, or the line of row
+    return ",".join(c if row is None else format_cell(getattr(row, c)) for c in METRIC_COLUMNS) + "\n"
+
+
+def read_metrics(path, before: int | None = None) -> list:
+    """The rows of the metrics table at current(path), as EpochMetrics. Given
+    before, those of epochs below it, which must be one each of 0 ... before - 1,
+    in order; a later row may be torn by a killed append, so only its epoch is
+    read. A DataError names the file unless each row read is one value of each
+    column's type, under the exact header."""
+    try:
+        with open_regular(source := current(path)) as fh:
+            header, *lines = fh.read().decode().splitlines()
+        rows = [c for c in (line.split(",") for line in lines if line) if before is None or int(c[0]) < before]
+        if header != ",".join(METRIC_COLUMNS) or any(len(c) != len(METRIC_COLUMNS) for c in rows):
+            raise ValueError(f"not rows of the {len(METRIC_COLUMNS)} columns {','.join(METRIC_COLUMNS)}")
+        rows = [EpochMetrics(*(_PARSE[f.type](cell) for f, cell in zip(fields(EpochMetrics), c))) for c in rows]
+        if before is not None and [row.epoch for row in rows] != list(range(before)):
+            raise ValueError(f"its rows before epoch {before} are not one each of epochs 0 to {before - 1}, in order")
+    except ValueError as exc:  # the checks above, no header, a cell not of its type, or bytes that are no text
+        raise DataError(f"{source}: not a metrics table ({exc})") from exc
+    return rows
 
 
 def _run_files(run_dir: Path) -> tuple:
@@ -59,25 +89,16 @@ def clear(run_dir: Path) -> None:
 
 def resume(run_dir: Path, state) -> None:
     """Make run_dir the directory of state. First, changing no file, check
-    each file of the run, and that the rows of metrics.csv (or its aside)
-    before state.next_epoch are one each of epochs 0 ... next_epoch - 1, in
-    order. Then delete the temp files of killed writes, but no aside, which
-    may hold the only state; cut metrics.csv back to those rows atomically,
-    so that a resume killed there can run again; and delete each entry of
+    each file of the run and read_metrics(metrics.csv, state.next_epoch).
+    Then delete the temp files of killed writes, but no aside, which may
+    hold the only state; cut metrics.csv back to those rows atomically, so
+    that a resume killed there can run again; and delete each entry of
     state.queue that state does not list, a directory with all it holds."""
     _, temps = _run_files(run_dir)
-    try:
-        with open_regular(source := current(run_dir / "metrics.csv")) as fh:
-            header, *rows = fh.read().decode().splitlines()
-        kept = [line for line in rows if line and int(line.split(",", 1)[0]) < state.next_epoch]
-    except ValueError as exc:  # no header, an epoch that is no integer, or bytes that are no text
-        raise DataError(f"{source}: not a metrics table ({exc})") from exc
-    if [int(line.split(",", 1)[0]) for line in kept] != list(range(state.next_epoch)):
-        raise DataError(f"{source}: its rows before epoch {state.next_epoch} are not one each of epochs "
-                        f"0 to {state.next_epoch - 1}, in order, as the run's state needs")
+    rows = read_metrics(path := run_dir / "metrics.csv", state.next_epoch)
     for tmp in temps:
         tmp.unlink()
-    write_atomically(run_dir / "metrics.csv", ["\n".join([header, *kept]).encode() + b"\n"])
+    write_atomically(path, ["".join(map(metrics_line, [None, *rows])).encode()])
     if state.queue is not None and check_kind(queue := run_dir / "state.queue", "own"):
         listed = {_ring_file(queue, state.queue, epoch) for epoch, _ in state.queue.entries}
         for entry in set(queue.iterdir()) - listed:  # listed before the first delete
@@ -92,7 +113,7 @@ def finish(run_dir: Path, plot: bool, checkpoint=None) -> None:
     if checkpoint is not None:
         checkpoint(run_dir / "checkpoint.bin")
     if plot:
-        write_atomically(run_dir / "curves.svg", [_render_curves_svg(run_dir / "metrics.csv").encode()])
+        write_atomically(run_dir / "curves.svg", [_render_curves_svg(read_metrics(run_dir / "metrics.csv")).encode()])
 
 
 def _delete(path: Path) -> None:
@@ -104,14 +125,9 @@ def _delete(path: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def _render_curves_svg(metrics_path) -> str:
-    """Minimal SVG line chart of base/new accuracy over epochs."""
-    epochs, base, new = [], [], []
-    with open(metrics_path) as fh:
-        for record in csv.DictReader(fh):
-            epochs.append(int(record["epoch"]))
-            base.append(float(record["base_acc"]))
-            new.append(float(record["new_acc"]))
+def _render_curves_svg(rows) -> str:
+    """Minimal SVG line chart of base/new accuracy over the epochs of rows (EpochMetrics)."""
+    epochs, base, new = ([getattr(row, column) for row in rows] for column in ("epoch", "base_acc", "new_acc"))
     width, height, margin = 720, 440, 56
     x_span = max(max(epochs), 1) if epochs else 1
     plot_w, plot_h = width - 2 * margin, height - 2 * margin

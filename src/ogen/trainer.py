@@ -156,8 +156,8 @@ class EpochMetrics:
     synth_ce: float
     distill_mse: float
     m_t: int
-    teacher_lo: "int | None" = None
-    teacher_hi: "int | None" = None
+    teacher_lo: int | None = None
+    teacher_hi: int | None = None
 
 
 @dataclass
@@ -287,8 +287,8 @@ def evaluate(params, embeddings, dataset: EmbeddingSet):
         raise DataError(
             f"embeddings shape {emb.shape} != ({dataset.dim}, {len(dataset.split.base)})"
         )
-    if not np.all(np.isfinite(emb)):
-        raise DataError("embeddings hold non-finite values")
+    if not np.isfinite(np.einsum("ij,ij->j", emb, emb)).all():  # a finite entry beyond about 1e154 squares to inf
+        raise DataError("embeddings hold non-finite values or a column whose squared norm overflows")
     base_acc, new_acc = _EvalCache.of(dataset).accuracies(emb)
     return base_acc, new_acc, harmonic_mean(base_acc, new_acc)
 
@@ -382,12 +382,14 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     # gradients those of the mean loss
     w_syn, w_distill = cfg.lambda_syn / n_unk, cfg.lambda_distill / n_unk
     features, tape = extrapolate(ctx, w_unit, state.params)
+    _check_synthesized(state.next_epoch, features, "student")
     synth_ce, d_feat, d_union = ce_fn(features, union, cfg.tau, unknown_cols)
     upstream = w_syn * d_feat
     emb_grad = w_syn * d_union[:, :c_b]
     mse = 0.0
     if teacher is not None:
         t_features, _ = extrapolate(ctx, w_unit, teacher)
+        _check_synthesized(state.next_epoch, t_features, "teacher")
         mse, dm_feat, dm_union = mse_fn(prob_fn(t_features, union, cfg.tau), features, union, cfg.tau)
         upstream = upstream + w_distill * dm_feat
         emb_grad += w_distill * dm_union[:, :c_b]
@@ -398,6 +400,16 @@ def _synthesize(state: TrainState, cfg: TrainConfig, teacher, frozen_new, known_
     d_neighbors = objective._unit_columns_vjp(n_unit, n_norms, igrads.neighbor_embeddings)
     np.add.at(emb_grad.T, neighbor_cols, np.swapaxes(d_neighbors, 1, 2))
     return gen_grads, emb_grad, synth_ce / n_unk, mse / n_unk
+
+
+def _check_synthesized(epoch: int, features: np.ndarray, model: str) -> None:
+    """Raise NumericalError, naming the epoch, unless each feature (column) the
+    model synthesized has a finite nonzero norm, which the cosine heads divide
+    by; at init, a class whose FFN units are all dead synthesizes ln_bias = 0."""
+    sq_norms = np.einsum("...ij,...ij->...j", features, features)  # NaN if any entry is NaN
+    if not (np.isfinite(sq_norms).all() and sq_norms.all()):
+        raise NumericalError(f"the {model} synthesized a feature of zero or non-finite norm at epoch {epoch}: "
+                             f"squared norms {float(sq_norms.min())!r} to {float(sq_norms.max())!r}")
 
 
 def _frozen_lse(cache: _EvalCache, frozen_new: np.ndarray, tau: float) -> np.ndarray:
@@ -638,6 +650,8 @@ def _state_from(tensors: dict, meta: dict, queue_dir: Path):
     non_finite = [name for name, t in tensors.items() if not np.all(np.isfinite(t))]
     if non_finite:
         raise DataError(f"tensors {', '.join(non_finite)} hold non-finite values")
+    if not np.isfinite(np.einsum("ij,ij->j", emb, emb)).all():  # a finite entry beyond about 1e154 squares to inf
+        raise DataError("embeddings hold a column whose squared norm overflows")
     gen_meta = meta.get("gen_meta")
     if (gen_meta is None) != (cfg.scheme == "none"):
         raise DataError(f"generator tensors do not match scheme {cfg.scheme!r}")

@@ -51,6 +51,14 @@ def resume_args(data, out):
     return ["train", "--data", str(data), "--out", str(out), "--resume"]
 
 
+METRICS_HEADER = b"epoch,base_acc,new_acc,harmonic_mean,known_ce,synth_ce,distill_mse,m_t,teacher_lo,teacher_hi\n"
+
+
+def metrics_row(epoch, cells="0.5,0.5,0.5,1.0,0.0,0.0,2,0,0"):
+    """A line of metrics.csv: the epoch, and cells for the other columns."""
+    return f"{epoch},{cells}\n".encode()
+
+
 def rewrite_as_version_1(state_path):
     """Rewrite a run state in the layout of version 1: one entry per named
     generator tensor, prefixed by its bundle, and a has_mt flag."""
@@ -543,6 +551,22 @@ class TestTrain:
         with open(run / "metrics.csv") as fh:
             assert [int(row["epoch"]) for row in csv.DictReader(fh)] == list(range(epoch))
 
+    @pytest.mark.parametrize("extra", [["--d-ff", "1"], ["--d-ff", "2"], ["--d-ff", "1", "--distill", "mt"]],
+                             ids=["d_ff_1", "d_ff_2", "d_ff_1_mt"])
+    def test_zero_synthesized_feature_is_numerical_failure(self, tmp_path, capsys, extra):
+        # at init the FFN biases and output projection are zero, so a class
+        # whose few FFN units are all dead gets a zero pre-LayerNorm column,
+        # which LayerNorm maps to its zero bias: a valid config, on the
+        # default dataset, whose first synthesis gives a zero feature
+        data, run = tmp_path / "d.oef", tmp_path / "run"
+        assert main(["gen-data", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "2", *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the student synthesized a feature of zero or non-finite norm "
+                              "at epoch 0: squared norms 0.0 to ")
+        assert (run / "metrics.csv").read_bytes() == METRICS_HEADER
+
 
 class TestResume:
     @staticmethod
@@ -900,14 +924,27 @@ class TestResume:
         assert resumed, "no kill came after the first save"
 
     @pytest.mark.parametrize(
-        "text",
-        [b"epoch,base_acc\n0,0.5\none,0.5\n", b"", b"epoch,base_acc\n\xff\n",
-         b"epoch,base_acc\n0,0.5\n2,0.5\n3,0.5\n", b"epoch,base_acc\n0,0.5\n0,0.5\n1,0.5\n"],
-        ids=["epoch_not_an_integer", "empty", "not_text", "missing_row", "duplicated_row"],
+        "text, message",
+        [(METRICS_HEADER + metrics_row(0) + metrics_row("one"), "invalid literal for int() with base 10: 'one'"),
+         (b"", "not enough values to unpack"),
+         (METRICS_HEADER + b"\xff\n", "codec can't decode byte 0xff"),
+         (METRICS_HEADER + metrics_row(0) + metrics_row(2) + metrics_row(3),
+          "its rows before epoch 2 are not one each of epochs 0 to 1, in order"),
+         (METRICS_HEADER + metrics_row(0) + metrics_row(0) + metrics_row(1),
+          "its rows before epoch 2 are not one each of epochs 0 to 1, in order"),
+         (METRICS_HEADER + metrics_row(0) + metrics_row(1, "oops,0.5,0.5,1.0,0.0,0.0,2,0,0"),
+          "could not convert string to float: 'oops'"),
+         (METRICS_HEADER + metrics_row(0) + metrics_row(1, "0.5,0.5,0.5,1.0,0.0,0.0,,0,0"),
+          "invalid literal for int() with base 10: ''"),
+         (METRICS_HEADER + metrics_row(0) + metrics_row(1, "0.5,0.5"), "not rows of the 10 columns"),
+         (b"epoch,base_acc\n" + metrics_row(0) + metrics_row(1), "not rows of the 10 columns")],
+        ids=["epoch_not_an_integer", "empty", "not_text", "missing_row", "duplicated_row", "cell_not_a_float",
+             "int_cell_empty", "row_too_short", "other_header"],
     )
-    def test_bad_metrics_table_is_data_error(self, dataset_path, tmp_path, capsys, text):
-        # the state is at epoch 2, so the table must begin with one row each of
-        # epochs 0 and 1; a rejected resume changes no file, temp files included
+    def test_bad_metrics_table_is_data_error(self, dataset_path, tmp_path, capsys, text, message):
+        # the state is at epoch 2, so the table must begin with one row each
+        # of epochs 0 and 1, each one value of each column's type under the
+        # exact header; a rejected resume changes no file, temp files included
         run = tmp_path / "run"
         self.rewound_run(dataset_path, run)
         (run / "metrics.csv").write_bytes(text)
@@ -915,8 +952,20 @@ class TestResume:
         before = file_tree(run)
         capsys.readouterr()
         assert main(resume_args(dataset_path, run)) == 2
-        assert f"error: {run / 'metrics.csv'}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / 'metrics.csv'}: not a metrics table (") and message in err
         assert file_tree(run) == before
+
+    def test_torn_row_past_the_state_is_dropped(self, dataset_path, tmp_path):
+        # a killed append may leave a row past the state's epoch torn: only
+        # its epoch is read, and the resume cuts it away with the later rows
+        run, full = tmp_path / "run", tmp_path / "full"
+        assert main(train_args(dataset_path, full, epochs=4)) == 0
+        self.rewound_run(dataset_path, run)
+        with open(run / "metrics.csv", "ab") as fh:
+            fh.write(b"4,0.5,oo")
+        assert main(resume_args(dataset_path, run)) == 0
+        assert (run / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
 
     def test_killed_truncation_leaves_metrics_intact(self, dataset_path, tmp_path, monkeypatch):
         # the kept rows go to a temp file that replaces metrics.csv; a kill
@@ -1166,6 +1215,15 @@ class TestEval:
     def test_missing_run_is_data_error(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "ghost")]) == 2
 
+    def test_run_without_config_needs_data(self, dataset_path, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(train_args(dataset_path, run, epochs=1)) == 0
+        (run / "config.json").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run)]) == 2
+        assert capsys.readouterr().err == f"error: {run / 'config.json'} missing; pass --data explicitly\n"
+        assert main(["eval", "--run", str(run), "--data", str(dataset_path)]) == 0
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -1401,6 +1459,24 @@ class TestHostileRunFiles:
         assert main(self.command(command, dataset_path, run)) == 2
         # the path once, and no second DataError wrapped around the first
         assert capsys.readouterr().err == f"error: {run / 'state.bin'}: tensors {tensor} hold non-finite values\n"
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_embeddings_whose_squared_norms_overflow_are_data_error(self, dataset_path, tmp_path, capsys, command):
+        # finite entries scaled past about 1e154 square to inf; cosines do
+        # not change with scale, but the scorer would divide by inf
+        from ogen.trainer import load_state, save_state
+
+        run = tmp_path / "run"
+        TestResume.rewound_run(dataset_path, run)
+        state, cfg = load_state(run / "state.bin")
+        state.embeddings *= 1e160
+        save_state(run / "state.bin", state, cfg)
+        before = file_tree(run)
+        capsys.readouterr()
+        assert main(self.command(command, dataset_path, run)) == 2
+        assert capsys.readouterr().err == (f"error: {run / 'state.bin'}: embeddings hold a column "
+                                           "whose squared norm overflows\n")
+        assert file_tree(run) == before
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

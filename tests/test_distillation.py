@@ -98,6 +98,21 @@ class TestEmaMeanTeacher:
         with pytest.raises(DataError):
             ema_mean_teacher([], alpha=0.5)
 
+    @pytest.mark.parametrize(
+        "last_d_ff, alpha, error, message",
+        [
+            (16, -0.1, ConfigError, "alpha must be in [0, 1], got -0.1"),
+            (16, 1.5, ConfigError, "alpha must be in [0, 1], got 1.5"),
+            (8, 0.5, DataError, "checkpoint changed shape: heads=2, dim=8, d_ff=8"),
+        ],
+        ids=["alpha_below_0", "alpha_above_1", "checkpoint_of_another_shape"],
+    )
+    def test_bad_alpha_or_checkpoint_is_rejected(self, last_d_ff, alpha, error, message):
+        rng = np.random.default_rng(3)
+        with pytest.raises(error) as exc:
+            ema_mean_teacher([random_params(rng), random_params(rng, d_ff=last_d_ff)], alpha=alpha)
+        assert str(exc.value) == message
+
 
 class TestTeacherQueue:
     @staticmethod

@@ -1,6 +1,7 @@
 """Dataset construction, file round-trips, and the cosine-softmax scorer."""
 
 import builtins
+import dataclasses
 import math
 import os
 import struct
@@ -160,6 +161,25 @@ class TestValidation:
                          image_features=ds.image_features, counts=counts, split=ds.split)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dim", 0, "dimension must be positive, got 0"),
+            ("class_names", (), "dataset has no classes"),
+            ("class_names", ("a", ""), "class 1 has an empty name"),
+            ("class_embeddings", np.eye(3, 4, dtype=np.float32), "class_embeddings shape (3, 4) != (2, 4)"),
+            ("split", ClassSplit(base=(), new=(0, 1)), "split has no base classes"),
+            ("split", ClassSplit(base=(0, 0), new=(1,)), "split lists contain duplicate class indices"),
+            ("split", ClassSplit(base=(0,), new=(1, 1)), "split lists contain duplicate class indices"),
+        ],
+        ids=["dim_0", "no_classes", "empty_name", "embeddings_of_another_shape", "empty_base", "duplicate_base",
+             "duplicate_new"],
+    )
+    def test_malformed_set_is_data_error(self, field, value, message):
+        with pytest.raises(DataError) as exc:
+            dataclasses.replace(tiny_set(), **{field: value})
+        assert str(exc.value) == message
+
     def test_immutable_after_construction(self):
         ds = tiny_set()
         with pytest.raises(ValueError):
@@ -266,6 +286,14 @@ class TestFileFormat:
         write_dataset(path, [("x", e0, [e0]), ("x", e1, [e1])], split=((0, 1), ()))
         with pytest.raises(DataError, match="duplicate class name 'x'"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_file_too_short_for_a_manifest_length(self, tmp_path, size):
+        path = tmp_path / "short.oef"
+        path.write_bytes(b"\x01" * size)
+        with pytest.raises(DataError) as exc:
+            read_tensor_file(path)
+        assert str(exc.value) == f"{path}: too short to hold a manifest"
 
     def test_bad_magic(self, tmp_path):
         # the format field of the manifest takes the place of magic bytes
@@ -533,6 +561,15 @@ class TestSynthetic:
         assert vec_acc == oracle_acc
         # frozen from the oracle pass above (text_noise default 0.4)
         assert oracle_acc == 0.2735
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("dim", 1, "need dim >= 2, got 1"), ("per_class", 0, "need at least 1 feature per class, got 0")],
+    )
+    def test_size_below_its_minimum_is_data_error(self, field, value, message):
+        with pytest.raises(DataError) as exc:
+            SynthConfig(**{field: value}).validate()
+        assert str(exc.value) == message
 
     def test_config_validation(self):
         with pytest.raises(DataError):

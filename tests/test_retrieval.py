@@ -79,6 +79,22 @@ class TestRetrieveKnn:
         with pytest.raises(DataError):
             retrieve_knn(np.ones(4), np.eye(4), 0)
 
+    @pytest.mark.parametrize(
+        "query, embeddings, message",
+        [
+            (np.ones(3), np.eye(4), "base embedding matrix (4, 4) incompatible with query shape (3,)"),
+            (np.ones((3, 2)), np.eye(4), "base embedding matrix (4, 4) incompatible with query shape (3, 2)"),
+            (np.ones((4, 2, 1)), np.eye(4), "base embedding matrix (4, 4) incompatible with query shape (4, 2, 1)"),
+            (np.ones(4), np.ones(4), "base embedding matrix (4,) incompatible with query shape (4,)"),
+            (np.zeros(4), np.eye(4), "query embedding has zero norm"),
+        ],
+        ids=["query_of_another_dim", "queries_of_another_dim", "query_3d", "embeddings_1d", "zero_query"],
+    )
+    def test_bad_query_or_embeddings_are_data_errors(self, query, embeddings, message):
+        with pytest.raises(DataError) as exc:
+            retrieve_knn(query, embeddings, 2)
+        assert str(exc.value) == message
+
 
 class TestNeighborContext:
     def test_holds_the_two_stacks_the_generator_reads(self):

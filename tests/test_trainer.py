@@ -448,6 +448,16 @@ class TestEvaluate:
         with pytest.raises(DataError, match="non-finite"):
             evaluate(None, emb, ds)
 
+    def test_embeddings_whose_squared_norms_overflow_are_rejected(self):
+        # a cosine does not change when a column is scaled, but past about
+        # 1e154 its squared norm is inf and the unit column would be zeros
+        ds = tiny_dataset()
+        emb = ds.embedding_columns(list(ds.split.base)) * 1e160
+        with pytest.raises(DataError, match="^embeddings hold non-finite values or a column whose squared norm "
+                                            "overflows$"):
+            evaluate(None, emb, ds)
+        assert evaluate(None, emb / 1e160, ds) == evaluate(None, ds.embedding_columns(list(ds.split.base)), ds)
+
 
 class TestConfigValidation:
     def test_scheme_none_forces_distill_none(self):
@@ -473,6 +483,24 @@ class TestConfigValidation:
         # checked without a dataset, so a stored run state cannot carry one
         with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("epochs", 0, "epochs must be >= 1, got 0"),
+         ("batch_size", 0, "batch_size must be >= 1, got 0"),
+         ("k", 0, "k must be >= 1, got 0"),
+         ("tau", 0.0, "tau must be positive, got 0.0"),
+         ("learning_rate", -0.1, "learning rates must be non-negative"),
+         ("generator_lr", -0.1, "learning rates must be non-negative"),
+         ("momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+         ("momentum", -0.5, "momentum must be in [0, 1), got -0.5"),
+         ("lambda_syn", -1.0, "loss weights must be non-negative"),
+         ("lambda_distill", -1.0, "loss weights must be non-negative")],
+    )
+    def test_value_out_of_range_is_config_error(self, field, value, message):
+        with pytest.raises(ConfigError) as exc:
+            TrainConfig(**{field: value}).validate()
+        assert str(exc.value) == message
 
     def test_negative_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -608,6 +636,47 @@ class TestTrainLoop:
         monkeypatch.setattr(ogen.objective, head, poisoned)
         with pytest.raises(NumericalError, match=f"epoch {epoch}: .*{term}=nan"):
             train(ds, tiny_config(scheme=scheme, distill=distill))
+
+
+    @pytest.mark.parametrize(
+        "model, scheme, distill, value, epoch",
+        [
+            ("student", "joint", "none", 0.0, 0),
+            ("student", "per_class", "none", np.nan, 0),
+            ("student", "joint", "none", 1e160, 0),  # finite, but its squared norm overflows
+            # the first teacher exists once epoch 0 has ended
+            ("teacher", "joint", "mt", 0.0, 1),
+            ("teacher", "per_class", "almt", np.inf, 1),
+        ],
+        ids=["student_zero", "student_nan", "student_overflow", "teacher_zero", "teacher_inf"],
+    )
+    def test_bad_synthesized_feature_aborts_before_a_head_reads_it(self, monkeypatch, model, scheme, distill,
+                                                                   value, epoch):
+        name = "extrapolate_jointly" if scheme == "joint" else "extrapolate_per_class"
+        real, calls, poisoned, read = getattr(ogen.trainer, name), [], [], []
+
+        def extrapolate(ctx, w_n, params):
+            features, tape = real(ctx, w_n, params)
+            calls.append(params)  # the student's params are one object all run; a teacher is another
+            if (params is calls[0]) == (model == "student"):
+                features = features.copy()
+                features[..., 0] = value  # the first column, a whole synthesized feature
+                poisoned.append(features)
+            return features, tape
+
+        def spy(head):
+            def reading(features, *args):
+                read.append(features)
+                return head(features, *args)
+            return reading
+
+        monkeypatch.setattr(ogen.trainer, name, extrapolate)
+        for head in ("synth_ce_joint", "synth_ce_per_class", "prob_joint_scheme", "prob_per_class_scheme"):
+            monkeypatch.setattr(ogen.objective, head, spy(getattr(ogen.objective, head)))
+        with pytest.raises(NumericalError, match=f"^the {model} synthesized a feature of zero or non-finite "
+                                                 f"norm at epoch {epoch}: squared norms "):
+            train(tiny_dataset(), tiny_config(scheme=scheme, distill=distill))
+        assert poisoned and not any(features is bad for features in read for bad in poisoned)
 
 
 class TestTrainedGeneratorImproves:
@@ -992,6 +1061,12 @@ class TestStatePersistence:
 
 
 class TestAblate:
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_seeds_below_one_is_config_error(self, seeds):
+        with pytest.raises(ConfigError) as exc:
+            ablate(tiny_dataset(), tiny_config(), seeds=seeds)
+        assert str(exc.value) == f"seeds must be >= 1, got {seeds}"
+
     def test_grid_structure_and_bookkeeping(self):
         ds = tiny_dataset()
         base_cfg = tiny_config(epochs=2)
